@@ -23,12 +23,12 @@ from .assembly import (
     assemble_global,
     assemble_local,
     cost_w,
+    penalty_stiffness,
 )
 from .covariance import interface_coupling
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
-    MissingNeighbor,
     UncoveredPoint,
 )
 from .geometry import Decomposition, decompose_uniform
@@ -126,43 +126,35 @@ def patch(dec: Decomposition, local_us) -> np.ndarray:
     return out
 
 
-def interface_mismatch(locals_, ws) -> float:
-    """Max over coupled pairs of the interface gap ||p_i w_i - p_j w_j||_inf.
+def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
+                       ws) -> float:
+    """Max over neighbor pairs of the interface gap ||p_i w_i - p_j w_j||_inf.
 
-    When this vanishes for the uncoupled solutions, those solutions
-    satisfy the coupled systems verbatim; on generic data it is a
-    reported diagnostic, not an error.
+    ws holds one control vector per subdomain, in subdomain order, from
+    either scheme; the interface factors come straight from the
+    covariance, so no local system is assembled.  When this vanishes for
+    the uncoupled solutions, those solutions satisfy the coupled systems
+    verbatim; on generic data it is a reported diagnostic, not an error.
     """
-    if len(ws) != len(locals_):
+    if len(ws) != dec.j_sub:
         raise DimensionMismatch(
-            f"{len(ws)} iterates for {len(locals_)} subdomains"
+            f"{len(ws)} iterates for {dec.j_sub} subdomains"
         )
-    for sys in locals_:
-        if sys.scheme != SCHEME_MPS:
-            raise InvalidArgument(
-                "interface_mismatch needs the coupled local systems"
-            )
-    pos = {sys.subdomain: k for k, sys in enumerate(locals_)}
     vecs = []
-    for sys, w in zip(locals_, ws):
+    for i, w in enumerate(ws):
         w = np.asarray(w, dtype=float)
-        if w.shape != (sys.size,):
+        if w.shape != (dec.size(i),):
             raise DimensionMismatch(
-                f"iterate for subdomain {sys.subdomain} has shape {w.shape}, "
-                f"expected ({sys.size},)"
+                f"iterate for subdomain {i} has shape {w.shape}, "
+                f"expected ({dec.size(i)},)"
             )
         vecs.append(w)
     worst = 0.0
-    for k, sys in enumerate(locals_):
-        for j, p_i, p_j in sys.penalty_pairs:
-            if j not in pos:
-                raise MissingNeighbor(
-                    f"subdomain {sys.subdomain} couples to {j}, which is "
-                    "absent from the system list"
-                )
-            gap = p_i @ vecs[k] - p_j @ vecs[pos[j]]
-            if gap.size:
-                worst = max(worst, float(np.max(np.abs(gap))))
+    for i in range(dec.j_sub):
+        for j in dec.neighbors(i):
+            p_i, p_j = interface_coupling(inst.cov, dec, i, j)
+            gap = p_i @ vecs[i] - p_j @ vecs[j]
+            worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 
@@ -177,25 +169,16 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     )
 
 
-def _interface_gap(inst, dec, ws) -> float:
-    # Same quantity as interface_mismatch, evaluated straight from the
-    # covariance factor so uncoupled runs need no coupled assembly.
-    worst = 0.0
-    for i in range(dec.j_sub):
-        for j in dec.neighbors(i):
-            p_i, p_j = interface_coupling(inst.cov, dec, i, j)
-            gap = p_i @ ws[i] - p_j @ ws[j]
-            if gap.size:
-                worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+def _patched(inst, dec, ws, convention):
+    return patch(dec, [
+        local_update(inst, dec, i, ws[i], convention)
+        for i in range(dec.j_sub)
+    ])
 
 
 def _iterate_cost(inst, dec, convention):
     def cost_of(ws):
-        u = patch(dec, [
-            local_update(inst, dec, i, ws[i], convention)
-            for i in range(dec.j_sub)
-        ])
+        u = _patched(inst, dec, ws, convention)
         return cost_w(inst, control_equivalent(inst, u))
     return cost_of
 
@@ -214,7 +197,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
             f"method must be one of ('global', 'mps', 'ddda'), got {method!r}"
         )
 
-    w_star = solve_global(assemble_global(inst), opts)
+    w_star = solve_global(assemble_global(inst))
     whole = decompose_uniform(inst.grid, 1, 0)
     u_global = local_update(inst, whole, 0, w_star, convention)
 
@@ -223,37 +206,25 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         per_w = (w_star,)
         history = IterationHistory(converged=True)
         gap = 0.0
-    elif method == SCHEME_DDDA:
-        locals_ = [
-            assemble_local(inst, dec, i, SCHEME_DDDA)
-            for i in range(dec.j_sub)
-        ]
-        ws = solve_ddda(locals_, opts)
-        u = patch(dec, [
-            local_update(inst, dec, i, ws[i], convention)
-            for i in range(dec.j_sub)
-        ])
-        per_w = tuple(ws)
-        history = IterationHistory(converged=True)
-        gap = _interface_gap(inst, dec, ws)
     else:
         locals_ = [
-            assemble_local(inst, dec, i, SCHEME_MPS)
-            for i in range(dec.j_sub)
+            assemble_local(inst, dec, i, method) for i in range(dec.j_sub)
         ]
-        ws, history = solve_mps(
-            locals_, None, opts, cost_fn=_iterate_cost(inst, dec, convention)
-        )
-        u = patch(dec, [
-            local_update(inst, dec, i, ws[i], convention)
-            for i in range(dec.j_sub)
-        ])
+        if method == SCHEME_DDDA:
+            ws = solve_ddda(locals_, opts)
+            history = IterationHistory(converged=True)
+        else:
+            ws, history = solve_mps(
+                locals_, None, opts,
+                cost_fn=_iterate_cost(inst, dec, convention),
+            )
+        u = _patched(inst, dec, ws, convention)
         per_w = tuple(ws)
-        gap = interface_mismatch(locals_, ws)
+        gap = interface_mismatch(inst, dec, ws)
 
     diagnostics = {
         "global_cost": cost_w(inst, control_equivalent(inst, u)),
-        "interface_mismatch": float(gap),
+        "interface_mismatch": gap,
         "vs_global_linf": float(np.max(np.abs(u - u_global))),
     }
     return AssimilationResult(
@@ -325,24 +296,17 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         for m, d in zip(mps_locals, dd_locals)
     )
 
-    structure_dev = 0.0
-    for m_sys, d_sys in zip(mps_locals, dd_locals):
-        if m_sys.penalty_pairs:
-            g_sum = None
-            for _, p_i, _ in m_sys.penalty_pairs:
-                g = p_i.T @ p_i
-                g_sum = g if g_sum is None else g_sum + g
-            recomposed = d_sys.a + g_sum
-        else:
-            recomposed = d_sys.a
-        structure_dev = max(
-            structure_dev, float(np.max(np.abs(m_sys.a - recomposed)))
-        )
+    structure_dev = max(
+        float(np.max(np.abs(
+            m.a - (d.a + penalty_stiffness(m.penalty_pairs, d.size))
+        )))
+        for m, d in zip(mps_locals, dd_locals)
+    )
 
     ws_dd = solve_ddda(dd_locals, opts)
     cost_fn = _iterate_cost(inst, dec, convention)
     ws_mps, history = solve_mps(mps_locals, None, opts, cost_fn=cost_fn)
-    w_star = solve_global(assemble_global(inst), opts)
+    w_star = solve_global(assemble_global(inst))
 
     w_delta = max(
         float(np.max(np.abs(wm - wd))) for wm, wd in zip(ws_mps, ws_dd)
@@ -350,7 +314,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     return EquivalenceReport(
         c_equal=c_equal,
         a_structure_exact=structure_dev == 0.0,
-        interface_mismatch=interface_mismatch(mps_locals, ws_dd),
+        interface_mismatch=interface_mismatch(inst, dec, ws_dd),
         ddda_in_mps_residual=float(
             np.max(fixed_point_residual(mps_locals, ws_dd))
         ),

@@ -8,9 +8,9 @@ whose stationarity condition is a w = c with a = V^T H^T R^{-1} H V + I and
 c = V^T H^T R^{-1} d.  Each subdomain gets the same structure built from the
 local blocks V_i, H_i, R_i, d_i.  The uncoupled scheme stops there; the
 coupled scheme adds, per neighbor j, the interface penalty stiffness
-p_i^T p_i to the matrix and carries the coupling block a_ij = p_i^T p_j,
-which multiplies the neighbor iterate on the right-hand side during the
-fixed-point sweep.
+p_i^T p_i to the matrix and keeps the interface factors (p_i, p_j).  The
+neighbor's pull p_i^T (p_j w_j) enters the right-hand side during the
+fixed-point sweep; the rank-halo product p_i^T p_j is never formed.
 
 The right-hand side c_i is computed by one shared code path regardless of
 scheme, which is what makes the cross-scheme equality of c_i hold to the
@@ -53,17 +53,16 @@ class GlobalSystem:
 class LocalSystem:
     """One subdomain's system a_i w_i = c_i (+ coupling for the mps scheme).
 
-    couplings holds (j, a_ij) pairs in ascending neighbor order and is
-    empty for the ddda scheme.  penalty_pairs keeps the raw interface
-    factors (j, p_i, p_j) behind the penalty so diagnostics can evaluate
-    p_i w_i - p_j w_j without reassembling.
+    penalty_pairs holds the interface factors (j, p_i, p_j) in ascending
+    neighbor order and is empty for the ddda scheme.  They define both the
+    penalty stiffness sum_j p_i^T p_i inside a and the coupling
+    sum_j p_i^T (p_j w_j) toward the neighbor iterates.
     """
 
     subdomain: int
     scheme: str
     a: np.ndarray
     c: np.ndarray
-    couplings: tuple = ()
     penalty_pairs: tuple = ()
 
     @property
@@ -78,6 +77,27 @@ def _weighted_normal(m: np.ndarray, r_inv: np.ndarray, d: np.ndarray):
     a = m.T @ (r_inv[:, None] * m) + np.eye(n)
     c = m.T @ (r_inv * d)
     return a, c
+
+
+def penalty_stiffness(penalty_pairs, size: int) -> np.ndarray:
+    """sum_j p_i^T p_i over the (j, p_i, p_j) pairs, in their listed order.
+
+    The pairs come in ascending neighbor order, so every caller lands on
+    the same floats; with no pairs the sum is the size x size zero matrix.
+    """
+    g = np.zeros((size, size))
+    for _, p_i, _ in penalty_pairs:
+        g += p_i.T @ p_i
+    return g
+
+
+def _coupling(sys: LocalSystem, neighbor_ws) -> np.ndarray:
+    # sum_j p_i^T (p_j w_j) in ascending neighbor order; neighbor_ws maps a
+    # neighbor id to its iterate.  The one place the coupling is applied.
+    out = np.zeros(sys.size)
+    for j, p_i, p_j in sys.penalty_pairs:
+        out += p_i.T @ (p_j @ neighbor_ws[j])
+    return out
 
 
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
@@ -99,9 +119,8 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     Both schemes share a_i = V_i^T H_i^T R_i^{-1} H_i V_i + I_i and
     c_i = V_i^T H_i^T R_i^{-1} d_i, where V_i is the subdomain block of V
     and H_i, R_i, d_i keep exactly the observations whose grid point lies
-    in subdomain i.  The mps scheme then adds sum_j p_i^T p_i, accumulated
-    in ascending neighbor order so that reports can recompose the sum and
-    land on identical floats.
+    in subdomain i.  The mps scheme then adds penalty_stiffness of its
+    interface pairs, which reports recompose to identical floats.
     """
     if scheme not in _SCHEMES:
         raise InvalidArgument(
@@ -117,26 +136,20 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     r_inv_i = 1.0 / inst.obs.r_cov.r_diag[sel]
     a, c = _weighted_normal(m_i, r_inv_i, d[sel])
 
-    couplings = []
-    pairs = []
+    pairs = ()
     if scheme == SCHEME_MPS:
-        g_sum = None
-        for j in dec.neighbors(i):
-            p_i, p_j = interface_coupling(inst.cov, dec, i, j)
-            g = p_i.T @ p_i
-            g_sum = g if g_sum is None else g_sum + g
-            couplings.append((j, p_i.T @ p_j))
-            pairs.append((j, p_i, p_j))
-        if g_sum is not None:
-            a = a + g_sum
+        pairs = tuple(
+            (j, *interface_coupling(inst.cov, dec, i, j))
+            for j in dec.neighbors(i)
+        )
+        a = a + penalty_stiffness(pairs, a.shape[0])
 
     return LocalSystem(
         subdomain=i,
         scheme=scheme,
         a=a,
         c=c,
-        couplings=tuple(couplings),
-        penalty_pairs=tuple(pairs),
+        penalty_pairs=pairs,
     )
 
 
@@ -155,10 +168,10 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
                    neighbor_ws=None) -> np.ndarray:
     """Gradient of the coupled local cost at w_i given neighbor iterates.
 
-    Equals a_i w_i - c_i - sum_j a_ij w_j, the residual of the fixed-point
-    system; it vanishes exactly at the local solve.  neighbor_ws maps
-    neighbor id to that subdomain's current iterate and may be omitted
-    only when the subdomain has no couplings.
+    Equals a_i w_i - c_i - sum_j p_i^T (p_j w_j), the residual of the
+    fixed-point system; it vanishes exactly at the local solve.
+    neighbor_ws maps neighbor id to that subdomain's current iterate and
+    may be omitted only when the subdomain has no neighbors.
     """
     if sys.scheme != SCHEME_MPS:
         raise InvalidArgument(
@@ -169,17 +182,16 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
         raise DimensionMismatch(
             f"w has shape {w_i.shape}, expected ({sys.size},)"
         )
-    g = sys.a @ w_i - sys.c
-    for j, a_ij in sys.couplings:
+    ws = {}
+    for j, _, p_j in sys.penalty_pairs:
         if neighbor_ws is None or j not in neighbor_ws:
             raise MissingNeighbor(
                 f"subdomain {sys.subdomain} needs the iterate of neighbor {j}"
             )
-        w_j = np.asarray(neighbor_ws[j], dtype=float)
-        if w_j.shape != (a_ij.shape[1],):
+        ws[j] = np.asarray(neighbor_ws[j], dtype=float)
+        if ws[j].shape != (p_j.shape[1],):
             raise DimensionMismatch(
-                f"neighbor {j} iterate has shape {w_j.shape}, expected "
-                f"({a_ij.shape[1]},)"
+                f"neighbor {j} iterate has shape {ws[j].shape}, expected "
+                f"({p_j.shape[1]},)"
             )
-        g = g - a_ij @ w_j
-    return g
+    return sys.a @ w_i - sys.c - _coupling(sys, ws)

@@ -128,6 +128,17 @@ def _build_config(raw, path):
     def fail(key, message):
         raise ValidationError(f"{anchor(key)}{key} {message}")
 
+    for key, (attr, conv) in _KEYS.items():
+        value = getattr(config, attr)
+        if conv is float and not math.isfinite(value):
+            fail(key, f"must be finite, got {value}")
+    # these enter squared: sigma_b^2, sigma_o^2 and 1 / length_scale^2
+    for key in ("length_scale", "sigma_b", "sigma_o"):
+        value = getattr(config, _KEYS[key][0])
+        if value and not 0.0 < value * value < math.inf:
+            fail(key, f"{value} is out of range: its square over- or "
+                      "underflows")
+
     if config.n_points < 1:
         fail("np", f"must be >= 1, got {config.n_points}")
     if config.j_sub < 1:
@@ -367,24 +378,12 @@ def run_check() -> int:
         report(factor_check(cov) <= 1e-12, f"factor residual: {label}")
         inst = synthesize(grid, cov, max(1, n // 5), 0.1, seed=3)
         dec = decompose_uniform(grid, j, h)
-        mps = [assemble_local(inst, dec, i, "mps") for i in range(j)]
-        dd = [assemble_local(inst, dec, i, "ddda") for i in range(j)]
-        c_ok = all(m.c.tobytes() == d.c.tobytes() for m, d in zip(mps, dd))
-        report(c_ok, f"rhs identity: {label}")
-        dev = 0.0
-        for m, d in zip(mps, dd):
-            if m.penalty_pairs:
-                g_sum = None
-                for _, p_i, _ in m.penalty_pairs:
-                    g = p_i.T @ p_i
-                    g_sum = g if g_sum is None else g_sum + g
-                dev = max(dev, float(np.max(np.abs(m.a - (d.a + g_sum)))))
-            else:
-                dev = max(dev, float(np.max(np.abs(m.a - d.a))))
-        report(dev == 0.0, f"matrix structure: {label}", f"max dev {dev:.1e}")
+        rep = equivalence_report(inst, dec)
+        report(rep.c_equal, f"rhs identity: {label}")
+        report(rep.a_structure_exact, f"matrix structure: {label}")
         if j == 1:
             w_star = solve_global(assemble_global(inst))
-            ws, hist = solve_mps(mps)
+            ws, hist = solve_mps([assemble_local(inst, dec, 0, "mps")])
             delta = float(np.max(np.abs(ws[0] - w_star)))
             report(
                 delta <= 1e-12 and hist.iterations == 1,

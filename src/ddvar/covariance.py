@@ -128,8 +128,8 @@ def interface_coupling(model: CovarianceModel, dec: Decomposition,
     rows of subdomain i toward j and the columns of subdomain i, and p_j
     the same rows against the columns of subdomain j.  The pair defines
     the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2, so the stiffness
-    contribution on subdomain i is p_i^T p_i and the coupling block toward
-    j is p_i^T p_j.
+    contribution on subdomain i is p_i^T p_i and the coupling toward j is
+    p_i^T (p_j w_j).
     """
     if model.n_points != dec.grid.n_points:
         raise DimensionMismatch(

@@ -29,15 +29,6 @@ class MissingNeighbor(DdvarError):
     """A coupled subdomain's iterate was not supplied."""
 
 
-class MaxItersExceeded(DdvarError):
-    """Iteration budget exhausted before the stop test fired.
-
-    The fixed-point solver reports this condition through the returned
-    history instead of raising, so partial iterates stay available; the
-    class exists for callers that want to escalate the flag.
-    """
-
-
 class UncoveredPoint(DdvarError):
     """A grid point is covered by no subdomain (geometry bug)."""
 

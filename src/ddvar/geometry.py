@@ -170,16 +170,6 @@ class Decomposition:
         self._check_id(i)
         return tuple(j for (a, j) in sorted(self.interfaces) if a == i)
 
-    def layout_offsets(self, i: int, j: int) -> tuple:
-        """Offsets (s_ij, sbar_ij) of the equivalent square-matrix layout.
-
-        s_ij is the subdomain size minus the overlap size and sbar_ij adds
-        the interface size back.  Derived bookkeeping only; nothing in the
-        rectangular realization consumes them.
-        """
-        s = self.size(i) - int(self.overlap(i, j).size)
-        return s, s + int(self.interface(i, j).size)
-
 
 def decompose_uniform(grid: Grid1D, j_sub: int, halo: int) -> Decomposition:
     """Split the grid into j_sub balanced contiguous blocks plus halos.
@@ -252,11 +242,6 @@ def subdomain_restriction(dec: Decomposition, i: int) -> SelectionMap:
 def interface_restriction(dec: Decomposition, i: int, j: int) -> SelectionMap:
     """Selection of the interface of subdomain i toward j."""
     return SelectionMap(dec.grid.n_points, dec.interface(i, j))
-
-
-def restrict_vector(smap: SelectionMap, v: np.ndarray) -> np.ndarray:
-    """Entries of v at the selected indices, in selection order."""
-    return smap.restrict(v)
 
 
 def restrict_matrix(row_map: SelectionMap, col_map: SelectionMap,

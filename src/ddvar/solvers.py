@@ -1,9 +1,10 @@
 """Direct, per-subdomain, and fixed-point solvers.
 
-The global system and every uncoupled local system are solved once, by a
-dense Cholesky factorization by default.  The coupled scheme iterates
+Every system, global or local, is solved through a dense Cholesky factor
+computed once per solve call.  Each uncoupled system needs one solve; the
+coupled scheme iterates
 
-    a_i w_i^{n+1} = c_i + sum_j a_ij w_j^n
+    a_i w_i^{n+1} = c_i + sum_j p_i^T (p_j w_j^n)
 
 with every subdomain in an iteration consuming only iteration-n neighbor
 values, a Jacobi-style parallel sweep.  The stop test fires when the
@@ -14,13 +15,15 @@ solve).  Running out of iterations is reported through the history flag,
 never raised, so the best iterate stays available.
 
 Subdomain solves within one iteration are data-parallel over immutable
-inputs; with threads > 1 they run on a thread pool.  Each local solve
-performs the same floating-point operations in the same order no matter
-where it runs, so results do not depend on the degree of parallelism.
+inputs; with threads > 1 they run on one thread pool per solve call.
+Each local solve performs the same floating-point operations in the same
+order no matter where it runs, so results do not depend on the degree of
+parallelism.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .assembly import SCHEME_DDDA, SCHEME_MPS, GlobalSystem, LocalSystem
+from .assembly import SCHEME_DDDA, SCHEME_MPS, GlobalSystem, _coupling
 from .errors import (
     DimensionMismatch,
     FactorizationFailure,
@@ -36,24 +39,18 @@ from .errors import (
     MissingNeighbor,
 )
 
-DIRECT_CHOLESKY = "direct_cholesky"
-CONJUGATE_GRADIENT = "cg"
-
 
 @dataclass
 class SolverOptions:
-    """Knobs shared by all solvers.
+    """Settings of the subdomain solvers.
 
-    tol and max_iters control the fixed-point sweep; local_solver picks
-    the per-subdomain kernel (dense Cholesky, or conjugate gradients with
-    cg_tol / cg_max); threads caps the worker pool, 1 meaning serial.
+    tol and max_iters control the fixed-point sweep; threads caps the
+    worker pool that runs the subdomain solves of one iteration, 1
+    meaning serial.
     """
 
     tol: float = 1e-12
     max_iters: int = 500
-    local_solver: str = DIRECT_CHOLESKY
-    cg_tol: float = 1e-14
-    cg_max: int | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -61,15 +58,6 @@ class SolverOptions:
             raise InvalidArgument("tol must be positive")
         if self.max_iters < 1:
             raise InvalidArgument("max_iters must be >= 1")
-        if self.local_solver not in (DIRECT_CHOLESKY, CONJUGATE_GRADIENT):
-            raise InvalidArgument(
-                f"local_solver must be {DIRECT_CHOLESKY!r} or "
-                f"{CONJUGATE_GRADIENT!r}"
-            )
-        if self.cg_tol <= 0.0:
-            raise InvalidArgument("cg_tol must be positive")
-        if self.cg_max is not None and self.cg_max < 1:
-            raise InvalidArgument("cg_max must be >= 1")
         if self.threads < 1:
             raise InvalidArgument("threads must be >= 1")
 
@@ -106,53 +94,23 @@ def _factorize(a: np.ndarray, what: str):
         raise FactorizationFailure(f"{what} is not numerically SPD") from exc
 
 
-def conjugate_gradient(a: np.ndarray, b: np.ndarray, tol: float,
-                       max_iter: int) -> np.ndarray:
-    """Plain conjugate gradients for an SPD matrix, zero start."""
-    x = np.zeros_like(b, dtype=float)
-    r = b.astype(float).copy()
-    p = r.copy()
-    rs = float(r @ r)
-    target = tol * max(1.0, math.sqrt(float(b @ b)))
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= target:
-            break
-        ap = a @ p
-        alpha = rs / float(p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+def _local_factor(sys):
+    return _factorize(sys.a, f"subdomain {sys.subdomain} matrix")
 
 
-class _LocalKernel:
-    """One subdomain's solve, factored once and reused every iteration."""
-
-    def __init__(self, sys: LocalSystem, opts: SolverOptions):
-        self._sys = sys
-        self._opts = opts
-        if opts.local_solver == DIRECT_CHOLESKY:
-            self._factor = _factorize(sys.a, f"subdomain {sys.subdomain} matrix")
-        else:
-            self._factor = None
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._factor is not None:
-            return scipy.linalg.cho_solve(self._factor, rhs)
-        opts = self._opts
-        max_iter = opts.cg_max if opts.cg_max is not None else 10 * rhs.size
-        return conjugate_gradient(self._sys.a, rhs, opts.cg_tol, max_iter)
+def _pool(threads: int, count: int):
+    # One pool serves every iteration of a solve; None means run serially.
+    if threads == 1 or count <= 1:
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(max_workers=threads)
 
 
-def _map_ordered(fn, count: int, threads: int):
+def _map_ordered(fn, count: int, pool):
     # Results gathered by index, so the outcome is identical whether the
     # tasks ran serially or on a pool.
-    if threads == 1 or count <= 1:
+    if pool is None:
         return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    return list(pool.map(fn, range(count)))
 
 
 def _positions(locals_: list) -> dict:
@@ -166,13 +124,9 @@ def _positions(locals_: list) -> dict:
     return pos
 
 
-def solve_global(sys: GlobalSystem, opts: SolverOptions | None = None):
+def solve_global(sys: GlobalSystem):
     """Solve a w = c for the full-domain system."""
-    opts = opts if opts is not None else SolverOptions()
-    if opts.local_solver == DIRECT_CHOLESKY:
-        return scipy.linalg.cho_solve(_factorize(sys.a, "global matrix"), sys.c)
-    max_iter = opts.cg_max if opts.cg_max is not None else 10 * sys.c.size
-    return conjugate_gradient(sys.a, sys.c, opts.cg_tol, max_iter)
+    return scipy.linalg.cho_solve(_factorize(sys.a, "global matrix"), sys.c)
 
 
 def solve_ddda(locals_: list, opts: SolverOptions | None = None):
@@ -191,9 +145,10 @@ def solve_ddda(locals_: list, opts: SolverOptions | None = None):
 
     def solve_one(k: int) -> np.ndarray:
         sys = locals_[k]
-        return _LocalKernel(sys, opts).solve(sys.c)
+        return scipy.linalg.cho_solve(_local_factor(sys), sys.c)
 
-    return _map_ordered(solve_one, len(locals_), opts.threads)
+    with _pool(opts.threads, len(locals_)) as pool:
+        return _map_ordered(solve_one, len(locals_), pool)
 
 
 def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
@@ -217,7 +172,7 @@ def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
             )
     pos = _positions(locals_)
     for sys in locals_:
-        for j, _ in sys.couplings:
+        for j, _, _ in sys.penalty_pairs:
             if j not in pos:
                 raise MissingNeighbor(
                     f"subdomain {sys.subdomain} couples to {j}, which is "
@@ -241,46 +196,47 @@ def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
                 )
             ws.append(w.copy())
 
-    kernels = [_LocalKernel(sys, opts) for sys in locals_]
+    factors = [_local_factor(sys) for sys in locals_]
     kappa = 1.0 + max(
         float(np.max(np.sum(np.abs(sys.a), axis=1))) for sys in locals_
     )
 
     history = IterationHistory()
-    for n in range(1, opts.max_iters + 1):
+    with _pool(opts.threads, len(locals_)) as pool:
+        for n in range(1, opts.max_iters + 1):
+            by_id = {sys.subdomain: w for sys, w in zip(locals_, ws)}
 
-        def sweep(k: int) -> np.ndarray:
-            sys = locals_[k]
-            rhs = sys.c
-            for j, a_ij in sys.couplings:
-                rhs = rhs + a_ij @ ws[pos[j]]
-            return kernels[k].solve(rhs)
+            def sweep(k: int) -> np.ndarray:
+                sys = locals_[k]
+                rhs = sys.c + _coupling(sys, by_id)
+                return scipy.linalg.cho_solve(factors[k], rhs)
 
-        new_ws = _map_ordered(sweep, len(locals_), opts.threads)
-        max_delta = max(
-            float(np.max(np.abs(new - old))) if new.size else 0.0
-            for new, old in zip(new_ws, ws)
-        )
-        residuals = fixed_point_residual(locals_, new_ws)
-        cost = cost_fn(new_ws) if cost_fn is not None else math.nan
-        history.append(
-            IterationRecord(
-                iteration=n,
-                max_delta=max_delta,
-                global_cost=float(cost),
-                residual_norms=tuple(float(r) for r in residuals),
+            new_ws = _map_ordered(sweep, len(locals_), pool)
+            max_delta = max(
+                float(np.max(np.abs(new - old))) if new.size else 0.0
+                for new, old in zip(new_ws, ws)
             )
-        )
-        ws = new_ws
-        if max_delta <= opts.tol or float(np.max(residuals)) <= opts.tol * kappa:
-            history.converged = True
-            break
+            residuals = fixed_point_residual(locals_, new_ws)
+            cost = cost_fn(new_ws) if cost_fn is not None else math.nan
+            history.append(
+                IterationRecord(
+                    iteration=n,
+                    max_delta=max_delta,
+                    global_cost=float(cost),
+                    residual_norms=tuple(float(r) for r in residuals),
+                )
+            )
+            ws = new_ws
+            if (max_delta <= opts.tol
+                    or float(np.max(residuals)) <= opts.tol * kappa):
+                history.converged = True
+                break
 
     return ws, history
 
 
 def fixed_point_residual(locals_: list, ws) -> np.ndarray:
-    """Per-subdomain sup-norm of a_i w_i - c_i - sum_j a_ij w_j.
+    """Per-subdomain sup-norm of a_i w_i - c_i - sum_j p_i^T (p_j w_j).
 
     Zero exactly at a fixed point of the sweep.  Accepts uncoupled systems
     too, where it degenerates to the plain linear residual, and accepts
@@ -291,7 +247,7 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
         raise DimensionMismatch(
             f"{len(ws)} iterates for {len(locals_)} subdomains"
         )
-    pos = _positions(locals_)
+    _positions(locals_)  # rejects a subdomain listed twice
     vecs = []
     for sys, w in zip(locals_, ws):
         w = np.asarray(w, dtype=float)
@@ -301,10 +257,9 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
                 f"expected ({sys.size},)"
             )
         vecs.append(w)
+    by_id = {sys.subdomain: w for sys, w in zip(locals_, vecs)}
     out = []
     for sys, w in zip(locals_, vecs):
-        r = sys.a @ w - sys.c
-        for j, a_ij in sys.couplings:
-            r = r - a_ij @ vecs[pos[j]]
+        r = sys.a @ w - sys.c - _coupling(sys, by_id)
         out.append(float(np.max(np.abs(r))) if r.size else 0.0)
     return np.asarray(out)

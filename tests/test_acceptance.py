@@ -344,6 +344,7 @@ def test_acceptance_10_sweep_invariant_to_listing_order():
     assert h_fwd.iterations == h_perm.iterations
     # the permuted run couples the same pairs, so the mismatch diagnostic
     # agrees too
-    gap_fwd = interface_mismatch(locals_, ws_fwd)
-    gap_perm = interface_mismatch([locals_[k] for k in perm], ws_perm)
+    gap_fwd = interface_mismatch(inst, dec, ws_fwd)
+    gap_perm = interface_mismatch(inst, dec, [ws_perm[perm.index(i)]
+                                              for i in range(3)])
     assert abs(gap_fwd - gap_perm) <= 1e-15

@@ -9,7 +9,6 @@ from ddvar import (
     InvalidArgument,
     ProblemInstance,
     SCHEME_DDDA,
-    SCHEME_MPS,
     UncoveredPoint,
     V_TIMES_W,
     assemble_global,
@@ -122,38 +121,33 @@ def test_patch_rejects_gaps_and_bad_shapes():
         patch(dec, [np.zeros(dec.size(0) + 1), np.zeros(dec.size(1))])
 
 
+def _ddda_ws(inst, dec):
+    return solve_ddda([assemble_local(inst, dec, i, SCHEME_DDDA)
+                       for i in range(dec.j_sub)])
+
+
 def test_interface_mismatch_trivial_without_neighbors():
     inst, dec = make_instance(n=18, j_sub=1, halo=0)
-    locals_ = [assemble_local(inst, dec, 0, SCHEME_MPS)]
-    ws = solve_ddda([assemble_local(inst, dec, 0, SCHEME_DDDA)])
-    assert interface_mismatch(locals_, ws) == 0.0
+    assert interface_mismatch(inst, dec, _ddda_ws(inst, dec)) == 0.0
 
 
 def test_interface_mismatch_small_on_balanced_instance():
     inst, dec = mirror_symmetric_instance()
-    locals_mps = [assemble_local(inst, dec, i, SCHEME_MPS) for i in range(2)]
-    ws = solve_ddda([assemble_local(inst, dec, i, SCHEME_DDDA)
-                     for i in range(2)])
-    assert interface_mismatch(locals_mps, ws) <= 1e-10
+    assert interface_mismatch(inst, dec, _ddda_ws(inst, dec)) <= 1e-10
 
 
 def test_interface_mismatch_nonzero_on_generic_instance():
     inst, dec = make_instance(n=30, j_sub=2, halo=2, seed=4)
-    locals_mps = [assemble_local(inst, dec, i, SCHEME_MPS) for i in range(2)]
-    ws = solve_ddda([assemble_local(inst, dec, i, SCHEME_DDDA)
-                     for i in range(2)])
-    assert interface_mismatch(locals_mps, ws) > 0.0
+    assert interface_mismatch(inst, dec, _ddda_ws(inst, dec)) > 0.0
 
 
-def test_interface_mismatch_requires_coupled_systems():
+def test_interface_mismatch_rejects_bad_iterates():
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
-    dd = [assemble_local(inst, dec, i, SCHEME_DDDA) for i in range(2)]
-    ws = solve_ddda(dd)
-    with pytest.raises(InvalidArgument):
-        interface_mismatch(dd, ws)
-    mps = [assemble_local(inst, dec, i, SCHEME_MPS) for i in range(2)]
+    ws = _ddda_ws(inst, dec)
     with pytest.raises(DimensionMismatch):
-        interface_mismatch(mps, ws[:1])
+        interface_mismatch(inst, dec, ws[:1])
+    with pytest.raises(DimensionMismatch):
+        interface_mismatch(inst, dec, [ws[0], ws[1][:-1]])
 
 
 def test_control_equivalent_roundtrip():

@@ -99,7 +99,7 @@ def test_single_subdomain_equals_global(scheme):
     loc = assemble_local(inst, dec, 0, scheme)
     np.testing.assert_array_equal(loc.a, glob.a)
     np.testing.assert_array_equal(loc.c, glob.c)
-    assert loc.couplings == ()
+    assert loc.penalty_pairs == ()
 
 
 def test_rhs_identical_across_schemes():
@@ -126,6 +126,8 @@ def test_matrix_split_is_exact():
 
 
 def test_identity_factor_coupling_structure():
+    # with V = I the interface factors are 0/1 rows: p_i picks the
+    # interface point out of subdomain i, p_j the same grid point out of j
     grid = Grid1D.uniform(10)
     obs = point_observations(grid, [], [], [])
     inst = ProblemInstance(grid, identity_covariance(grid), obs, np.zeros(10))
@@ -135,21 +137,24 @@ def test_identity_factor_coupling_structure():
     expected = np.eye(6)
     expected[5, 5] += 1.0
     np.testing.assert_array_equal(loc0.a, expected)
-    (j, a_01), = loc0.couplings
+    (j, p_0, p_1), = loc0.penalty_pairs
     assert j == 1
-    expected_c = np.zeros((6, 6))
-    expected_c[5, 1] = 1.0
-    np.testing.assert_array_equal(a_01, expected_c)
+    np.testing.assert_array_equal(p_0, [[0.0, 0, 0, 0, 0, 1]])
+    np.testing.assert_array_equal(p_1, [[0.0, 1, 0, 0, 0, 0]])
 
     loc1 = assemble_local(inst, dec, 1, SCHEME_MPS)
     expected = np.eye(6)
     expected[0, 0] += 1.0
     np.testing.assert_array_equal(loc1.a, expected)
-    (j, a_10), = loc1.couplings
+    (j, p_1, p_0), = loc1.penalty_pairs
     assert j == 0
-    expected_c = np.zeros((6, 6))
-    expected_c[0, 4] = 1.0
-    np.testing.assert_array_equal(a_10, expected_c)
+    np.testing.assert_array_equal(p_1, [[1.0, 0, 0, 0, 0, 0]])
+    np.testing.assert_array_equal(p_0, [[0.0, 0, 0, 0, 1, 0]])
+
+
+def _pull(sys, ws):
+    # neighbor coupling sum_j p_i^T p_j w_j, straight from the factors
+    return sum(p_i.T @ (p_j @ ws[j]) for j, p_i, p_j in sys.penalty_pairs)
 
 
 def test_gradient_vanishes_at_local_solve():
@@ -158,10 +163,7 @@ def test_gradient_vanishes_at_local_solve():
     rng = np.random.default_rng(7)
     ws = {i: rng.standard_normal(locals_[i].size) for i in range(2)}
     for i, sys in enumerate(locals_):
-        rhs = sys.c.copy()
-        for j, a_ij in sys.couplings:
-            rhs = rhs + a_ij @ ws[j]
-        w_star = np.linalg.solve(sys.a, rhs)
+        w_star = np.linalg.solve(sys.a, sys.c + _pull(sys, ws))
         g = local_gradient(sys, w_star, ws)
         assert np.max(np.abs(g)) <= 1e-10
 
@@ -171,13 +173,13 @@ def test_gradient_matches_finite_differences():
     sys = assemble_local(inst, dec, 0, SCHEME_MPS)
     rng = np.random.default_rng(8)
     w = rng.standard_normal(sys.size)
-    ws = {j: rng.standard_normal(a_ij.shape[1]) for j, a_ij in sys.couplings}
+    ws = {j: rng.standard_normal(p_j.shape[1])
+          for j, _, p_j in sys.penalty_pairs}
+    pull = _pull(sys, ws)
 
     def f(x):
-        val = 0.5 * float(x @ (sys.a @ x)) - float(sys.c @ x)
-        for j, a_ij in sys.couplings:
-            val -= float(x @ (a_ij @ ws[j]))
-        return val
+        return 0.5 * float(x @ (sys.a @ x)) - float(sys.c @ x) \
+            - float(x @ pull)
 
     g = local_gradient(sys, w, ws)
     h = 1e-6

@@ -244,6 +244,18 @@ def test_config_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
+    capsys.readouterr()
+    # non-finite values and values whose square over- or underflows fail
+    # at validation, before any solve, with one line naming the key
+    for key, value in (("length_scale", "inf"), ("tol", "inf"),
+                       ("sigma_b", "1e200"), ("sigma_o", "nan"),
+                       ("length_scale", "1e-300")):
+        path = write_config(tmp_path, f"np = 20\n{key} = {value}\n")
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert key in err[0]
 
 
 def test_usage_errors_exit_one(capsys):

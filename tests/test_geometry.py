@@ -12,7 +12,6 @@ from ddvar import (
     decompose_uniform,
     interface_restriction,
     restrict_matrix,
-    restrict_vector,
     subdomain_restriction,
 )
 
@@ -53,8 +52,6 @@ def test_two_subdomain_split_with_unit_halo():
     np.testing.assert_array_equal(dec.interface(0, 1), [5])
     np.testing.assert_array_equal(dec.interface(1, 0), [4])
     assert dec.sizes == (6, 6)
-    # square-layout bookkeeping: r_i - C_ij and the same plus t_ij
-    assert dec.layout_offsets(0, 1) == (4, 5)
 
 
 def test_three_subdomain_split():
@@ -146,18 +143,18 @@ def test_interface_restriction_examples():
 def test_restrict_vector_examples():
     smap = SelectionMap(5, [0, 1, 2])
     np.testing.assert_array_equal(
-        restrict_vector(smap, np.array([1.0, 2, 3, 4, 5])), [1.0, 2.0, 3.0]
+        smap.restrict(np.array([1.0, 2, 3, 4, 5])), [1.0, 2.0, 3.0]
     )
     all_map = SelectionMap(4, np.arange(4))
     v = np.array([3.0, 1.0, 4.0, 1.0])
-    np.testing.assert_array_equal(restrict_vector(all_map, v), v)
+    np.testing.assert_array_equal(all_map.restrict(v), v)
     unit = np.zeros(10)
     unit[4] = 1.0
     np.testing.assert_array_equal(
-        restrict_vector(SelectionMap(10, [4, 5]), unit), [1.0, 0.0]
+        SelectionMap(10, [4, 5]).restrict(unit), [1.0, 0.0]
     )
     with pytest.raises(DimensionMismatch):
-        restrict_vector(smap, np.zeros(4))
+        smap.restrict(np.zeros(4))
 
 
 def test_restrict_extend_roundtrip():

@@ -16,11 +16,11 @@ from ddvar import (
     SolverOptions,
     assemble_global,
     assemble_local,
-    conjugate_gradient,
     cost_w,
     decompose_uniform,
     fixed_point_residual,
     identity_covariance,
+    local_gradient,
     point_observations,
     solve_ddda,
     solve_global,
@@ -190,6 +190,20 @@ def test_fixed_point_residual_zero_at_uncoupled_solve():
     assert np.max(res) <= 1e-13
 
 
+def test_fixed_point_residual_is_the_local_gradient_norm():
+    # both apply the coupling through the same factors, so on any iterates
+    # each residual entry is the sup-norm of that subdomain's gradient
+    inst, dec = make_instance(n=33, j_sub=3, halo=2, seed=17)
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        ws = [rng.standard_normal(sys.size) for sys in locals_]
+        res = fixed_point_residual(locals_, ws)
+        for i, sys in enumerate(locals_):
+            g = local_gradient(sys, ws[i], dict(enumerate(ws)))
+            assert res[i] == float(np.max(np.abs(g)))
+
+
 def test_fixed_point_residual_validation():
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
     locals_ = _locals(inst, dec, SCHEME_MPS)
@@ -202,38 +216,11 @@ def test_fixed_point_residual_validation():
                              [np.zeros(locals_[0].size)] * 2)
 
 
-def test_conjugate_gradient_kernel_matches_direct():
-    inst, dec = make_instance(n=26, j_sub=2, halo=2, seed=15)
-    locals_ = _locals(inst, dec, SCHEME_MPS)
-    ws_direct, h_direct = solve_mps(locals_)
-    ws_cg, h_cg = solve_mps(
-        locals_, opts=SolverOptions(local_solver="cg", cg_tol=1e-15)
-    )
-    assert h_cg.converged
-    for a, b in zip(ws_direct, ws_cg):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
-
-
-def test_conjugate_gradient_solves_spd_system():
-    rng = np.random.default_rng(16)
-    m = rng.standard_normal((8, 8))
-    a = m @ m.T + 8.0 * np.eye(8)
-    b = rng.standard_normal(8)
-    x = conjugate_gradient(a, b, tol=1e-14, max_iter=200)
-    np.testing.assert_allclose(a @ x, b, rtol=0, atol=1e-10)
-
-
 def test_solver_options_validation():
     with pytest.raises(InvalidArgument):
         SolverOptions(tol=0.0)
     with pytest.raises(InvalidArgument):
         SolverOptions(max_iters=0)
-    with pytest.raises(InvalidArgument):
-        SolverOptions(local_solver="lu")
-    with pytest.raises(InvalidArgument):
-        SolverOptions(cg_tol=-1.0)
-    with pytest.raises(InvalidArgument):
-        SolverOptions(cg_max=0)
     with pytest.raises(InvalidArgument):
         SolverOptions(threads=0)
 
