@@ -50,15 +50,7 @@ from .errors import (
     UncoveredPoint,
     ValidationError,
 )
-from .geometry import (
-    Decomposition,
-    Grid1D,
-    SelectionMap,
-    decompose_uniform,
-    interface_restriction,
-    restrict_matrix,
-    subdomain_restriction,
-)
+from .geometry import Decomposition, Grid1D, decompose_uniform
 from .observation import (
     ObservationSet,
     ProblemInstance,
@@ -104,7 +96,6 @@ __all__ = [
     "ProblemInstance",
     "SCHEME_DDDA",
     "SCHEME_MPS",
-    "SelectionMap",
     "SolverOptions",
     "UncoveredPoint",
     "V_TIMES_W",
@@ -123,18 +114,15 @@ __all__ = [
     "innovation",
     "interface_coupling",
     "interface_mismatch",
-    "interface_restriction",
     "local_gradient",
     "local_observation_positions",
     "local_update",
     "patch",
     "penalty_stiffness",
     "point_observations",
-    "restrict_matrix",
     "solve_ddda",
     "solve_global",
     "solve_mps",
-    "subdomain_restriction",
     "synthesize",
     "__version__",
 ]

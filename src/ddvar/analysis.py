@@ -74,25 +74,25 @@ def local_update(inst: ProblemInstance, dec: Decomposition, i: int,
     v_times_w (default): u_i = u_i^b + V_i w_i, the increment under which
     the quadratic cost is exactly the cost of the returned state.
     binv_v_times_w: u_i = u_i^b + B_i^{-1} V_i w_i, the literal update of
-    the preconditioned derivation; the two coincide when B = I.
+    the preconditioned derivation; the two coincide when B = I.  V_i, B_i
+    and u_i^b are views through dec.span(i), so nothing is copied.
     """
     if convention not in _CONVENTIONS:
         raise InvalidArgument(
             f"convention must be one of {_CONVENTIONS}, got {convention!r}"
         )
-    idx = dec.indices(i)
+    span = dec.span(i)
+    u_b = inst.u_background[span]
     w_i = np.asarray(w_i, dtype=float)
-    if w_i.shape != (idx.size,):
+    if w_i.shape != u_b.shape:
         raise DimensionMismatch(
-            f"w has shape {w_i.shape}, expected ({idx.size},)"
+            f"w has shape {w_i.shape}, expected {u_b.shape}"
         )
-    v_i = inst.cov.v_factor[np.ix_(idx, idx)]
-    u_b = inst.u_background[idx]
-    increment = v_i @ w_i
+    increment = inst.cov.v_factor[span, span] @ w_i
     if convention == V_TIMES_W:
         return u_b + increment
-    b_i = inst.cov.b[np.ix_(idx, idx)]
-    factor = _factorize(b_i, f"subdomain {i} covariance block")
+    factor = _factorize(inst.cov.b[span, span],
+                        f"subdomain {i} covariance block")
     return u_b + scipy.linalg.cho_solve(factor, increment)
 
 
@@ -117,9 +117,9 @@ def patch(dec: Decomposition, local_us) -> np.ndarray:
                 f"local vector {i} has shape {u_i.shape}, expected "
                 f"({dec.size(i)},)"
             )
-        idx = dec.indices(i)
-        out[idx] = u_i
-        covered[idx] = True
+        span = dec.span(i)
+        out[span] = u_i
+        covered[span] = True
     if not covered.all():
         missing = np.nonzero(~covered)[0].tolist()
         raise UncoveredPoint(f"grid points {missing} belong to no subdomain")

@@ -117,20 +117,21 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     """Build subdomain i's system for the given scheme.
 
     Both schemes share a_i = V_i^T H_i^T R_i^{-1} H_i V_i + I_i and
-    c_i = V_i^T H_i^T R_i^{-1} d_i, where V_i is the subdomain block of V
-    and H_i, R_i, d_i keep exactly the observations whose grid point lies
-    in subdomain i.  The mps scheme then adds penalty_stiffness of its
-    interface pairs, which reports recompose to identical floats.
+    c_i = V_i^T H_i^T R_i^{-1} d_i, where V_i is the subdomain block of V,
+    taken as a view through dec.span(i), and H_i, R_i, d_i keep exactly
+    the observations whose grid point lies in subdomain i.  The mps scheme
+    then adds penalty_stiffness of its interface pairs, which reports
+    recompose to identical floats.
     """
     if scheme not in _SCHEMES:
         raise InvalidArgument(
             f"scheme must be one of {_SCHEMES}, got {scheme!r}"
         )
-    idx = dec.indices(i)
-    start, stop = dec.subdomains[i]
-    v_i = inst.cov.v_factor[np.ix_(idx, idx)]
+    span = dec.span(i)
+    v_i = inst.cov.v_factor[span, span]
 
-    sel, local_pts = local_observation_positions(inst.obs, start, stop)
+    sel, local_pts = local_observation_positions(inst.obs, span.start,
+                                                 span.stop)
     d = innovation(inst)
     m_i = v_i[local_pts, :]
     r_inv_i = 1.0 / inst.obs.r_cov.r_diag[sel]

@@ -19,7 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import assimilate, equivalence_report
+from .analysis import (
+    BINV_V_TIMES_W,
+    V_TIMES_W,
+    assimilate,
+    equivalence_report,
+)
 from .assembly import assemble_global, assemble_local
 from .covariance import (
     build_gaussian_covariance,
@@ -33,7 +38,7 @@ from .solvers import SolverOptions, solve_global, solve_mps
 
 _METHODS = ("global", "mps", "ddda", "compare")
 _COV_KINDS = ("identity", "gaussian")
-_CONVENTIONS = ("v_times_w", "binv_v_times_w")
+_CONVENTIONS = (V_TIMES_W, BINV_V_TIMES_W)
 
 # external key -> (attribute, converter)
 _KEYS = {
@@ -68,7 +73,7 @@ class ExperimentConfig:
     method: str = "compare"
     tol: float = 1e-12
     max_iters: int = 500
-    update_convention: str = "v_times_w"
+    update_convention: str = V_TIMES_W
     output_dir: str = "."
 
 
@@ -132,12 +137,16 @@ def _build_config(raw, path):
         value = getattr(config, attr)
         if conv is float and not math.isfinite(value):
             fail(key, f"must be finite, got {value}")
-    # these enter squared: sigma_b^2, sigma_o^2 and 1 / length_scale^2
+    # these enter squared: sigma_b^2 in B, 1 / length_scale^2 in the
+    # kernel and R^{-1} = 1 / sigma_o^2; a square must neither overflow nor
+    # underflow, and its reciprocal must not overflow
     for key in ("length_scale", "sigma_b", "sigma_o"):
         value = getattr(config, _KEYS[key][0])
-        if value and not 0.0 < value * value < math.inf:
-            fail(key, f"{value} is out of range: its square over- or "
-                      "underflows")
+        square = value * value
+        if value and not (0.0 < square < math.inf
+                          and 1.0 / square < math.inf):
+            fail(key, f"{value} is out of range: its square or the "
+                      "reciprocal of its square over- or underflows")
 
     if config.n_points < 1:
         fail("np", f"must be >= 1, got {config.n_points}")
@@ -240,19 +249,9 @@ def _write_history(path: Path, history, j_sub: int) -> None:
 
 def _config_dict(config: ExperimentConfig) -> dict:
     return {
-        "np": config.n_points,
-        "j_sub": config.j_sub,
-        "halo": config.halo,
-        "cov_kind": config.cov_kind,
-        "length_scale": config.length_scale,
-        "sigma_b": config.sigma_b,
-        "sigma_o": config.sigma_o,
-        "nobs": config.nobs,
-        "seed": config.seed,
-        "method": config.method,
-        "tol": config.tol,
-        "max_iters": config.max_iters,
-        "update_convention": config.update_convention,
+        key: getattr(config, attr)
+        for key, (attr, _) in _KEYS.items()
+        if key != "output_dir"
     }
 
 

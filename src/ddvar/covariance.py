@@ -8,18 +8,13 @@ is restricted to a diagonal, so its inverse is an elementwise division.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
-from .geometry import (
-    Decomposition,
-    Grid1D,
-    interface_restriction,
-    restrict_matrix,
-    subdomain_restriction,
-)
+from .geometry import Decomposition, Grid1D
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,15 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     b[p, q] = sigma_b^2 * exp(-(x_p - x_q)^2 / (2 * length_scale^2)) with a
     diagonal jitter of 1e-10 * sigma_b^2; the kernel alone is numerically
     rank-deficient once length_scale spans several grid spacings.
+    Both parameters enter squared, so each must be positive with a square
+    that neither overflows nor underflows.
     """
-    if length_scale <= 0.0:
-        raise InvalidArgument("length_scale must be positive")
-    if sigma_b <= 0.0:
-        raise InvalidArgument("sigma_b must be positive")
+    for name, value in (("length_scale", length_scale), ("sigma_b", sigma_b)):
+        if not (value > 0.0 and 0.0 < value * value < math.inf):
+            raise InvalidArgument(
+                f"{name} must be positive with a finite, nonzero square, "
+                f"got {value}"
+            )
     dx = grid.coords[:, None] - grid.coords[None, :]
     b = sigma_b**2 * np.exp(-(dx**2) / (2.0 * length_scale**2))
     b[np.diag_indices_from(b)] += 1e-10 * sigma_b**2
@@ -122,21 +121,21 @@ def factor_check(model: CovarianceModel) -> float:
 
 def interface_coupling(model: CovarianceModel, dec: Decomposition,
                        i: int, j: int):
-    """Interface rows of V against the two neighboring column blocks.
+    """Interface rows of V against the two neighboring column ranges.
 
     Returns (p_i, p_j) where p_i holds the entries of V at the interface
-    rows of subdomain i toward j and the columns of subdomain i, and p_j
-    the same rows against the columns of subdomain j.  The pair defines
-    the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2, so the stiffness
-    contribution on subdomain i is p_i^T p_i and the coupling toward j is
-    p_i^T (p_j w_j).
+    rows dec.interface(i, j) and the columns dec.span(i), and p_j the same
+    rows against the columns dec.span(j); both are fresh arrays.  This is
+    the one place the interface factors are taken from V.  The pair
+    defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2, so the
+    stiffness contribution on subdomain i is p_i^T p_i and the coupling
+    toward j is p_i^T (p_j w_j).
     """
     if model.n_points != dec.grid.n_points:
         raise DimensionMismatch(
             f"covariance is {model.n_points} points, grid is "
             f"{dec.grid.n_points}"
         )
-    gamma = interface_restriction(dec, i, j)
-    p_i = restrict_matrix(gamma, subdomain_restriction(dec, i), model.v_factor)
-    p_j = restrict_matrix(gamma, subdomain_restriction(dec, j), model.v_factor)
-    return p_i, p_j
+    gamma = dec.interface(i, j)
+    v = model.v_factor
+    return v[gamma, dec.span(i)], v[gamma, dec.span(j)]

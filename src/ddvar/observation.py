@@ -2,27 +2,27 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceModel, ObsCovariance
-from .errors import DimensionMismatch, InvalidArgument
-from .geometry import Grid1D, SelectionMap
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
+from .geometry import Grid1D
 
 
 @dataclass(frozen=True)
 class ObservationSet:
     """Observed values v at distinct grid points plus their error model.
 
-    h_op realizes the observation operator H as an nobs x NP selection,
-    one unit entry per row; applying it to a state returns the state at
-    obs_indices.
+    obs_indices, strictly increasing, is the observation operator H: a
+    point selection, so H u is u[obs_indices] and H V the matching rows
+    of V.  ProblemInstance checks that every index lies on its grid.
     """
 
     obs_indices: np.ndarray
     values: np.ndarray
-    h_op: SelectionMap
     r_cov: ObsCovariance
 
     def __post_init__(self):
@@ -38,10 +38,6 @@ class ObservationSet:
             raise DimensionMismatch(
                 f"{idx.size} observation points but {self.r_cov.nobs} variances"
             )
-        if idx.size > self.h_op.source_dim:
-            raise InvalidArgument("more observations than grid points")
-        if not np.array_equal(self.h_op.selected_indices, idx):
-            raise InvalidArgument("h_op must select exactly obs_indices")
         object.__setattr__(self, "obs_indices", idx)
         object.__setattr__(self, "values", vals)
 
@@ -54,10 +50,13 @@ def point_observations(grid: Grid1D, obs_indices, values,
                        r_diag) -> ObservationSet:
     """Build an ObservationSet for given points, values, and variances."""
     idx = np.asarray(obs_indices, dtype=np.intp).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= grid.n_points):
+        raise IndexOutOfRange(
+            f"observation indices must lie in 0..{grid.n_points - 1}"
+        )
     return ObservationSet(
         obs_indices=idx,
         values=values,
-        h_op=SelectionMap(grid.n_points, idx),
         r_cov=ObsCovariance(r_diag),
     )
 
@@ -84,8 +83,12 @@ class ProblemInstance:
             raise DimensionMismatch(
                 f"u_background has {ub.size} entries, grid has {n}"
             )
-        if self.obs.h_op.source_dim != n:
-            raise DimensionMismatch("observation operator does not match grid")
+        idx = self.obs.obs_indices
+        if idx.size and (idx[0] < 0 or idx[-1] >= n):
+            raise DimensionMismatch(
+                f"observation indices {idx[0]}..{idx[-1]} do not fit a grid "
+                f"of {n} points"
+            )
         object.__setattr__(self, "u_background", ub)
         if self.u_truth is not None:
             ut = np.asarray(self.u_truth, dtype=float).reshape(-1)
@@ -98,7 +101,7 @@ class ProblemInstance:
 
 def innovation(inst: ProblemInstance) -> np.ndarray:
     """Observation-minus-background misfit d = v - H u^b."""
-    return inst.obs.values - inst.obs.h_op.restrict(inst.u_background)
+    return inst.obs.values - inst.u_background[inst.obs.obs_indices]
 
 
 def local_observation_positions(obs: ObservationSet, start: int, stop: int):
@@ -128,8 +131,8 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     n = grid.n_points
     if not 0 <= nobs <= n:
         raise InvalidArgument(f"nobs must lie in 0..{n}, got {nobs}")
-    if sigma_o < 0.0:
-        raise InvalidArgument("sigma_o must be >= 0")
+    if not 0.0 <= sigma_o < math.inf:
+        raise InvalidArgument(f"sigma_o must be finite and >= 0, got {sigma_o}")
     if cov.n_points != n:
         raise DimensionMismatch(
             f"covariance is {cov.n_points} points, grid is {n}"

@@ -54,8 +54,9 @@ class SolverOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise InvalidArgument("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidArgument(f"tol must be positive and finite, got "
+                                  f"{self.tol}")
         if self.max_iters < 1:
             raise InvalidArgument("max_iters must be >= 1")
         if self.threads < 1:
@@ -92,6 +93,8 @@ def _factorize(a: np.ndarray, what: str):
         return scipy.linalg.cho_factor(a, lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"{what} is not numerically SPD") from exc
+    except ValueError as exc:  # scipy's finiteness check
+        raise FactorizationFailure(f"{what} has non-finite entries") from exc
 
 
 def _local_factor(sys):

@@ -6,6 +6,7 @@ from ddvar import (
     Decomposition,
     DimensionMismatch,
     Grid1D,
+    IndexOutOfRange,
     InvalidArgument,
     ProblemInstance,
     SCHEME_DDDA,
@@ -54,6 +55,12 @@ def test_update_conventions_differ_for_smooth_covariance():
     plain = local_update(inst, dec, 0, w, V_TIMES_W)
     solved = local_update(inst, dec, 0, w, BINV_V_TIMES_W)
     assert np.max(np.abs(plain - solved)) > 1e-6
+    # the V_i view gives the bits of the index-array copy
+    v = inst.cov.v_factor
+    for i in range(dec.j_sub):
+        idx = dec.indices(i)
+        expected = inst.u_background[idx] + v[np.ix_(idx, idx)] @ w
+        assert local_update(inst, dec, i, w).tobytes() == expected.tobytes()
 
 
 def test_local_update_validation():
@@ -62,6 +69,9 @@ def test_local_update_validation():
         local_update(inst, dec, 0, np.zeros(dec.size(0)), "w")
     with pytest.raises(DimensionMismatch):
         local_update(inst, dec, 0, np.zeros(dec.size(0) + 1))
+    for bad in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            local_update(inst, dec, bad, np.zeros(dec.size(0)))
 
 
 def test_global_analysis_matches_state_space_oracle():
@@ -69,7 +79,7 @@ def test_global_analysis_matches_state_space_oracle():
     # (B^{-1} + H^T R^{-1} H) du = H^T R^{-1} d, u = u_b + du
     inst, dec = make_instance(n=30, j_sub=2, halo=2, seed=2)
     res = assimilate(inst, dec, "global")
-    h = inst.obs.h_op.matrix()
+    h = np.eye(inst.grid.n_points)[inst.obs.obs_indices]
     r_inv = np.diag(1.0 / inst.obs.r_cov.r_diag)
     lhs = np.linalg.inv(inst.cov.b) + h.T @ r_inv @ h
     d = inst.obs.values - h @ inst.u_background
@@ -109,7 +119,6 @@ def test_patch_rejects_gaps_and_bad_shapes():
         j_sub=2,
         halo=0,
         subdomains=((0, 3), (5, 8)),
-        overlaps={},
         interfaces={},
     )
     with pytest.raises(UncoveredPoint):

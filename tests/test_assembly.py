@@ -4,6 +4,7 @@ import pytest
 from ddvar import (
     DimensionMismatch,
     Grid1D,
+    IndexOutOfRange,
     InvalidArgument,
     MissingNeighbor,
     ProblemInstance,
@@ -69,7 +70,7 @@ def test_system_matrices_are_well_conditioned(seed):
 def test_cost_matches_quadratic_form():
     inst, _ = make_instance(n=20, seed=1)
     sys = assemble_global(inst)
-    d = inst.obs.values - inst.obs.h_op.restrict(inst.u_background)
+    d = inst.obs.values - inst.u_background[inst.obs.obs_indices]
     const = 0.5 * float(d @ (d / inst.obs.r_cov.r_diag))
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -225,3 +226,7 @@ def test_assemble_local_rejects_unknown_scheme():
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
     with pytest.raises(InvalidArgument):
         assemble_local(inst, dec, 0, "jacobi")
+    # a negative id must not wrap around to the last subdomain
+    for bad in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            assemble_local(inst, dec, bad, SCHEME_MPS)

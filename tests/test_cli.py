@@ -249,7 +249,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     # at validation, before any solve, with one line naming the key
     for key, value in (("length_scale", "inf"), ("tol", "inf"),
                        ("sigma_b", "1e200"), ("sigma_o", "nan"),
-                       ("length_scale", "1e-300")):
+                       ("length_scale", "1e-300"), ("sigma_o", "1e-160")):
         path = write_config(tmp_path, f"np = 20\n{key} = {value}\n")
         assert main(["run", path]) == 1
         err = capsys.readouterr().err.splitlines()

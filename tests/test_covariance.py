@@ -7,13 +7,11 @@ from ddvar import (
     InvalidArgument,
     NoInterface,
     ObsCovariance,
-    SelectionMap,
     build_gaussian_covariance,
     decompose_uniform,
     factor_check,
     identity_covariance,
     interface_coupling,
-    restrict_matrix,
 )
 
 JITTER = 1e-10
@@ -59,10 +57,15 @@ def test_factor_check_detects_corruption():
 
 def test_gaussian_rejects_bad_parameters():
     grid = Grid1D.uniform(4)
-    with pytest.raises(InvalidArgument):
-        build_gaussian_covariance(grid, 0.0, 1.0)
-    with pytest.raises(InvalidArgument):
-        build_gaussian_covariance(grid, 1.0, -1.0)
+    # non-finite values, and values whose square over- or underflows,
+    # are named instead of failing later in the symmetry check or as a
+    # bare OverflowError
+    for bad in (0.0, np.nan, np.inf, 1e-300, 1e200):
+        with pytest.raises(InvalidArgument, match="length_scale"):
+            build_gaussian_covariance(grid, bad, 1.0)
+    for bad in (-1.0, np.nan, np.inf, 1e-300, 1e200):
+        with pytest.raises(InvalidArgument, match="sigma_b"):
+            build_gaussian_covariance(grid, 2.0, bad)
 
 
 def test_sigma_b_scales_the_kernel():
@@ -73,8 +76,8 @@ def test_sigma_b_scales_the_kernel():
 
 def test_restricted_covariance_psd():
     model = build_gaussian_covariance(Grid1D.uniform(15), 3.0, 1.0)
-    smap = SelectionMap(15, [0, 3, 4, 9, 14])
-    block = restrict_matrix(smap, smap, model.b)
+    idx = np.array([0, 3, 4, 9, 14])
+    block = model.b[np.ix_(idx, idx)]
     np.testing.assert_array_equal(block, block.T)
     assert np.min(np.linalg.eigvalsh(block)) >= -1e-10
 
@@ -101,6 +104,18 @@ def test_interface_coupling_gaussian_rows():
     p_0, p_1 = interface_coupling(model, dec, 0, 1)
     np.testing.assert_array_equal(p_0, model.v_factor[[5], 0:6])
     np.testing.assert_array_equal(p_1, model.v_factor[[5], 4:10])
+    # three subdomains with halo 2, both directions of every interface,
+    # against index-array selection
+    grid = Grid1D.uniform(24)
+    model = build_gaussian_covariance(grid, 2.0, 1.0)
+    v = model.v_factor
+    dec = decompose_uniform(grid, 3, 2)
+    for i, j in ((0, 1), (1, 0), (1, 2), (2, 1)):
+        p_i, p_j = interface_coupling(model, dec, i, j)
+        gamma = dec.interface(i, j)
+        assert gamma.size == 2
+        assert p_i.tobytes() == v[np.ix_(gamma, dec.indices(i))].tobytes()
+        assert p_j.tobytes() == v[np.ix_(gamma, dec.indices(j))].tobytes()
 
 
 def test_interface_coupling_requires_adjacency():

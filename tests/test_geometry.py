@@ -8,12 +8,12 @@ from ddvar import (
     InvalidArgument,
     InvalidDecomposition,
     NoInterface,
-    SelectionMap,
     decompose_uniform,
-    interface_restriction,
-    restrict_matrix,
-    subdomain_restriction,
 )
+
+
+def _overlap(dec, i, j):
+    return np.intersect1d(dec.indices(i), dec.indices(j))
 
 
 def test_uniform_grid_coords():
@@ -38,28 +38,27 @@ def test_grid_rejects_bad_inputs():
 def test_single_subdomain_covers_everything():
     dec = decompose_uniform(Grid1D.uniform(10), 1, 0)
     assert dec.subdomains == ((0, 10),)
-    assert dec.overlaps == {}
     assert dec.interfaces == {}
     assert dec.neighbors(0) == ()
-    assert dec.sizes == (10,)
+    assert dec.size(0) == 10
+    assert dec.span(0) == slice(0, 10)
 
 
 def test_two_subdomain_split_with_unit_halo():
     dec = decompose_uniform(Grid1D.uniform(10), 2, 1)
     assert dec.subdomains == ((0, 6), (4, 10))
-    np.testing.assert_array_equal(dec.overlap(0, 1), [4, 5])
-    np.testing.assert_array_equal(dec.overlap(1, 0), [4, 5])
+    np.testing.assert_array_equal(_overlap(dec, 0, 1), [4, 5])
     np.testing.assert_array_equal(dec.interface(0, 1), [5])
     np.testing.assert_array_equal(dec.interface(1, 0), [4])
-    assert dec.sizes == (6, 6)
+    assert (dec.size(0), dec.size(1)) == (6, 6)
 
 
 def test_three_subdomain_split():
     dec = decompose_uniform(Grid1D.uniform(9), 3, 1)
     assert dec.subdomains == ((0, 4), (2, 7), (5, 9))
-    np.testing.assert_array_equal(dec.overlap(0, 1), [2, 3])
-    np.testing.assert_array_equal(dec.overlap(1, 2), [5, 6])
-    assert dec.overlap(0, 2).size == 0
+    np.testing.assert_array_equal(_overlap(dec, 0, 1), [2, 3])
+    np.testing.assert_array_equal(_overlap(dec, 1, 2), [5, 6])
+    assert _overlap(dec, 0, 2).size == 0
     with pytest.raises(NoInterface):
         dec.interface(0, 2)
     assert dec.neighbors(1) == (0, 2)
@@ -106,7 +105,7 @@ def test_union_covers_grid_exactly(n, j, h):
 def test_interface_nesting_and_disjointness(n, j, h):
     dec = decompose_uniform(Grid1D.uniform(n), j, h)
     for (i, k), gamma in dec.interfaces.items():
-        overlap = set(dec.overlap(i, k).tolist())
+        overlap = set(_overlap(dec, i, k).tolist())
         sub_i = set(dec.indices(i).tolist())
         g = set(gamma.tolist())
         assert g <= overlap <= sub_i
@@ -116,100 +115,71 @@ def test_interface_nesting_and_disjointness(n, j, h):
 
 def test_subdomain_restriction_examples():
     dec = decompose_uniform(Grid1D.uniform(5), 1, 0)
-    np.testing.assert_array_equal(
-        subdomain_restriction(dec, 0).selected_indices, np.arange(5)
-    )
+    np.testing.assert_array_equal(dec.indices(0), np.arange(5))
     dec = decompose_uniform(Grid1D.uniform(10), 2, 1)
-    np.testing.assert_array_equal(
-        subdomain_restriction(dec, 0).selected_indices, np.arange(6)
-    )
-    np.testing.assert_array_equal(
-        subdomain_restriction(dec, 1).selected_indices, np.arange(4, 10)
-    )
-    with pytest.raises(IndexOutOfRange):
-        subdomain_restriction(dec, 2)
+    np.testing.assert_array_equal(dec.indices(0), np.arange(6))
+    np.testing.assert_array_equal(dec.indices(1), np.arange(4, 10))
+    for i in range(2):
+        np.testing.assert_array_equal(
+            np.arange(10)[dec.span(i)], dec.indices(i)
+        )
+    # a negative id must not wrap around to the last subdomain
+    for bad in (2, -1):
+        with pytest.raises(IndexOutOfRange):
+            dec.indices(bad)
+        with pytest.raises(IndexOutOfRange):
+            dec.span(bad)
+        with pytest.raises(IndexOutOfRange):
+            dec.size(bad)
+        with pytest.raises(IndexOutOfRange):
+            dec.neighbors(bad)
+        with pytest.raises(IndexOutOfRange):
+            dec.interface(0, bad)
 
 
 def test_interface_restriction_examples():
     dec = decompose_uniform(Grid1D.uniform(10), 2, 1)
-    np.testing.assert_array_equal(
-        interface_restriction(dec, 0, 1).selected_indices, [5]
-    )
-    np.testing.assert_array_equal(
-        interface_restriction(dec, 1, 0).selected_indices, [4]
-    )
+    np.testing.assert_array_equal(dec.interface(0, 1), [5])
+    np.testing.assert_array_equal(dec.interface(1, 0), [4])
+    assert dec.interface(0, 1).dtype == np.intp
 
 
 def test_restrict_vector_examples():
-    smap = SelectionMap(5, [0, 1, 2])
-    np.testing.assert_array_equal(
-        smap.restrict(np.array([1.0, 2, 3, 4, 5])), [1.0, 2.0, 3.0]
-    )
-    all_map = SelectionMap(4, np.arange(4))
-    v = np.array([3.0, 1.0, 4.0, 1.0])
-    np.testing.assert_array_equal(all_map.restrict(v), v)
-    unit = np.zeros(10)
-    unit[4] = 1.0
-    np.testing.assert_array_equal(
-        SelectionMap(10, [4, 5]).restrict(unit), [1.0, 0.0]
-    )
-    with pytest.raises(DimensionMismatch):
-        smap.restrict(np.zeros(4))
-
-
-def test_restrict_extend_roundtrip():
-    smap = SelectionMap(8, [1, 4, 6])
-    v = np.arange(8.0)
-    back = smap.extend(smap.restrict(v))
-    np.testing.assert_array_equal(back[[1, 4, 6]], v[[1, 4, 6]])
-    np.testing.assert_array_equal(back[[0, 2, 3, 5, 7]], 0.0)
-    # restrict of extend of restrict changes nothing further
-    np.testing.assert_array_equal(smap.restrict(back), smap.restrict(v))
-    with pytest.raises(DimensionMismatch):
-        smap.extend(np.zeros(2))
-
-
-def test_selection_matrix_matches_action():
-    smap = SelectionMap(6, [5, 0, 3])
-    v = np.array([1.0, 2, 3, 4, 5, 6])
-    np.testing.assert_array_equal(smap.matrix() @ v, smap.restrict(v))
-    assert smap.matrix().sum() == 3
-
-
-def test_selection_rejects_bad_indices():
-    with pytest.raises(IndexOutOfRange):
-        SelectionMap(4, [0, 4])
-    with pytest.raises(InvalidArgument):
-        SelectionMap(4, [1, 1])
+    dec = decompose_uniform(Grid1D.uniform(10), 2, 1)
+    u = np.arange(10.0) ** 2
+    np.testing.assert_array_equal(u[dec.span(0)], u[:6])
+    np.testing.assert_array_equal(u[dec.span(1)], [16.0, 25, 36, 49, 64, 81])
+    # a span restricts by view: nothing is copied
+    assert np.shares_memory(u[dec.span(1)], u)
 
 
 def test_restrict_matrix_identity_cases():
-    m = np.arange(9.0).reshape(3, 3)
-    all_map = SelectionMap(3, np.arange(3))
-    np.testing.assert_array_equal(restrict_matrix(all_map, all_map, m), m)
-    two = SelectionMap(5, [0, 1])
-    np.testing.assert_array_equal(
-        restrict_matrix(two, two, np.eye(5)), np.eye(2)
-    )
-    with pytest.raises(DimensionMismatch):
-        restrict_matrix(two, two, np.eye(4))
+    # the single subdomain restricts a matrix to itself
+    m = np.arange(25.0).reshape(5, 5)
+    span = decompose_uniform(Grid1D.uniform(5), 1, 0).span(0)
+    np.testing.assert_array_equal(m[span, span], m)
+    assert np.shares_memory(m[span, span], m)
 
 
 def test_restrict_matrix_block_indexing():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((10, 10))
-    rows = SelectionMap(10, np.arange(6))
-    cols = SelectionMap(10, np.arange(4, 10))
-    block = restrict_matrix(rows, cols, m)
+    dec = decompose_uniform(Grid1D.uniform(10), 2, 1)
+    block = m[dec.span(0), dec.span(1)]
+    assert block.shape == (6, 6)
     for a in range(6):
         for b in range(6):
             assert block[a, b] == m[a, b + 4]
+    np.testing.assert_array_equal(
+        block, m[np.ix_(dec.indices(0), dec.indices(1))]
+    )
 
 
 def test_symmetric_restriction_stays_symmetric():
     rng = np.random.default_rng(1)
-    s = rng.standard_normal((8, 8))
+    s = rng.standard_normal((12, 12))
     s = s + s.T
-    smap = SelectionMap(8, [0, 2, 3, 7])
-    block = restrict_matrix(smap, smap, s)
-    np.testing.assert_array_equal(block, block.T)
+    dec = decompose_uniform(Grid1D.uniform(12), 3, 1)
+    for i in range(dec.j_sub):
+        block = s[dec.span(i), dec.span(i)]
+        np.testing.assert_array_equal(block, block.T)

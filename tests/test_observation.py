@@ -4,10 +4,11 @@ import pytest
 from ddvar import (
     DimensionMismatch,
     Grid1D,
+    IndexOutOfRange,
     InvalidArgument,
     ObsCovariance,
+    ObservationSet,
     ProblemInstance,
-    SelectionMap,
     build_gaussian_covariance,
     identity_covariance,
     innovation,
@@ -64,16 +65,6 @@ def test_innovation_linear_in_values():
     d_b = innovation(ProblemInstance(grid, identity_covariance(grid), obs_b, u_b))
     d_sum = innovation(ProblemInstance(grid, identity_covariance(grid), obs_sum, u_b))
     np.testing.assert_allclose(d_sum, d_a + d_b + u_b[[0, 4]], rtol=0, atol=0)
-
-
-def test_h_op_matrix_has_one_unit_per_row():
-    grid = Grid1D.uniform(9)
-    obs = point_observations(grid, [2, 5, 8], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    h = obs.h_op.matrix()
-    assert h.shape == (3, 9)
-    np.testing.assert_array_equal(h.sum(axis=1), 1.0)
-    np.testing.assert_array_equal(np.count_nonzero(h, axis=1), 1)
-    np.testing.assert_array_equal(h @ np.arange(9.0), [2.0, 5.0, 8.0])
 
 
 def test_local_positions_window():
@@ -155,8 +146,9 @@ def test_synthesize_rejects_bad_arguments():
         synthesize(grid, cov, 9, 0.1, seed=0)
     with pytest.raises(InvalidArgument):
         synthesize(grid, cov, -1, 0.1, seed=0)
-    with pytest.raises(InvalidArgument):
-        synthesize(grid, cov, 4, -0.1, seed=0)
+    for sigma_o in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidArgument, match="sigma_o"):
+            synthesize(grid, cov, 4, sigma_o, seed=0)
     with pytest.raises(DimensionMismatch):
         synthesize(Grid1D.uniform(9), cov, 4, 0.1, seed=0)
 
@@ -171,16 +163,9 @@ def test_observation_set_validation():
         point_observations(grid, [1, 2], [0.0], [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         point_observations(grid, [1, 2], [0.0, 0.0], [1.0])
-    with pytest.raises(InvalidArgument):
-        mismatched = SelectionMap(10, [1, 3])
-        from ddvar import ObservationSet
-
-        ObservationSet(
-            obs_indices=np.array([1, 2]),
-            values=np.zeros(2),
-            h_op=mismatched,
-            r_cov=ObsCovariance(np.ones(2)),
-        )
+    for bad in ([-1, 4], [4, 10]):
+        with pytest.raises(IndexOutOfRange):
+            point_observations(grid, bad, [0.0, 0.0], [1.0, 1.0])
 
 
 def test_problem_instance_validation():
@@ -194,3 +179,12 @@ def test_problem_instance_validation():
                         np.zeros(5))
     with pytest.raises(DimensionMismatch):
         ProblemInstance(grid, cov, obs, np.zeros(5), u_truth=np.zeros(7))
+    # observations that lie outside the grid, built on a larger grid or
+    # directly with a negative index
+    wide = point_observations(Grid1D.uniform(8), [2, 6], [0.0, 0.0],
+                              [1.0, 1.0])
+    negative = ObservationSet(np.array([-1, 2]), np.zeros(2),
+                              ObsCovariance(np.ones(2)))
+    for outside in (wide, negative):
+        with pytest.raises(DimensionMismatch):
+            ProblemInstance(grid, cov, outside, np.zeros(5))

@@ -5,6 +5,8 @@ import pytest
 
 from ddvar import (
     DimensionMismatch,
+    FactorizationFailure,
+    GlobalSystem,
     Grid1D,
     InvalidArgument,
     IterationHistory,
@@ -40,6 +42,16 @@ def test_global_single_point():
     inst = ProblemInstance(grid, identity_covariance(grid), obs, np.zeros(1))
     w = solve_global(assemble_global(inst))
     np.testing.assert_allclose(w, [1.0], rtol=0, atol=1e-15)
+
+
+def test_non_finite_matrix_is_a_factorization_failure():
+    # scipy rejects infs and NaNs with a bare ValueError; it must surface
+    # as the package's typed error
+    for bad in (np.inf, np.nan):
+        sys = GlobalSystem(a=np.array([[1.0, 0.0], [0.0, bad]]),
+                           c=np.ones(2))
+        with pytest.raises(FactorizationFailure, match="non-finite"):
+            solve_global(sys)
 
 
 def test_global_zero_rhs_gives_zero():
@@ -217,8 +229,9 @@ def test_fixed_point_residual_validation():
 
 
 def test_solver_options_validation():
-    with pytest.raises(InvalidArgument):
-        SolverOptions(tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgument, match="tol"):
+            SolverOptions(tol=tol)
     with pytest.raises(InvalidArgument):
         SolverOptions(max_iters=0)
     with pytest.raises(InvalidArgument):
