@@ -9,6 +9,7 @@ from ddvar import (
     InvalidDecomposition,
     NoInterface,
     decompose_uniform,
+    point_observations,
 )
 
 
@@ -159,6 +160,18 @@ def test_restrict_matrix_identity_cases():
     span = decompose_uniform(Grid1D.uniform(5), 1, 0).span(0)
     np.testing.assert_array_equal(m[span, span], m)
     assert np.shares_memory(m[span, span], m)
+
+
+def test_selection_rejects_bad_indices():
+    grid = Grid1D.uniform(4)
+    with pytest.raises(IndexOutOfRange):
+        point_observations(grid, [0, 4], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(InvalidArgument):
+        point_observations(grid, [1, 1], [0.0, 0.0], [1.0, 1.0])
+    dec = decompose_uniform(grid, 2, 0)
+    for bad in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            dec.span(bad)
 
 
 def test_restrict_matrix_block_indexing():
