@@ -12,7 +12,7 @@ fixed points of the coupled sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +37,7 @@ from .solvers import (
     IterationHistory,
     SolverOptions,
     _factorize,
+    _vectors,
     fixed_point_residual,
     solve_ddda,
     solve_global,
@@ -83,11 +84,7 @@ def local_update(inst: ProblemInstance, dec: Decomposition, i: int,
         )
     span = dec.span(i)
     u_b = inst.u_background[span]
-    w_i = np.asarray(w_i, dtype=float)
-    if w_i.shape != u_b.shape:
-        raise DimensionMismatch(
-            f"w has shape {w_i.shape}, expected {u_b.shape}"
-        )
+    (w_i,) = _vectors([w_i], [(i, u_b.size)], "control vector")
     increment = inst.cov.v_factor[span, span] @ w_i
     if convention == V_TIMES_W:
         return u_b + increment
@@ -103,20 +100,12 @@ def patch(dec: Decomposition, local_us) -> np.ndarray:
     take the value of the highest subdomain index.  Implemented by writing
     subdomains in ascending order so later ones overwrite shared points.
     """
-    if len(local_us) != dec.j_sub:
-        raise DimensionMismatch(
-            f"{len(local_us)} local vectors for {dec.j_sub} subdomains"
-        )
+    local_us = _vectors(local_us, [(i, dec.size(i)) for i in range(dec.j_sub)],
+                        "local vector")
     n = dec.grid.n_points
     out = np.zeros(n)
     covered = np.zeros(n, dtype=bool)
-    for i in range(dec.j_sub):
-        u_i = np.asarray(local_us[i], dtype=float)
-        if u_i.shape != (dec.size(i),):
-            raise DimensionMismatch(
-                f"local vector {i} has shape {u_i.shape}, expected "
-                f"({dec.size(i)},)"
-            )
+    for i, u_i in enumerate(local_us):
         span = dec.span(i)
         out[span] = u_i
         covered[span] = True
@@ -136,19 +125,8 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
     the uncoupled solutions, those solutions satisfy the coupled systems
     verbatim; on generic data it is a reported diagnostic, not an error.
     """
-    if len(ws) != dec.j_sub:
-        raise DimensionMismatch(
-            f"{len(ws)} iterates for {dec.j_sub} subdomains"
-        )
-    vecs = []
-    for i, w in enumerate(ws):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (dec.size(i),):
-            raise DimensionMismatch(
-                f"iterate for subdomain {i} has shape {w.shape}, "
-                f"expected ({dec.size(i)},)"
-            )
-        vecs.append(w)
+    vecs = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
+                    "iterate")
     worst = 0.0
     for i in range(dec.j_sub):
         for j in dec.neighbors(i):
@@ -261,18 +239,9 @@ class EquivalenceReport:
     history: IterationHistory = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "c_equal": self.c_equal,
-            "a_structure_exact": self.a_structure_exact,
-            "interface_mismatch": self.interface_mismatch,
-            "ddda_in_mps_residual": self.ddda_in_mps_residual,
-            "w_delta_linf": self.w_delta_linf,
-            "cost_global": self.cost_global,
-            "cost_mps": self.cost_mps,
-            "cost_ddda": self.cost_ddda,
-            "iters_mps": self.iters_mps,
-            "mps_converged": self.mps_converged,
-        }
+        """Every compared field by name; the history stays out."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.compare}
 
 
 def equivalence_report(inst: ProblemInstance, dec: Decomposition,
@@ -320,7 +289,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         ),
         w_delta_linf=w_delta,
         cost_global=cost_w(inst, w_star),
-        cost_mps=cost_fn(ws_mps),
+        cost_mps=history.records[-1].global_cost,
         cost_ddda=cost_fn(ws_dd),
         iters_mps=history.iterations,
         mps_converged=history.converged,

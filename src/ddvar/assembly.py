@@ -91,12 +91,32 @@ def penalty_stiffness(penalty_pairs, size: int) -> np.ndarray:
     return g
 
 
+def _require_scheme(locals_, scheme: str) -> None:
+    for sys in locals_:
+        if sys.scheme != scheme:
+            raise InvalidArgument(
+                f"subdomain {sys.subdomain} was assembled for scheme "
+                f"{sys.scheme!r}, expected {scheme!r}"
+            )
+
+
 def _coupling(sys: LocalSystem, neighbor_ws) -> np.ndarray:
     # sum_j p_i^T (p_j w_j) in ascending neighbor order; neighbor_ws maps a
-    # neighbor id to its iterate.  The one place the coupling is applied.
+    # neighbor id to its iterate.  The one place the coupling is applied,
+    # so the one place a neighbor iterate is looked up and checked.
     out = np.zeros(sys.size)
     for j, p_i, p_j in sys.penalty_pairs:
-        out += p_i.T @ (p_j @ neighbor_ws[j])
+        if j not in neighbor_ws:
+            raise MissingNeighbor(
+                f"subdomain {sys.subdomain} needs the iterate of neighbor {j}"
+            )
+        w_j = np.asarray(neighbor_ws[j], dtype=float)
+        if w_j.shape != (p_j.shape[1],):
+            raise DimensionMismatch(
+                f"neighbor {j} iterate has shape {w_j.shape}, expected "
+                f"({p_j.shape[1]},)"
+            )
+        out += p_i.T @ (p_j @ w_j)
     return out
 
 
@@ -174,25 +194,10 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     neighbor_ws maps neighbor id to that subdomain's current iterate and
     may be omitted only when the subdomain has no neighbors.
     """
-    if sys.scheme != SCHEME_MPS:
-        raise InvalidArgument(
-            "local_gradient is defined for the coupled (mps) scheme"
-        )
+    _require_scheme([sys], SCHEME_MPS)
     w_i = np.asarray(w_i, dtype=float)
     if w_i.shape != (sys.size,):
         raise DimensionMismatch(
             f"w has shape {w_i.shape}, expected ({sys.size},)"
         )
-    ws = {}
-    for j, _, p_j in sys.penalty_pairs:
-        if neighbor_ws is None or j not in neighbor_ws:
-            raise MissingNeighbor(
-                f"subdomain {sys.subdomain} needs the iterate of neighbor {j}"
-            )
-        ws[j] = np.asarray(neighbor_ws[j], dtype=float)
-        if ws[j].shape != (p_j.shape[1],):
-            raise DimensionMismatch(
-                f"neighbor {j} iterate has shape {ws[j].shape}, expected "
-                f"({p_j.shape[1]},)"
-            )
-    return sys.a @ w_i - sys.c - _coupling(sys, ws)
+    return sys.a @ w_i - sys.c - _coupling(sys, neighbor_ws or {})

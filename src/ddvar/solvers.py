@@ -11,7 +11,9 @@ values, a Jacobi-style parallel sweep.  The stop test fires when the
 largest successive-iterate change drops to tol, or when every fixed-point
 residual is already below tol * kappa with kappa = 1 + max_i ||a_i||_inf
 (which lets a coupling-free system stop after its first, already exact,
-solve).  Running out of iterations is reported through the history flag,
+solve).  "Converged" means one of the two tests fired; kappa grows with
+R^{-1}, so the residual branch does not bound the distance to the fixed
+point.  Running out of iterations is reported through the history flag,
 never raised, so the best iterate stays available.
 
 Subdomain solves within one iteration are data-parallel over immutable
@@ -25,18 +27,24 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import SCHEME_DDDA, SCHEME_MPS, GlobalSystem, _coupling
+from .assembly import (
+    SCHEME_DDDA,
+    SCHEME_MPS,
+    GlobalSystem,
+    _coupling,
+    _require_scheme,
+)
 from .errors import (
     DimensionMismatch,
     FactorizationFailure,
     InvalidArgument,
-    MissingNeighbor,
 )
 
 
@@ -57,10 +65,12 @@ class SolverOptions:
         if not 0.0 < self.tol < math.inf:
             raise InvalidArgument(f"tol must be positive and finite, got "
                                   f"{self.tol}")
-        if self.max_iters < 1:
-            raise InvalidArgument("max_iters must be >= 1")
-        if self.threads < 1:
-            raise InvalidArgument("threads must be >= 1")
+        for name in ("max_iters", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise InvalidArgument(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -116,15 +126,26 @@ def _map_ordered(fn, count: int, pool):
     return list(pool.map(fn, range(count)))
 
 
-def _positions(locals_: list) -> dict:
-    pos = {}
-    for k, sys in enumerate(locals_):
-        if sys.subdomain in pos:
-            raise InvalidArgument(
-                f"subdomain {sys.subdomain} appears twice in the system list"
+def _vectors(ws, layout, what: str) -> list:
+    # ws as float vectors, one per (subdomain id, size) pair of layout: the
+    # one check of a per-subdomain vector list.
+    if len(ws) != len(layout):
+        raise DimensionMismatch(
+            f"{len(ws)} {what}s for {len(layout)} subdomains"
+        )
+    ids = [i for i, _ in layout]
+    if len(set(ids)) < len(ids):
+        raise InvalidArgument(f"a subdomain appears twice in {ids}")
+    out = []
+    for (i, size), w in zip(layout, ws):
+        w = np.asarray(w, dtype=float)
+        if w.shape != (size,):
+            raise DimensionMismatch(
+                f"{what} for subdomain {i} has shape {w.shape}, expected "
+                f"({size},)"
             )
-        pos[sys.subdomain] = k
-    return pos
+        out.append(w)
+    return out
 
 
 def solve_global(sys: GlobalSystem):
@@ -139,12 +160,7 @@ def solve_ddda(locals_: list, opts: SolverOptions | None = None):
     subdomain is the entire scheme; repeating it cannot change anything.
     """
     opts = opts if opts is not None else SolverOptions()
-    for sys in locals_:
-        if sys.scheme != SCHEME_DDDA:
-            raise InvalidArgument(
-                f"subdomain {sys.subdomain} was assembled for scheme "
-                f"{sys.scheme!r}, expected {SCHEME_DDDA!r}"
-            )
+    _require_scheme(locals_, SCHEME_DDDA)
 
     def solve_one(k: int) -> np.ndarray:
         sys = locals_[k]
@@ -162,42 +178,19 @@ def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
     when given, is called once per iteration with the fresh iterate list
     and its value lands in the history; otherwise the cost column is NaN.
     Returns (iterates, history); history.converged is False when the
-    iteration budget ran out.
+    iteration budget ran out.  The kappa of the residual stop test grows
+    with R^{-1}, so a sweep that stopped on that test need not be within
+    tol of the fixed point.  A coupled neighbor absent from locals_ raises
+    MissingNeighbor at the first sweep.
     """
     opts = opts if opts is not None else SolverOptions()
     if not locals_:
         raise InvalidArgument("need at least one local system")
-    for sys in locals_:
-        if sys.scheme != SCHEME_MPS:
-            raise InvalidArgument(
-                f"subdomain {sys.subdomain} was assembled for scheme "
-                f"{sys.scheme!r}, expected {SCHEME_MPS!r}"
-            )
-    pos = _positions(locals_)
-    for sys in locals_:
-        for j, _, _ in sys.penalty_pairs:
-            if j not in pos:
-                raise MissingNeighbor(
-                    f"subdomain {sys.subdomain} couples to {j}, which is "
-                    "absent from the system list"
-                )
-
+    _require_scheme(locals_, SCHEME_MPS)
+    layout = [(sys.subdomain, sys.size) for sys in locals_]
     if w0 is None:
-        ws = [np.zeros(sys.size) for sys in locals_]
-    else:
-        if len(w0) != len(locals_):
-            raise DimensionMismatch(
-                f"{len(w0)} start vectors for {len(locals_)} subdomains"
-            )
-        ws = []
-        for sys, w in zip(locals_, w0):
-            w = np.asarray(w, dtype=float)
-            if w.shape != (sys.size,):
-                raise DimensionMismatch(
-                    f"start vector for subdomain {sys.subdomain} has shape "
-                    f"{w.shape}, expected ({sys.size},)"
-                )
-            ws.append(w.copy())
+        w0 = [np.zeros(size) for _, size in layout]
+    ws = _vectors(w0, layout, "start vector")
 
     factors = [_local_factor(sys) for sys in locals_]
     kappa = 1.0 + max(
@@ -246,20 +239,8 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     iterates from either scheme, which is how the uncoupled solutions are
     measured against the coupled systems.
     """
-    if len(ws) != len(locals_):
-        raise DimensionMismatch(
-            f"{len(ws)} iterates for {len(locals_)} subdomains"
-        )
-    _positions(locals_)  # rejects a subdomain listed twice
-    vecs = []
-    for sys, w in zip(locals_, ws):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (sys.size,):
-            raise DimensionMismatch(
-                f"iterate for subdomain {sys.subdomain} has shape {w.shape}, "
-                f"expected ({sys.size},)"
-            )
-        vecs.append(w)
+    vecs = _vectors(ws, [(sys.subdomain, sys.size) for sys in locals_],
+                    "iterate")
     by_id = {sys.subdomain: w for sys, w in zip(locals_, vecs)}
     out = []
     for sys, w in zip(locals_, vecs):

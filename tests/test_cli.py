@@ -249,13 +249,24 @@ def test_config_errors_exit_one(tmp_path, capsys):
     # at validation, before any solve, with one line naming the key
     for key, value in (("length_scale", "inf"), ("tol", "inf"),
                        ("sigma_b", "1e200"), ("sigma_o", "nan"),
-                       ("length_scale", "1e-300"), ("sigma_o", "1e-160")):
+                       ("length_scale", "1e-300"), ("sigma_o", "1e-160"),
+                       # (sigma_b / sigma_o)^2 >= 2^52: the unit term of the
+                       # normal matrix is lost to rounding
+                       ("sigma_o", "1e-9"), ("sigma_o", "1e-100"),
+                       ("sigma_o", "1e-152"), ("sigma_o", "1e-8")):
         path = write_config(tmp_path, f"np = 20\n{key} = {value}\n")
         assert main(["run", path]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
+    path = write_config(
+        tmp_path,
+        f"np = 20\nj_sub = 2\nhalo = 1\nsigma_o = 1e-7\nmethod = global\n"
+        f"output_dir = {tmp_path / 'out'}\n",
+    )
+    assert main(["run", path]) == 0
+    capsys.readouterr()
 
 
 def test_usage_errors_exit_one(capsys):

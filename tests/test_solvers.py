@@ -226,6 +226,9 @@ def test_fixed_point_residual_validation():
     with pytest.raises(InvalidArgument):
         fixed_point_residual([locals_[0], locals_[0]],
                              [np.zeros(locals_[0].size)] * 2)
+    # subdomain 0 couples to 1, whose iterate is not in the list
+    with pytest.raises(MissingNeighbor):
+        fixed_point_residual(locals_[:1], [np.zeros(locals_[0].size)])
 
 
 def test_solver_options_validation():
@@ -236,6 +239,11 @@ def test_solver_options_validation():
         SolverOptions(max_iters=0)
     with pytest.raises(InvalidArgument):
         SolverOptions(threads=0)
+    # a non-integer count fails here, not later inside the solve
+    with pytest.raises(InvalidArgument, match="max_iters"):
+        SolverOptions(max_iters=2.5)
+    with pytest.raises(InvalidArgument, match="threads"):
+        SolverOptions(threads=2.5)
 
 
 def test_solvers_reject_mismatched_schemes():
