@@ -33,7 +33,7 @@ from .covariance import (
 )
 from .errors import DdvarError, InvalidArgument, ParseError, ValidationError
 from .geometry import Grid1D, decompose_uniform
-from .observation import synthesize
+from .observation import _sigma_o_floor, synthesize
 from .solvers import SolverOptions, solve_global, solve_mps
 
 _METHODS = ("global", "mps", "ddda", "compare")
@@ -171,12 +171,12 @@ def _build_config(raw, path):
         fail("sigma_b", f"must be positive, got {config.sigma_b}")
     if not config.sigma_o >= 0.0:
         fail("sigma_o", f"must be >= 0, got {config.sigma_o}")
-    # at (sigma_b / sigma_o)^2 >= 2^52 the unit term of the normal matrix
-    # falls below rounding; identity covariance means sigma_b = 1
-    sigma_b = config.sigma_b if config.cov_kind == "gaussian" else 1.0
-    if 0.0 < config.sigma_o <= math.ldexp(sigma_b, -26):
+    floor = _sigma_o_floor(
+        config.sigma_b if config.cov_kind == "gaussian" else None
+    )
+    if 0.0 < config.sigma_o <= floor:
         fail("sigma_o", f"{config.sigma_o} is too small: it must be 0 or "
-                        f"above sigma_b * 2^-26 = {math.ldexp(sigma_b, -26)}")
+                        f"above sigma_b * 2^-26 = {floor}")
     if not 0 <= config.nobs <= config.n_points:
         fail("nobs", f"must lie in 0..np, got {config.nobs}")
     if config.seed < 0:

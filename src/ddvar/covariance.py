@@ -22,9 +22,12 @@ class CovarianceModel:
     """Background covariance B with factor V, B = V V^T.
 
     kind is "identity" or "gaussian"; length_scale and sigma_b are only
-    set for the gaussian kind.  Construction checks shapes and exact
-    symmetry of b; the factor residual is the job of factor_check, so a
-    deliberately corrupted v_factor can still be constructed in tests.
+    set for the gaussian kind.  Construction checks shapes, finite entries
+    in both arrays and exact symmetry of b, then stores b and v_factor as
+    read-only views, so every consumer may rely on them without checking
+    again.  The factor residual is the job of factor_check, so a
+    deliberately corrupted (but finite) v_factor can still be constructed
+    in tests.
     """
 
     b: np.ndarray
@@ -42,10 +45,14 @@ class CovarianceModel:
             raise DimensionMismatch(
                 f"v_factor shape {v.shape} does not match b shape {b.shape}"
             )
-        if np.max(np.abs(b - b.T)) != 0.0:
+        for name, a in (("b", b), ("v_factor", v)):
+            if not np.isfinite(a).all():
+                raise InvalidArgument(f"{name} has non-finite entries")
+            view = a.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if not np.array_equal(b, b.T):
             raise InvalidArgument("b must be exactly symmetric")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "v_factor", v)
 
     @property
     def n_points(self) -> int:
@@ -92,8 +99,11 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
                 f"{name} must be positive with a finite, nonzero square, "
                 f"got {value}"
             )
-    dx = grid.coords[:, None] - grid.coords[None, :]
-    b = sigma_b**2 * np.exp(-(dx**2) / (2.0 * length_scale**2))
+    # no named n x n difference array: it would stay live through the
+    # Cholesky and raise the peak memory of the build by a third
+    x = grid.coords
+    b = sigma_b**2 * np.exp(-((x[:, None] - x[None, :])**2)
+                            / (2.0 * length_scale**2))
     b[np.diag_indices_from(b)] += 1e-10 * sigma_b**2
     v = _cholesky_lower(b, "gaussian background covariance")
     return CovarianceModel(

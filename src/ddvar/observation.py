@@ -117,6 +117,14 @@ def local_observation_positions(obs: ObservationSet, start: int, stop: int):
     return sel, obs.obs_indices[sel] - start
 
 
+def _sigma_o_floor(sigma_b: float | None) -> float:
+    # Largest rejected nonzero sigma_o: sigma_b * 2^-26, with sigma_b read
+    # as 1 when it is None (identity covariance).  At or below it
+    # (sigma_b / sigma_o)^2 >= 2^52 and the unit term of the normal matrix
+    # falls below rounding.
+    return math.ldexp(1.0 if sigma_b is None else sigma_b, -26)
+
+
 def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
                sigma_o: float, seed: int) -> ProblemInstance:
     """Deterministic synthetic truth, background, and observations.
@@ -126,13 +134,18 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     then have covariance B), and observations add sigma_o-scaled noise to
     the truth at nobs equispaced points, obs_indices[k] = floor(k*n/nobs).
     sigma_o = 0 gives noiseless observations with unit variances standing
-    in for the degenerate error model.
+    in for the degenerate error model; a nonzero sigma_o must lie above
+    sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).
     """
     n = grid.n_points
     if not 0 <= nobs <= n:
         raise InvalidArgument(f"nobs must lie in 0..{n}, got {nobs}")
     if not 0.0 <= sigma_o < math.inf:
         raise InvalidArgument(f"sigma_o must be finite and >= 0, got {sigma_o}")
+    floor = _sigma_o_floor(cov.sigma_b)
+    if 0.0 < sigma_o <= floor:
+        raise InvalidArgument(f"sigma_o {sigma_o} is too small: it must be 0 "
+                              f"or above sigma_b * 2^-26 = {floor}")
     if cov.n_points != n:
         raise DimensionMismatch(
             f"covariance is {cov.n_points} points, grid is {n}"

@@ -11,6 +11,7 @@ from ddvar import (
     ProblemInstance,
     SCHEME_DDDA,
     UncoveredPoint,
+    build_gaussian_covariance,
     V_TIMES_W,
     assemble_global,
     assemble_local,
@@ -26,9 +27,11 @@ from ddvar import (
     point_observations,
     solve_ddda,
     solve_global,
+    synthesize,
 )
 
 from conftest import make_instance, mirror_symmetric_instance
+from test_acceptance import instance_matrix
 
 
 def test_local_update_zero_control_returns_background():
@@ -172,6 +175,67 @@ def test_control_equivalent_roundtrip():
         control_equivalent(inst, np.zeros(24))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_control_equivalent_rejects_non_finite_states(bad):
+    inst, _ = make_instance(n=25, seed=5)
+    u = inst.u_background.copy()
+    u[7] = bad
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        control_equivalent(inst, u)
+
+
+def _reference_gap(inst):
+    # the global scheme's w* (observation space) against the normal
+    # equations, relative to 1 + ||w||_inf
+    whole = decompose_uniform(inst.grid, 1, 0)
+    (w,) = assimilate(inst, whole, "global").per_subdomain_w
+    w_normal = solve_global(assemble_global(inst))
+    return float(np.max(np.abs(w - w_normal), initial=0.0)
+                 / (1.0 + np.max(np.abs(w_normal), initial=0.0)))
+
+
+def test_reference_matches_normal_equations_on_instance_matrix():
+    # measured: at most 2e-14 over the 100 acceptance instances
+    worst = max(_reference_gap(inst) for inst, _ in instance_matrix())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n, kind, length_scale, sigma_o, nobs", [
+    (30, "identity", 2.0, 0.1, 6),
+    (30, "identity", 2.0, 0.1, 30),
+    (30, "gaussian", 2.0, 0.0, 6),
+    (30, "gaussian", 2.0, 0.1, 0),
+    (30, "gaussian", 2.0, 0.1, 1),
+    (30, "gaussian", 2.0, 0.1, 30),
+    (1, "gaussian", 2.0, 0.1, 1),
+    (1, "identity", 2.0, 0.0, 1),
+    (1, "gaussian", 2.0, 0.1, 0),
+    (400, "gaussian", 0.5, 0.1, 80),
+    (400, "gaussian", 2.0, 1.0, 400),
+    (1000, "gaussian", 8.0, 0.1, 1000),
+])
+def test_reference_matches_normal_equations_edge_cases(n, kind, length_scale,
+                                                       sigma_o, nobs):
+    # measured: at most 2e-13, at n = 1000, length_scale 8, every point seen
+    inst, _ = make_instance(n=n, j_sub=1, halo=0, nobs=nobs, kind=kind,
+                            length_scale=length_scale, sigma_o=sigma_o)
+    assert _reference_gap(inst) <= 1e-12
+
+
+def test_reference_cost_matches_normal_equations_when_ill_conditioned():
+    # sigma_o = 1e-4 with length_scale 8: the normal matrix's conditioning
+    # separates the two w by about 1e-8, while their costs agree to 12+
+    # digits
+    grid = Grid1D.uniform(300)
+    inst = synthesize(grid, build_gaussian_covariance(grid, 8.0, 1.0), 60,
+                      1e-4, seed=0)
+    whole = decompose_uniform(grid, 1, 0)
+    res = assimilate(inst, whole, "global")
+    cost_normal = cost_w(inst, solve_global(assemble_global(inst)))
+    assert res.diagnostics["global_cost"] == pytest.approx(cost_normal,
+                                                           rel=1e-10)
+
+
 def test_assimilate_global_diagnostics():
     inst, dec = make_instance(n=24, j_sub=2, halo=1, seed=7)
     res = assimilate(inst, dec, "global")
@@ -224,10 +288,15 @@ def test_assimilate_without_observations_returns_background(method):
     obs = point_observations(grid, [], [], [])
     rng = np.random.default_rng(9)
     u_b = rng.standard_normal(20)
-    inst = ProblemInstance(grid, identity_covariance(grid), obs, u_b)
     dec = decompose_uniform(grid, 2, 1)
-    res = assimilate(inst, dec, method)
-    np.testing.assert_array_equal(res.u_analysis, u_b)
+    for cov in (identity_covariance(grid),
+                build_gaussian_covariance(grid, 2.0, 1.0)):
+        inst = ProblemInstance(grid, cov, obs, u_b)
+        res = assimilate(inst, dec, method)
+        np.testing.assert_array_equal(res.u_analysis, u_b)
+        for w in res.per_subdomain_w:
+            np.testing.assert_array_equal(w, np.zeros(w.size))
+        assert res.diagnostics["vs_global_linf"] == 0.0
 
 
 def test_equivalence_report_single_subdomain():

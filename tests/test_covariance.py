@@ -163,3 +163,27 @@ def test_model_requires_exact_symmetry():
     b[0, 1] = 1e-18
     with pytest.raises(InvalidArgument):
         CovarianceModel(b=b, v_factor=np.eye(3), kind="identity")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["b", "v_factor"])
+def test_model_rejects_non_finite_entries(name, bad):
+    model = build_gaussian_covariance(Grid1D.uniform(6), 2.0, 1.0)
+    arrays = {"b": model.b.copy(), "v_factor": model.v_factor.copy()}
+    arrays[name][2, 2] = bad
+    with pytest.raises(InvalidArgument, match=name):
+        CovarianceModel(kind="gaussian", **arrays)
+
+
+def test_model_arrays_are_read_only():
+    grid = Grid1D.uniform(6)
+    for model in (build_gaussian_covariance(grid, 2.0, 1.0),
+                  identity_covariance(grid)):
+        for a in (model.b, model.v_factor):
+            with pytest.raises(ValueError):
+                a[0, 0] = 5.0
+    # the caller's arrays stay writable; the model holds read-only views
+    b = np.eye(3)
+    model = CovarianceModel(b=b, v_factor=b, kind="identity")
+    b[0, 1] = 0.0
+    assert not model.b.flags.writeable and b.flags.writeable

@@ -153,6 +153,22 @@ def test_synthesize_rejects_bad_arguments():
         synthesize(Grid1D.uniform(9), cov, 4, 0.1, seed=0)
 
 
+def test_synthesize_rejects_tiny_sigma_o():
+    # 0 < sigma_o <= sigma_b * 2^-26 loses the unit term of the normal
+    # matrix to rounding; sigma_b reads as 1 for the identity covariance
+    grid = Grid1D.uniform(20)
+    for cov, sigma_b in ((build_gaussian_covariance(grid, 2.0, 1.0), 1.0),
+                         (build_gaussian_covariance(grid, 2.0, 4.0), 4.0),
+                         (identity_covariance(grid), 1.0)):
+        floor = np.ldexp(sigma_b, -26)
+        for sigma_o in (1e-152, 1e-9 * sigma_b, floor):
+            with pytest.raises(InvalidArgument, match="sigma_o"):
+                synthesize(grid, cov, 4, sigma_o, seed=0)
+        for sigma_o in (0.0, np.nextafter(floor, 1.0)):
+            inst = synthesize(grid, cov, 4, sigma_o, seed=0)
+            assert inst.obs.nobs == 4
+
+
 def test_observation_set_validation():
     grid = Grid1D.uniform(10)
     with pytest.raises(InvalidArgument):
