@@ -163,7 +163,7 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
 def _global_w(inst: ProblemInstance) -> np.ndarray:
     # The single-domain minimizer w* = M^T (M M^T + R)^{-1} d, M = H V:
     # the H rows of V, one nobs x nobs Cholesky factor and two products.
-    m = inst.cov.v_factor[inst.obs.obs_indices]
+    m = inst.h_rows
     if m.shape[0] == 0:
         return np.zeros(m.shape[1])
     s = m @ m.T

@@ -123,12 +123,11 @@ def _coupling(sys: LocalSystem, neighbor_ws) -> np.ndarray:
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
     """Build a = V^T H^T R^{-1} H V + I and c = V^T H^T R^{-1} d.
 
-    H is a point selection, so H V is a row slice of the factor V.  With
+    H is a point selection, so H V is inst.h_rows, rows of V.  With
     no observations the system degenerates to a = I, c = 0.
     """
-    m = inst.cov.v_factor[inst.obs.obs_indices, :]
     r_inv = 1.0 / inst.obs.r_cov.r_diag
-    a, c = _weighted_normal(m, r_inv, innovation(inst))
+    a, c = _weighted_normal(inst.h_rows, r_inv, innovation(inst))
     return GlobalSystem(a=a, c=c)
 
 
@@ -180,7 +179,7 @@ def cost_w(inst: ProblemInstance, w: np.ndarray) -> float:
     n = inst.grid.n_points
     if w.shape != (n,):
         raise DimensionMismatch(f"w has shape {w.shape}, expected ({n},)")
-    misfit = inst.cov.v_factor[inst.obs.obs_indices, :] @ w - innovation(inst)
+    misfit = inst.h_rows @ w - innovation(inst)
     r_inv = 1.0 / inst.obs.r_cov.r_diag
     return 0.5 * float(w @ w) + 0.5 * float(misfit @ (r_inv * misfit))
 

@@ -4,6 +4,13 @@ The background covariance B is carried together with a lower-triangular
 factor V satisfying B = V V^T, which preconditions the minimization (the
 control variable is w with increment V w).  The observation covariance R
 is restricted to a diagonal, so its inverse is an elementwise division.
+
+On strictly increasing coordinates the Gaussian B is banded to working
+precision: every entry further from the diagonal than about 8.6 length
+scales is below the unit roundoff 2^-53 times the diagonal.  V is
+therefore the banded Cholesky factor of B, computed in band storage in
+O(n bw^2) for bw sub-diagonals and stored dense; B itself is stored
+dense and unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
@@ -51,12 +59,25 @@ class CovarianceModel:
             view = a.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-        if not np.array_equal(b, b.T):
+        if not _is_symmetric(b):
             raise InvalidArgument("b must be exactly symmetric")
 
     @property
     def n_points(self) -> int:
         return self.b.shape[0]
+
+
+def _is_symmetric(b: np.ndarray) -> bool:
+    # Exact b == b^T, compared tile against transposed tile over the lower
+    # triangle: each transposed read then stays in cache, where the whole
+    # strided b.T would not.
+    n, tile = b.shape[0], 256
+    for i in range(0, n, tile):
+        for j in range(0, i + 1, tile):
+            if not np.array_equal(b[i:i + tile, j:j + tile],
+                                  b[j:j + tile, i:i + tile].T):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -76,11 +97,34 @@ class ObsCovariance:
         return int(self.r_diag.size)
 
 
-def _cholesky_lower(b: np.ndarray, what: str) -> np.ndarray:
+def _band_cholesky(b: np.ndarray, what: str) -> np.ndarray:
+    # Lower Cholesky factor of the symmetric b from its band, returned
+    # dense.  The band holds sub-diagonals 1..bw, where diagonal bw + 1 is
+    # the first with no entry above 2^-53 * max diag(b) in magnitude; a
+    # kernel that decays away from the diagonal has no larger entry beyond
+    # it.  The dropped entries are at most the unit roundoff 2^-53 times
+    # the largest diagonal entry, under the rounding of a dense factor.  The band is copied
+    # from b bit for bit, and its factor is scattered into a zero matrix
+    # through the strided flat view, one diagonal at a time.
+    n = b.shape[0]
+    threshold = math.ldexp(float(np.max(np.diagonal(b))), -53)
+    bw = 0
+    while (bw + 1 < n
+           and np.max(np.abs(np.diagonal(b, -bw - 1))) > threshold):
+        bw += 1
+    band = np.zeros((bw + 1, n))
+    for k in range(bw + 1):
+        band[k, :n - k] = np.diagonal(b, -k)
     try:
-        return np.linalg.cholesky(b)
+        band = scipy.linalg.cholesky_banded(band, lower=True,
+                                            check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"{what} is not numerically SPD") from exc
+    v = np.zeros((n, n))
+    flat = v.reshape(-1)
+    for k in range(bw + 1):
+        flat[k * n::n + 1] = band[k, :n - k]
+    return v
 
 
 def build_gaussian_covariance(grid: Grid1D, length_scale: float,
@@ -92,6 +136,15 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     rank-deficient once length_scale spans several grid spacings.
     Both parameters enter squared, so each must be positive with a square
     that neither overflows nor underflows.
+
+    V is the Cholesky factor of the band of b: the bw sub-diagonals that
+    hold an entry above 2^-53 * max diag(b), the points within about 8.6
+    length scales (bw = 4 / 17 / 68 at length_scale 0.5 / 2 / 8 on a unit
+    grid).  No dropped entry exceeds the unit roundoff 2^-53 times the
+    diagonal, so B - V V^T stays at rounding level.  The factor costs
+    O(n bw^2) instead of the O(n^3) of a dense Cholesky; when the length
+    scale spans the grid the band is full (bw = n - 1), and the cost is
+    that of the dense factor again.
     """
     for name, value in (("length_scale", length_scale), ("sigma_b", sigma_b)):
         if not (value > 0.0 and 0.0 < value * value < math.inf):
@@ -105,7 +158,7 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     b = sigma_b**2 * np.exp(-((x[:, None] - x[None, :])**2)
                             / (2.0 * length_scale**2))
     b[np.diag_indices_from(b)] += 1e-10 * sigma_b**2
-    v = _cholesky_lower(b, "gaussian background covariance")
+    v = _band_cholesky(b, "gaussian background covariance")
     return CovarianceModel(
         b=b,
         v_factor=v,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,13 @@ class ProblemInstance:
                     f"u_truth has {ut.size} entries, grid has {n}"
                 )
             object.__setattr__(self, "u_truth", ut)
+
+    @functools.cached_property
+    def h_rows(self) -> np.ndarray:
+        """M = H V, the observed rows of V: taken once, then read-only."""
+        m = self.cov.v_factor[self.obs.obs_indices]
+        m.flags.writeable = False
+        return m
 
 
 def innovation(inst: ProblemInstance) -> np.ndarray:

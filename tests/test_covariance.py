@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ddvar import (
     CovarianceModel,
+    FactorizationFailure,
     Grid1D,
     InvalidArgument,
     NoInterface,
@@ -13,8 +16,23 @@ from ddvar import (
     identity_covariance,
     interface_coupling,
 )
+from ddvar.covariance import _band_cholesky
 
 JITTER = 1e-10
+
+
+def _nonuniform_grid(n=300, seed=4):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return Grid1D(n, np.cumsum(rng.uniform(0.2, 2.0, n)))
+
+
+def _kernel_bandwidth(b):
+    # the last sub-diagonal holding an entry above 2^-53 * max diag(b),
+    # found by scanning every sub-diagonal
+    threshold = math.ldexp(float(np.max(np.diagonal(b))), -53)
+    return max((k for k in range(1, b.shape[0])
+                if np.any(np.abs(np.diagonal(b, -k)) > threshold)),
+               default=0)
 
 
 def test_gaussian_entries_match_formula():
@@ -187,3 +205,66 @@ def test_model_arrays_are_read_only():
     model = CovarianceModel(b=b, v_factor=b, kind="identity")
     b[0, 1] = 0.0
     assert not model.b.flags.writeable and b.flags.writeable
+
+
+@pytest.mark.parametrize("length_scale, bw", [
+    (0.5, 4), (2.0, 17), (8.0, 68),
+    (1e4, 199),  # the length scale spans the grid: the band is full
+])
+def test_factor_is_exactly_banded(length_scale, bw):
+    model = build_gaussian_covariance(Grid1D.uniform(200), length_scale, 1.0)
+    v = model.v_factor
+    assert _kernel_bandwidth(model.b) == bw
+    assert not np.triu(v, 1).any()
+    # every entry below sub-diagonal bw is an exact zero; bw itself is not
+    assert not np.tril(v, -bw - 1).any()
+    assert np.diagonal(v, -bw).all()
+
+
+@pytest.mark.parametrize("grid, length_scale, sigma_b", [
+    (Grid1D.uniform(200), 0.5, 1.0),
+    (Grid1D.uniform(300), 2.0, 1.0),
+    (Grid1D.uniform(300), 8.0, 1.0),
+    (Grid1D.uniform(300), 2.0, 2.0),
+    (_nonuniform_grid(), 2.0, 1.0),
+    (Grid1D.uniform(200), 1e4, 1.0),
+])
+def test_band_factor_residual(grid, length_scale, sigma_b):
+    model = build_gaussian_covariance(grid, length_scale, sigma_b)
+    assert factor_check(model) <= 1e-14 * sigma_b**2
+
+
+@pytest.mark.parametrize("grid, length_scale, tol", [
+    (Grid1D.uniform(300), 2.0, 1e-9),
+    (Grid1D.uniform(300), 8.0, 1e-5),
+    (_nonuniform_grid(), 2.0, 1e-5),
+])
+def test_band_factor_matches_dense_cholesky(grid, length_scale, tol):
+    model = build_gaussian_covariance(grid, length_scale, 1.0)
+    dense = np.linalg.cholesky(model.b)
+    assert np.max(np.abs(model.v_factor - dense)) <= tol
+
+
+def test_band_factor_rejects_indefinite_matrix():
+    b = build_gaussian_covariance(Grid1D.uniform(50), 8.0, 1.0).b
+    with pytest.raises(FactorizationFailure,
+                       match="shifted kernel is not numerically SPD"):
+        _band_cholesky(b - 1e-3 * np.eye(50), "shifted kernel")
+    with pytest.raises(FactorizationFailure):
+        _band_cholesky(np.array([[1.0, -2.0], [-2.0, 1.0]]), "2 x 2")
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_symmetry_check_covers_every_tile(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    a = rng.standard_normal((n, n))
+    b = a + a.T
+    CovarianceModel(b=b, v_factor=np.eye(n), kind="identity")
+    # one ulp off in the first tile and in the last, partial tile, on
+    # either side of the diagonal
+    for p, q in ((3, 1), (1, 3), (n - 1, n - 2), (n - 2, n - 1),
+                 (n - 1, 0), (0, n - 1)):
+        bad = b.copy()
+        bad[p, q] = np.nextafter(bad[p, q], np.inf)
+        with pytest.raises(InvalidArgument, match="symmetric"):
+            CovarianceModel(b=bad, v_factor=np.eye(n), kind="identity")

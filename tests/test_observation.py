@@ -10,6 +10,7 @@ from ddvar import (
     ObservationSet,
     ProblemInstance,
     build_gaussian_covariance,
+    cost_w,
     identity_covariance,
     innovation,
     local_observation_positions,
@@ -204,3 +205,22 @@ def test_problem_instance_validation():
     for outside in (wide, negative):
         with pytest.raises(DimensionMismatch):
             ProblemInstance(grid, cov, outside, np.zeros(5))
+
+
+def test_h_rows_taken_once_and_read_only():
+    grid = Grid1D.uniform(40)
+    inst = synthesize(grid, build_gaussian_covariance(grid, 2.0, 1.0), 8,
+                      0.1, seed=2)
+    m = inst.h_rows
+    assert inst.h_rows is m
+    fresh = inst.cov.v_factor[inst.obs.obs_indices]
+    assert m.shape == (8, 40) and m.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    # the cost reads the held rows and lands on the same floats as a
+    # fresh row copy
+    w = np.linspace(-1.0, 1.0, 40)
+    misfit = fresh @ w - innovation(inst)
+    r_inv = 1.0 / inst.obs.r_cov.r_diag
+    expected = 0.5 * float(w @ w) + 0.5 * float(misfit @ (r_inv * misfit))
+    assert cost_w(inst, w) == expected
