@@ -11,9 +11,9 @@ fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against is the
 minimizer w* of the preconditioned cost, computed in observation space:
-with M = H V, w* = (M^T R^{-1} M + I)^{-1} M^T R^{-1} d equals
-M^T (M M^T + R)^{-1} d exactly, which takes one nobs x nobs Cholesky
-factor instead of the n x n one of the normal equations.
+with M = H V held sparse, w* = (M^T R^{-1} M + I)^{-1} M^T R^{-1} d is
+M^T (M M^T + R)^{-1} d exactly, one nobs x nobs Cholesky factor instead
+of an n x n one; control_equivalent solves with V on its band.
 """
 
 from __future__ import annotations
@@ -143,10 +143,11 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
 
 
 def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    """The w with u = u^b + V w, by one triangular solve.
+    """The w with u = u^b + V w, by one triangular solve on the band of V.
 
-    Only the n-vector u - u^b is checked for finite entries; V was checked
-    once, when its CovarianceModel was built, and is read-only since.
+    LAPACK dtbtrs costs O(n bw); a zero on the diagonal of V raises
+    LinAlgError.  Only u - u^b is checked for finite entries; the band was
+    checked once, when its CovarianceModel was built, and is read-only.
     """
     u = np.asarray(u, dtype=float)
     n = inst.grid.n_points
@@ -155,18 +156,20 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     du = u - inst.u_background
     if not np.isfinite(du).all():
         raise InvalidArgument("u has non-finite entries")
-    return scipy.linalg.solve_triangular(
-        inst.cov.v_factor, du, lower=True, check_finite=False
-    )
+    w, info = scipy.linalg.lapack.dtbtrs(inst.cov.v_band, du, uplo="L")
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix: resolution failed "
+                                    f"at diagonal {info - 1}")
+    return w
 
 
 def _global_w(inst: ProblemInstance) -> np.ndarray:
     # The single-domain minimizer w* = M^T (M M^T + R)^{-1} d, M = H V:
-    # the H rows of V, one nobs x nobs Cholesky factor and two products.
+    # the sparse H rows of V, one nobs x nobs Cholesky factor, two products.
     m = inst.h_rows
     if m.shape[0] == 0:
         return np.zeros(m.shape[1])
-    s = m @ m.T
+    s = (m @ m.T).toarray()
     s[np.diag_indices_from(s)] += inst.obs.r_cov.r_diag
     z = scipy.linalg.cho_solve(_factorize(s, "observation-space matrix"),
                                innovation(inst))
@@ -194,9 +197,9 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
 
     method is "global", "mps", or "ddda".  The single-domain analysis is
     always computed alongside as the reference for vs_global_linf, by the
-    observation-space solve of the module docstring: M M^T costs
-    O(nobs^2 n) and its factor O(nobs^3), against O(n^3) for the normal
-    equations of assemble_global, which are left to tests and checks.
+    observation-space solve of the module docstring: the sparse M M^T
+    costs O(nobs bw^2) and its factor O(nobs^3), against O(n^3) for the
+    normal equations of assemble_global, left to tests and checks.
     """
     opts = opts if opts is not None else SolverOptions()
     if method not in (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA):

@@ -123,11 +123,11 @@ def _coupling(sys: LocalSystem, neighbor_ws) -> np.ndarray:
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
     """Build a = V^T H^T R^{-1} H V + I and c = V^T H^T R^{-1} d.
 
-    H is a point selection, so H V is inst.h_rows, rows of V.  With
-    no observations the system degenerates to a = I, c = 0.
+    H is a point selection, so H V is inst.h_rows, rows of V, densified
+    here.  With no observations the system degenerates to a = I, c = 0.
     """
     r_inv = 1.0 / inst.obs.r_cov.r_diag
-    a, c = _weighted_normal(inst.h_rows, r_inv, innovation(inst))
+    a, c = _weighted_normal(inst.h_rows.toarray(), r_inv, innovation(inst))
     return GlobalSystem(a=a, c=c)
 
 

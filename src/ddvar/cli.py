@@ -4,7 +4,7 @@ Configs are flat key = value text, one pair per line, # comments allowed.
 Outputs are a result.json (sorted keys, every float printed as 17
 significant digits in scientific notation) and, for runs that iterate, a
 history.csv; both are byte-identical across repeat runs of the same
-config and across thread counts.
+config and across `DDVAR_THREADS`, not across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -149,6 +149,11 @@ def _build_config(raw, path):
 
     if config.n_points < 1:
         fail("np", f"must be >= 1, got {config.n_points}")
+    gib = 8 * config.n_points**2 / 2**30
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    if gib > ram:
+        fail("np", f"{config.n_points} needs {gib:,.1f} GiB for the dense "
+                   f"n x n factor V, more than the {ram:,.1f} GiB of RAM")
     if config.j_sub < 1:
         fail("j_sub", f"must be >= 1, got {config.j_sub}")
     if config.n_points < config.j_sub:

@@ -7,14 +7,15 @@ is restricted to a diagonal, so its inverse is an elementwise division.
 
 On strictly increasing coordinates the Gaussian B is banded to working
 precision: every entry further from the diagonal than about 8.6 length
-scales is below the unit roundoff 2^-53 times the diagonal.  V is
-therefore the banded Cholesky factor of B, computed in band storage in
-O(n bw^2) for bw sub-diagonals and stored dense; B itself is stored
-dense and unchanged.
+scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
+therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
+band storage); V is the banded Cholesky factor, O(n bw^2) for bw
+sub-diagonals.  The dense b and v_factor are derived on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,59 +26,65 @@ from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
 
 
+def _dense(band: np.ndarray, symmetric: bool) -> np.ndarray:
+    # Scatter a lower band into a read-only n x n array through strided
+    # flat slices; symmetric also fills the super-diagonals.
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for k, diagonal in enumerate(band):
+        a.flat[k * n::n + 1] = diagonal[:n - k]
+        if symmetric:
+            a.flat[k:(n - k) * n:n + 1] = diagonal[:n - k]
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Background covariance B with factor V, B = V V^T.
+    """Background covariance B with factor V, B = V V^T, held as bands.
 
-    kind is "identity" or "gaussian"; length_scale and sigma_b are only
-    set for the gaussian kind.  Construction checks shapes, finite entries
-    in both arrays and exact symmetry of b, then stores b and v_factor as
-    read-only views, so every consumer may rely on them without checking
-    again.  The factor residual is the job of factor_check, so a
-    deliberately corrupted (but finite) v_factor can still be constructed
-    in tests.
+    b_band and v_band are the lower bands of B and V, each of shape
+    (k + 1, n) with 1 <= k + 1 <= n.  kind is "identity" or "gaussian";
+    length_scale and sigma_b are only set for the gaussian kind.
+    Construction checks the shapes and finite entries of both bands and
+    stores them as read-only views; the dense b and v_factor are scattered
+    from them once, on first access, read-only too.  factor_check measures
+    the residual, so a corrupted (but finite) v_band can be constructed.
     """
 
-    b: np.ndarray
-    v_factor: np.ndarray
+    b_band: np.ndarray
+    v_band: np.ndarray
     kind: str
     length_scale: float | None = None
     sigma_b: float | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        v = np.asarray(self.v_factor, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DimensionMismatch(f"b must be square, got shape {b.shape}")
-        if v.shape != b.shape:
-            raise DimensionMismatch(
-                f"v_factor shape {v.shape} does not match b shape {b.shape}"
-            )
-        for name, a in (("b", b), ("v_factor", v)):
+        n = np.shape(self.b_band)[-1:]
+        for field, name in (("b_band", "b"), ("v_band", "v_factor")):
+            a = np.asarray(getattr(self, field), dtype=float)
+            if a.ndim != 2 or a.shape[1:] != n or not 1 <= a.shape[0] <= n[0]:
+                raise DimensionMismatch(
+                    f"{name} band has shape {a.shape}, expected (k + 1, n) "
+                    "with 1 <= k + 1 <= n, n the same for both bands")
             if not np.isfinite(a).all():
                 raise InvalidArgument(f"{name} has non-finite entries")
             view = a.view()
             view.flags.writeable = False
-            object.__setattr__(self, name, view)
-        if not _is_symmetric(b):
-            raise InvalidArgument("b must be exactly symmetric")
+            object.__setattr__(self, field, view)
 
     @property
     def n_points(self) -> int:
-        return self.b.shape[0]
+        return self.b_band.shape[1]
 
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        """Dense B, scattered symmetrically from b_band once."""
+        return _dense(self.b_band, symmetric=True)
 
-def _is_symmetric(b: np.ndarray) -> bool:
-    # Exact b == b^T, compared tile against transposed tile over the lower
-    # triangle: each transposed read then stays in cache, where the whole
-    # strided b.T would not.
-    n, tile = b.shape[0], 256
-    for i in range(0, n, tile):
-        for j in range(0, i + 1, tile):
-            if not np.array_equal(b[i:i + tile, j:j + tile],
-                                  b[j:j + tile, i:i + tile].T):
-                return False
-    return True
+    @functools.cached_property
+    def v_factor(self) -> np.ndarray:
+        """Dense lower-triangular V, scattered from v_band once."""
+        return _dense(self.v_band, symmetric=False)
 
 
 @dataclass(frozen=True)
@@ -97,39 +104,18 @@ class ObsCovariance:
         return int(self.r_diag.size)
 
 
-def _band_cholesky(b: np.ndarray, what: str) -> np.ndarray:
-    # Lower Cholesky factor of the symmetric b from its band, returned
-    # dense.  The band holds sub-diagonals 1..bw, where diagonal bw + 1 is
-    # the first with no entry above 2^-53 * max diag(b) in magnitude; a
-    # kernel that decays away from the diagonal has no larger entry beyond
-    # it.  The dropped entries are at most the unit roundoff 2^-53 times
-    # the largest diagonal entry, under the rounding of a dense factor.  The band is copied
-    # from b bit for bit, and its factor is scattered into a zero matrix
-    # through the strided flat view, one diagonal at a time.
-    n = b.shape[0]
-    threshold = math.ldexp(float(np.max(np.diagonal(b))), -53)
-    bw = 0
-    while (bw + 1 < n
-           and np.max(np.abs(np.diagonal(b, -bw - 1))) > threshold):
-        bw += 1
-    band = np.zeros((bw + 1, n))
-    for k in range(bw + 1):
-        band[k, :n - k] = np.diagonal(b, -k)
+def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
+    # Lower band of the Cholesky factor of the matrix with this lower band.
     try:
-        band = scipy.linalg.cholesky_banded(band, lower=True,
+        return scipy.linalg.cholesky_banded(band, lower=True,
                                             check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"{what} is not numerically SPD") from exc
-    v = np.zeros((n, n))
-    flat = v.reshape(-1)
-    for k in range(bw + 1):
-        flat[k * n::n + 1] = band[k, :n - k]
-    return v
 
 
 def build_gaussian_covariance(grid: Grid1D, length_scale: float,
                               sigma_b: float) -> CovarianceModel:
-    """Squared-exponential covariance on the grid coordinates.
+    """Squared-exponential covariance on the grid coordinates, as a band.
 
     b[p, q] = sigma_b^2 * exp(-(x_p - x_q)^2 / (2 * length_scale^2)) with a
     diagonal jitter of 1e-10 * sigma_b^2; the kernel alone is numerically
@@ -137,14 +123,14 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     Both parameters enter squared, so each must be positive with a square
     that neither overflows nor underflows.
 
-    V is the Cholesky factor of the band of b: the bw sub-diagonals that
-    hold an entry above 2^-53 * max diag(b), the points within about 8.6
-    length scales (bw = 4 / 17 / 68 at length_scale 0.5 / 2 / 8 on a unit
-    grid).  No dropped entry exceeds the unit roundoff 2^-53 times the
-    diagonal, so B - V V^T stays at rounding level.  The factor costs
-    O(n bw^2) instead of the O(n^3) of a dense Cholesky; when the length
-    scale spans the grid the band is full (bw = n - 1), and the cost is
-    that of the dense factor again.
+    Only the band is evaluated, sub-diagonal k at x[k:] - x[:-k] by the
+    dense kernel's elementwise operations, so bit for bit.  It ends before
+    the first sub-diagonal with no entry above 2^-53 * max diag(b)
+    (bw = 4 / 17 / 68 at length_scale 0.5 / 2 / 8 on a unit grid); the
+    kernel decays away from the diagonal, so no dropped entry exceeds the
+    unit roundoff times the diagonal.  V, the Cholesky factor of the band,
+    costs O(n bw^2); when the length scale spans the grid the band is
+    full (bw = n - 1), and the cost is that of a dense factor again.
     """
     for name, value in (("length_scale", length_scale), ("sigma_b", sigma_b)):
         if not (value > 0.0 and 0.0 < value * value < math.inf):
@@ -152,16 +138,18 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
                 f"{name} must be positive with a finite, nonzero square, "
                 f"got {value}"
             )
-    # no named n x n difference array: it would stay live through the
-    # Cholesky and raise the peak memory of the build by a third
-    x = grid.coords
-    b = sigma_b**2 * np.exp(-((x[:, None] - x[None, :])**2)
-                            / (2.0 * length_scale**2))
-    b[np.diag_indices_from(b)] += 1e-10 * sigma_b**2
-    v = _band_cholesky(b, "gaussian background covariance")
+    x, scale = grid.coords, 2.0 * length_scale**2
+    diagonal = sigma_b**2 + 1e-10 * sigma_b**2  # the kernel plus the jitter
+    diagonals = [np.full(x.size, diagonal)]
+    for k in range(1, x.size):
+        d = sigma_b**2 * np.exp(-((x[k:] - x[:-k])**2) / scale)
+        if d.max() <= math.ldexp(diagonal, -53):
+            break
+        diagonals.append(np.concatenate([d, np.zeros(k)]))
+    b_band = np.array(diagonals)
     return CovarianceModel(
-        b=b,
-        v_factor=v,
+        b_band=b_band,
+        v_band=_band_cholesky(b_band, "gaussian background covariance"),
         kind="gaussian",
         length_scale=float(length_scale),
         sigma_b=float(sigma_b),
@@ -169,12 +157,9 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
 
 
 def identity_covariance(grid: Grid1D) -> CovarianceModel:
-    """B = I with factor V = I."""
-    return CovarianceModel(
-        b=np.eye(grid.n_points),
-        v_factor=np.eye(grid.n_points),
-        kind="identity",
-    )
+    """B = I with factor V = I: bands of one unit diagonal."""
+    ones = np.ones((1, grid.n_points))
+    return CovarianceModel(b_band=ones, v_band=ones, kind="identity")
 
 
 def factor_check(model: CovarianceModel) -> float:

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .covariance import CovarianceModel, ObsCovariance
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
@@ -100,10 +101,16 @@ class ProblemInstance:
             object.__setattr__(self, "u_truth", ut)
 
     @functools.cached_property
-    def h_rows(self) -> np.ndarray:
-        """M = H V, the observed rows of V: taken once, then read-only."""
-        m = self.cov.v_factor[self.obs.obs_indices]
-        m.flags.writeable = False
+    def h_rows(self) -> scipy.sparse.csr_array:
+        """M = H V, the observed rows of V: taken once, then read-only.
+
+        Sparse, read from the band of V: at most bw + 1 entries per row."""
+        band = self.cov.v_band
+        m = scipy.sparse.dia_array(
+            (band, -np.arange(band.shape[0])), shape=(band.shape[1],) * 2
+        ).tocsr()[self.obs.obs_indices]
+        for a in (m.data, m.indices, m.indptr):
+            a.flags.writeable = False
         return m
 
 

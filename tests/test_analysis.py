@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddvar import (
     BINV_V_TIMES_W,
+    CovarianceModel,
     Decomposition,
     DimensionMismatch,
     Grid1D,
@@ -182,6 +184,50 @@ def test_control_equivalent_rejects_non_finite_states(bad):
     u[7] = bad
     with pytest.raises(InvalidArgument, match="non-finite"):
         control_equivalent(inst, u)
+
+
+@pytest.mark.parametrize("n, length_scale, kind", [
+    (300, 2.0, "gaussian"),
+    (300, 8.0, "gaussian"),
+    (200, 1e4, "gaussian"),  # the band is full
+    (300, 2.0, "identity"),
+])
+def test_control_equivalent_matches_dense_triangular_solve(n, length_scale,
+                                                           kind):
+    inst, _ = make_instance(n=n, length_scale=length_scale, kind=kind,
+                            seed=5)
+    if kind == "gaussian" and length_scale == 1e4:
+        assert inst.cov.v_band.shape == (n, n)
+    rng = np.random.default_rng(1)
+    for u in (inst.u_truth,
+              inst.u_background + rng.standard_normal(n),
+              inst.u_background + inst.cov.v_factor @ rng.standard_normal(n)):
+        w = control_equivalent(inst, u)
+        dense = scipy.linalg.solve_triangular(
+            inst.cov.v_factor, u - inst.u_background, lower=True
+        )
+        assert np.max(np.abs(w - dense)) <= 1e-10 * (
+            1.0 + np.max(np.abs(dense)))
+
+
+def test_control_equivalent_rejects_singular_factor():
+    grid = Grid1D.uniform(10)
+    band = np.ones((2, 10))
+    band[0, 3] = 0.0
+    cov = CovarianceModel(b_band=np.ones((1, 10)), v_band=band,
+                          kind="identity")
+    obs = point_observations(grid, [2], [1.0], [1.0])
+    inst = ProblemInstance(grid, cov, obs, np.zeros(10))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="resolution failed at diagonal 3"):
+        control_equivalent(inst, np.ones(10))
+
+
+def test_run_path_never_forms_dense_b():
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    assimilate(inst, dec, "mps")
+    equivalence_report(inst, dec)
+    assert "b" not in vars(inst.cov)
 
 
 def _reference_gap(inst):

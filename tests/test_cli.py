@@ -260,6 +260,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
+    # far past physical memory for the dense n x n factor: rejected at
+    # validation with the estimate, before anything is allocated
+    path = write_config(tmp_path, "np = 1000000\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "np" in err[0]
+    assert "7,450.6 GiB" in err[0]
     path = write_config(
         tmp_path,
         f"np = 20\nj_sub = 2\nhalo = 1\nsigma_o = 1e-7\nmethod = global\n"

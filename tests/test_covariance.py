@@ -5,6 +5,7 @@ import pytest
 
 from ddvar import (
     CovarianceModel,
+    DimensionMismatch,
     FactorizationFailure,
     Grid1D,
     InvalidArgument,
@@ -67,9 +68,10 @@ def test_factor_residual_small(n, length_scale):
 def test_factor_check_detects_corruption():
     grid = Grid1D.uniform(10)
     model = build_gaussian_covariance(grid, 2.0, 1.0)
-    v_bad = model.v_factor.copy()
-    v_bad[5, 2] += 1e-3
-    corrupted = CovarianceModel(b=model.b, v_factor=v_bad, kind="gaussian")
+    v_bad = model.v_band.copy()
+    v_bad[3, 2] += 1e-3  # V[5, 2]
+    corrupted = CovarianceModel(b_band=model.b_band, v_band=v_bad,
+                                kind="gaussian")
     assert factor_check(corrupted) > 1e-6
 
 
@@ -176,35 +178,29 @@ def test_obs_covariance_requires_positive_variances():
         ObsCovariance(np.array([-1.0]))
 
 
-def test_model_requires_exact_symmetry():
-    b = np.eye(3)
-    b[0, 1] = 1e-18
-    with pytest.raises(InvalidArgument):
-        CovarianceModel(b=b, v_factor=np.eye(3), kind="identity")
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["b", "v_factor"])
 def test_model_rejects_non_finite_entries(name, bad):
     model = build_gaussian_covariance(Grid1D.uniform(6), 2.0, 1.0)
-    arrays = {"b": model.b.copy(), "v_factor": model.v_factor.copy()}
-    arrays[name][2, 2] = bad
+    arrays = {"b": model.b_band.copy(), "v_factor": model.v_band.copy()}
+    arrays[name][0, 2] = bad
     with pytest.raises(InvalidArgument, match=name):
-        CovarianceModel(kind="gaussian", **arrays)
+        CovarianceModel(b_band=arrays["b"], v_band=arrays["v_factor"],
+                        kind="gaussian")
 
 
 def test_model_arrays_are_read_only():
     grid = Grid1D.uniform(6)
     for model in (build_gaussian_covariance(grid, 2.0, 1.0),
                   identity_covariance(grid)):
-        for a in (model.b, model.v_factor):
+        for a in (model.b_band, model.v_band, model.b, model.v_factor):
             with pytest.raises(ValueError):
                 a[0, 0] = 5.0
     # the caller's arrays stay writable; the model holds read-only views
-    b = np.eye(3)
-    model = CovarianceModel(b=b, v_factor=b, kind="identity")
-    b[0, 1] = 0.0
-    assert not model.b.flags.writeable and b.flags.writeable
+    band = np.ones((1, 3))
+    model = CovarianceModel(b_band=band, v_band=band, kind="identity")
+    band[0, 1] = 2.0
+    assert not model.b_band.flags.writeable and band.flags.writeable
 
 
 @pytest.mark.parametrize("length_scale, bw", [
@@ -246,25 +242,70 @@ def test_band_factor_matches_dense_cholesky(grid, length_scale, tol):
 
 
 def test_band_factor_rejects_indefinite_matrix():
-    b = build_gaussian_covariance(Grid1D.uniform(50), 8.0, 1.0).b
+    band = build_gaussian_covariance(Grid1D.uniform(50), 8.0, 1.0).b_band
+    shifted = band.copy()
+    shifted[0] -= 1e-3
     with pytest.raises(FactorizationFailure,
                        match="shifted kernel is not numerically SPD"):
-        _band_cholesky(b - 1e-3 * np.eye(50), "shifted kernel")
+        _band_cholesky(shifted, "shifted kernel")
     with pytest.raises(FactorizationFailure):
-        _band_cholesky(np.array([[1.0, -2.0], [-2.0, 1.0]]), "2 x 2")
+        _band_cholesky(np.array([[1.0, 1.0], [-2.0, 0.0]]), "2 x 2")
 
 
-@pytest.mark.parametrize("n", [257, 513])
-def test_symmetry_check_covers_every_tile(n):
-    rng = np.random.Generator(np.random.PCG64(n))
-    a = rng.standard_normal((n, n))
-    b = a + a.T
-    CovarianceModel(b=b, v_factor=np.eye(n), kind="identity")
-    # one ulp off in the first tile and in the last, partial tile, on
-    # either side of the diagonal
-    for p, q in ((3, 1), (1, 3), (n - 1, n - 2), (n - 2, n - 1),
-                 (n - 1, 0), (0, n - 1)):
-        bad = b.copy()
-        bad[p, q] = np.nextafter(bad[p, q], np.inf)
-        with pytest.raises(InvalidArgument, match="symmetric"):
-            CovarianceModel(b=bad, v_factor=np.eye(n), kind="identity")
+def _dense_kernel(x, length_scale, sigma_b):
+    # the dense Gaussian kernel with its jitter, computed independently
+    # of the band build
+    b = sigma_b**2 * np.exp(-((x[:, None] - x[None, :])**2)
+                            / (2.0 * length_scale**2))
+    b[np.diag_indices_from(b)] += JITTER * sigma_b**2
+    return b
+
+
+@pytest.mark.parametrize("grid, length_scale", [
+    (Grid1D.uniform(200), 0.5),
+    (Grid1D.uniform(300), 2.0),
+    (Grid1D.uniform(300), 8.0),
+    (Grid1D.uniform(200), 1e4),
+    (_nonuniform_grid(), 2.0),
+])
+def test_band_is_the_dense_kernel_diagonals(grid, length_scale):
+    model = build_gaussian_covariance(grid, length_scale, 1.5)
+    kernel = _dense_kernel(grid.coords, length_scale, 1.5)
+    band, n = model.b_band, grid.n_points
+    for k in range(band.shape[0]):
+        assert band[k, :n - k].tobytes() == np.diagonal(kernel, -k).tobytes()
+        assert not band[k, n - k:].any()
+    # the kernel beyond the band is below the unit roundoff of the diagonal
+    beyond = np.tril(kernel, -band.shape[0])
+    assert np.max(np.abs(beyond)) <= math.ldexp(np.max(np.diag(kernel)), -53)
+
+
+def test_dense_arrays_derived_once_and_read_only():
+    grid = Grid1D.uniform(30)
+    for model in (build_gaussian_covariance(grid, 2.0, 1.0),
+                  identity_covariance(grid)):
+        assert "b" not in vars(model) and "v_factor" not in vars(model)
+        b, v = model.b, model.v_factor
+        assert model.b is b and model.v_factor is v
+        assert not b.flags.writeable and not v.flags.writeable
+        np.testing.assert_array_equal(b, b.T)
+        assert not np.triu(v, 1).any()
+        for k in range(model.b_band.shape[0]):
+            assert (np.diagonal(b, -k).tobytes()
+                    == model.b_band[k, :30 - k].tobytes())
+            assert (np.diagonal(v, -k).tobytes()
+                    == model.v_band[k, :30 - k].tobytes())
+        assert not np.tril(b, -model.b_band.shape[0]).any()
+        assert not np.tril(v, -model.v_band.shape[0]).any()
+
+
+def test_model_rejects_bad_band_shapes():
+    ones = np.ones((1, 4))
+    for bad in (np.ones(4), np.ones((5, 4)), np.ones((0, 4)),
+                np.ones((1, 1, 4))):
+        with pytest.raises(DimensionMismatch, match="b band"):
+            CovarianceModel(b_band=bad, v_band=ones, kind="identity")
+        with pytest.raises(DimensionMismatch, match="v_factor band"):
+            CovarianceModel(b_band=ones, v_band=bad, kind="identity")
+    with pytest.raises(DimensionMismatch, match="v_factor band"):
+        CovarianceModel(b_band=ones, v_band=np.ones((1, 5)), kind="identity")
