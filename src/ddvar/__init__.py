@@ -7,7 +7,6 @@ subdomain schemes.
 """
 
 from .analysis import (
-    BINV_V_TIMES_W,
     V_TIMES_W,
     AssimilationResult,
     EquivalenceReport,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssimilationResult",
-    "BINV_V_TIMES_W",
     "CovarianceModel",
     "DdvarError",
     "Decomposition",

@@ -30,13 +30,13 @@ from .assembly import (
     cost_w,
     penalty_stiffness,
 )
-from .covariance import interface_coupling
+from .covariance import interface_coupling, v_times
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
     UncoveredPoint,
 )
-from .geometry import Decomposition, decompose_uniform
+from .geometry import Decomposition
 from .observation import ProblemInstance, innovation
 from .solvers import (
     IterationHistory,
@@ -49,8 +49,6 @@ from .solvers import (
 )
 
 V_TIMES_W = "v_times_w"
-BINV_V_TIMES_W = "binv_v_times_w"
-_CONVENTIONS = (V_TIMES_W, BINV_V_TIMES_W)
 
 SCHEME_GLOBAL = "global"
 
@@ -62,9 +60,9 @@ class AssimilationResult:
     history is empty for the direct schemes.  diagnostics carries
     global_cost (cost of the analysis through its control-space
     equivalent), interface_mismatch, and vs_global_linf (sup-norm distance
-    to the single-domain analysis under the same update convention).  That
-    analysis comes from the observation-space solve of the module
-    docstring, which is also the whole result of the global scheme.
+    to the single-domain analysis u^b + V w*).  That analysis comes from
+    the observation-space solve of the module docstring, which is also the
+    whole result of the global scheme.
     """
 
     u_analysis: np.ndarray
@@ -75,28 +73,17 @@ class AssimilationResult:
 
 
 def local_update(inst: ProblemInstance, dec: Decomposition, i: int,
-                 w_i: np.ndarray, convention: str = V_TIMES_W) -> np.ndarray:
-    """Subdomain analysis from its control vector.
+                 w_i: np.ndarray) -> np.ndarray:
+    """Subdomain analysis u_i = u_i^b + V_i w_i from its control vector.
 
-    v_times_w (default): u_i = u_i^b + V_i w_i, the increment under which
-    the quadratic cost is exactly the cost of the returned state.
-    binv_v_times_w: u_i = u_i^b + B_i^{-1} V_i w_i, the literal update of
-    the preconditioned derivation; the two coincide when B = I.  V_i, B_i
-    and u_i^b are views through dec.span(i), so nothing is copied.
+    Under this increment the quadratic cost is exactly the cost of the
+    returned state.  V_i w_i is taken on the band of V (v_times), and u_i^b
+    is a view through dec.span(i).
     """
-    if convention not in _CONVENTIONS:
-        raise InvalidArgument(
-            f"convention must be one of {_CONVENTIONS}, got {convention!r}"
-        )
     span = dec.span(i)
     u_b = inst.u_background[span]
     (w_i,) = _vectors([w_i], [(i, u_b.size)], "control vector")
-    increment = inst.cov.v_factor[span, span] @ w_i
-    if convention == V_TIMES_W:
-        return u_b + increment
-    factor = _factorize(inst.cov.b[span, span],
-                        f"subdomain {i} covariance block")
-    return u_b + scipy.linalg.cho_solve(factor, increment)
+    return u_b + v_times(inst.cov, w_i, span)
 
 
 def patch(dec: Decomposition, local_us) -> np.ndarray:
@@ -176,16 +163,22 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     return m.T @ z
 
 
-def _patched(inst, dec, ws, convention):
+def _patched(inst, dec, ws):
     return patch(dec, [
-        local_update(inst, dec, i, ws[i], convention)
-        for i in range(dec.j_sub)
+        local_update(inst, dec, i, ws[i]) for i in range(dec.j_sub)
     ])
 
 
-def _iterate_cost(inst, dec, convention):
+def _check_convention(convention: str) -> None:
+    if convention != V_TIMES_W:
+        raise InvalidArgument(
+            f"convention must be {V_TIMES_W!r}, got {convention!r}"
+        )
+
+
+def _iterate_cost(inst, dec):
     def cost_of(ws):
-        u = _patched(inst, dec, ws, convention)
+        u = _patched(inst, dec, ws)
         return cost_w(inst, control_equivalent(inst, u))
     return cost_of
 
@@ -200,7 +193,10 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     observation-space solve of the module docstring: the sparse M M^T
     costs O(nobs bw^2) and its factor O(nobs^3), against O(n^3) for the
     normal equations of assemble_global, left to tests and checks.
+    convention accepts only "v_times_w"; it remains because the benchmark
+    worker passes the config's update_convention positionally.
     """
+    _check_convention(convention)
     opts = opts if opts is not None else SolverOptions()
     if method not in (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA):
         raise InvalidArgument(
@@ -208,8 +204,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         )
 
     w_star = _global_w(inst)
-    whole = decompose_uniform(inst.grid, 1, 0)
-    u_global = local_update(inst, whole, 0, w_star, convention)
+    u_global = inst.u_background + v_times(inst.cov, w_star)
 
     if method == SCHEME_GLOBAL:
         u = u_global
@@ -226,9 +221,9 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         else:
             ws, history = solve_mps(
                 locals_, None, opts,
-                cost_fn=_iterate_cost(inst, dec, convention),
+                cost_fn=_iterate_cost(inst, dec),
             )
-        u = _patched(inst, dec, ws, convention)
+        u = _patched(inst, dec, ws)
         per_w = tuple(ws)
         gap = interface_mismatch(inst, dec, ws)
 
@@ -283,8 +278,11 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
 
     Mismatch is data, not an error: the report never raises on a nonzero
     gap, it only records it.  cost_global is the cost of the
-    observation-space reference w* of the module docstring.
+    observation-space reference w* of the module docstring.  convention
+    accepts only "v_times_w"; it remains because the benchmark worker
+    passes the config's update_convention positionally.
     """
+    _check_convention(convention)
     opts = opts if opts is not None else SolverOptions()
     mps_locals = [
         assemble_local(inst, dec, i, SCHEME_MPS) for i in range(dec.j_sub)
@@ -306,7 +304,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     )
 
     ws_dd = solve_ddda(dd_locals, opts)
-    cost_fn = _iterate_cost(inst, dec, convention)
+    cost_fn = _iterate_cost(inst, dec)
     ws_mps, history = solve_mps(mps_locals, None, opts, cost_fn=cost_fn)
     w_star = _global_w(inst)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import interface_coupling
+from .covariance import interface_coupling, v_block
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -136,8 +136,8 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     """Build subdomain i's system for the given scheme.
 
     Both schemes share a_i = V_i^T H_i^T R_i^{-1} H_i V_i + I_i and
-    c_i = V_i^T H_i^T R_i^{-1} d_i, where V_i is the subdomain block of V,
-    taken as a view through dec.span(i), and H_i, R_i, d_i keep exactly
+    c_i = V_i^T H_i^T R_i^{-1} d_i, where V_i is the dense subdomain block
+    of V, read from its band by v_block, and H_i, R_i, d_i keep exactly
     the observations whose grid point lies in subdomain i.  The mps scheme
     then adds penalty_stiffness of its interface pairs, which reports
     recompose to identical floats.
@@ -147,12 +147,10 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
             f"scheme must be one of {_SCHEMES}, got {scheme!r}"
         )
     span = dec.span(i)
-    v_i = inst.cov.v_factor[span, span]
-
     sel, local_pts = local_observation_positions(inst.obs, span.start,
                                                  span.stop)
     d = innovation(inst)
-    m_i = v_i[local_pts, :]
+    m_i = v_block(inst.cov, span)[local_pts, :]
     r_inv_i = 1.0 / inst.obs.r_cov.r_diag[sel]
     a, c = _weighted_normal(m_i, r_inv_i, d[sel])
 

@@ -10,7 +10,10 @@ precision: every entry further from the diagonal than about 8.6 length
 scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
 therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
-sub-diagonals.  The dense b and v_factor are derived on first use.
+sub-diagonals.  The run reads V through the band: v_block (a dense
+diagonal block), v_times (its product with a vector, BLAS dtbmv) and
+interface_coupling (rows of two blocks).  The dense b and v_factor are
+derived on first use, as the oracle of factor_check and of the tests.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ class CovarianceModel:
     (k + 1, n) with 1 <= k + 1 <= n.  kind is "identity" or "gaussian";
     length_scale and sigma_b are only set for the gaussian kind.
     Construction checks the shapes and finite entries of both bands and
-    stores them as read-only views; the dense b and v_factor are scattered
-    from them once, on first access, read-only too.  factor_check measures
+    stores them as read-only views; the dense b and v_factor, read only by
+    factor_check and the tests, are scattered from them once, on first
+    access, read-only too.  factor_check measures
     the residual, so a corrupted (but finite) v_band can be constructed.
     """
 
@@ -167,14 +171,37 @@ def factor_check(model: CovarianceModel) -> float:
     return float(np.max(np.abs(model.b - model.v_factor @ model.v_factor.T)))
 
 
+def v_block(model: CovarianceModel, span: slice) -> np.ndarray:
+    """Dense diagonal block V[span, span], read-only, from the band.
+
+    Bit for bit v_factor[span, span]; the band is cut to the span's
+    length when the span is narrower than the band.
+    """
+    return _dense(model.v_band[:span.stop - span.start, span],
+                  symmetric=False)
+
+
+def v_times(model: CovarianceModel, w: np.ndarray,
+            span: slice | None = None) -> np.ndarray:
+    """V[span, span] @ w by BLAS dtbmv on the band, O(s bw) for s points.
+
+    The default span is the whole grid.  Equal to the dense product up to
+    rounding: the sums run in a different order.
+    """
+    span = span if span is not None else slice(0, model.n_points)
+    band = model.v_band[:span.stop - span.start, span]
+    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1)
+
+
 def interface_coupling(model: CovarianceModel, dec: Decomposition,
                        i: int, j: int):
     """Interface rows of V against the two neighboring column ranges.
 
     Returns (p_i, p_j) where p_i holds the entries of V at the interface
     rows dec.interface(i, j) and the columns dec.span(i), and p_j the same
-    rows against the columns dec.span(j); both are fresh arrays.  This is
-    the one place the interface factors are taken from V.  The pair
+    rows against the columns dec.span(j); both are fresh arrays.  The
+    interface lies inside both spans, so each is a set of rows of the
+    subdomain's v_block, with the same bits as the dense V.  The pair
     defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2, so the
     stiffness contribution on subdomain i is p_i^T p_i and the coupling
     toward j is p_i^T (p_j w_j).
@@ -185,5 +212,5 @@ def interface_coupling(model: CovarianceModel, dec: Decomposition,
             f"{dec.grid.n_points}"
         )
     gamma = dec.interface(i, j)
-    v = model.v_factor
-    return v[gamma, dec.span(i)], v[gamma, dec.span(j)]
+    spans = dec.span(i), dec.span(j)
+    return tuple(v_block(model, s)[gamma - s.start] for s in spans)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import CovarianceModel, ObsCovariance
+from .covariance import CovarianceModel, ObsCovariance, v_times
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
 from .geometry import Grid1D
 
@@ -146,7 +146,7 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
 
     Draws, in order, z then z' then eps from a PCG64 generator seeded with
     `seed`; the truth is V z, the background adds V z' (background errors
-    then have covariance B), and observations add sigma_o-scaled noise to
+    then have covariance B), both products taken on the band of V, and observations add sigma_o-scaled noise to
     the truth at nobs equispaced points, obs_indices[k] = floor(k*n/nobs).
     sigma_o = 0 gives noiseless observations with unit variances standing
     in for the degenerate error model; a nonzero sigma_o must lie above
@@ -171,8 +171,8 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     z_prime = rng.standard_normal(n)
     eps = rng.standard_normal(nobs)
 
-    u_truth = cov.v_factor @ z
-    u_background = u_truth + cov.v_factor @ z_prime
+    u_truth = v_times(cov, z)
+    u_background = u_truth + v_times(cov, z_prime)
     obs_idx = np.array([(k * n) // nobs for k in range(nobs)], dtype=np.intp)
     values = u_truth[obs_idx] + sigma_o * eps
     variance = sigma_o**2 if sigma_o > 0.0 else 1.0

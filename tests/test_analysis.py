@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from ddvar import (
-    BINV_V_TIMES_W,
     CovarianceModel,
     Decomposition,
     DimensionMismatch,
@@ -14,7 +13,6 @@ from ddvar import (
     SCHEME_DDDA,
     UncoveredPoint,
     build_gaussian_covariance,
-    V_TIMES_W,
     assemble_global,
     assemble_local,
     assimilate,
@@ -44,34 +42,8 @@ def test_local_update_zero_control_returns_background():
         np.testing.assert_array_equal(u, inst.u_background[idx])
 
 
-def test_update_conventions_coincide_for_identity_covariance():
-    inst, dec = make_instance(n=20, j_sub=2, halo=1, kind="identity")
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(dec.size(0))
-    plain = local_update(inst, dec, 0, w, V_TIMES_W)
-    solved = local_update(inst, dec, 0, w, BINV_V_TIMES_W)
-    np.testing.assert_allclose(plain, solved, rtol=0, atol=1e-14)
-
-
-def test_update_conventions_differ_for_smooth_covariance():
-    inst, dec = make_instance(n=20, j_sub=2, halo=1, kind="gaussian")
-    rng = np.random.default_rng(1)
-    w = rng.standard_normal(dec.size(0))
-    plain = local_update(inst, dec, 0, w, V_TIMES_W)
-    solved = local_update(inst, dec, 0, w, BINV_V_TIMES_W)
-    assert np.max(np.abs(plain - solved)) > 1e-6
-    # the V_i view gives the bits of the index-array copy
-    v = inst.cov.v_factor
-    for i in range(dec.j_sub):
-        idx = dec.indices(i)
-        expected = inst.u_background[idx] + v[np.ix_(idx, idx)] @ w
-        assert local_update(inst, dec, i, w).tobytes() == expected.tobytes()
-
-
 def test_local_update_validation():
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
-    with pytest.raises(InvalidArgument):
-        local_update(inst, dec, 0, np.zeros(dec.size(0)), "w")
     with pytest.raises(DimensionMismatch):
         local_update(inst, dec, 0, np.zeros(dec.size(0) + 1))
     for bad in (-1, 2):
@@ -224,10 +196,38 @@ def test_control_equivalent_rejects_singular_factor():
 
 
 def test_run_path_never_forms_dense_b():
+    # synthesis, every scheme and the report read B and V on their bands;
+    # the dense b and v_factor stay the oracle of tests and checks
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    assimilate(inst, dec, "mps")
+    for method in ("global", "mps", "ddda"):
+        assimilate(inst, dec, method)
     equivalence_report(inst, dec)
     assert "b" not in vars(inst.cov)
+    assert "v_factor" not in vars(inst.cov)
+
+
+def test_only_the_v_times_w_convention_is_accepted():
+    inst, dec = make_instance(n=20, j_sub=2, halo=1)
+    assert assimilate(inst, dec, "ddda", None, "v_times_w").scheme == "ddda"
+    for bad in ("binv_v_times_w", "w"):
+        with pytest.raises(InvalidArgument, match="convention"):
+            assimilate(inst, dec, "mps", None, bad)
+        with pytest.raises(InvalidArgument, match="convention"):
+            equivalence_report(inst, dec, None, bad)
+
+
+def test_local_update_is_the_dense_block_product():
+    # within rounding of u^b + v_factor[span, span] @ w: the band product
+    # sums in another order
+    inst, dec = make_instance(n=40, j_sub=3, halo=2, seed=2)
+    rng = np.random.default_rng(1)
+    v = inst.cov.v_factor
+    for i in range(dec.j_sub):
+        span = dec.span(i)
+        w = rng.standard_normal(dec.size(i))
+        expected = inst.u_background[span] + v[span, span] @ w
+        np.testing.assert_allclose(local_update(inst, dec, i, w), expected,
+                                   rtol=0, atol=1e-14)
 
 
 def _reference_gap(inst):

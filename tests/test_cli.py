@@ -260,14 +260,23 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
-    # far past physical memory for the dense n x n factor: rejected at
-    # validation with the estimate, before anything is allocated
+    # one subdomain of 10^6 points: its matrix and factor, with the
+    # observation-space matrix and factor of 200000 observations, are far
+    # past physical memory; rejected at validation with the estimate,
+    # before anything is allocated
     path = write_config(tmp_path, "np = 1000000\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "np" in err[0]
-    assert "7,450.6 GiB" in err[0]
+    assert "15,497.2 GiB" in err[0]
+    # the convention that is gone names its key
+    path = write_config(tmp_path,
+                        "np = 20\nupdate_convention = binv_v_times_w\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "update_convention" in err[0]
     path = write_config(
         tmp_path,
         f"np = 20\nj_sub = 2\nhalo = 1\nsigma_o = 1e-7\nmethod = global\n"
@@ -275,6 +284,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     )
     assert main(["run", path]) == 0
     capsys.readouterr()
+
+
+def test_memory_preflight_counts_the_local_and_observation_matrices(
+        tmp_path):
+    # validation only: 64 subdomains of 633 points and 8000 observations
+    # hold about 1.3 GiB, although a dense V of 40000^2 would need 12 GiB
+    path = write_config(tmp_path, "np = 40000\nj_sub = 64\nhalo = 4\n")
+    assert load_config(path).n_points == 40000
+    path = write_config(tmp_path, "np = 1000000\nj_sub = 1\n")
+    with pytest.raises(ValidationError, match="np 1000000 needs"):
+        load_config(path)
 
 
 def test_usage_errors_exit_one(capsys):

@@ -17,7 +17,7 @@ from ddvar import (
     identity_covariance,
     interface_coupling,
 )
-from ddvar.covariance import _band_cholesky
+from ddvar.covariance import _band_cholesky, v_block, v_times
 
 JITTER = 1e-10
 
@@ -208,9 +208,14 @@ def test_model_arrays_are_read_only():
     (1e4, 199),  # the length scale spans the grid: the band is full
 ])
 def test_factor_is_exactly_banded(length_scale, bw):
-    model = build_gaussian_covariance(Grid1D.uniform(200), length_scale, 1.0)
+    grid = Grid1D.uniform(200)
+    model = build_gaussian_covariance(grid, length_scale, 1.0)
     v = model.v_factor
-    assert _kernel_bandwidth(model.b) == bw
+    # bw is the bandwidth of the dense kernel, computed apart from the
+    # build, and both stored bands hold exactly its bw + 1 diagonals
+    kernel = _dense_kernel(grid.coords, length_scale, 1.0)
+    assert _kernel_bandwidth(kernel) == bw
+    assert model.b_band.shape[0] == model.v_band.shape[0] == bw + 1
     assert not np.triu(v, 1).any()
     # every entry below sub-diagonal bw is an exact zero; bw itself is not
     assert not np.tril(v, -bw - 1).any()
@@ -309,3 +314,41 @@ def test_model_rejects_bad_band_shapes():
             CovarianceModel(b_band=ones, v_band=bad, kind="identity")
     with pytest.raises(DimensionMismatch, match="v_factor band"):
         CovarianceModel(b_band=ones, v_band=np.ones((1, 5)), kind="identity")
+
+
+@pytest.mark.parametrize("grid, length_scale", [
+    (Grid1D.uniform(120), 0.5),
+    (Grid1D.uniform(120), 2.0),
+    (Grid1D.uniform(120), 8.0),
+    (Grid1D.uniform(120), 1e4),  # the band is full: every span is narrower
+    (_nonuniform_grid(), 2.0),
+    (Grid1D.uniform(120), None),  # identity
+])
+def test_band_reads_match_the_dense_factor(grid, length_scale):
+    # the whole grid, then six spans, then 24 spans of 5 to 7 points (all
+    # but the 0.5 kernel's narrower than bw + 1); first and last included
+    model = (identity_covariance(grid) if length_scale is None
+             else build_gaussian_covariance(grid, length_scale, 1.0))
+    v = model.v_factor
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(grid.n_points)
+    np.testing.assert_array_equal(v_block(model, slice(0, grid.n_points)), v)
+    assert (np.linalg.norm(v_times(model, w) - v @ w)
+            <= 1e-15 * np.linalg.norm(v, 2) * np.linalg.norm(w))
+    for j_sub, halo in ((1, 0), (6, 2), (24, 1)):
+        dec = decompose_uniform(grid, j_sub, halo)
+        for i in range(j_sub):
+            span, idx = dec.span(i), dec.indices(i)
+            block = v_block(model, span)
+            assert not block.flags.writeable
+            assert block.tobytes() == v[span, span].tobytes()
+            assert block.tobytes() == v[np.ix_(idx, idx)].tobytes()
+            w = rng.standard_normal(idx.size)
+            assert (np.linalg.norm(v_times(model, w, span) - block @ w)
+                    <= 1e-15 * np.linalg.norm(block, 2) * np.linalg.norm(w))
+            for k in dec.neighbors(i):
+                p_i, p_k = interface_coupling(model, dec, i, k)
+                gamma = dec.interface(i, k)
+                assert p_i.tobytes() == v[np.ix_(gamma, idx)].tobytes()
+                assert (p_k.tobytes()
+                        == v[np.ix_(gamma, dec.indices(k))].tobytes())

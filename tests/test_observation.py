@@ -117,11 +117,16 @@ def test_synthesize_draw_order_replay():
     z = rng.standard_normal(12)
     z_prime = rng.standard_normal(12)
     eps = rng.standard_normal(4)
+    # V z is taken on the band, which sums in another order than the
+    # dense product: equal within rounding
     u_truth = cov.v_factor @ z
-    np.testing.assert_array_equal(inst.u_truth, u_truth)
-    np.testing.assert_array_equal(inst.u_background, u_truth + cov.v_factor @ z_prime)
+    np.testing.assert_allclose(inst.u_truth, u_truth, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(inst.u_background,
+                               u_truth + cov.v_factor @ z_prime,
+                               rtol=0, atol=1e-14)
     idx = inst.obs.obs_indices
-    np.testing.assert_array_equal(inst.obs.values, u_truth[idx] + 0.3 * eps)
+    np.testing.assert_array_equal(inst.obs.values,
+                                  inst.u_truth[idx] + 0.3 * eps)
 
 
 def test_synthesize_noiseless_observations():
