@@ -30,7 +30,7 @@ from .assembly import (
     cost_w,
     penalty_stiffness,
 )
-from .covariance import interface_coupling, v_times
+from .covariance import interface_coupling, v_solve, v_times
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -89,9 +89,10 @@ def local_update(inst: ProblemInstance, dec: Decomposition, i: int,
 def patch(dec: Decomposition, local_us) -> np.ndarray:
     """Recombine per-subdomain states into the full-domain vector.
 
-    Points in a single subdomain take its value; points shared by several
-    take the value of the highest subdomain index.  Implemented by writing
-    subdomains in ascending order so later ones overwrite shared points.
+    Each point takes the value of its owner, the subdomain whose base
+    block dec.owned(i) holds it (restricted additive Schwarz), so the halo
+    values, worst at a subdomain's edge, are dropped.  A point no owned
+    range holds, possible only in a hand-built decomposition, is an error.
     """
     local_us = _vectors(local_us, [(i, dec.size(i)) for i in range(dec.j_sub)],
                         "local vector")
@@ -99,9 +100,9 @@ def patch(dec: Decomposition, local_us) -> np.ndarray:
     out = np.zeros(n)
     covered = np.zeros(n, dtype=bool)
     for i, u_i in enumerate(local_us):
-        span = dec.span(i)
-        out[span] = u_i
-        covered[span] = True
+        owned, start = dec.owned(i), dec.span(i).start
+        out[owned] = u_i[owned.start - start:owned.stop - start]
+        covered[owned] = True
     if not covered.all():
         missing = np.nonzero(~covered)[0].tolist()
         raise UncoveredPoint(f"grid points {missing} belong to no subdomain")
@@ -132,9 +133,8 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
 def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     """The w with u = u^b + V w, by one triangular solve on the band of V.
 
-    LAPACK dtbtrs costs O(n bw); a zero on the diagonal of V raises
-    LinAlgError.  Only u - u^b is checked for finite entries; the band was
-    checked once, when its CovarianceModel was built, and is read-only.
+    v_solve costs O(n bw).  Only u - u^b is checked for finite entries; the
+    band was checked once, when its CovarianceModel was built.
     """
     u = np.asarray(u, dtype=float)
     n = inst.grid.n_points
@@ -143,11 +143,7 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     du = u - inst.u_background
     if not np.isfinite(du).all():
         raise InvalidArgument("u has non-finite entries")
-    w, info = scipy.linalg.lapack.dtbtrs(inst.cov.v_band, du, uplo="L")
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix: resolution failed "
-                                    f"at diagonal {info - 1}")
-    return w
+    return v_solve(inst.cov, du)
 
 
 def _global_w(inst: ProblemInstance) -> np.ndarray:
@@ -220,8 +216,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
             history = IterationHistory(converged=True)
         else:
             ws, history = solve_mps(
-                locals_, None, opts,
-                cost_fn=_iterate_cost(inst, dec),
+                locals_, opts, cost_fn=_iterate_cost(inst, dec),
             )
         u = _patched(inst, dec, ws)
         per_w = tuple(ws)
@@ -305,7 +300,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
 
     ws_dd = solve_ddda(dd_locals, opts)
     cost_fn = _iterate_cost(inst, dec)
-    ws_mps, history = solve_mps(mps_locals, None, opts, cost_fn=cost_fn)
+    ws_mps, history = solve_mps(mps_locals, opts, cost_fn=cost_fn)
     w_star = _global_w(inst)
 
     w_delta = max(

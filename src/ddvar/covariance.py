@@ -10,10 +10,11 @@ precision: every entry further from the diagonal than about 8.6 length
 scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
 therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
-sub-diagonals.  The run reads V through the band: v_block (a dense
-diagonal block), v_times (its product with a vector, BLAS dtbmv) and
-interface_coupling (rows of two blocks).  The dense b and v_factor are
-derived on first use, as the oracle of factor_check and of the tests.
+sub-diagonals.  No other module reads the bands: the run reads V through
+v_rows (rows against a column range), v_rows_sparse (rows, sparse),
+v_times (V x on a diagonal block, BLAS dtbmv) and v_solve (V^{-1} x, LAPACK
+dtbtrs).  The dense b and v_factor are derived on first use, as the
+oracle of factor_check and of the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
@@ -171,14 +173,24 @@ def factor_check(model: CovarianceModel) -> float:
     return float(np.max(np.abs(model.b - model.v_factor @ model.v_factor.T)))
 
 
-def v_block(model: CovarianceModel, span: slice) -> np.ndarray:
-    """Dense diagonal block V[span, span], read-only, from the band.
+def v_rows(model: CovarianceModel, rows, span: slice) -> np.ndarray:
+    """V[rows, span] gathered from the band: fresh, bit for bit the dense V.
 
-    Bit for bit v_factor[span, span]; the band is cut to the span's
-    length when the span is narrower than the band.
+    Entry (r, c) is v_band[r - c, c] inside the band and zero outside it.
     """
-    return _dense(model.v_band[:span.stop - span.start, span],
-                  symmetric=False)
+    cols = np.arange(span.start, span.stop)
+    k = np.asarray(rows)[:, None] - cols
+    band = model.v_band
+    inside = (k >= 0) & (k < band.shape[0])
+    return np.where(inside, band[np.clip(k, 0, band.shape[0] - 1), cols], 0.0)
+
+
+def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
+    """V[rows, :] as a sparse CSR array: at most bw + 1 entries per row."""
+    band = model.v_band
+    return scipy.sparse.dia_array(
+        (band, -np.arange(band.shape[0])), shape=(band.shape[1],) * 2
+    ).tocsr()[rows]
 
 
 def v_times(model: CovarianceModel, w: np.ndarray,
@@ -193,15 +205,22 @@ def v_times(model: CovarianceModel, w: np.ndarray,
     return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1)
 
 
+def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
+    """V^{-1} x by LAPACK dtbtrs, O(n bw); LinAlgError on a zero diagonal."""
+    w, info = scipy.linalg.lapack.dtbtrs(model.v_band, x, uplo="L")
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix: resolution failed "
+                                    f"at diagonal {info - 1}")
+    return w
+
+
 def interface_coupling(model: CovarianceModel, dec: Decomposition,
                        i: int, j: int):
     """Interface rows of V against the two neighboring column ranges.
 
     Returns (p_i, p_j) where p_i holds the entries of V at the interface
     rows dec.interface(i, j) and the columns dec.span(i), and p_j the same
-    rows against the columns dec.span(j); both are fresh arrays.  The
-    interface lies inside both spans, so each is a set of rows of the
-    subdomain's v_block, with the same bits as the dense V.  The pair
+    rows against the columns dec.span(j); both are v_rows gathers.  The pair
     defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2, so the
     stiffness contribution on subdomain i is p_i^T p_i and the coupling
     toward j is p_i^T (p_j w_j).
@@ -212,5 +231,4 @@ def interface_coupling(model: CovarianceModel, dec: Decomposition,
             f"{dec.grid.n_points}"
         )
     gamma = dec.interface(i, j)
-    spans = dec.span(i), dec.span(j)
-    return tuple(v_block(model, s)[gamma - s.start] for s in spans)
+    return tuple(v_rows(model, gamma, dec.span(k)) for k in (i, j))

@@ -4,7 +4,8 @@ Grid points are numbered 0..n_points-1 and every stored range is half-open,
 so a subdomain (start, stop) covers the points start..stop-1.  A subdomain i
 extended by `halo` points into neighbor j has an interface toward j: the
 `halo` outermost points of subdomain i that lie inside subdomain j (the
-discrete boundary of i seen from j).
+discrete boundary of i seen from j).  Subdomain i less its interfaces is
+its owned range, the base block.
 
 Restriction to a subdomain is the slice span(i), which takes blocks of
 vectors and matrices as views; interfaces are short index arrays.
@@ -58,16 +59,14 @@ class Decomposition:
 
     subdomains holds half-open (start, stop) ranges, one per subdomain;
     span(i) returns range i as a slice after checking the id, and
-    indices(i) as an index array.  interfaces maps an ordered pair (i, j)
-    to the interface of i toward j as global indices.  Only nonempty sets
-    are stored, so with halo 0 the map is empty.
+    indices(i) as an index array.  Neighbors (i - 1 and i + 1 when halo >
+    0), interfaces and owned ranges are computed from the spans and halo.
     """
 
     grid: Grid1D
     j_sub: int
     halo: int
     subdomains: tuple
-    interfaces: dict
 
     def _check_id(self, i: int) -> None:
         if not 0 <= i < self.j_sub:
@@ -90,21 +89,28 @@ class Decomposition:
         span = self.span(i)
         return span.stop - span.start
 
-    def interface(self, i: int, j: int) -> np.ndarray:
-        """Interface of subdomain i toward j as global indices."""
-        self._check_id(i)
-        self._check_id(j)
-        try:
-            return self.interfaces[(i, j)]
-        except KeyError:
-            raise NoInterface(
-                f"subdomains {i} and {j} share no interface"
-            ) from None
-
     def neighbors(self, i: int) -> tuple:
         """Ids coupled to subdomain i through an interface, ascending."""
         self._check_id(i)
-        return tuple(j for (a, j) in sorted(self.interfaces) if a == i)
+        if self.halo == 0:
+            return ()
+        return tuple(j for j in (i - 1, i + 1) if 0 <= j < self.j_sub)
+
+    def interface(self, i: int, j: int) -> np.ndarray:
+        """Interface of subdomain i toward j as global indices, ascending."""
+        neighbors = self.neighbors(i)
+        self._check_id(j)
+        if j not in neighbors:
+            raise NoInterface(f"subdomains {i} and {j} share no interface")
+        span = self.span(i)
+        start = span.stop - self.halo if j > i else span.start
+        return np.arange(start, start + self.halo, dtype=np.intp)
+
+    def owned(self, i: int) -> slice:
+        """Base block of subdomain i: its span less the interface points."""
+        span, neighbors = self.span(i), self.neighbors(i)
+        lo, hi = (self.halo if j in neighbors else 0 for j in (i - 1, i + 1))
+        return slice(span.start + lo, span.stop - hi)
 
 
 def decompose_uniform(grid: Grid1D, j_sub: int, halo: int) -> Decomposition:
@@ -132,33 +138,10 @@ def decompose_uniform(grid: Grid1D, j_sub: int, halo: int) -> Decomposition:
         )
 
     base, extra = divmod(n, j_sub)
-    bounds = [0]
-    for i in range(j_sub):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-
+    bounds = [i * base + min(i, extra) for i in range(j_sub + 1)]
     subdomains = []
     for i in range(j_sub):
         start = bounds[i] - (halo if i > 0 else 0)
         stop = bounds[i + 1] + (halo if i < j_sub - 1 else 0)
         subdomains.append((start, stop))
-
-    interfaces = {}
-    if halo > 0:
-        for i in range(j_sub):
-            for j in (i - 1, i + 1):
-                if not 0 <= j < j_sub:
-                    continue
-                si, ei = subdomains[i]
-                if j == i + 1:
-                    gamma = np.arange(ei - halo, ei, dtype=np.intp)
-                else:
-                    gamma = np.arange(si, si + halo, dtype=np.intp)
-                interfaces[(i, j)] = gamma
-
-    return Decomposition(
-        grid=grid,
-        j_sub=j_sub,
-        halo=halo,
-        subdomains=tuple(subdomains),
-        interfaces=interfaces,
-    )
+    return Decomposition(grid, j_sub, halo, tuple(subdomains))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import CovarianceModel, ObsCovariance, v_times
+from .covariance import CovarianceModel, ObsCovariance, v_rows_sparse, v_times
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
 from .geometry import Grid1D
 
@@ -104,11 +104,8 @@ class ProblemInstance:
     def h_rows(self) -> scipy.sparse.csr_array:
         """M = H V, the observed rows of V: taken once, then read-only.
 
-        Sparse, read from the band of V: at most bw + 1 entries per row."""
-        band = self.cov.v_band
-        m = scipy.sparse.dia_array(
-            (band, -np.arange(band.shape[0])), shape=(band.shape[1],) * 2
-        ).tocsr()[self.obs.obs_indices]
+        Sparse, gathered from the band of V by v_rows_sparse."""
+        m = v_rows_sparse(self.cov, self.obs.obs_indices)
         for a in (m.data, m.indices, m.indptr):
             a.flags.writeable = False
         return m

@@ -164,17 +164,18 @@ def solve_ddda(locals_: list, opts: SolverOptions | None = None):
 
     def solve_one(k: int) -> np.ndarray:
         sys = locals_[k]
-        return scipy.linalg.cho_solve(_local_factor(sys), sys.c)
+        return scipy.linalg.cho_solve(_local_factor(sys), sys.c,
+                                      check_finite=False)
 
     with _pool(opts.threads, len(locals_)) as pool:
         return _map_ordered(solve_one, len(locals_), pool)
 
 
-def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
+def solve_mps(locals_: list, opts: SolverOptions | None = None,
               cost_fn=None):
     """Run the parallel fixed-point sweep over the coupled local systems.
 
-    w0 defaults to all zeros (analysis starts at the background).  cost_fn,
+    The sweep starts from all zeros (the background).  cost_fn,
     when given, is called once per iteration with the fresh iterate list
     and its value lands in the history; otherwise the cost column is NaN.
     Returns (iterates, history); history.converged is False when the
@@ -188,9 +189,8 @@ def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
         raise InvalidArgument("need at least one local system")
     _require_scheme(locals_, SCHEME_MPS)
     layout = [(sys.subdomain, sys.size) for sys in locals_]
-    if w0 is None:
-        w0 = [np.zeros(size) for _, size in layout]
-    ws = _vectors(w0, layout, "start vector")
+    # the zero start goes through the one check that rejects a repeated id
+    ws = _vectors([np.zeros(s) for _, s in layout], layout, "start vector")
 
     factors = [_local_factor(sys) for sys in locals_]
     kappa = 1.0 + max(
@@ -205,7 +205,8 @@ def solve_mps(locals_: list, w0=None, opts: SolverOptions | None = None,
             def sweep(k: int) -> np.ndarray:
                 sys = locals_[k]
                 rhs = sys.c + _coupling(sys, by_id)
-                return scipy.linalg.cho_solve(factors[k], rhs)
+                return scipy.linalg.cho_solve(factors[k], rhs,
+                                              check_finite=False)
 
             new_ws = _map_ordered(sweep, len(locals_), pool)
             max_delta = max(

@@ -30,6 +30,8 @@ from ddvar import (
     synthesize,
 )
 
+from ddvar import covariance
+
 from conftest import make_instance, mirror_symmetric_instance
 from test_acceptance import instance_matrix
 
@@ -72,14 +74,26 @@ def test_patch_single_subdomain_is_identity():
     np.testing.assert_array_equal(patch(dec, [u]), u)
 
 
-def test_patch_shared_points_take_higher_subdomain():
-    grid = Grid1D.uniform(10)
-    dec = decompose_uniform(grid, 2, 1)
-    lo = np.full(6, 1.0)
-    hi = np.full(6, 2.0)
-    out = patch(dec, [lo, hi])
-    np.testing.assert_array_equal(out[:4], 1.0)
-    np.testing.assert_array_equal(out[4:], 2.0)
+def test_patch_takes_each_point_from_its_owner():
+    # subdomains (0, 5), (3, 9), (7, 12) own their base blocks (0, 4),
+    # (4, 8), (8, 12): no halo value reaches the patched state
+    dec = decompose_uniform(Grid1D.uniform(12), 3, 1)
+    out = patch(dec, [np.full(dec.size(i), float(i)) for i in range(3)])
+    np.testing.assert_array_equal(out, np.repeat([0.0, 1.0, 2.0], 4))
+
+
+def test_owner_patch_approaches_the_global_analysis_as_the_halo_grows():
+    # each subdomain's analysis is worst at its edges, in the halo the
+    # owner patch drops; a wider halo moves those edges further away
+    inst, _ = make_instance(n=2000, j_sub=16, halo=4, seed=3)
+    for method in ("ddda", "mps"):
+        gaps = [
+            assimilate(inst, decompose_uniform(inst.grid, 16, halo),
+                       method).diagnostics["vs_global_linf"]
+            for halo in (4, 8, 16, 24)
+        ]
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), (method, gaps)
+        assert gaps[-1] <= 1e-5, (method, gaps)
 
 
 def test_patch_reassembles_consistent_states_exactly():
@@ -96,7 +110,6 @@ def test_patch_rejects_gaps_and_bad_shapes():
         j_sub=2,
         halo=0,
         subdomains=((0, 3), (5, 8)),
-        interfaces={},
     )
     with pytest.raises(UncoveredPoint):
         patch(broken, [np.zeros(3), np.zeros(3)])
@@ -204,6 +217,19 @@ def test_run_path_never_forms_dense_b():
     equivalence_report(inst, dec)
     assert "b" not in vars(inst.cov)
     assert "v_factor" not in vars(inst.cov)
+
+
+def test_run_path_scatters_no_dense_block_of_v(monkeypatch):
+    # every read of V on the run path is a gather or a product on its
+    # band; _dense, the scatter behind the dense b and v_factor, never runs
+    def refuse(band, symmetric):
+        raise AssertionError("a dense matrix was scattered from a band")
+
+    monkeypatch.setattr(covariance, "_dense", refuse)
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    for method in ("global", "mps", "ddda"):
+        assimilate(inst, dec, method)
+    equivalence_report(inst, dec)
 
 
 def test_only_the_v_times_w_convention_is_accepted():

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddvar
 from ddvar import (
     CovarianceModel,
     DimensionMismatch,
@@ -17,7 +19,7 @@ from ddvar import (
     identity_covariance,
     interface_coupling,
 )
-from ddvar.covariance import _band_cholesky, v_block, v_times
+from ddvar.covariance import _band_cholesky, v_rows, v_times
 
 JITTER = 1e-10
 
@@ -326,23 +328,27 @@ def test_model_rejects_bad_band_shapes():
 ])
 def test_band_reads_match_the_dense_factor(grid, length_scale):
     # the whole grid, then six spans, then 24 spans of 5 to 7 points (all
-    # but the 0.5 kernel's narrower than bw + 1); first and last included
+    # but the 0.5 kernel's narrower than bw + 1); first and last included,
+    # each also against seven random rows, most of them outside the span
     model = (identity_covariance(grid) if length_scale is None
              else build_gaussian_covariance(grid, length_scale, 1.0))
     v = model.v_factor
     rng = np.random.default_rng(5)
     w = rng.standard_normal(grid.n_points)
-    np.testing.assert_array_equal(v_block(model, slice(0, grid.n_points)), v)
+    whole = v_rows(model, np.arange(grid.n_points), slice(0, grid.n_points))
+    assert whole.tobytes() == v.tobytes()
     assert (np.linalg.norm(v_times(model, w) - v @ w)
             <= 1e-15 * np.linalg.norm(v, 2) * np.linalg.norm(w))
     for j_sub, halo in ((1, 0), (6, 2), (24, 1)):
         dec = decompose_uniform(grid, j_sub, halo)
         for i in range(j_sub):
             span, idx = dec.span(i), dec.indices(i)
-            block = v_block(model, span)
-            assert not block.flags.writeable
+            block = v_rows(model, idx, span)
             assert block.tobytes() == v[span, span].tobytes()
             assert block.tobytes() == v[np.ix_(idx, idx)].tobytes()
+            rows = np.sort(rng.choice(grid.n_points, 7, replace=False))
+            assert (v_rows(model, rows, span).tobytes()
+                    == v[np.ix_(rows, idx)].tobytes())
             w = rng.standard_normal(idx.size)
             assert (np.linalg.norm(v_times(model, w, span) - block @ w)
                     <= 1e-15 * np.linalg.norm(block, 2) * np.linalg.norm(w))
@@ -352,3 +358,11 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
                 assert p_i.tobytes() == v[np.ix_(gamma, idx)].tobytes()
                 assert (p_k.tobytes()
                         == v[np.ix_(gamma, dec.indices(k))].tobytes())
+
+
+def test_only_covariance_knows_the_band_layout():
+    # every other module reads B and V through covariance's functions
+    for path in sorted(Path(ddvar.__file__).parent.glob("*.py")):
+        if path.name != "covariance.py":
+            text = path.read_text()
+            assert "v_band" not in text and "b_band" not in text, path.name

@@ -39,8 +39,9 @@ def test_grid_rejects_bad_inputs():
 def test_single_subdomain_covers_everything():
     dec = decompose_uniform(Grid1D.uniform(10), 1, 0)
     assert dec.subdomains == ((0, 10),)
-    assert dec.interfaces == {}
     assert dec.neighbors(0) == ()
+    with pytest.raises(NoInterface):
+        dec.interface(0, 0)
     assert dec.size(0) == 10
     assert dec.span(0) == slice(0, 10)
 
@@ -100,12 +101,29 @@ def test_union_covers_grid_exactly(n, j, h):
     for i in range(j):
         covered[dec.indices(i)] = True
     assert covered.all()
+    # the owned ranges are the base blocks: they tile the grid in order,
+    # each inside its span and cut by the halo on every side with a neighbor
+    owned = [dec.owned(i) for i in range(j)]
+    assert owned[0].start == 0 and owned[-1].stop == n
+    base, extra = divmod(n, j)
+    for i, o in enumerate(owned):
+        assert o.stop - o.start == base + (i < extra)
+        if i > 0:
+            assert o.start == owned[i - 1].stop == dec.span(i).start + h
+        if i < j - 1:
+            assert o.stop == dec.span(i).stop - h
 
 
 @pytest.mark.parametrize("n,j,h", [(10, 2, 1), (9, 3, 1), (40, 3, 2)])
 def test_interface_nesting_and_disjointness(n, j, h):
     dec = decompose_uniform(Grid1D.uniform(n), j, h)
-    for (i, k), gamma in dec.interfaces.items():
+    pairs = [(i, k) for i in range(j) for k in dec.neighbors(i)]
+    assert pairs == [(i, k) for i in range(j) for k in (i - 1, i + 1)
+                     if 0 <= k < j]
+    for i, k in pairs:
+        gamma = dec.interface(i, k)
+        assert gamma.dtype == np.intp and gamma.size == h
+        assert np.all(np.diff(gamma) == 1)
         overlap = set(_overlap(dec, i, k).tolist())
         sub_i = set(dec.indices(i).tolist())
         g = set(gamma.tolist())
@@ -135,7 +153,11 @@ def test_subdomain_restriction_examples():
         with pytest.raises(IndexOutOfRange):
             dec.neighbors(bad)
         with pytest.raises(IndexOutOfRange):
+            dec.owned(bad)
+        with pytest.raises(IndexOutOfRange):
             dec.interface(0, bad)
+        with pytest.raises(IndexOutOfRange):
+            dec.interface(bad, 0)
 
 
 def test_interface_restriction_examples():

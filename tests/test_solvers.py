@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -183,17 +184,6 @@ def test_mps_records_cost_when_asked():
     assert all(r.global_cost == 7.0 for r in traced.records)
 
 
-def test_mps_accepts_warm_start():
-    inst, dec = make_instance(n=20, j_sub=2, halo=1, seed=13)
-    locals_ = _locals(inst, dec, SCHEME_MPS)
-    ws, _ = solve_mps(locals_)
-    ws_again, history = solve_mps(locals_, w0=ws)
-    assert history.converged
-    assert history.iterations == 1
-    for a, b in zip(ws, ws_again):
-        assert np.max(np.abs(a - b)) <= 1e-8
-
-
 def test_fixed_point_residual_zero_at_uncoupled_solve():
     inst, dec = make_instance(n=24, j_sub=2, halo=1, seed=14)
     locals_ = _locals(inst, dec, SCHEME_DDDA)
@@ -265,13 +255,14 @@ def test_mps_requires_every_coupled_neighbor():
         solve_mps(locals_[:1])
 
 
-def test_mps_validates_warm_start_shapes():
+def test_mps_rejects_a_repeated_subdomain_before_factorizing():
+    # the second copy's matrix is not finite, so a factorization reached
+    # first would raise FactorizationFailure instead
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
-    locals_ = _locals(inst, dec, SCHEME_MPS)
-    with pytest.raises(DimensionMismatch):
-        solve_mps(locals_, w0=[np.zeros(locals_[0].size)])
-    with pytest.raises(DimensionMismatch):
-        solve_mps(locals_, w0=[np.zeros(2), np.zeros(2)])
+    sys = _locals(inst, dec, SCHEME_MPS)[0]
+    broken = dataclasses.replace(sys, a=np.full_like(sys.a, np.nan))
+    with pytest.raises(InvalidArgument, match="appears twice"):
+        solve_mps([sys, broken])
 
 
 def test_history_appends_in_order_only():
