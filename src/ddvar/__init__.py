@@ -46,7 +46,6 @@ from .errors import (
     MissingNeighbor,
     NoInterface,
     ParseError,
-    UncoveredPoint,
     ValidationError,
 )
 from .geometry import Decomposition, Grid1D, decompose_uniform
@@ -54,7 +53,6 @@ from .observation import (
     ObservationSet,
     ProblemInstance,
     innovation,
-    local_observation_positions,
     point_observations,
     synthesize,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "SCHEME_DDDA",
     "SCHEME_MPS",
     "SolverOptions",
-    "UncoveredPoint",
     "V_TIMES_W",
     "ValidationError",
     "assemble_global",
@@ -113,7 +110,6 @@ __all__ = [
     "interface_coupling",
     "interface_mismatch",
     "local_gradient",
-    "local_observation_positions",
     "local_update",
     "patch",
     "penalty_stiffness",

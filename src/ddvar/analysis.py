@@ -31,11 +31,7 @@ from .assembly import (
     penalty_stiffness,
 )
 from .covariance import interface_coupling, v_solve, v_times
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    UncoveredPoint,
-)
+from .errors import DimensionMismatch, InvalidArgument
 from .geometry import Decomposition
 from .observation import ProblemInstance, innovation
 from .solvers import (
@@ -91,22 +87,17 @@ def patch(dec: Decomposition, local_us) -> np.ndarray:
 
     Each point takes the value of its owner, the subdomain whose base
     block dec.owned(i) holds it (restricted additive Schwarz), so the halo
-    values, worst at a subdomain's edge, are dropped.  A point no owned
-    range holds, possible only in a hand-built decomposition, is an error.
+    values, worst at a subdomain's edge, are dropped.  The base blocks
+    tile the grid in order, so the result is the owned pieces
+    concatenated.
     """
     local_us = _vectors(local_us, [(i, dec.size(i)) for i in range(dec.j_sub)],
                         "local vector")
-    n = dec.grid.n_points
-    out = np.zeros(n)
-    covered = np.zeros(n, dtype=bool)
+    pieces = []
     for i, u_i in enumerate(local_us):
         owned, start = dec.owned(i), dec.span(i).start
-        out[owned] = u_i[owned.start - start:owned.stop - start]
-        covered[owned] = True
-    if not covered.all():
-        missing = np.nonzero(~covered)[0].tolist()
-        raise UncoveredPoint(f"grid points {missing} belong to no subdomain")
-    return out
+        pieces.append(u_i[owned.start - start:owned.stop - start])
+    return np.concatenate(pieces)
 
 
 def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
@@ -118,16 +109,16 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
     covariance, so no local system is assembled.  When this vanishes for
     the uncoupled solutions, those solutions satisfy the coupled systems
     verbatim; on generic data it is a reported diagnostic, not an error.
+    A NaN gap makes the result NaN.
     """
     vecs = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
                     "iterate")
-    worst = 0.0
+    gaps = [0.0]
     for i in range(dec.j_sub):
         for j in dec.neighbors(i):
             p_i, p_j = interface_coupling(inst.cov, dec, i, j)
-            gap = p_i @ vecs[i] - p_j @ vecs[j]
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+            gaps.append(np.max(np.abs(p_i @ vecs[i] - p_j @ vecs[j])))
+    return float(np.max(gaps))
 
 
 def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -303,9 +294,9 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     ws_mps, history = solve_mps(mps_locals, opts, cost_fn=cost_fn)
     w_star = _global_w(inst)
 
-    w_delta = max(
-        float(np.max(np.abs(wm - wd))) for wm, wd in zip(ws_mps, ws_dd)
-    )
+    w_delta = float(np.max(
+        [np.max(np.abs(wm - wd)) for wm, wd in zip(ws_mps, ws_dd)]
+    ))
     return EquivalenceReport(
         c_equal=c_equal,
         a_structure_exact=structure_dev == 0.0,

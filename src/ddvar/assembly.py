@@ -30,11 +30,7 @@ from .errors import (
     MissingNeighbor,
 )
 from .geometry import Decomposition
-from .observation import (
-    ProblemInstance,
-    innovation,
-    local_observation_positions,
-)
+from .observation import ProblemInstance, innovation
 
 SCHEME_MPS = "mps"
 SCHEME_DDDA = "ddda"
@@ -138,7 +134,9 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     Both schemes share a_i = V_i^T H_i^T R_i^{-1} H_i V_i + I_i and
     c_i = V_i^T H_i^T R_i^{-1} d_i, where H_i V_i is gathered by v_rows
     (the observed rows of V against the span) and H_i, R_i, d_i keep exactly
-    the observations whose grid point lies in subdomain i.  The mps scheme
+    the observations whose grid point lies in subdomain i: a contiguous
+    slice of the strictly increasing obs_indices, so an observation in an
+    overlap enters both neighbors' systems.  The mps scheme
     then adds penalty_stiffness of its interface pairs, which reports
     recompose to identical floats.
     """
@@ -147,10 +145,10 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
             f"scheme must be one of {_SCHEMES}, got {scheme!r}"
         )
     span = dec.span(i)
-    sel, local_pts = local_observation_positions(inst.obs, span.start,
-                                                 span.stop)
+    idx = inst.obs.obs_indices
+    sel = slice(*np.searchsorted(idx, [span.start, span.stop]))
     d = innovation(inst)
-    m_i = v_rows(inst.cov, span.start + local_pts, span)
+    m_i = v_rows(inst.cov, idx[sel], span)
     r_inv_i = 1.0 / inst.obs.r_cov.r_diag[sel]
     a, c = _weighted_normal(m_i, r_inv_i, d[sel])
 

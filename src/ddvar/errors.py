@@ -29,10 +29,6 @@ class MissingNeighbor(DdvarError):
     """A coupled subdomain's iterate was not supplied."""
 
 
-class UncoveredPoint(DdvarError):
-    """A grid point is covered by no subdomain (geometry bug)."""
-
-
 class InvalidArgument(DdvarError):
     """Argument outside its documented domain."""
 

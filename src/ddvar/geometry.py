@@ -1,11 +1,13 @@
 """1-D grid and its overlapping decomposition into contiguous subdomains.
 
-Grid points are numbered 0..n_points-1 and every stored range is half-open,
-so a subdomain (start, stop) covers the points start..stop-1.  A subdomain i
-extended by `halo` points into neighbor j has an interface toward j: the
-`halo` outermost points of subdomain i that lie inside subdomain j (the
-discrete boundary of i seen from j).  Subdomain i less its interfaces is
-its owned range, the base block.
+Grid points are numbered 0..n_points-1 and every range is half-open, so a
+subdomain (start, stop) covers the points start..stop-1.  A decomposition
+is (grid, j_sub, halo): the grid splits into j_sub balanced base blocks
+that tile it, and subdomain i is base block i extended by `halo` points
+into each adjacent block.  Its interface toward neighbor j is the `halo`
+outermost points of subdomain i that lie inside subdomain j (the discrete
+boundary of i seen from j), and subdomain i less its interfaces is its
+owned range, the base block.
 
 Restriction to a subdomain is the slice span(i), which takes blocks of
 vectors and matrices as views; interfaces are short index arrays.
@@ -13,6 +15,7 @@ vectors and matrices as views; interfaces are short index arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +58,47 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Overlapping split of a Grid1D into contiguous subdomains.
+    """Overlapping split of a Grid1D, derived from (grid, j_sub, halo).
 
-    subdomains holds half-open (start, stop) ranges, one per subdomain;
-    span(i) returns range i as a slice after checking the id, and
-    indices(i) as an index array.  Neighbors (i - 1 and i + 1 when halo >
-    0), interfaces and owned ranges are computed from the spans and halo.
+    The three fields are checked on construction.  Base block i, owned(i),
+    holds floor(n/j_sub) points, one more for the first n mod j_sub
+    blocks, and the blocks tile the grid in order.  Subdomain i, span(i),
+    is its base block plus `halo` points into each adjacent block, and
+    subdomains lists the spans as (start, stop) pairs.
     """
 
     grid: Grid1D
     j_sub: int
     halo: int
-    subdomains: tuple
+
+    def __post_init__(self):
+        n, j_sub, halo = self.grid.n_points, self.j_sub, self.halo
+        if j_sub < 1:
+            raise InvalidDecomposition("j_sub must be >= 1")
+        if halo < 0:
+            raise InvalidDecomposition("halo must be >= 0")
+        if n < j_sub:
+            raise InvalidDecomposition(
+                f"{j_sub} subdomains need at least {j_sub} points, grid has {n}"
+            )
+        if j_sub > 1 and n // j_sub < 2 * halo + 1:
+            raise InvalidDecomposition(
+                f"base block size {n // j_sub} too small for halo {halo}; "
+                f"need floor(n/j_sub) >= {2 * halo + 1}"
+            )
+
+    @functools.cached_property
+    def _bounds(self) -> tuple:
+        # base block i is bounds[i]..bounds[i + 1] - 1
+        base, extra = divmod(self.grid.n_points, self.j_sub)
+        return tuple(i * base + min(i, extra) for i in range(self.j_sub + 1))
+
+    @functools.cached_property
+    def subdomains(self) -> tuple:
+        """Half-open (start, stop) range of each subdomain, in order."""
+        b, h = self._bounds, self.halo
+        return tuple((max(b[i] - h, 0), min(b[i + 1] + h, b[-1]))
+                     for i in range(self.j_sub))
 
     def _check_id(self, i: int) -> None:
         if not 0 <= i < self.j_sub:
@@ -108,40 +140,16 @@ class Decomposition:
 
     def owned(self, i: int) -> slice:
         """Base block of subdomain i: its span less the interface points."""
-        span, neighbors = self.span(i), self.neighbors(i)
-        lo, hi = (self.halo if j in neighbors else 0 for j in (i - 1, i + 1))
-        return slice(span.start + lo, span.stop - hi)
+        self._check_id(i)
+        return slice(self._bounds[i], self._bounds[i + 1])
 
 
 def decompose_uniform(grid: Grid1D, j_sub: int, halo: int) -> Decomposition:
     """Split the grid into j_sub balanced contiguous blocks plus halos.
 
-    Base blocks have size floor(n/j_sub) with the first n mod j_sub blocks
-    one point larger; each subdomain is its base block extended by `halo`
-    points into each adjacent block.  The interface of i toward a neighbor
-    is the `halo` outermost points of subdomain i on that side, which by
-    construction lie inside the neighbor.
+    The same as Decomposition(grid, j_sub, halo): each subdomain is its
+    base block extended by `halo` points into each adjacent block, so the
+    interface of i toward a neighbor, the `halo` outermost points of
+    subdomain i on that side, lies inside the neighbor.
     """
-    n = grid.n_points
-    if j_sub < 1:
-        raise InvalidDecomposition("j_sub must be >= 1")
-    if halo < 0:
-        raise InvalidDecomposition("halo must be >= 0")
-    if n < j_sub:
-        raise InvalidDecomposition(
-            f"{j_sub} subdomains need at least {j_sub} points, grid has {n}"
-        )
-    if j_sub > 1 and n // j_sub < 2 * halo + 1:
-        raise InvalidDecomposition(
-            f"base block size {n // j_sub} too small for halo {halo}; "
-            f"need floor(n/j_sub) >= {2 * halo + 1}"
-        )
-
-    base, extra = divmod(n, j_sub)
-    bounds = [i * base + min(i, extra) for i in range(j_sub + 1)]
-    subdomains = []
-    for i in range(j_sub):
-        start = bounds[i] - (halo if i > 0 else 0)
-        stop = bounds[i + 1] + (halo if i < j_sub - 1 else 0)
-        subdomains.append((start, stop))
-    return Decomposition(grid, j_sub, halo, tuple(subdomains))
+    return Decomposition(grid, j_sub, halo)

@@ -36,6 +36,8 @@ class ObservationSet:
             raise DimensionMismatch(
                 f"{idx.size} observation points but {vals.size} values"
             )
+        if not np.isfinite(vals).all():
+            raise InvalidArgument("values has non-finite entries")
         if self.r_cov.nobs != idx.size:
             raise DimensionMismatch(
                 f"{idx.size} observation points but {self.r_cov.nobs} variances"
@@ -85,6 +87,8 @@ class ProblemInstance:
             raise DimensionMismatch(
                 f"u_background has {ub.size} entries, grid has {n}"
             )
+        if not np.isfinite(ub).all():
+            raise InvalidArgument("u_background has non-finite entries")
         idx = self.obs.obs_indices
         if idx.size and (idx[0] < 0 or idx[-1] >= n):
             raise DimensionMismatch(
@@ -98,6 +102,8 @@ class ProblemInstance:
                 raise DimensionMismatch(
                     f"u_truth has {ut.size} entries, grid has {n}"
                 )
+            if not np.isfinite(ut).all():
+                raise InvalidArgument("u_truth has non-finite entries")
             object.__setattr__(self, "u_truth", ut)
 
     @functools.cached_property
@@ -114,19 +120,6 @@ class ProblemInstance:
 def innovation(inst: ProblemInstance) -> np.ndarray:
     """Observation-minus-background misfit d = v - H u^b."""
     return inst.obs.values - inst.u_background[inst.obs.obs_indices]
-
-
-def local_observation_positions(obs: ObservationSet, start: int, stop: int):
-    """Observations falling in the half-open index window [start, stop).
-
-    Returns (sel, local): positions into the observation list and the
-    observed grid indices shifted to window coordinates.  An observation
-    sitting in an overlap region is picked up by every window containing
-    it.
-    """
-    mask = (obs.obs_indices >= start) & (obs.obs_indices < stop)
-    sel = np.nonzero(mask)[0]
-    return sel, obs.obs_indices[sel] - start
 
 
 def _sigma_o_floor(sigma_b: float | None) -> float:
@@ -150,6 +143,8 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).
     """
     n = grid.n_points
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     if not 0 <= nobs <= n:
         raise InvalidArgument(f"nobs must lie in 0..{n}, got {nobs}")
     if not 0.0 <= sigma_o < math.inf:

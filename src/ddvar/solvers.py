@@ -209,10 +209,10 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
                                               check_finite=False)
 
             new_ws = _map_ordered(sweep, len(locals_), pool)
-            max_delta = max(
-                float(np.max(np.abs(new - old))) if new.size else 0.0
+            max_delta = float(np.max([
+                np.max(np.abs(new - old)) if new.size else 0.0
                 for new, old in zip(new_ws, ws)
-            )
+            ]))
             residuals = fixed_point_residual(locals_, new_ws)
             cost = cost_fn(new_ws) if cost_fn is not None else math.nan
             history.append(

@@ -11,7 +11,6 @@ from ddvar import (
     InvalidArgument,
     ProblemInstance,
     SCHEME_DDDA,
-    UncoveredPoint,
     build_gaussian_covariance,
     assemble_global,
     assemble_local,
@@ -105,14 +104,10 @@ def test_patch_reassembles_consistent_states_exactly():
 
 def test_patch_rejects_gaps_and_bad_shapes():
     grid = Grid1D.uniform(8)
-    broken = Decomposition(
-        grid=grid,
-        j_sub=2,
-        halo=0,
-        subdomains=((0, 3), (5, 8)),
-    )
-    with pytest.raises(UncoveredPoint):
-        patch(broken, [np.zeros(3), np.zeros(3)])
+    # a decomposition with a gap cannot be built: its spans are derived
+    # from (grid, j_sub, halo) and its base blocks tile the grid
+    with pytest.raises(TypeError):
+        Decomposition(grid=grid, j_sub=2, halo=0, subdomains=((0, 3), (5, 8)))
     dec = decompose_uniform(grid, 2, 1)
     with pytest.raises(DimensionMismatch):
         patch(dec, [np.zeros(dec.size(0))])
@@ -123,6 +118,16 @@ def test_patch_rejects_gaps_and_bad_shapes():
 def _ddda_ws(inst, dec):
     return solve_ddda([assemble_local(inst, dec, i, SCHEME_DDDA)
                        for i in range(dec.j_sub)])
+
+
+def test_interface_mismatch_reports_a_nan_iterate():
+    # a NaN gap must not read as "the interfaces agree", wherever it sits
+    inst, dec = make_instance(n=40, j_sub=4, halo=2, seed=1)
+    ws = _ddda_ws(inst, dec)
+    for bad in range(dec.j_sub):
+        nan_ws = list(ws)
+        nan_ws[bad] = np.full(dec.size(bad), np.nan)
+        assert np.isnan(interface_mismatch(inst, dec, nan_ws)), bad
 
 
 def test_interface_mismatch_trivial_without_neighbors():

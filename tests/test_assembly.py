@@ -230,3 +230,37 @@ def test_assemble_local_rejects_unknown_scheme():
     for bad in (-1, 2):
         with pytest.raises(IndexOutOfRange):
             assemble_local(inst, dec, bad, SCHEME_MPS)
+
+
+def test_assemble_local_takes_the_observations_in_its_span():
+    # spans (0, 6) and (4, 10): the observations at 4 and 5 lie in the
+    # overlap and enter both systems, those at 1 and 9 only their own
+    grid = Grid1D.uniform(10)
+    obs = point_observations(grid, [1, 4, 5, 9], [1.0, 2.0, 3.0, 4.0],
+                             [1.0, 2.0, 4.0, 8.0])
+    inst = ProblemInstance(grid, identity_covariance(grid), obs, np.zeros(10))
+    dec = decompose_uniform(grid, 2, 1)
+    for i, local_pts, sel in ((0, [1, 4, 5], [0, 1, 2]),
+                              (1, [0, 1, 5], [1, 2, 3])):
+        sys = assemble_local(inst, dec, i, SCHEME_DDDA)
+        r_inv = 1.0 / obs.r_cov.r_diag[sel]
+        # with V = I, H_i V_i selects the local points
+        a = np.eye(6)
+        a[local_pts, local_pts] += r_inv
+        c = np.zeros(6)
+        c[local_pts] = r_inv * obs.values[sel]
+        np.testing.assert_array_equal(sys.a, a)
+        np.testing.assert_array_equal(sys.c, c)
+
+
+def test_assemble_local_without_observations_is_identity():
+    # observations at 0 and 14 only: the middle subdomain (3, 12) sees
+    # none and gets a = I, c = 0
+    grid = Grid1D.uniform(15)
+    obs = point_observations(grid, [0, 14], [1.0, 2.0], [1.0, 1.0])
+    inst = ProblemInstance(grid, identity_covariance(grid), obs, np.zeros(15))
+    dec = decompose_uniform(grid, 3, 2)
+    assert dec.span(1) == slice(3, 12)
+    sys = assemble_local(inst, dec, 1, SCHEME_DDDA)
+    np.testing.assert_array_equal(sys.a, np.eye(9))
+    np.testing.assert_array_equal(sys.c, np.zeros(9))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddvar import (
+    Decomposition,
     DimensionMismatch,
     Grid1D,
     IndexOutOfRange,
@@ -81,15 +82,17 @@ def test_interface_is_outermost_halo_points():
 
 def test_decomposition_rejections():
     grid = Grid1D.uniform(10)
-    with pytest.raises(InvalidDecomposition):
-        decompose_uniform(grid, 0, 1)
-    with pytest.raises(InvalidDecomposition):
-        decompose_uniform(grid, 11, 0)
-    with pytest.raises(InvalidDecomposition):
-        decompose_uniform(grid, 1, -1)
+    # direct construction is checked exactly like decompose_uniform;
     # floor(10/3) = 3 cannot carry halo 2
-    with pytest.raises(InvalidDecomposition):
-        decompose_uniform(grid, 3, 2)
+    for build in (decompose_uniform, Decomposition):
+        for j_sub, halo, match in ((0, 1, "j_sub must be >= 1"),
+                                   (11, 0, "need at least 11 points"),
+                                   (1, -1, "halo must be >= 0"),
+                                   (3, 2, "too small for halo 2")):
+            with pytest.raises(InvalidDecomposition, match=match):
+                build(grid, j_sub, halo)
+    assert Decomposition(grid, 3, 1).subdomains == \
+        decompose_uniform(grid, 3, 1).subdomains
 
 
 @pytest.mark.parametrize("n,j,h", [
@@ -105,6 +108,9 @@ def test_union_covers_grid_exactly(n, j, h):
     # each inside its span and cut by the halo on every side with a neighbor
     owned = [dec.owned(i) for i in range(j)]
     assert owned[0].start == 0 and owned[-1].stop == n
+    np.testing.assert_array_equal(
+        np.concatenate([np.arange(n)[o] for o in owned]), np.arange(n)
+    )
     base, extra = divmod(n, j)
     for i, o in enumerate(owned):
         assert o.stop - o.start == base + (i < extra)

@@ -13,7 +13,6 @@ from ddvar import (
     cost_w,
     identity_covariance,
     innovation,
-    local_observation_positions,
     point_observations,
     synthesize,
 )
@@ -66,25 +65,6 @@ def test_innovation_linear_in_values():
     d_b = innovation(ProblemInstance(grid, identity_covariance(grid), obs_b, u_b))
     d_sum = innovation(ProblemInstance(grid, identity_covariance(grid), obs_sum, u_b))
     np.testing.assert_allclose(d_sum, d_a + d_b + u_b[[0, 4]], rtol=0, atol=0)
-
-
-def test_local_positions_window():
-    grid = Grid1D.uniform(10)
-    obs = point_observations(grid, [1, 4, 5, 9], np.zeros(4), np.ones(4))
-    sel, local = local_observation_positions(obs, 4, 10)
-    np.testing.assert_array_equal(sel, [1, 2, 3])
-    np.testing.assert_array_equal(local, [0, 1, 5])
-    sel, local = local_observation_positions(obs, 0, 6)
-    np.testing.assert_array_equal(sel, [0, 1, 2])
-    np.testing.assert_array_equal(local, [1, 4, 5])
-
-
-def test_local_positions_empty_window():
-    grid = Grid1D.uniform(10)
-    obs = point_observations(grid, [0, 9], np.zeros(2), np.ones(2))
-    sel, local = local_observation_positions(obs, 3, 7)
-    assert sel.size == 0
-    assert local.size == 0
 
 
 def test_synthesize_is_deterministic():
@@ -152,6 +132,8 @@ def test_synthesize_rejects_bad_arguments():
         synthesize(grid, cov, 9, 0.1, seed=0)
     with pytest.raises(InvalidArgument):
         synthesize(grid, cov, -1, 0.1, seed=0)
+    with pytest.raises(InvalidArgument, match="seed"):
+        synthesize(grid, cov, 4, 0.1, seed=-1)
     for sigma_o in (-0.1, np.nan, np.inf):
         with pytest.raises(InvalidArgument, match="sigma_o"):
             synthesize(grid, cov, 4, sigma_o, seed=0)
@@ -188,6 +170,10 @@ def test_observation_set_validation():
     for bad in ([-1, 4], [4, 10]):
         with pytest.raises(IndexOutOfRange):
             point_observations(grid, bad, [0.0, 0.0], [1.0, 1.0])
+    # a non-finite value fails here, not later inside a solver
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgument, match="values"):
+            point_observations(grid, [1, 2], [0.0, bad], [1.0, 1.0])
 
 
 def test_problem_instance_validation():
@@ -210,6 +196,13 @@ def test_problem_instance_validation():
     for outside in (wide, negative):
         with pytest.raises(DimensionMismatch):
             ProblemInstance(grid, cov, outside, np.zeros(5))
+    for bad in (np.nan, np.inf, -np.inf):
+        u = np.zeros(5)
+        u[2] = bad
+        with pytest.raises(InvalidArgument, match="u_background"):
+            ProblemInstance(grid, cov, obs, u)
+        with pytest.raises(InvalidArgument, match="u_truth"):
+            ProblemInstance(grid, cov, obs, np.zeros(5), u_truth=u)
 
 
 def test_h_rows_taken_once_and_read_only():
