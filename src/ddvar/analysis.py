@@ -10,10 +10,13 @@ matrices, and the interface agreement that turns uncoupled solutions into
 fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against is the
-minimizer w* of the preconditioned cost, computed in observation space:
-with M = H V held sparse, w* = (M^T R^{-1} M + I)^{-1} M^T R^{-1} d is
-M^T (M M^T + R)^{-1} d exactly, one nobs x nobs Cholesky factor instead
-of an n x n one; control_equivalent solves with V on its band.
+minimizer w* of the preconditioned cost, computed in observation space
+(PSAS): with M = H V held sparse, w* = (M^T R^{-1} M + I)^{-1} M^T R^{-1} d
+is M^T (M M^T + R)^{-1} d exactly.  M M^T + R is banded, since S[p, q] is
+zero once observations p and q lie more than bw grid points apart, so it
+is factored on its band, O(nobs k_S^2) for k_S sub-diagonals (k_S <= bw;
+3 at length_scale 2 with nobs = n/5); control_equivalent solves with V on
+its band.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import (
     SCHEME_DDDA,
@@ -30,14 +32,19 @@ from .assembly import (
     cost_w,
     penalty_stiffness,
 )
-from .covariance import interface_coupling, v_solve, v_times
+from .covariance import (
+    _band_cholesky,
+    _band_solve,
+    interface_coupling,
+    v_solve,
+    v_times,
+)
 from .errors import DimensionMismatch, InvalidArgument
 from .geometry import Decomposition
 from .observation import ProblemInstance, innovation
 from .solvers import (
     IterationHistory,
     SolverOptions,
-    _factorize,
     _vectors,
     fixed_point_residual,
     solve_ddda,
@@ -139,14 +146,19 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
 
 def _global_w(inst: ProblemInstance) -> np.ndarray:
     # The single-domain minimizer w* = M^T (M M^T + R)^{-1} d, M = H V:
-    # the sparse H rows of V, one nobs x nobs Cholesky factor, two products.
+    # the lower band of the sparse M M^T plus R, one banded factor, two
+    # products.
     m = inst.h_rows
     if m.shape[0] == 0:
         return np.zeros(m.shape[1])
-    s = (m @ m.T).toarray()
-    s[np.diag_indices_from(s)] += inst.obs.r_cov.r_diag
-    z = scipy.linalg.cho_solve(_factorize(s, "observation-space matrix"),
-                               innovation(inst))
+    s = (m @ m.T).tocoo()
+    lower = s.row >= s.col
+    diag = s.row[lower] - s.col[lower]
+    band = np.zeros((int(np.max(diag, initial=0)) + 1, m.shape[0]))
+    band[diag, s.col[lower]] = s.data[lower]
+    band[0] += inst.obs.r_cov.r_diag
+    z = _band_solve(_band_cholesky(band, "observation-space matrix"),
+                    innovation(inst))
     return m.T @ z
 
 
@@ -178,8 +190,9 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     method is "global", "mps", or "ddda".  The single-domain analysis is
     always computed alongside as the reference for vs_global_linf, by the
     observation-space solve of the module docstring: the sparse M M^T
-    costs O(nobs bw^2) and its factor O(nobs^3), against O(n^3) for the
-    normal equations of assemble_global, left to tests and checks.
+    costs O(nobs bw^2) and its banded factor O(nobs k_S^2), against
+    O(n bw^2) for the banded normal equations of assemble_global, whose
+    dense n x n matrix is left to tests and checks.
     convention accepts only "v_times_w"; it remains because the benchmark
     worker passes the config's update_convention positionally.
     """

@@ -10,7 +10,11 @@ local blocks V_i, H_i, R_i, d_i.  The uncoupled scheme stops there; the
 coupled scheme adds, per neighbor j, the interface penalty stiffness
 p_i^T p_i to the matrix and keeps the interface factors (p_i, p_j).  The
 neighbor's pull p_i^T (p_j w_j) enters the right-hand side during the
-fixed-point sweep; the rank-halo product p_i^T p_j is never formed.
+fixed-point sweep, through the coupling p_i^T p_j formed on the few
+columns where p_i and p_j are nonzero.  The solvers lay the local systems
+end to end: the lower band of blockdiag(a_i) and the sparse rows of the
+coupling and of the fixed-point operator are built here, and
+local_gradient multiplies one subdomain's rows of that operator.
 
 The right-hand side c_i is computed by one shared code path regardless of
 scheme, which is what makes the cross-scheme equality of c_i hold to the
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .covariance import interface_coupling, v_rows
 from .errors import (
@@ -96,24 +101,73 @@ def _require_scheme(locals_, scheme: str) -> None:
             )
 
 
-def _coupling(sys: LocalSystem, neighbor_ws) -> np.ndarray:
-    # sum_j p_i^T (p_j w_j) in ascending neighbor order; neighbor_ws maps a
-    # neighbor id to its iterate.  The one place the coupling is applied,
-    # so the one place a neighbor iterate is looked up and checked.
-    out = np.zeros(sys.size)
-    for j, p_i, p_j in sys.penalty_pairs:
-        if j not in neighbor_ws:
-            raise MissingNeighbor(
-                f"subdomain {sys.subdomain} needs the iterate of neighbor {j}"
-            )
-        w_j = np.asarray(neighbor_ws[j], dtype=float)
-        if w_j.shape != (p_j.shape[1],):
-            raise DimensionMismatch(
-                f"neighbor {j} iterate has shape {w_j.shape}, expected "
-                f"({p_j.shape[1]},)"
-            )
-        out += p_i.T @ (p_j @ w_j)
-    return out
+def _bandwidth(a: np.ndarray) -> int:
+    """Sub-diagonals of a, read from the first nonzero of each row."""
+    nonzero = a != 0.0
+    first = np.argmax(nonzero, axis=1)
+    rows = np.flatnonzero(nonzero[np.arange(a.shape[0]), first])
+    return int(np.max(rows - first[rows], initial=0))
+
+
+def _lower_band(a: np.ndarray, k: int) -> np.ndarray:
+    """band[d, j] = a[j + d, j] for d = 0..k, zero past the last row."""
+    s = a.shape[0]
+    rows = np.arange(s) + np.arange(k + 1)[:, None]
+    return np.where(rows < s, a[np.minimum(rows, s - 1), np.arange(s)], 0.0)
+
+
+def _band_rows(band: np.ndarray, start: int = 0, width: int | None = None):
+    """CSR of the symmetric matrix with this lower band, at column start.
+
+    Explicit zeros are dropped and each row lists its columns in
+    ascending order, so the rows of a block are the same entries whether
+    its band sits in a wider stacked band or stands alone.
+    """
+    k, n = band.shape[0] - 1, band.shape[1]
+    upper = [np.concatenate([np.zeros(d), band[d, :n - d]])
+             for d in range(1, k + 1)]
+    a = scipy.sparse.dia_array(
+        (np.vstack([band[::-1], *upper]), np.arange(-k, k + 1)),
+        shape=(n, n),
+    ).tocsr()
+    a.eliminate_zeros()
+    return scipy.sparse.csr_array((a.data, a.indices + start, a.indptr),
+                                  shape=(n, width or n))
+
+
+def _coupling_rows(systems, layout):
+    """CSR rows of the coupling C: p_i^T p_j at the columns of neighbor j.
+
+    The rows of the listed systems are stacked in order.  layout maps a
+    subdomain id to its (column offset, size), offsets ascending with the
+    id; a neighbor missing from it raises MissingNeighbor, a p_j of
+    another width DimensionMismatch.  Only the columns where p_i and p_j
+    are nonzero are stored.
+    """
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [[]]
+    top = 0
+    for sys in systems:
+        for j, p_i, p_j in sys.penalty_pairs:
+            if j not in layout:
+                raise MissingNeighbor(
+                    f"subdomain {sys.subdomain} needs the iterate of "
+                    f"neighbor {j}"
+                )
+            if p_j.shape[1] != layout[j][1]:
+                raise DimensionMismatch(
+                    f"neighbor {j} has {layout[j][1]} points, subdomain "
+                    f"{sys.subdomain} couples to {p_j.shape[1]}"
+                )
+            ci, cj = (np.flatnonzero(p.any(axis=0)) for p in (p_i, p_j))
+            rows.append(np.repeat(ci + top, cj.size))
+            cols.append(np.tile(cj + layout[j][0], ci.size))
+            vals.append((p_i[:, ci].T @ p_j[:, cj]).ravel())
+        top += sys.size
+    return scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(top, max((start + size for start, size in layout.values()),
+                        default=0)),
+    )
 
 
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
@@ -187,7 +241,9 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     Equals a_i w_i - c_i - sum_j p_i^T (p_j w_j), the residual of the
     fixed-point system; it vanishes exactly at the local solve.
     neighbor_ws maps neighbor id to that subdomain's current iterate and
-    may be omitted only when the subdomain has no neighbors.
+    may be omitted only when the subdomain has no neighbors.  It is
+    subdomain i's row block of the stacked fixed_point_residual, computed
+    by the same product, so the two agree to the bit.
     """
     _require_scheme([sys], SCHEME_MPS)
     w_i = np.asarray(w_i, dtype=float)
@@ -195,4 +251,19 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
         raise DimensionMismatch(
             f"w has shape {w_i.shape}, expected ({sys.size},)"
         )
-    return sys.a @ w_i - sys.c - _coupling(sys, neighbor_ws or {})
+    ws = {j: np.asarray(w, dtype=float)
+          for j, w in (neighbor_ws or {}).items()}
+    ws[sys.subdomain] = w_i
+    ids = sorted({sys.subdomain, *(j for j, _, _ in sys.penalty_pairs)}
+                 & ws.keys())
+    for j in ids:
+        if ws[j].ndim != 1:
+            raise DimensionMismatch(
+                f"neighbor {j} iterate has shape {ws[j].shape}"
+            )
+    starts = np.cumsum([0] + [ws[j].size for j in ids])
+    layout = {j: (int(starts[n]), ws[j].size) for n, j in enumerate(ids)}
+    own = layout[sys.subdomain][0]
+    k = (_band_rows(_lower_band(sys.a, _bandwidth(sys.a)), own, starts[-1])
+         - _coupling_rows([sys], layout))
+    return k @ np.concatenate([ws[j] for j in ids]) - sys.c

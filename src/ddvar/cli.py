@@ -32,6 +32,9 @@ from .observation import _sigma_o_floor, synthesize
 from .solvers import SolverOptions, solve_global, solve_mps
 
 _METHODS = ("global", "mps", "ddda", "compare")
+# sub-diagonals of the Gaussian B per unit length scale on a unit grid:
+# past sqrt(106 ln 2) length scales the kernel is below 2^-53
+_GAUSSIAN_REACH = math.sqrt(106 * math.log(2))
 _COV_KINDS = ("identity", "gaussian")
 
 # external key -> (attribute, converter)
@@ -174,17 +177,25 @@ def _build_config(raw, path):
                         f"above sigma_b * 2^-26 = {floor}")
     if not 0 <= config.nobs <= config.n_points:
         fail("nobs", f"must lie in 0..np, got {config.nobs}")
-    # the dense arrays a run holds: each subdomain's matrix and its
-    # factor, s x s for the widest span s, and the nobs x nobs
-    # observation-space matrix and its factor
-    s = min(config.n_points,
-            -(-config.n_points // config.j_sub) + 2 * config.halo)
-    gib = 16 * (config.j_sub * s**2 + config.nobs**2) / 2**30
+    # the arrays a run holds: each subdomain's dense matrix, s x s for the
+    # widest span s (both schemes' for compare), and bands of at most
+    # bw + 1 rows, bw the sub-diagonals of B: those of B and V, of the
+    # stacked local systems, their factor and their sparse operator
+    # (2 bw + 1 entries a row), and of the observation-space matrix and
+    # its factor
+    n, j_sub = config.n_points, config.j_sub
+    s = min(n, -(-n // j_sub) + 2 * config.halo)
+    bw = (0 if config.cov_kind == "identity"
+          else min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale)))
+    schemes = 2 if config.method == "compare" else 1
+    gib = (8 * schemes * j_sub * s**2
+           + 16 * (bw + 1) * (n + 3 * j_sub * s + config.nobs)) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:
-        fail("np", f"{config.n_points} needs {gib:,.1f} GiB for the local "
-                   "matrices, the observation-space matrix and their "
-                   f"factors, more than the {ram:,.1f} GiB of RAM")
+        fail("np", f"{n} needs {gib:,.1f} GiB for the local matrices and "
+                   "the bands of the covariance, the local systems and the "
+                   f"observation-space matrix, more than the {ram:,.1f} GiB "
+                   "of RAM")
     if config.seed < 0:
         fail("seed", f"must be >= 0, got {config.seed}")
     if config.method not in _METHODS:
@@ -267,6 +278,7 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 def _threads_from_env() -> int:
+    # checked and passed on as SolverOptions.threads, which has no effect
     text = os.environ.get("DDVAR_THREADS")
     if text is None:
         return 1

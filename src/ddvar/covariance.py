@@ -14,7 +14,10 @@ sub-diagonals.  No other module reads the bands: the run reads V through
 v_rows (rows against a column range), v_rows_sparse (rows, sparse),
 v_times (V x on a diagonal block, BLAS dtbmv) and v_solve (V^{-1} x, LAPACK
 dtbtrs).  The dense b and v_factor are derived on first use, as the
-oracle of factor_check and of the tests.
+oracle of factor_check and of the tests.  _band_cholesky and _band_solve
+(LAPACK dpbtrf / dpbtrs) are the package's one path for SPD systems: B
+here, the stacked local systems in solvers and the observation-space
+matrix in analysis.
 """
 
 from __future__ import annotations
@@ -95,12 +98,19 @@ class CovarianceModel:
 
 @dataclass(frozen=True)
 class ObsCovariance:
-    """Diagonal observation error covariance, stored as its diagonal."""
+    """Diagonal observation error covariance, stored as its diagonal.
+
+    Every variance must be finite and positive.
+    """
 
     r_diag: np.ndarray
 
     def __post_init__(self):
         r = np.asarray(self.r_diag, dtype=float).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(r))
+        if bad.size:
+            raise InvalidArgument(f"observation variance {r[bad[0]]} at "
+                                  f"position {bad[0]} is not finite")
         if r.size and not np.all(r > 0.0):
             raise InvalidArgument("observation variances must be positive")
         object.__setattr__(self, "r_diag", r)
@@ -110,13 +120,31 @@ class ObsCovariance:
         return int(self.r_diag.size)
 
 
-def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
-    # Lower band of the Cholesky factor of the matrix with this lower band.
-    try:
-        return scipy.linalg.cholesky_banded(band, lower=True,
-                                            check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"{what} is not numerically SPD") from exc
+def _band_cholesky(band: np.ndarray, what) -> np.ndarray:
+    """Lower band of the Cholesky factor of the matrix with this lower band.
+
+    The one factorization of every SPD system: LAPACK dpbtrf, O(n k^2) for
+    k sub-diagonals.  what names the matrix in a FactorizationFailure; a
+    callable what(row) names the part of it that holds the failing row,
+    the first column with a non-finite entry or the first non-positive
+    pivot.
+    """
+    def fail(row, reason):
+        name = what(row) if callable(what) else what
+        raise FactorizationFailure(f"{name} {reason}")
+
+    finite = np.isfinite(band).all(axis=0)
+    if not finite.all():
+        fail(int(np.argmin(finite)), "has non-finite entries")
+    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if info > 0:
+        fail(info - 1, "is not numerically SPD")
+    return factor
+
+
+def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factor of _band_cholesky by LAPACK dpbtrs, O(n k)."""
+    return scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1)[0]
 
 
 def build_gaussian_covariance(grid: Grid1D, length_scale: float,

@@ -31,7 +31,10 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Discretized 1-D domain: point count and monotone coordinates."""
+    """Discretized 1-D domain: point count and monotone coordinates.
+
+    Two grids are equal when their point counts and coordinates are.
+    """
 
     n_points: int
     coords: np.ndarray
@@ -47,6 +50,16 @@ class Grid1D:
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
             raise InvalidArgument("coords must be strictly increasing")
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, Grid1D):
+            return NotImplemented
+        return (self.n_points == other.n_points
+                and np.array_equal(self.coords, other.coords))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, so equal grids hash alike
+        return hash((self.n_points, (self.coords + 0.0).tobytes()))
 
     @classmethod
     def uniform(cls, n_points: int, spacing: float = 1.0) -> "Grid1D":
@@ -64,7 +77,8 @@ class Decomposition:
     holds floor(n/j_sub) points, one more for the first n mod j_sub
     blocks, and the blocks tile the grid in order.  Subdomain i, span(i),
     is its base block plus `halo` points into each adjacent block, and
-    subdomains lists the spans as (start, stop) pairs.
+    subdomains lists the spans as (start, stop) pairs.  Equality and the
+    hash compare (grid, j_sub, halo).
     """
 
     grid: Grid1D

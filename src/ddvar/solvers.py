@@ -1,49 +1,51 @@
 """Direct, per-subdomain, and fixed-point solvers.
 
-Every system, global or local, is solved through a dense Cholesky factor
-computed once per solve call.  Each uncoupled system needs one solve; the
-coupled scheme iterates
+Every system, global or local, is solved on its lower band: one banded
+Cholesky factor (LAPACK dpbtrf) per solve call, O(n k^2) for k
+sub-diagonals, read from the matrix's nonzeros.  The local systems of a
+call are laid end to end in subdomain-id order, whatever their listing
+order, as one block-diagonal band; its banded factor is the block
+diagonal of the blocks' own factors, so listing order cannot change a
+result.  Each uncoupled system needs one solve, and all of them are one
+banded solve; the coupled scheme iterates
 
     a_i w_i^{n+1} = c_i + sum_j p_i^T (p_j w_j^n)
 
 with every subdomain in an iteration consuming only iteration-n neighbor
-values, a Jacobi-style parallel sweep.  The stop test fires when the
-largest successive-iterate change drops to tol, or when every fixed-point
-residual is already below tol * kappa with kappa = 1 + max_i ||a_i||_inf
-(which lets a coupling-free system stop after its first, already exact,
-solve).  "Converged" means one of the two tests fired; kappa grows with
-R^{-1}, so the residual branch does not bound the distance to the fixed
-point.  Running out of iterations is reported through the history flag,
-never raised, so the best iterate stays available.
-
-Subdomain solves within one iteration are data-parallel over immutable
-inputs; with threads > 1 they run on one thread pool per solve call.
-Each local solve performs the same floating-point operations in the same
-order no matter where it runs, so results do not depend on the degree of
-parallelism.
+values, a Jacobi-style parallel sweep: one banded solve of c + C w^n per
+iteration, C the sparse coupling sum_j p_i^T p_j of the stack.  The stop
+test fires when the largest successive-iterate change drops to tol, or
+when every fixed-point residual is already below tol * kappa with
+kappa = 1 + max_i ||a_i||_inf (which lets a coupling-free system stop
+after its first, already exact, solve).  "Converged" means one of the two
+tests fired; kappa grows with R^{-1}, so the residual branch does not
+bound the distance to the fixed point.  Running out of iterations is
+reported through the history flag, never raised, so the best iterate
+stays available.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import (
     SCHEME_DDDA,
     SCHEME_MPS,
     GlobalSystem,
-    _coupling,
+    _band_rows,
+    _bandwidth,
+    _coupling_rows,
+    _lower_band,
     _require_scheme,
 )
+from .covariance import _band_cholesky, _band_solve
 from .errors import (
     DimensionMismatch,
-    FactorizationFailure,
     InvalidArgument,
 )
 
@@ -52,9 +54,9 @@ from .errors import (
 class SolverOptions:
     """Settings of the subdomain solvers.
 
-    tol and max_iters control the fixed-point sweep; threads caps the
-    worker pool that runs the subdomain solves of one iteration, 1
-    meaning serial.
+    tol and max_iters control the fixed-point sweep.  threads is checked
+    but has no effect: every iteration is one banded solve, and scipy's
+    LAPACK wrappers hold the GIL, so threads did not pay.
     """
 
     tol: float = 1e-12
@@ -98,34 +100,6 @@ class IterationHistory:
         self.records.append(record)
 
 
-def _factorize(a: np.ndarray, what: str):
-    try:
-        return scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"{what} is not numerically SPD") from exc
-    except ValueError as exc:  # scipy's finiteness check
-        raise FactorizationFailure(f"{what} has non-finite entries") from exc
-
-
-def _local_factor(sys):
-    return _factorize(sys.a, f"subdomain {sys.subdomain} matrix")
-
-
-def _pool(threads: int, count: int):
-    # One pool serves every iteration of a solve; None means run serially.
-    if threads == 1 or count <= 1:
-        return contextlib.nullcontext()
-    return ThreadPoolExecutor(max_workers=threads)
-
-
-def _map_ordered(fn, count: int, pool):
-    # Results gathered by index, so the outcome is identical whether the
-    # tasks ran serially or on a pool.
-    if pool is None:
-        return [fn(k) for k in range(count)]
-    return list(pool.map(fn, range(count)))
-
-
 def _vectors(ws, layout, what: str) -> list:
     # ws as float vectors, one per (subdomain id, size) pair of layout: the
     # one check of a per-subdomain vector list.
@@ -133,9 +107,6 @@ def _vectors(ws, layout, what: str) -> list:
         raise DimensionMismatch(
             f"{len(ws)} {what}s for {len(layout)} subdomains"
         )
-    ids = [i for i, _ in layout]
-    if len(set(ids)) < len(ids):
-        raise InvalidArgument(f"a subdomain appears twice in {ids}")
     out = []
     for (i, size), w in zip(layout, ws):
         w = np.asarray(w, dtype=float)
@@ -148,86 +119,132 @@ def _vectors(ws, layout, what: str) -> list:
     return out
 
 
+def _stacked_band(mats) -> np.ndarray:
+    # Lower band of blockdiag(mats), as wide as the widest block's band.
+    k = max(_bandwidth(a) for a in mats)
+    return np.hstack([_lower_band(a, k) for a in mats])
+
+
+class _Stack(tuple):
+    """The local systems of one solve call, laid end to end by id.
+
+    The tuple holds the systems in their listed order; the stacked arrays
+    run in subdomain-id order.  Construction rejects a repeated id and a
+    missing or mis-sized neighbor, before anything is factored.  band is
+    the lower band of blockdiag(a_i), coupling the CSR coupling C (see
+    assembly._coupling_rows), system the fixed-point operator
+    K = blockdiag(a_i) - C and c the concatenated right-hand sides.
+    """
+
+    def __new__(cls, locals_):
+        if not locals_:
+            raise InvalidArgument("need at least one local system")
+        stack = super().__new__(cls, locals_)
+        ids = [sys.subdomain for sys in stack]
+        if len(set(ids)) < len(ids):
+            raise InvalidArgument(f"a subdomain appears twice in {ids}")
+        stack.order = sorted(range(len(ids)), key=ids.__getitem__)
+        stack.systems = [stack[k] for k in stack.order]
+        stack.starts = np.cumsum([0] + [sys.size for sys in stack.systems])
+        layout = {sys.subdomain: (int(start), sys.size)
+                  for sys, start in zip(stack.systems, stack.starts)}
+        stack.coupling = _coupling_rows(stack.systems, layout)
+        stack.band = _stacked_band([sys.a for sys in stack.systems])
+        stack.c = np.concatenate([sys.c for sys in stack.systems])
+        return stack
+
+    @functools.cached_property
+    def system(self):
+        """K = blockdiag(a_i) - C as one CSR matrix, built on first use."""
+        return _band_rows(self.band) - self.coupling
+
+    def factor(self) -> np.ndarray:
+        """Banded Cholesky factor of blockdiag(a_i); a failure names its
+        subdomain."""
+        def what(row):
+            block = int(np.searchsorted(self.starts, row, side="right")) - 1
+            return f"subdomain {self.systems[block].subdomain} matrix"
+
+        return _band_cholesky(self.band, what)
+
+    def gather(self, ws) -> np.ndarray:
+        """The listed per-subdomain vectors as one stacked vector."""
+        vecs = _vectors(ws, [(sys.subdomain, sys.size) for sys in self],
+                        "iterate")
+        return np.concatenate([vecs[k] for k in self.order])
+
+    def split(self, w: np.ndarray) -> list:
+        """A stacked vector as per-subdomain views, in listed order."""
+        out = [None] * len(self)
+        for n, k in enumerate(self.order):
+            out[k] = w[self.starts[n]:self.starts[n + 1]]
+        return out
+
+
 def solve_global(sys: GlobalSystem):
-    """Solve a w = c for the full-domain system."""
-    return scipy.linalg.cho_solve(_factorize(sys.a, "global matrix"), sys.c)
+    """Solve a w = c for the full-domain system on its band."""
+    factor = _band_cholesky(_stacked_band([sys.a]), "global matrix")
+    return _band_solve(factor, sys.c)
 
 
 def solve_ddda(locals_: list, opts: SolverOptions | None = None):
-    """Solve every uncoupled local system independently, one solve each.
+    """Solve every uncoupled local system independently.
 
     The right-hand sides carry no iteration index, so a single solve per
     subdomain is the entire scheme; repeating it cannot change anything.
+    All of them are one banded solve of the stacked right-hand side, and
+    nothing in opts applies.
     """
-    opts = opts if opts is not None else SolverOptions()
     _require_scheme(locals_, SCHEME_DDDA)
-
-    def solve_one(k: int) -> np.ndarray:
-        sys = locals_[k]
-        return scipy.linalg.cho_solve(_local_factor(sys), sys.c,
-                                      check_finite=False)
-
-    with _pool(opts.threads, len(locals_)) as pool:
-        return _map_ordered(solve_one, len(locals_), pool)
+    if not locals_:
+        return []
+    stack = _Stack(locals_)
+    return stack.split(_band_solve(stack.factor(), stack.c))
 
 
 def solve_mps(locals_: list, opts: SolverOptions | None = None,
               cost_fn=None):
     """Run the parallel fixed-point sweep over the coupled local systems.
 
-    The sweep starts from all zeros (the background).  cost_fn,
-    when given, is called once per iteration with the fresh iterate list
-    and its value lands in the history; otherwise the cost column is NaN.
-    Returns (iterates, history); history.converged is False when the
-    iteration budget ran out.  The kappa of the residual stop test grows
-    with R^{-1}, so a sweep that stopped on that test need not be within
-    tol of the fixed point.  A coupled neighbor absent from locals_ raises
-    MissingNeighbor at the first sweep.
+    The sweep starts from all zeros (the background) and factors the
+    stacked band once.  cost_fn, when given, is called once per iteration
+    with the fresh iterate list and its value lands in the history;
+    otherwise the cost column is NaN.  Returns (iterates, history);
+    history.converged is False when the iteration budget ran out.  The
+    kappa of the residual stop test grows with R^{-1}, so a sweep that
+    stopped on that test need not be within tol of the fixed point.  A
+    coupled neighbor absent from locals_ raises MissingNeighbor before
+    the first sweep.
     """
     opts = opts if opts is not None else SolverOptions()
-    if not locals_:
-        raise InvalidArgument("need at least one local system")
     _require_scheme(locals_, SCHEME_MPS)
-    layout = [(sys.subdomain, sys.size) for sys in locals_]
-    # the zero start goes through the one check that rejects a repeated id
-    ws = _vectors([np.zeros(s) for _, s in layout], layout, "start vector")
-
-    factors = [_local_factor(sys) for sys in locals_]
+    stack = _Stack(locals_)
+    factor = stack.factor()
     kappa = 1.0 + max(
-        float(np.max(np.sum(np.abs(sys.a), axis=1))) for sys in locals_
+        float(np.max(np.sum(np.abs(sys.a), axis=1))) for sys in stack
     )
 
+    w = np.zeros(stack.c.size)
     history = IterationHistory()
-    with _pool(opts.threads, len(locals_)) as pool:
-        for n in range(1, opts.max_iters + 1):
-            by_id = {sys.subdomain: w for sys, w in zip(locals_, ws)}
-
-            def sweep(k: int) -> np.ndarray:
-                sys = locals_[k]
-                rhs = sys.c + _coupling(sys, by_id)
-                return scipy.linalg.cho_solve(factors[k], rhs,
-                                              check_finite=False)
-
-            new_ws = _map_ordered(sweep, len(locals_), pool)
-            max_delta = float(np.max([
-                np.max(np.abs(new - old)) if new.size else 0.0
-                for new, old in zip(new_ws, ws)
-            ]))
-            residuals = fixed_point_residual(locals_, new_ws)
-            cost = cost_fn(new_ws) if cost_fn is not None else math.nan
-            history.append(
-                IterationRecord(
-                    iteration=n,
-                    max_delta=max_delta,
-                    global_cost=float(cost),
-                    residual_norms=tuple(float(r) for r in residuals),
-                )
+    for n in range(1, opts.max_iters + 1):
+        new = _band_solve(factor, stack.c + stack.coupling @ w)
+        max_delta = float(np.max(np.abs(new - w), initial=0.0))
+        ws = stack.split(new)
+        residuals = fixed_point_residual(stack, ws)
+        cost = cost_fn(ws) if cost_fn is not None else math.nan
+        history.append(
+            IterationRecord(
+                iteration=n,
+                max_delta=max_delta,
+                global_cost=float(cost),
+                residual_norms=tuple(float(r) for r in residuals),
             )
-            ws = new_ws
-            if (max_delta <= opts.tol
-                    or float(np.max(residuals)) <= opts.tol * kappa):
-                history.converged = True
-                break
+        )
+        w = new
+        if (max_delta <= opts.tol
+                or float(np.max(residuals)) <= opts.tol * kappa):
+            history.converged = True
+            break
 
     return ws, history
 
@@ -238,13 +255,11 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     Zero exactly at a fixed point of the sweep.  Accepts uncoupled systems
     too, where it degenerates to the plain linear residual, and accepts
     iterates from either scheme, which is how the uncoupled solutions are
-    measured against the coupled systems.
+    measured against the coupled systems.  One sparse product K w - c on
+    the stack; entry i is the sup-norm of local_gradient for subdomain i,
+    to the bit.  solve_mps passes its stack, which is then not rebuilt.
     """
-    vecs = _vectors(ws, [(sys.subdomain, sys.size) for sys in locals_],
-                    "iterate")
-    by_id = {sys.subdomain: w for sys, w in zip(locals_, vecs)}
-    out = []
-    for sys, w in zip(locals_, vecs):
-        r = sys.a @ w - sys.c - _coupling(sys, by_id)
-        out.append(float(np.max(np.abs(r))) if r.size else 0.0)
-    return np.asarray(out)
+    stack = locals_ if isinstance(locals_, _Stack) else _Stack(locals_)
+    r = stack.system @ stack.gather(ws) - stack.c
+    return np.array([float(np.max(np.abs(r_k), initial=0.0))
+                     for r_k in stack.split(r)])

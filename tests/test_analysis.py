@@ -20,6 +20,7 @@ from ddvar import (
     decompose_uniform,
     equivalence_report,
     identity_covariance,
+    innovation,
     interface_mismatch,
     local_update,
     patch,
@@ -29,7 +30,7 @@ from ddvar import (
     synthesize,
 )
 
-from ddvar import covariance
+from ddvar import analysis, covariance
 
 from conftest import make_instance, mirror_symmetric_instance
 from test_acceptance import instance_matrix
@@ -297,6 +298,19 @@ def test_reference_matches_normal_equations_edge_cases(n, kind, length_scale,
     inst, _ = make_instance(n=n, j_sub=1, halo=0, nobs=nobs, kind=kind,
                             length_scale=length_scale, sigma_o=sigma_o)
     assert _reference_gap(inst) <= 1e-12
+
+
+@pytest.mark.parametrize("length_scale", [2.0, 8.0])
+def test_banded_reference_matches_dense_observation_space_solve(
+        length_scale):
+    # the band of M M^T + R solved against the dense matrix it stands for
+    inst, _ = make_instance(n=600, j_sub=1, halo=0, seed=4,
+                            length_scale=length_scale)
+    m = inst.h_rows.toarray()
+    s = m @ m.T + np.diag(inst.obs.r_cov.r_diag)
+    w_dense = m.T @ np.linalg.solve(s, innovation(inst))
+    w = analysis._global_w(inst)
+    assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
 
 
 def test_reference_cost_matches_normal_equations_when_ill_conditioned():

@@ -269,7 +269,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "np" in err[0]
-    assert "15,497.2 GiB" in err[0]
+    assert "14,902.4 GiB" in err[0]
     # the convention that is gone names its key
     path = write_config(tmp_path,
                         "np = 20\nupdate_convention = binv_v_times_w\n")

@@ -178,6 +178,10 @@ def test_obs_covariance_requires_positive_variances():
         ObsCovariance(np.array([0.1, 0.0]))
     with pytest.raises(InvalidArgument):
         ObsCovariance(np.array([-1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidArgument,
+                           match=f"variance {bad} at position 1 is not finite"):
+            ObsCovariance(np.array([1.0, bad]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

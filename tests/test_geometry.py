@@ -37,6 +37,21 @@ def test_grid_rejects_bad_inputs():
         Grid1D.uniform(4, spacing=0.0)
 
 
+def test_grids_and_decompositions_compare_by_value():
+    grid = Grid1D.uniform(40)
+    dec = decompose_uniform(grid, 2, 2)
+    same = decompose_uniform(Grid1D.uniform(40), 2, 2)
+    assert grid == Grid1D.uniform(40) and hash(grid) == hash(Grid1D.uniform(40))
+    assert dec == same and hash(dec) == hash(same)
+    assert len({dec, same, Decomposition(grid, 2, 2)}) == 1
+    assert dec != decompose_uniform(grid, 2, 1)
+    assert dec != decompose_uniform(grid, 4, 2)
+    assert dec != decompose_uniform(Grid1D.uniform(40, spacing=2.0), 2, 2)
+    assert grid != Grid1D.uniform(41) and grid != "grid"
+    assert Grid1D(2, [-0.0, 1.0]) == Grid1D(2, [0.0, 1.0])
+    assert hash(Grid1D(2, [-0.0, 1.0])) == hash(Grid1D(2, [0.0, 1.0]))
+
+
 def test_single_subdomain_covers_everything():
     dec = decompose_uniform(Grid1D.uniform(10), 1, 0)
     assert dec.subdomains == ((0, 10),)

@@ -12,6 +12,7 @@ from ddvar import (
     InvalidArgument,
     IterationHistory,
     IterationRecord,
+    LocalSystem,
     MissingNeighbor,
     ProblemInstance,
     SCHEME_DDDA,
@@ -193,17 +194,22 @@ def test_fixed_point_residual_zero_at_uncoupled_solve():
 
 
 def test_fixed_point_residual_is_the_local_gradient_norm():
-    # both apply the coupling through the same factors, so on any iterates
-    # each residual entry is the sup-norm of that subdomain's gradient
-    inst, dec = make_instance(n=33, j_sub=3, halo=2, seed=17)
-    locals_ = _locals(inst, dec, SCHEME_MPS)
-    rng = np.random.default_rng(18)
-    for _ in range(3):
-        ws = [rng.standard_normal(sys.size) for sys in locals_]
-        res = fixed_point_residual(locals_, ws)
-        for i, sys in enumerate(locals_):
-            g = local_gradient(sys, ws[i], dict(enumerate(ws)))
-            assert res[i] == float(np.max(np.abs(g)))
+    # local_gradient multiplies its own row block of the stacked operator,
+    # so on any iterates each residual entry is the sup-norm of that
+    # subdomain's gradient to the bit; the n = 400 instances are large
+    # enough that two separately summed products differ in the last bit
+    cases = [(33, 3, 2, 17, 3)]
+    cases += [(400, 4, 4, seed, 1) for seed in range(20)]
+    for n, j_sub, halo, seed, draws in cases:
+        inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=seed)
+        locals_ = _locals(inst, dec, SCHEME_MPS)
+        rng = np.random.default_rng(seed + 1)
+        for _ in range(draws):
+            ws = [rng.standard_normal(sys.size) for sys in locals_]
+            res = fixed_point_residual(locals_, ws)
+            for i, sys in enumerate(locals_):
+                g = local_gradient(sys, ws[i], dict(enumerate(ws)))
+                assert res[i] == float(np.max(np.abs(g)))
 
 
 def test_fixed_point_residual_validation():
@@ -272,3 +278,47 @@ def test_history_appends_in_order_only():
     assert history.iterations == 2
     with pytest.raises(InvalidArgument):
         history.append(IterationRecord(2, 0.1, math.nan, (0.01,)))
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_DDDA, SCHEME_MPS])
+def test_factorization_failure_names_the_subdomain(scheme):
+    # the systems are factored as one stack in id order; a failure names
+    # the subdomain that holds the failing row, whatever the listing order
+    inst, dec = make_instance(n=36, j_sub=3, halo=1, seed=2)
+    locals_ = _locals(inst, dec, scheme)
+    solve = solve_ddda if scheme == SCHEME_DDDA else solve_mps
+    indefinite = locals_[2].a.copy()
+    indefinite[4, 4] = -1.0
+    broken = dataclasses.replace(locals_[2], a=indefinite)
+    with pytest.raises(FactorizationFailure,
+                       match="subdomain 2 matrix is not numerically SPD"):
+        solve([broken, locals_[0], locals_[1]])
+    infinite = locals_[1].a.copy()
+    infinite[3, 2] = np.inf
+    broken = dataclasses.replace(locals_[1], a=infinite)
+    with pytest.raises(FactorizationFailure,
+                       match="subdomain 1 matrix has non-finite entries"):
+        solve([locals_[0], broken, locals_[2]])
+
+
+def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
+    # a full-bandwidth system stacked with a tridiagonal one: the stack's
+    # band is as wide as the widest block, and each block still solves
+    # its own system
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((12, 12))
+    full = x @ x.T + 12.0 * np.eye(12)
+    tridiagonal = (np.diag(np.full(7, 4.0)) + np.diag(np.ones(6), 1)
+                   + np.diag(np.ones(6), -1))
+    systems = [
+        LocalSystem(subdomain=1, scheme=SCHEME_DDDA, a=tridiagonal,
+                    c=rng.standard_normal(7)),
+        LocalSystem(subdomain=0, scheme=SCHEME_DDDA, a=full,
+                    c=rng.standard_normal(12)),
+    ]
+    for sys, w in zip(systems, solve_ddda(systems)):
+        np.testing.assert_allclose(w, np.linalg.solve(sys.a, sys.c),
+                                   rtol=0, atol=1e-13)
+    (w,) = solve_ddda(systems[1:])
+    np.testing.assert_allclose(w, np.linalg.solve(full, systems[1].c),
+                               rtol=0, atol=1e-13)
