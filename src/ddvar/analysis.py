@@ -191,9 +191,8 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     always computed alongside as the reference for vs_global_linf, by the
     observation-space solve of the module docstring: the sparse M M^T
     costs O(nobs bw^2) and its banded factor O(nobs k_S^2), against
-    O(n bw^2) for the banded normal equations of assemble_global, whose
-    dense n x n matrix is left to tests and checks.
-    convention accepts only "v_times_w"; it remains because the benchmark
+    O(n bw^2) for the normal equations of assemble_global.  convention
+    accepts only "v_times_w"; it remains because the benchmark
     worker passes the config's update_convention positionally.
     """
     _check_convention(convention)
@@ -295,10 +294,9 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         for m, d in zip(mps_locals, dd_locals)
     )
 
-    structure_dev = max(
-        float(np.max(np.abs(
-            m.a - (d.a + penalty_stiffness(m.penalty_pairs, d.size))
-        )))
+    a_structure_exact = all(
+        np.array_equal(m.a_band, d.a_band + penalty_stiffness(
+            m.penalty_pairs, d.a_band.shape))
         for m, d in zip(mps_locals, dd_locals)
     )
 
@@ -312,7 +310,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     ))
     return EquivalenceReport(
         c_equal=c_equal,
-        a_structure_exact=structure_dev == 0.0,
+        a_structure_exact=a_structure_exact,
         interface_mismatch=interface_mismatch(inst, dec, ws_dd),
         ddda_in_mps_residual=float(
             np.max(fixed_point_residual(mps_locals, ws_dd))

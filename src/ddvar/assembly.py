@@ -11,8 +11,13 @@ coupled scheme adds, per neighbor j, the interface penalty stiffness
 p_i^T p_i to the matrix and keeps the interface factors (p_i, p_j).  The
 neighbor's pull p_i^T (p_j w_j) enters the right-hand side during the
 fixed-point sweep, through the coupling p_i^T p_j formed on the few
-columns where p_i and p_j are nonzero.  The solvers lay the local systems
-end to end: the lower band of blockdiag(a_i) and the sparse rows of the
+columns where p_i and p_j are nonzero.
+
+H selects distinct points, so H^T R^{-1} H is a diagonal D and
+a = V^T D V + I has at most the bw sub-diagonals of V: it is formed and
+stored as its lower band a_band, O(s bw^2) for s points, and no s x s
+matrix is formed.  The dense a is derived on first access, for the tests
+and oracles.  The solvers lay the bands end to end; the sparse rows of the
 coupling and of the fixed-point operator are built here, and
 local_gradient multiplies one subdomain's rows of that operator.
 
@@ -23,12 +28,14 @@ bit, not merely to rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from numpy.lib.stride_tricks import as_strided
 
-from .covariance import interface_coupling, v_rows
+from .covariance import _dense, interface_coupling, v_gram, v_times
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -42,18 +49,28 @@ SCHEME_DDDA = "ddda"
 _SCHEMES = (SCHEME_MPS, SCHEME_DDDA)
 
 
-@dataclass(frozen=True)
-class GlobalSystem:
-    """Normal equations of the full-domain cost: a w = c."""
+class _Banded:
+    # The dense a of a system stored as its lower band a_band.
 
-    a: np.ndarray
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """Dense a, scattered symmetrically from a_band once, read-only."""
+        return _dense(self.a_band, symmetric=True)
+
+
+@dataclass(frozen=True)
+class GlobalSystem(_Banded):
+    """Normal equations of the full-domain cost: a w = c, a as a_band."""
+
+    a_band: np.ndarray
     c: np.ndarray
 
 
 @dataclass(frozen=True)
-class LocalSystem:
+class LocalSystem(_Banded):
     """One subdomain's system a_i w_i = c_i (+ coupling for the mps scheme).
 
+    a_band is the lower band of a_i, zero past the last row.
     penalty_pairs holds the interface factors (j, p_i, p_j) in ascending
     neighbor order and is empty for the ddda scheme.  They define both the
     penalty stiffness sum_j p_i^T p_i inside a and the coupling
@@ -62,7 +79,7 @@ class LocalSystem:
 
     subdomain: int
     scheme: str
-    a: np.ndarray
+    a_band: np.ndarray
     c: np.ndarray
     penalty_pairs: tuple = ()
 
@@ -71,25 +88,25 @@ class LocalSystem:
         return int(self.c.size)
 
 
-def _weighted_normal(m: np.ndarray, r_inv: np.ndarray, d: np.ndarray):
-    # base = m^T R^{-1} m + I and rhs = m^T R^{-1} d; the lone code path
-    # for both schemes and for the global system.
-    n = m.shape[1]
-    a = m.T @ (r_inv[:, None] * m) + np.eye(n)
-    c = m.T @ (r_inv * d)
-    return a, c
+def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
+    """Lower band, of the given shape, of sum_j p_i^T p_i over the pairs.
 
-
-def penalty_stiffness(penalty_pairs, size: int) -> np.ndarray:
-    """sum_j p_i^T p_i over the (j, p_i, p_j) pairs, in their listed order.
-
-    The pairs come in ascending neighbor order, so every caller lands on
-    the same floats; with no pairs the sum is the size x size zero matrix.
+    Each p_i^T p_i is one BLAS product on the range of columns where p_i is
+    nonzero, added in the pairs' ascending neighbor order, so every caller
+    lands on the same floats; with no pairs the band is zero.
     """
-    g = np.zeros((size, size))
+    band = np.zeros(shape)
     for _, p_i, _ in penalty_pairs:
-        g += p_i.T @ p_i
-    return g
+        cols = np.flatnonzero(p_i.any(axis=0))
+        lo, w = cols[0], cols[-1] + 1 - cols[0]
+        q = np.ascontiguousarray(p_i[:, lo:lo + w])
+        # band[d, lo + c] += g[c + d, c], at flat offset d w + c (w + 1);
+        # the zero rows below g stand for c + d >= w
+        g = np.zeros((w + shape[0] - 1, w))
+        g[:w] = q.T @ q
+        row, col = g.strides
+        band[:, lo:lo + w] += as_strided(g, (shape[0], w), (row, row + col))
+    return band
 
 
 def _require_scheme(locals_, scheme: str) -> None:
@@ -99,21 +116,6 @@ def _require_scheme(locals_, scheme: str) -> None:
                 f"subdomain {sys.subdomain} was assembled for scheme "
                 f"{sys.scheme!r}, expected {scheme!r}"
             )
-
-
-def _bandwidth(a: np.ndarray) -> int:
-    """Sub-diagonals of a, read from the first nonzero of each row."""
-    nonzero = a != 0.0
-    first = np.argmax(nonzero, axis=1)
-    rows = np.flatnonzero(nonzero[np.arange(a.shape[0]), first])
-    return int(np.max(rows - first[rows], initial=0))
-
-
-def _lower_band(a: np.ndarray, k: int) -> np.ndarray:
-    """band[d, j] = a[j + d, j] for d = 0..k, zero past the last row."""
-    s = a.shape[0]
-    rows = np.arange(s) + np.arange(k + 1)[:, None]
-    return np.where(rows < s, a[np.minimum(rows, s - 1), np.arange(s)], 0.0)
 
 
 def _band_rows(band: np.ndarray, start: int = 0, width: int | None = None):
@@ -173,12 +175,12 @@ def _coupling_rows(systems, layout):
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
     """Build a = V^T H^T R^{-1} H V + I and c = V^T H^T R^{-1} d.
 
-    H is a point selection, so H V is inst.h_rows, rows of V, densified
-    here.  With no observations the system degenerates to a = I, c = 0.
+    The system is the local one of the one-subdomain decomposition, so the
+    two agree to the bit.  With no observations a = I, c = 0.
     """
-    r_inv = 1.0 / inst.obs.r_cov.r_diag
-    a, c = _weighted_normal(inst.h_rows.toarray(), r_inv, innovation(inst))
-    return GlobalSystem(a=a, c=c)
+    sys = assemble_local(inst, Decomposition(inst.grid, 1, 0), 0,
+                         SCHEME_DDDA)
+    return GlobalSystem(a_band=sys.a_band, c=sys.c)
 
 
 def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
@@ -186,13 +188,12 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     """Build subdomain i's system for the given scheme.
 
     Both schemes share a_i = V_i^T H_i^T R_i^{-1} H_i V_i + I_i and
-    c_i = V_i^T H_i^T R_i^{-1} d_i, where H_i V_i is gathered by v_rows
-    (the observed rows of V against the span) and H_i, R_i, d_i keep exactly
-    the observations whose grid point lies in subdomain i: a contiguous
-    slice of the strictly increasing obs_indices, so an observation in an
-    overlap enters both neighbors' systems.  The mps scheme
-    then adds penalty_stiffness of its interface pairs, which reports
-    recompose to identical floats.
+    c_i = V_i^T H_i^T R_i^{-1} d_i, V_i = V[span, span], where H_i, R_i,
+    d_i keep exactly the observations whose grid point lies in subdomain
+    i: a contiguous slice of the strictly increasing obs_indices, so an
+    observation in an overlap enters both neighbors' systems.  The mps
+    scheme then adds the band of penalty_stiffness of its interface
+    pairs, which reports recompose to identical floats.
     """
     if scheme not in _SCHEMES:
         raise InvalidArgument(
@@ -201,10 +202,14 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     span = dec.span(i)
     idx = inst.obs.obs_indices
     sel = slice(*np.searchsorted(idx, [span.start, span.stop]))
-    d = innovation(inst)
-    m_i = v_rows(inst.cov, idx[sel], span)
-    r_inv_i = 1.0 / inst.obs.r_cov.r_diag[sel]
-    a, c = _weighted_normal(m_i, r_inv_i, d[sel])
+    at = idx[sel] - span.start
+    # H_i^T R_i^{-1} H_i is the diagonal D, R_i^{-1} at the observed points
+    weights = np.zeros(span.stop - span.start)
+    weights[at] = 1.0 / inst.obs.r_cov.r_diag[sel]
+    a_band = v_gram(inst.cov, weights, span)
+    a_band[0] += 1.0
+    weights[at] *= innovation(inst)[sel]
+    c = v_times(inst.cov, weights, span, transpose=True)
 
     pairs = ()
     if scheme == SCHEME_MPS:
@@ -212,12 +217,12 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
             (j, *interface_coupling(inst.cov, dec, i, j))
             for j in dec.neighbors(i)
         )
-        a = a + penalty_stiffness(pairs, a.shape[0])
+        a_band = a_band + penalty_stiffness(pairs, a_band.shape)
 
     return LocalSystem(
         subdomain=i,
         scheme=scheme,
-        a=a,
+        a_band=a_band,
         c=c,
         penalty_pairs=pairs,
     )
@@ -264,6 +269,6 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     starts = np.cumsum([0] + [ws[j].size for j in ids])
     layout = {j: (int(starts[n]), ws[j].size) for n, j in enumerate(ids)}
     own = layout[sys.subdomain][0]
-    k = (_band_rows(_lower_band(sys.a, _bandwidth(sys.a)), own, starts[-1])
+    k = (_band_rows(sys.a_band, own, starts[-1])
          - _coupling_rows([sys], layout))
     return k @ np.concatenate([ws[j] for j in ids]) - sys.c

@@ -177,25 +177,25 @@ def _build_config(raw, path):
                         f"above sigma_b * 2^-26 = {floor}")
     if not 0 <= config.nobs <= config.n_points:
         fail("nobs", f"must lie in 0..np, got {config.nobs}")
-    # the arrays a run holds: each subdomain's dense matrix, s x s for the
-    # widest span s (both schemes' for compare), and bands of at most
-    # bw + 1 rows, bw the sub-diagonals of B: those of B and V, of the
-    # stacked local systems, their factor and their sparse operator
-    # (2 bw + 1 entries a row), and of the observation-space matrix and
-    # its factor
+    # the arrays a run holds: the bands, at most bw + 1 rows for bw the
+    # sub-diagonals of B, of B and V, of the stacked local systems (s points
+    # each for the widest span s) with their factor and sparse operator
+    # (2 bw + 1 entries a row), and of the observation-space matrix and its
+    # factor; and the coupled scheme's interface factors, four halo x s
+    # blocks a seam
     n, j_sub = config.n_points, config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
     bw = (0 if config.cov_kind == "identity"
           else min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale)))
-    schemes = 2 if config.method == "compare" else 1
-    gib = (8 * schemes * j_sub * s**2
-           + 16 * (bw + 1) * (n + 3 * j_sub * s + config.nobs)) / 2**30
+    seams = (j_sub - 1) if config.method in ("mps", "compare") else 0
+    gib = (16 * (bw + 1) * (n + 3 * j_sub * s + config.nobs)
+           + 32 * seams * config.halo * s) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:
-        fail("np", f"{n} needs {gib:,.1f} GiB for the local matrices and "
-                   "the bands of the covariance, the local systems and the "
-                   f"observation-space matrix, more than the {ram:,.1f} GiB "
-                   "of RAM")
+        fail("np", f"{n} needs {gib:,.1f} GiB for the bands of the "
+                   "covariance, the local systems and the observation-space "
+                   "matrix and for the interface factors, more than the "
+                   f"{ram:,.1f} GiB of RAM")
     if config.seed < 0:
         fail("seed", f"must be >= 0, got {config.seed}")
     if config.method not in _METHODS:

@@ -12,12 +12,14 @@ therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
 v_rows (rows against a column range), v_rows_sparse (rows, sparse),
-v_times (V x on a diagonal block, BLAS dtbmv) and v_solve (V^{-1} x, LAPACK
-dtbtrs).  The dense b and v_factor are derived on first use, as the
-oracle of factor_check and of the tests.  _band_cholesky and _band_solve
-(LAPACK dpbtrf / dpbtrs) are the package's one path for SPD systems: B
-here, the stacked local systems in solvers and the observation-space
-matrix in analysis.
+v_times (V x or V^T x on a diagonal block, BLAS dtbmv), v_gram (the band
+of V^T D V on a diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK
+dtbtrs).  The dense b and v_factor, and the dense matrix of an assembled
+system, are scattered from bands by _dense on first use, for factor_check
+and the tests.  _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs)
+are the package's one path for SPD systems: B here, the global and
+stacked local systems in solvers and the observation-space matrix in
+analysis.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
@@ -222,15 +225,42 @@ def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
 
 
 def v_times(model: CovarianceModel, w: np.ndarray,
-            span: slice | None = None) -> np.ndarray:
+            span: slice | None = None, transpose: bool = False) -> np.ndarray:
     """V[span, span] @ w by BLAS dtbmv on the band, O(s bw) for s points.
 
-    The default span is the whole grid.  Equal to the dense product up to
-    rounding: the sums run in a different order.
+    The default span is the whole grid; transpose multiplies by the
+    transposed block.  Equal to the dense product up to rounding: the sums
+    run in a different order.
     """
     span = span if span is not None else slice(0, model.n_points)
     band = model.v_band[:span.stop - span.start, span]
-    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1)
+    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1,
+                                   trans=int(transpose))
+
+
+def v_gram(model: CovarianceModel, weights: np.ndarray,
+           span: slice) -> np.ndarray:
+    """Lower band of V_s^T diag(weights) V_s, V_s = V[span, span].
+
+    k = min(bw, s - 1) sub-diagonals for s points, O(s bw^2): gram[d, c]
+    sums weights[c + t] V_s[c + t, c] V_s[c + t, c + d] over t = d..k, in
+    one product over strided windows of the band.
+    """
+    s = span.stop - span.start
+    k = min(model.v_band.shape[0], s) - 1
+    # the band of V_s atop a zero (2k + 1, s + k) block; zero weights past
+    # the span silence the entries of V below it
+    band = np.zeros((2 * k + 1, s + k))
+    band[:k + 1, :s] = model.v_band[:k + 1, span]
+    padded = np.append(weights, np.zeros(2 * k))
+    row, col = band.strides
+    # weighted[t, c] = weights[c + t] V_s[c + t, c]
+    weighted = as_strided(padded, (2 * k + 1, s), (col, col)) * band[:, :s]
+    # a[d, c, u] = weighted[d + u, c], b[d, c, u] = V_s[c + d + u, c + d]
+    a = as_strided(weighted, (k + 1, s, k + 1),
+                   (weighted.strides[0], col, weighted.strides[0]))
+    b = as_strided(band, (k + 1, s, k + 1), (col, col, row))
+    return np.einsum("dcu,dcu->dc", a, b)
 
 
 def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:

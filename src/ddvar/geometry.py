@@ -33,7 +33,8 @@ from .errors import (
 class Grid1D:
     """Discretized 1-D domain: point count and monotone coordinates.
 
-    Two grids are equal when their point counts and coordinates are.
+    The coordinates must be finite and strictly increasing.  Two grids are
+    equal when their point counts and coordinates are.
     """
 
     n_points: int
@@ -47,6 +48,8 @@ class Grid1D:
             raise DimensionMismatch(
                 f"coords has shape {coords.shape}, expected ({self.n_points},)"
             )
+        if not np.isfinite(coords).all():
+            raise InvalidArgument("coords must be finite")
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
             raise InvalidArgument("coords must be strictly increasing")
         object.__setattr__(self, "coords", coords)

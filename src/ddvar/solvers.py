@@ -1,13 +1,14 @@
 """Direct, per-subdomain, and fixed-point solvers.
 
-Every system, global or local, is solved on its lower band: one banded
-Cholesky factor (LAPACK dpbtrf) per solve call, O(n k^2) for k
-sub-diagonals, read from the matrix's nonzeros.  The local systems of a
-call are laid end to end in subdomain-id order, whatever their listing
-order, as one block-diagonal band; its banded factor is the block
-diagonal of the blocks' own factors, so listing order cannot change a
-result.  Each uncoupled system needs one solve, and all of them are one
-banded solve; the coupled scheme iterates
+Every system, global or local, arrives as its lower band a_band, k
+sub-diagonals with k at most the bandwidth of V, and is solved on it: one
+banded Cholesky factor (LAPACK dpbtrf) per solve call, O(n k^2).  The
+local bands of a call are laid end to end in subdomain-id order, whatever
+their listing order, each zero-padded to the tallest, as one
+block-diagonal band; its banded factor is the block diagonal of the
+blocks' own factors, so listing order cannot change a result.  Each
+uncoupled system needs one solve, and all of them are one banded solve;
+the coupled scheme iterates
 
     a_i w_i^{n+1} = c_i + sum_j p_i^T (p_j w_j^n)
 
@@ -16,12 +17,12 @@ values, a Jacobi-style parallel sweep: one banded solve of c + C w^n per
 iteration, C the sparse coupling sum_j p_i^T p_j of the stack.  The stop
 test fires when the largest successive-iterate change drops to tol, or
 when every fixed-point residual is already below tol * kappa with
-kappa = 1 + max_i ||a_i||_inf (which lets a coupling-free system stop
-after its first, already exact, solve).  "Converged" means one of the two
-tests fired; kappa grows with R^{-1}, so the residual branch does not
-bound the distance to the fixed point.  Running out of iterations is
-reported through the history flag, never raised, so the best iterate
-stays available.
+kappa = 1 + max_i ||a_i||_inf, read from the stacked band (which lets a
+coupling-free system stop after its first, already exact, solve).
+"Converged" means one of the two tests fired; kappa grows with R^{-1}, so
+the residual branch does not bound the distance to the fixed point.
+Running out of iterations is reported through the history flag, never
+raised, so the best iterate stays available.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .assembly import (
     SCHEME_MPS,
     GlobalSystem,
     _band_rows,
-    _bandwidth,
     _coupling_rows,
-    _lower_band,
     _require_scheme,
 )
 from .covariance import _band_cholesky, _band_solve
@@ -119,10 +118,13 @@ def _vectors(ws, layout, what: str) -> list:
     return out
 
 
-def _stacked_band(mats) -> np.ndarray:
-    # Lower band of blockdiag(mats), as wide as the widest block's band.
-    k = max(_bandwidth(a) for a in mats)
-    return np.hstack([_lower_band(a, k) for a in mats])
+def _row_sums(band: np.ndarray) -> np.ndarray:
+    # Absolute row sums of the symmetric matrix with this lower band: an
+    # entry off the diagonal counts in its row and in its column.
+    sums = np.abs(band).sum(axis=0)
+    for d in range(1, band.shape[0]):
+        sums[d:] += np.abs(band[d, :-d])
+    return sums
 
 
 class _Stack(tuple):
@@ -131,9 +133,10 @@ class _Stack(tuple):
     The tuple holds the systems in their listed order; the stacked arrays
     run in subdomain-id order.  Construction rejects a repeated id and a
     missing or mis-sized neighbor, before anything is factored.  band is
-    the lower band of blockdiag(a_i), coupling the CSR coupling C (see
-    assembly._coupling_rows), system the fixed-point operator
-    K = blockdiag(a_i) - C and c the concatenated right-hand sides.
+    the lower band of blockdiag(a_i), each a_band zero-padded to the
+    tallest, coupling the CSR coupling C (see assembly._coupling_rows),
+    system the fixed-point operator K = blockdiag(a_i) - C and c the
+    concatenated right-hand sides.
     """
 
     def __new__(cls, locals_):
@@ -149,7 +152,11 @@ class _Stack(tuple):
         layout = {sys.subdomain: (int(start), sys.size)
                   for sys, start in zip(stack.systems, stack.starts)}
         stack.coupling = _coupling_rows(stack.systems, layout)
-        stack.band = _stacked_band([sys.a for sys in stack.systems])
+        stack.band = np.zeros((max(sys.a_band.shape[0] for sys in stack),
+                               stack.starts[-1]))
+        for sys, start in zip(stack.systems, stack.starts):
+            stack.band[:sys.a_band.shape[0], start:start + sys.size] = (
+                sys.a_band)
         stack.c = np.concatenate([sys.c for sys in stack.systems])
         return stack
 
@@ -183,8 +190,7 @@ class _Stack(tuple):
 
 def solve_global(sys: GlobalSystem):
     """Solve a w = c for the full-domain system on its band."""
-    factor = _band_cholesky(_stacked_band([sys.a]), "global matrix")
-    return _band_solve(factor, sys.c)
+    return _band_solve(_band_cholesky(sys.a_band, "global matrix"), sys.c)
 
 
 def solve_ddda(locals_: list, opts: SolverOptions | None = None):
@@ -220,9 +226,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     _require_scheme(locals_, SCHEME_MPS)
     stack = _Stack(locals_)
     factor = stack.factor()
-    kappa = 1.0 + max(
-        float(np.max(np.sum(np.abs(sys.a), axis=1))) for sys in stack
-    )
+    kappa = 1.0 + float(np.max(_row_sums(stack.band)))
 
     w = np.zeros(stack.c.size)
     history = IterationHistory()

@@ -33,6 +33,12 @@ def make_instance(n=30, j_sub=2, halo=1, nobs=None, seed=0, kind="gaussian",
     return inst, dec
 
 
+def lower_band(a, k):
+    """band[d, j] = a[j + d, j] for d = 0..k, zero past the last row."""
+    return np.array([np.concatenate([np.diagonal(a, -d), np.zeros(d)])
+                     for d in range(k + 1)])
+
+
 def mirror_symmetric_instance():
     """Two-subdomain instance invariant under the reflection p -> 39 - p.
 

@@ -214,15 +214,25 @@ def test_control_equivalent_rejects_singular_factor():
         control_equivalent(inst, np.ones(10))
 
 
-def test_run_path_never_forms_dense_b():
-    # synthesis, every scheme and the report read B and V on their bands;
-    # the dense b and v_factor stay the oracle of tests and checks
+def test_run_path_never_forms_dense_b(monkeypatch):
+    # synthesis, every scheme and the report read B and V on their bands,
+    # and every local system stays a band; the dense b, v_factor and a
+    # stay the oracle of tests and checks
+    built = []
+
+    def recording(*args):
+        built.append(assemble_local(*args))
+        return built[-1]
+
+    monkeypatch.setattr(analysis, "assemble_local", recording)
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
     for method in ("global", "mps", "ddda"):
         assimilate(inst, dec, method)
     equivalence_report(inst, dec)
     assert "b" not in vars(inst.cov)
     assert "v_factor" not in vars(inst.cov)
+    assert len(built) == 4 * dec.j_sub
+    assert not [sys for sys in built if "a" in vars(sys)]
 
 
 def test_run_path_scatters_no_dense_block_of_v(monkeypatch):

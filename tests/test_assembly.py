@@ -20,7 +20,7 @@ from ddvar import (
     point_observations,
 )
 
-from conftest import make_instance
+from conftest import lower_band, make_instance
 
 
 def _single_point_instance():
@@ -124,6 +124,40 @@ def test_matrix_split_is_exact():
             g = p_i.T @ p_i
             g_sum = g if g_sum is None else g_sum + g
         np.testing.assert_array_equal(mps.a, ddda.a + g_sum)
+
+
+@pytest.mark.parametrize("kind, length_scale, n, j_sub, halo", [
+    ("gaussian", 0.5, 40, 3, 2),
+    ("gaussian", 2.0, 40, 3, 2),
+    ("gaussian", 8.0, 400, 4, 4),
+    # spans of 22 to 24 points, narrower than the 60 rows of V's band
+    ("gaussian", 8.0, 60, 3, 2),
+    ("identity", None, 30, 3, 2),
+])
+def test_band_is_the_lower_band_of_the_dense_definition(kind, length_scale,
+                                                        n, j_sub, halo):
+    # a_band of both schemes against m_i^T R^{-1} m_i + I (+ sum p_i^T p_i)
+    # rebuilt from the dense V, the observation list and the interfaces
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=11,
+                              kind=kind, length_scale=length_scale)
+    v = inst.cov.v_factor
+    idx = inst.obs.obs_indices
+    bw = inst.cov.v_band.shape[0] - 1
+    for i in range(dec.j_sub):
+        cols = dec.indices(i)
+        mask = (idx >= cols[0]) & (idx <= cols[-1])
+        m = v[np.ix_(idx[mask], cols)]
+        r_inv = 1.0 / inst.obs.r_cov.r_diag[mask]
+        base = m.T @ (r_inv[:, None] * m) + np.eye(cols.size)
+        ps = [v[np.ix_(dec.interface(i, j), cols)] for j in dec.neighbors(i)]
+        penalty = sum((p.T @ p for p in ps), np.zeros_like(base))
+        k = min(bw, cols.size - 1)
+        for scheme, dense in ((SCHEME_DDDA, base),
+                              (SCHEME_MPS, base + penalty)):
+            band = assemble_local(inst, dec, i, scheme).a_band
+            assert band.shape == (k + 1, cols.size)
+            np.testing.assert_allclose(band, lower_band(dense, k), rtol=0,
+                                       atol=1e-14 * np.max(np.abs(dense)))
 
 
 def test_identity_factor_coupling_structure():

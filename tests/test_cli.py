@@ -260,16 +260,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
-    # one subdomain of 10^6 points: its matrix and factor, with the
-    # observation-space matrix and factor of 200000 observations, are far
-    # past physical memory; rejected at validation with the estimate,
-    # before anything is allocated
-    path = write_config(tmp_path, "np = 1000000\n")
+    # one subdomain of 10^9 points: the bands of its system and factor,
+    # with those of the observation-space matrix and factor of 2 * 10^8
+    # observations, are far past physical memory; rejected at validation
+    # with the estimate, before anything is allocated
+    path = write_config(tmp_path, "np = 1000000000\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "np" in err[0]
-    assert "14,902.4 GiB" in err[0]
+    assert "1,189.1 GiB" in err[0]
     # the convention that is gone names its key
     path = write_config(tmp_path,
                         "np = 20\nupdate_convention = binv_v_times_w\n")
@@ -289,11 +289,20 @@ def test_config_errors_exit_one(tmp_path, capsys):
 def test_memory_preflight_counts_the_local_and_observation_matrices(
         tmp_path):
     # validation only: 64 subdomains of 633 points and 8000 observations
-    # hold about 1.3 GiB, although a dense V of 40000^2 would need 12 GiB
+    # hold about 0.05 GiB of bands and interface factors, although a dense
+    # V of 40000^2 would need 12 GiB
     path = write_config(tmp_path, "np = 40000\nj_sub = 64\nhalo = 4\n")
     assert load_config(path).n_points == 40000
-    path = write_config(tmp_path, "np = 1000000\nj_sub = 1\n")
-    with pytest.raises(ValidationError, match="np 1000000 needs"):
+    path = write_config(tmp_path, "np = 1000000000\nj_sub = 1\n")
+    with pytest.raises(ValidationError, match="np 1000000000 needs"):
+        load_config(path)
+    # a halo of half a subdomain: the coupled scheme's interface factors,
+    # four 24999 x 99998 blocks, are past memory, the bands of ddda are not
+    halo = "np = 100000\nj_sub = 2\nhalo = 24999\nmethod = {}\n"
+    path = write_config(tmp_path, halo.format("ddda"))
+    assert load_config(path).halo == 24999
+    path = write_config(tmp_path, halo.format("mps"))
+    with pytest.raises(ValidationError, match="interface factors"):
         load_config(path)
 
 

@@ -33,6 +33,9 @@ def test_grid_rejects_bad_inputs():
         Grid1D(3, np.array([0.0, 1.0]))
     with pytest.raises(InvalidArgument):
         Grid1D(3, np.array([0.0, 2.0, 1.0]))
+    for coords in ([np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(InvalidArgument, match="coords"):
+            Grid1D(len(coords), coords)
     with pytest.raises(InvalidArgument):
         Grid1D.uniform(4, spacing=0.0)
 

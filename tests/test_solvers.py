@@ -31,7 +31,7 @@ from ddvar import (
     solve_mps,
 )
 
-from conftest import make_instance
+from conftest import lower_band, make_instance
 
 
 def _locals(inst, dec, scheme):
@@ -50,7 +50,7 @@ def test_non_finite_matrix_is_a_factorization_failure():
     # scipy rejects infs and NaNs with a bare ValueError; it must surface
     # as the package's typed error
     for bad in (np.inf, np.nan):
-        sys = GlobalSystem(a=np.array([[1.0, 0.0], [0.0, bad]]),
+        sys = GlobalSystem(a_band=np.array([[1.0, bad], [0.0, 0.0]]),
                            c=np.ones(2))
         with pytest.raises(FactorizationFailure, match="non-finite"):
             solve_global(sys)
@@ -266,7 +266,8 @@ def test_mps_rejects_a_repeated_subdomain_before_factorizing():
     # first would raise FactorizationFailure instead
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
     sys = _locals(inst, dec, SCHEME_MPS)[0]
-    broken = dataclasses.replace(sys, a=np.full_like(sys.a, np.nan))
+    broken = dataclasses.replace(sys,
+                                 a_band=np.full_like(sys.a_band, np.nan))
     with pytest.raises(InvalidArgument, match="appears twice"):
         solve_mps([sys, broken])
 
@@ -287,15 +288,15 @@ def test_factorization_failure_names_the_subdomain(scheme):
     inst, dec = make_instance(n=36, j_sub=3, halo=1, seed=2)
     locals_ = _locals(inst, dec, scheme)
     solve = solve_ddda if scheme == SCHEME_DDDA else solve_mps
-    indefinite = locals_[2].a.copy()
-    indefinite[4, 4] = -1.0
-    broken = dataclasses.replace(locals_[2], a=indefinite)
+    indefinite = locals_[2].a_band.copy()
+    indefinite[0, 4] = -1.0
+    broken = dataclasses.replace(locals_[2], a_band=indefinite)
     with pytest.raises(FactorizationFailure,
                        match="subdomain 2 matrix is not numerically SPD"):
         solve([broken, locals_[0], locals_[1]])
-    infinite = locals_[1].a.copy()
-    infinite[3, 2] = np.inf
-    broken = dataclasses.replace(locals_[1], a=infinite)
+    infinite = locals_[1].a_band.copy()
+    infinite[1, 2] = np.inf  # a[3, 2]
+    broken = dataclasses.replace(locals_[1], a_band=infinite)
     with pytest.raises(FactorizationFailure,
                        match="subdomain 1 matrix has non-finite entries"):
         solve([locals_[0], broken, locals_[2]])
@@ -303,7 +304,7 @@ def test_factorization_failure_names_the_subdomain(scheme):
 
 def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
     # a full-bandwidth system stacked with a tridiagonal one: the stack's
-    # band is as wide as the widest block, and each block still solves
+    # band is as tall as the tallest block's, and each block still solves
     # its own system
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 12))
@@ -311,11 +312,15 @@ def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
     tridiagonal = (np.diag(np.full(7, 4.0)) + np.diag(np.ones(6), 1)
                    + np.diag(np.ones(6), -1))
     systems = [
-        LocalSystem(subdomain=1, scheme=SCHEME_DDDA, a=tridiagonal,
+        LocalSystem(subdomain=1, scheme=SCHEME_DDDA,
+                    a_band=lower_band(tridiagonal, 1),
                     c=rng.standard_normal(7)),
-        LocalSystem(subdomain=0, scheme=SCHEME_DDDA, a=full,
+        LocalSystem(subdomain=0, scheme=SCHEME_DDDA,
+                    a_band=lower_band(full, 11),
                     c=rng.standard_normal(12)),
     ]
+    for sys, a in zip(systems, (tridiagonal, full)):
+        np.testing.assert_array_equal(sys.a, a)
     for sys, w in zip(systems, solve_ddda(systems)):
         np.testing.assert_allclose(w, np.linalg.solve(sys.a, sys.c),
                                    rtol=0, atol=1e-13)
