@@ -34,6 +34,7 @@ from .assembly import (
 )
 from .covariance import (
     _band_cholesky,
+    _band_of,
     _band_solve,
     interface_coupling,
     v_solve,
@@ -151,11 +152,7 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     m = inst.h_rows
     if m.shape[0] == 0:
         return np.zeros(m.shape[1])
-    s = (m @ m.T).tocoo()
-    lower = s.row >= s.col
-    diag = s.row[lower] - s.col[lower]
-    band = np.zeros((int(np.max(diag, initial=0)) + 1, m.shape[0]))
-    band[diag, s.col[lower]] = s.data[lower]
+    band = _band_of(m @ m.T)
     band[0] += inst.obs.r_cov.r_diag
     z = _band_solve(_band_cholesky(band, "observation-space matrix"),
                     innovation(inst))

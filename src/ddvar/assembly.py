@@ -16,8 +16,11 @@ columns where p_i and p_j are nonzero.
 H selects distinct points, so H^T R^{-1} H is a diagonal D and
 a = V^T D V + I has at most the bw sub-diagonals of V: it is formed and
 stored as its lower band a_band, O(s bw^2) for s points, and no s x s
-matrix is formed.  The dense a is derived on first access, for the tests
-and oracles.  The solvers lay the bands end to end; the sparse rows of the
+matrix is formed.  The local band is a product over windows of the band
+of V; the global one is read off the sparse product of the observed rows
+of V, a separate path that the one-subdomain decomposition is checked
+against.  The dense a is derived on first access, for the tests and
+oracles.  The solvers lay the bands end to end; the sparse rows of the
 coupling and of the fixed-point operator are built here, and
 local_gradient multiplies one subdomain's rows of that operator.
 
@@ -33,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from numpy.lib.stride_tricks import as_strided
 
-from .covariance import _dense, interface_coupling, v_gram, v_times
+from .covariance import _band_of, _dense, interface_coupling, v_normal
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -50,7 +52,22 @@ _SCHEMES = (SCHEME_MPS, SCHEME_DDDA)
 
 
 class _Banded:
-    # The dense a of a system stored as its lower band a_band.
+    # A system a w = c stored as the lower band a_band of a.
+
+    def __post_init__(self):
+        band = np.asarray(self.a_band, dtype=float)
+        c = np.asarray(self.c, dtype=float)
+        if band.ndim != 2 or band.shape[0] < 1 or band.shape[1:] != c.shape:
+            raise DimensionMismatch(
+                f"a_band has shape {band.shape}, expected (k + 1, n) for c "
+                f"of shape {c.shape} = (n,)")
+        # band[d, j] lies past the last row when d + j >= n
+        if band[np.add.outer(np.arange(band.shape[0]), np.arange(c.size))
+                >= c.size].any():
+            raise InvalidArgument("a_band has nonzero entries past the "
+                                  "last row")
+        object.__setattr__(self, "a_band", band)
+        object.__setattr__(self, "c", c)
 
     @functools.cached_property
     def a(self) -> np.ndarray:
@@ -70,7 +87,7 @@ class GlobalSystem(_Banded):
 class LocalSystem(_Banded):
     """One subdomain's system a_i w_i = c_i (+ coupling for the mps scheme).
 
-    a_band is the lower band of a_i, zero past the last row.
+    a_band is the lower band of a_i and must be zero past the last row.
     penalty_pairs holds the interface factors (j, p_i, p_j) in ascending
     neighbor order and is empty for the ddda scheme.  They define both the
     penalty stiffness sum_j p_i^T p_i inside a and the coupling
@@ -100,12 +117,9 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
         cols = np.flatnonzero(p_i.any(axis=0))
         lo, w = cols[0], cols[-1] + 1 - cols[0]
         q = np.ascontiguousarray(p_i[:, lo:lo + w])
-        # band[d, lo + c] += g[c + d, c], at flat offset d w + c (w + 1);
-        # the zero rows below g stand for c + d >= w
-        g = np.zeros((w + shape[0] - 1, w))
-        g[:w] = q.T @ q
-        row, col = g.strides
-        band[:, lo:lo + w] += as_strided(g, (shape[0], w), (row, row + col))
+        g = q.T @ q
+        for d in range(min(shape[0], w)):
+            band[d, lo:lo + w - d] += g.diagonal(-d)
     return band
 
 
@@ -175,12 +189,16 @@ def _coupling_rows(systems, layout):
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
     """Build a = V^T H^T R^{-1} H V + I and c = V^T H^T R^{-1} d.
 
-    The system is the local one of the one-subdomain decomposition, so the
-    two agree to the bit.  With no observations a = I, c = 0.
+    H is a point selection, so H V is inst.h_rows, the observed rows of V,
+    sparse: a_band is read off the sparse M^T R^{-1} M, O(nobs bw^2), as
+    the bw sub-diagonals of V.  With no observations a = I, c = 0.
     """
-    sys = assemble_local(inst, Decomposition(inst.grid, 1, 0), 0,
-                         SCHEME_DDDA)
-    return GlobalSystem(a_band=sys.a_band, c=sys.c)
+    m = inst.h_rows
+    r_inv = 1.0 / inst.obs.r_cov.r_diag
+    a_band = _band_of(m.T @ m.multiply(r_inv[:, None]),
+                      inst.cov.bandwidth + 1)
+    a_band[0] += 1.0
+    return GlobalSystem(a_band=a_band, c=m.T @ (r_inv * innovation(inst)))
 
 
 def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
@@ -191,9 +209,10 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     c_i = V_i^T H_i^T R_i^{-1} d_i, V_i = V[span, span], where H_i, R_i,
     d_i keep exactly the observations whose grid point lies in subdomain
     i: a contiguous slice of the strictly increasing obs_indices, so an
-    observation in an overlap enters both neighbors' systems.  The mps
-    scheme then adds the band of penalty_stiffness of its interface
-    pairs, which reports recompose to identical floats.
+    observation in an overlap enters both neighbors' systems; both come
+    from v_normal, on the band of V.  The mps scheme then adds the band of
+    penalty_stiffness of its interface pairs, which reports recompose to
+    identical floats.
     """
     if scheme not in _SCHEMES:
         raise InvalidArgument(
@@ -202,14 +221,13 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     span = dec.span(i)
     idx = inst.obs.obs_indices
     sel = slice(*np.searchsorted(idx, [span.start, span.stop]))
-    at = idx[sel] - span.start
-    # H_i^T R_i^{-1} H_i is the diagonal D, R_i^{-1} at the observed points
-    weights = np.zeros(span.stop - span.start)
-    weights[at] = 1.0 / inst.obs.r_cov.r_diag[sel]
-    a_band = v_gram(inst.cov, weights, span)
+    at, r_inv = idx[sel] - span.start, 1.0 / inst.obs.r_cov.r_diag[sel]
+    # H_i^T R_i^{-1} H_i is the diagonal D, R_i^{-1} at the observed points,
+    # and x = H_i^T R_i^{-1} d_i
+    weights, x = np.zeros((2, span.stop - span.start))
+    weights[at], x[at] = r_inv, r_inv * innovation(inst)[sel]
+    a_band, c = v_normal(inst.cov, weights, x, span)
     a_band[0] += 1.0
-    weights[at] *= innovation(inst)[sel]
-    c = v_times(inst.cov, weights, span, transpose=True)
 
     pairs = ()
     if scheme == SCHEME_MPS:

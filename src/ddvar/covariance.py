@@ -12,13 +12,14 @@ therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
 v_rows (rows against a column range), v_rows_sparse (rows, sparse),
-v_times (V x or V^T x on a diagonal block, BLAS dtbmv), v_gram (the band
-of V^T D V on a diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK
-dtbtrs).  The dense b and v_factor, and the dense matrix of an assembled
-system, are scattered from bands by _dense on first use, for factor_check
-and the tests.  _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs)
-are the package's one path for SPD systems: B here, the global and
-stacked local systems in solvers and the observation-space matrix in
+v_times (V x on a diagonal block, BLAS dtbmv), v_normal (the band of
+V^T D V and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x,
+LAPACK dtbtrs).  The dense b and v_factor, and the dense matrix of an
+assembled system, are scattered from bands by _dense on first use, for
+factor_check and the tests; _band_of reads the lower band of a sparse
+symmetric matrix.  _band_cholesky and _band_solve (LAPACK dpbtrf /
+dpbtrs) are the package's one path for SPD systems: B here, the global
+and stacked local systems in solvers and the observation-space matrix in
 analysis.
 """
 
@@ -48,6 +49,17 @@ def _dense(band: np.ndarray, symmetric: bool) -> np.ndarray:
             a.flat[k:(n - k) * n:n + 1] = diagonal[:n - k]
     a.flags.writeable = False
     return a
+
+
+def _band_of(s, height: int | None = None) -> np.ndarray:
+    # The lower band of the sparse symmetric s, height rows, by default as
+    # many as its last nonzero sub-diagonal needs.
+    s = s.tocoo()
+    lower = s.row >= s.col
+    k = s.row[lower] - s.col[lower]
+    band = np.zeros((height or int(np.max(k, initial=0)) + 1, s.shape[1]))
+    band[k, s.col[lower]] = s.data[lower]
+    return band
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,11 @@ class CovarianceModel:
     @property
     def n_points(self) -> int:
         return self.b_band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        """bw, the sub-diagonals of the band of V."""
+        return self.v_band.shape[0] - 1
 
     @functools.cached_property
     def b(self) -> np.ndarray:
@@ -225,26 +242,25 @@ def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
 
 
 def v_times(model: CovarianceModel, w: np.ndarray,
-            span: slice | None = None, transpose: bool = False) -> np.ndarray:
+            span: slice | None = None) -> np.ndarray:
     """V[span, span] @ w by BLAS dtbmv on the band, O(s bw) for s points.
 
-    The default span is the whole grid; transpose multiplies by the
-    transposed block.  Equal to the dense product up to rounding: the sums
-    run in a different order.
+    The default span is the whole grid.  Equal to the dense product up to
+    rounding: the sums run in a different order.
     """
     span = span if span is not None else slice(0, model.n_points)
     band = model.v_band[:span.stop - span.start, span]
-    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1,
-                                   trans=int(transpose))
+    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1)
 
 
-def v_gram(model: CovarianceModel, weights: np.ndarray,
-           span: slice) -> np.ndarray:
-    """Lower band of V_s^T diag(weights) V_s, V_s = V[span, span].
+def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,
+             span: slice):
+    """Lower band of V_s^T diag(weights) V_s, and V_s^T x, for V[span, span].
 
-    k = min(bw, s - 1) sub-diagonals for s points, O(s bw^2): gram[d, c]
-    sums weights[c + t] V_s[c + t, c] V_s[c + t, c + d] over t = d..k, in
-    one product over strided windows of the band.
+    k = min(bw, s - 1) sub-diagonals for s points, O(s bw^2): band[d, c]
+    sums weights[c + t] V_s[c + t, c] V_s[c + t, c + d] over t = d..k and
+    (V_s^T x)[c] sums x[c + t] V_s[c + t, c] over t = 0..k, both in
+    ascending t, by products over strided windows of the band.
     """
     s = span.stop - span.start
     k = min(model.v_band.shape[0], s) - 1
@@ -252,15 +268,17 @@ def v_gram(model: CovarianceModel, weights: np.ndarray,
     # the span silence the entries of V below it
     band = np.zeros((2 * k + 1, s + k))
     band[:k + 1, :s] = model.v_band[:k + 1, span]
-    padded = np.append(weights, np.zeros(2 * k))
+    padded = np.zeros((2, s + 2 * k))
+    padded[:, :s] = weights, x
     row, col = band.strides
-    # weighted[t, c] = weights[c + t] V_s[c + t, c]
-    weighted = as_strided(padded, (2 * k + 1, s), (col, col)) * band[:, :s]
+    # weighted[t, c] = weights[c + t] V_s[c + t, c], the same for x in xv
+    weighted, xv = as_strided(padded, (2, 2 * k + 1, s),
+                              (padded.strides[0], col, col)) * band[:, :s]
     # a[d, c, u] = weighted[d + u, c], b[d, c, u] = V_s[c + d + u, c + d]
     a = as_strided(weighted, (k + 1, s, k + 1),
                    (weighted.strides[0], col, weighted.strides[0]))
     b = as_strided(band, (k + 1, s, k + 1), (col, col, row))
-    return np.einsum("dcu,dcu->dc", a, b)
+    return np.einsum("dcu,dcu->dc", a, b), xv.sum(axis=0)
 
 
 def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ values, a Jacobi-style parallel sweep: one banded solve of c + C w^n per
 iteration, C the sparse coupling sum_j p_i^T p_j of the stack.  The stop
 test fires when the largest successive-iterate change drops to tol, or
 when every fixed-point residual is already below tol * kappa with
-kappa = 1 + max_i ||a_i||_inf, read from the stacked band (which lets a
+kappa = 1 + max_i ||a_i||_inf, read from the stack's rows (which lets a
 coupling-free system stop after its first, already exact, solve).
 "Converged" means one of the two tests fired; kappa grows with R^{-1}, so
 the residual branch does not bound the distance to the fixed point.
@@ -118,15 +118,6 @@ def _vectors(ws, layout, what: str) -> list:
     return out
 
 
-def _row_sums(band: np.ndarray) -> np.ndarray:
-    # Absolute row sums of the symmetric matrix with this lower band: an
-    # entry off the diagonal counts in its row and in its column.
-    sums = np.abs(band).sum(axis=0)
-    for d in range(1, band.shape[0]):
-        sums[d:] += np.abs(band[d, :-d])
-    return sums
-
-
 class _Stack(tuple):
     """The local systems of one solve call, laid end to end by id.
 
@@ -134,9 +125,9 @@ class _Stack(tuple):
     run in subdomain-id order.  Construction rejects a repeated id and a
     missing or mis-sized neighbor, before anything is factored.  band is
     the lower band of blockdiag(a_i), each a_band zero-padded to the
-    tallest, coupling the CSR coupling C (see assembly._coupling_rows),
-    system the fixed-point operator K = blockdiag(a_i) - C and c the
-    concatenated right-hand sides.
+    tallest, blocks its CSR, coupling the CSR coupling C (see
+    assembly._coupling_rows), system the fixed-point operator
+    K = blockdiag(a_i) - C and c the concatenated right-hand sides.
     """
 
     def __new__(cls, locals_):
@@ -161,9 +152,14 @@ class _Stack(tuple):
         return stack
 
     @functools.cached_property
+    def blocks(self):
+        """blockdiag(a_i) as one CSR matrix, built on first use."""
+        return _band_rows(self.band)
+
+    @functools.cached_property
     def system(self):
         """K = blockdiag(a_i) - C as one CSR matrix, built on first use."""
-        return _band_rows(self.band) - self.coupling
+        return self.blocks - self.coupling
 
     def factor(self) -> np.ndarray:
         """Banded Cholesky factor of blockdiag(a_i); a failure names its
@@ -226,7 +222,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     _require_scheme(locals_, SCHEME_MPS)
     stack = _Stack(locals_)
     factor = stack.factor()
-    kappa = 1.0 + float(np.max(_row_sums(stack.band)))
+    kappa = 1.0 + float(abs(stack.blocks).sum(axis=1).max())
 
     w = np.zeros(stack.c.size)
     history = IterationHistory()

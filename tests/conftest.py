@@ -35,7 +35,8 @@ def make_instance(n=30, j_sub=2, halo=1, nobs=None, seed=0, kind="gaussian",
 
 def lower_band(a, k):
     """band[d, j] = a[j + d, j] for d = 0..k, zero past the last row."""
-    return np.array([np.concatenate([np.diagonal(a, -d), np.zeros(d)])
+    n = a.shape[0]
+    return np.array([np.concatenate([np.diagonal(a, -d), np.zeros(min(d, n))])
                      for d in range(k + 1)])
 
 

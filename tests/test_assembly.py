@@ -15,6 +15,7 @@ from ddvar import (
     cost_w,
     decompose_uniform,
     identity_covariance,
+    innovation,
     interface_coupling,
     local_gradient,
     point_observations,
@@ -137,11 +138,12 @@ def test_matrix_split_is_exact():
 def test_band_is_the_lower_band_of_the_dense_definition(kind, length_scale,
                                                         n, j_sub, halo):
     # a_band of both schemes against m_i^T R^{-1} m_i + I (+ sum p_i^T p_i)
-    # rebuilt from the dense V, the observation list and the interfaces
+    # rebuilt from the dense V, the observation list and the interfaces,
+    # and c against m_i^T R^{-1} d_i
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=11,
                               kind=kind, length_scale=length_scale)
     v = inst.cov.v_factor
-    idx = inst.obs.obs_indices
+    idx, d = inst.obs.obs_indices, innovation(inst)
     bw = inst.cov.v_band.shape[0] - 1
     for i in range(dec.j_sub):
         cols = dec.indices(i)
@@ -151,13 +153,18 @@ def test_band_is_the_lower_band_of_the_dense_definition(kind, length_scale,
         base = m.T @ (r_inv[:, None] * m) + np.eye(cols.size)
         ps = [v[np.ix_(dec.interface(i, j), cols)] for j in dec.neighbors(i)]
         penalty = sum((p.T @ p for p in ps), np.zeros_like(base))
+        c = m.T @ (r_inv * d[mask])
+        c_scale = np.max(np.abs(m.T) @ np.abs(r_inv * d[mask]), initial=0)
         k = min(bw, cols.size - 1)
         for scheme, dense in ((SCHEME_DDDA, base),
                               (SCHEME_MPS, base + penalty)):
-            band = assemble_local(inst, dec, i, scheme).a_band
-            assert band.shape == (k + 1, cols.size)
-            np.testing.assert_allclose(band, lower_band(dense, k), rtol=0,
+            sys = assemble_local(inst, dec, i, scheme)
+            assert sys.a_band.shape == (k + 1, cols.size)
+            np.testing.assert_allclose(sys.a_band, lower_band(dense, k),
+                                       rtol=0,
                                        atol=1e-14 * np.max(np.abs(dense)))
+            np.testing.assert_allclose(sys.c, c, rtol=0,
+                                       atol=1e-14 * c_scale)
 
 
 def test_identity_factor_coupling_structure():

@@ -296,11 +296,13 @@ def test_memory_preflight_counts_the_local_and_observation_matrices(
     path = write_config(tmp_path, "np = 1000000000\nj_sub = 1\n")
     with pytest.raises(ValidationError, match="np 1000000000 needs"):
         load_config(path)
-    # a halo of half a subdomain: the coupled scheme's interface factors,
-    # four 24999 x 99998 blocks, are past memory, the bands of ddda are not
-    halo = "np = 100000\nj_sub = 2\nhalo = 24999\nmethod = {}\n"
+    # a halo of 2 * 10^6 on 10^7 identity points: the coupled scheme's
+    # interface factors, four 2 * 10^6 x 9 * 10^6 blocks, need about
+    # 524 TiB, past any memory; the bands of ddda need about 1 GiB
+    halo = ("np = 10000000\nj_sub = 2\nhalo = 2000000\n"
+            "cov_kind = identity\nmethod = {}\n")
     path = write_config(tmp_path, halo.format("ddda"))
-    assert load_config(path).halo == 24999
+    assert load_config(path).halo == 2000000
     path = write_config(tmp_path, halo.format("mps"))
     with pytest.raises(ValidationError, match="interface factors"):
         load_config(path)

@@ -262,12 +262,13 @@ def test_mps_requires_every_coupled_neighbor():
 
 
 def test_mps_rejects_a_repeated_subdomain_before_factorizing():
-    # the second copy's matrix is not finite, so a factorization reached
+    # the second copy's diagonal is not finite, so a factorization reached
     # first would raise FactorizationFailure instead
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
     sys = _locals(inst, dec, SCHEME_MPS)[0]
-    broken = dataclasses.replace(sys,
-                                 a_band=np.full_like(sys.a_band, np.nan))
+    nan_diagonal = sys.a_band.copy()
+    nan_diagonal[0] = np.nan
+    broken = dataclasses.replace(sys, a_band=nan_diagonal)
     with pytest.raises(InvalidArgument, match="appears twice"):
         solve_mps([sys, broken])
 
@@ -300,6 +301,30 @@ def test_factorization_failure_names_the_subdomain(scheme):
     with pytest.raises(FactorizationFailure,
                        match="subdomain 1 matrix has non-finite entries"):
         solve([locals_[0], broken, locals_[2]])
+
+
+def test_system_rejects_a_band_that_does_not_fit_c():
+    # a band of another width than c, or with an entry past the last row,
+    # would couple a block of the stack to its neighbor's rows while the
+    # dense a drops that entry
+    a = np.diag([2.0, 3.0, 4.0]) + np.eye(3, k=1) + np.eye(3, k=-1)
+    band = lower_band(a, 1)
+    for a_band, c in ((band, np.ones(2)), (band[0], np.ones(3)),
+                      (band[:0], np.ones(3)), (band, np.ones((3, 1)))):
+        with pytest.raises(DimensionMismatch, match="a_band has shape"):
+            GlobalSystem(a_band=a_band, c=c)
+    for tail in ((1, 2), (2, 1), (2, 2), (3, 0)):
+        tall = lower_band(a, 3)
+        tall[tail] = np.nan if tail == (3, 0) else 1.0
+        with pytest.raises(InvalidArgument, match="past the last row"):
+            LocalSystem(subdomain=0, scheme=SCHEME_DDDA, a_band=tall,
+                        c=np.ones(3))
+    # zero rows past the last one are padding, as in the stack
+    sys = LocalSystem(subdomain=0, scheme=SCHEME_DDDA,
+                      a_band=lower_band(a, 3), c=np.ones(3))
+    np.testing.assert_array_equal(sys.a, a)
+    np.testing.assert_allclose(solve_ddda([sys])[0], np.linalg.solve(a, sys.c),
+                               rtol=0, atol=1e-15)
 
 
 def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
