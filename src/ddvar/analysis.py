@@ -6,8 +6,8 @@ recombines the subdomain states into the full-domain analysis, and
 equivalence_report measures, on one instance, every quantity behind the
 claim that the coupled and uncoupled schemes produce the same solution:
 identical right-hand sides, the exact penalty structure of the coupled
-matrices, and the interface agreement that turns uncoupled solutions into
-fixed points of the coupled sweep.
+matrices, and the interface agreement, read off the local analyses, that
+turns uncoupled solutions into fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against is the
 minimizer w* of the preconditioned cost, computed in observation space
@@ -28,6 +28,7 @@ import numpy as np
 from .assembly import (
     SCHEME_DDDA,
     SCHEME_MPS,
+    _require_grid,
     assemble_local,
     cost_w,
     penalty_stiffness,
@@ -36,7 +37,6 @@ from .covariance import (
     _band_cholesky,
     _band_of,
     _band_solve,
-    interface_coupling,
     v_solve,
     v_times,
 )
@@ -46,6 +46,7 @@ from .observation import ProblemInstance, innovation
 from .solvers import (
     IterationHistory,
     SolverOptions,
+    _Stack,
     _vectors,
     fixed_point_residual,
     solve_ddda,
@@ -82,8 +83,9 @@ def local_update(inst: ProblemInstance, dec: Decomposition, i: int,
 
     Under this increment the quadratic cost is exactly the cost of the
     returned state.  V_i w_i is taken on the band of V (v_times), and u_i^b
-    is a view through dec.span(i).
+    is a view through dec.span(i).  dec must split the instance's grid.
     """
+    _require_grid(inst, dec)
     span = dec.span(i)
     u_b = inst.u_background[span]
     (w_i,) = _vectors([w_i], [(i, u_b.size)], "control vector")
@@ -110,23 +112,17 @@ def patch(dec: Decomposition, local_us) -> np.ndarray:
 
 def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
                        ws) -> float:
-    """Max over neighbor pairs of the interface gap ||p_i w_i - p_j w_j||_inf.
+    """Max over subdomains of ||u_i - u[span(i)]||_inf, u the patch of the u_i.
 
     ws holds one control vector per subdomain, in subdomain order, from
-    either scheme; the interface factors come straight from the
-    covariance, so no local system is assembled.  When this vanishes for
-    the uncoupled solutions, those solutions satisfy the coupled systems
-    verbatim; on generic data it is a reported diagnostic, not an error.
-    A NaN gap makes the result NaN.
+    either scheme; u_i is its local_update.  Each interface Gamma of i
+    toward j lies in j's base block, where u is u_j, so this is the largest
+    gap ||p_i w_i - p_j w_j||_inf up to the rounding of adding u^b, and 0.0
+    at halo 0.  When it vanishes for the uncoupled solutions, those
+    solutions satisfy the coupled systems verbatim; on generic data it is
+    a reported diagnostic, not an error.  A NaN iterate makes it NaN.
     """
-    vecs = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
-                    "iterate")
-    gaps = [0.0]
-    for i in range(dec.j_sub):
-        for j in dec.neighbors(i):
-            p_i, p_j = interface_coupling(inst.cov, dec, i, j)
-            gaps.append(np.max(np.abs(p_i @ vecs[i] - p_j @ vecs[j])))
-    return float(np.max(gaps))
+    return _patch_and_gap(dec, _local_analyses(inst, dec, ws))[1]
 
 
 def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -159,10 +155,17 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     return m.T @ z
 
 
-def _patched(inst, dec, ws):
-    return patch(dec, [
-        local_update(inst, dec, i, ws[i]) for i in range(dec.j_sub)
-    ])
+def _local_analyses(inst, dec, ws):
+    ws = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
+                  "iterate")
+    return [local_update(inst, dec, i, w_i) for i, w_i in enumerate(ws)]
+
+
+def _patch_and_gap(dec, us):
+    # the patch u of the local analyses and max_i ||u_i - u[span(i)]||_inf
+    u = patch(dec, us)
+    return u, float(np.max([np.max(np.abs(u_i - u[dec.span(i)]))
+                            for i, u_i in enumerate(us)]))
 
 
 def _check_convention(convention: str) -> None:
@@ -174,7 +177,7 @@ def _check_convention(convention: str) -> None:
 
 def _iterate_cost(inst, dec):
     def cost_of(ws):
-        u = _patched(inst, dec, ws)
+        u = patch(dec, _local_analyses(inst, dec, ws))
         return cost_w(inst, control_equivalent(inst, u))
     return cost_of
 
@@ -193,7 +196,6 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     worker passes the config's update_convention positionally.
     """
     _check_convention(convention)
-    opts = opts if opts is not None else SolverOptions()
     if method not in (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA):
         raise InvalidArgument(
             f"method must be one of ('global', 'mps', 'ddda'), got {method!r}"
@@ -212,15 +214,14 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
             assemble_local(inst, dec, i, method) for i in range(dec.j_sub)
         ]
         if method == SCHEME_DDDA:
-            ws = solve_ddda(locals_, opts)
+            ws = solve_ddda(locals_)
             history = IterationHistory(converged=True)
         else:
             ws, history = solve_mps(
                 locals_, opts, cost_fn=_iterate_cost(inst, dec),
             )
-        u = _patched(inst, dec, ws)
+        u, gap = _patch_and_gap(dec, _local_analyses(inst, dec, ws))
         per_w = tuple(ws)
-        gap = interface_mismatch(inst, dec, ws)
 
     diagnostics = {
         "global_cost": cost_w(inst, control_equivalent(inst, u)),
@@ -278,28 +279,28 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     passes the config's update_convention positionally.
     """
     _check_convention(convention)
-    opts = opts if opts is not None else SolverOptions()
-    mps_locals = [
+    mps_stack = _Stack([
         assemble_local(inst, dec, i, SCHEME_MPS) for i in range(dec.j_sub)
-    ]
+    ])
     dd_locals = [
         assemble_local(inst, dec, i, SCHEME_DDDA) for i in range(dec.j_sub)
     ]
 
     c_equal = all(
         m.c.tobytes() == d.c.tobytes()
-        for m, d in zip(mps_locals, dd_locals)
+        for m, d in zip(mps_stack, dd_locals)
     )
 
     a_structure_exact = all(
         np.array_equal(m.a_band, d.a_band + penalty_stiffness(
             m.penalty_pairs, d.a_band.shape))
-        for m, d in zip(mps_locals, dd_locals)
+        for m, d in zip(mps_stack, dd_locals)
     )
 
-    ws_dd = solve_ddda(dd_locals, opts)
-    cost_fn = _iterate_cost(inst, dec)
-    ws_mps, history = solve_mps(mps_locals, opts, cost_fn=cost_fn)
+    ws_dd = solve_ddda(dd_locals)
+    u_dd, gap_dd = _patch_and_gap(dec, _local_analyses(inst, dec, ws_dd))
+    ws_mps, history = solve_mps(mps_stack, opts,
+                                cost_fn=_iterate_cost(inst, dec))
     w_star = _global_w(inst)
 
     w_delta = float(np.max(
@@ -308,14 +309,14 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     return EquivalenceReport(
         c_equal=c_equal,
         a_structure_exact=a_structure_exact,
-        interface_mismatch=interface_mismatch(inst, dec, ws_dd),
+        interface_mismatch=gap_dd,
         ddda_in_mps_residual=float(
-            np.max(fixed_point_residual(mps_locals, ws_dd))
+            np.max(fixed_point_residual(mps_stack, ws_dd))
         ),
         w_delta_linf=w_delta,
         cost_global=cost_w(inst, w_star),
         cost_mps=history.records[-1].global_cost,
-        cost_ddda=cost_fn(ws_dd),
+        cost_ddda=cost_w(inst, control_equivalent(inst, u_dd)),
         iters_mps=history.iterations,
         mps_converged=history.converged,
         history=history,

@@ -132,6 +132,14 @@ def _require_scheme(locals_, scheme: str) -> None:
             )
 
 
+def _require_grid(inst: ProblemInstance, dec: Decomposition) -> None:
+    if dec.grid.n_points != inst.grid.n_points:
+        raise DimensionMismatch(
+            f"decomposition is of a {dec.grid.n_points}-point grid, the "
+            f"instance has {inst.grid.n_points} points"
+        )
+
+
 def _band_rows(band: np.ndarray, start: int = 0, width: int | None = None):
     """CSR of the symmetric matrix with this lower band, at column start.
 
@@ -212,8 +220,9 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     observation in an overlap enters both neighbors' systems; both come
     from v_normal, on the band of V.  The mps scheme then adds the band of
     penalty_stiffness of its interface pairs, which reports recompose to
-    identical floats.
+    identical floats.  dec must split the instance's grid.
     """
+    _require_grid(inst, dec)
     if scheme not in _SCHEMES:
         raise InvalidArgument(
             f"scheme must be one of {_SCHEMES}, got {scheme!r}"

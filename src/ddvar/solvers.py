@@ -127,10 +127,13 @@ class _Stack(tuple):
     the lower band of blockdiag(a_i), each a_band zero-padded to the
     tallest, blocks its CSR, coupling the CSR coupling C (see
     assembly._coupling_rows), system the fixed-point operator
-    K = blockdiag(a_i) - C and c the concatenated right-hand sides.
+    K = blockdiag(a_i) - C and c the concatenated right-hand sides.  A
+    stack passed in is returned unchanged.
     """
 
     def __new__(cls, locals_):
+        if isinstance(locals_, _Stack):
+            return locals_
         if not locals_:
             raise InvalidArgument("need at least one local system")
         stack = super().__new__(cls, locals_)
@@ -189,17 +192,14 @@ def solve_global(sys: GlobalSystem):
     return _band_solve(_band_cholesky(sys.a_band, "global matrix"), sys.c)
 
 
-def solve_ddda(locals_: list, opts: SolverOptions | None = None):
+def solve_ddda(locals_: list):
     """Solve every uncoupled local system independently.
 
     The right-hand sides carry no iteration index, so a single solve per
     subdomain is the entire scheme; repeating it cannot change anything.
-    All of them are one banded solve of the stacked right-hand side, and
-    nothing in opts applies.
+    All of them are one banded solve of the stacked right-hand side.
     """
     _require_scheme(locals_, SCHEME_DDDA)
-    if not locals_:
-        return []
     stack = _Stack(locals_)
     return stack.split(_band_solve(stack.factor(), stack.c))
 
@@ -257,9 +257,9 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     iterates from either scheme, which is how the uncoupled solutions are
     measured against the coupled systems.  One sparse product K w - c on
     the stack; entry i is the sup-norm of local_gradient for subdomain i,
-    to the bit.  solve_mps passes its stack, which is then not rebuilt.
+    to the bit.  A stack passed in, as solve_mps passes, is not rebuilt.
     """
-    stack = locals_ if isinstance(locals_, _Stack) else _Stack(locals_)
+    stack = _Stack(locals_)
     r = stack.system @ stack.gather(ws) - stack.c
     return np.array([float(np.max(np.abs(r_k), initial=0.0))
                      for r_k in stack.split(r)])

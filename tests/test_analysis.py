@@ -30,7 +30,7 @@ from ddvar import (
     synthesize,
 )
 
-from ddvar import analysis, covariance
+from ddvar import analysis, covariance, solvers
 
 from conftest import make_instance, mirror_symmetric_instance
 from test_acceptance import instance_matrix
@@ -153,6 +153,80 @@ def test_interface_mismatch_rejects_bad_iterates():
         interface_mismatch(inst, dec, ws[:1])
     with pytest.raises(DimensionMismatch):
         interface_mismatch(inst, dec, [ws[0], ws[1][:-1]])
+
+
+@pytest.mark.parametrize("length_scale", [None, 0.5, 2.0, 8.0])
+def test_interface_mismatch_is_the_largest_interface_factor_gap(length_scale):
+    # the gap read off the local analyses against its definition,
+    # max ||p_i w_i - p_j w_j||_inf over the interface factor pairs; they
+    # differ only by the rounding of adding u^b
+    grid = Grid1D.uniform(120)
+    cov = (identity_covariance(grid) if length_scale is None
+           else build_gaussian_covariance(grid, length_scale, 1.0))
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        inst = synthesize(grid, cov, 24, 0.1, seed)
+        for j_sub in range(1, 7):
+            for halo in (0, 1, 4, 8):
+                if j_sub > 1 and 120 // j_sub < 2 * halo + 1:
+                    continue
+                dec = decompose_uniform(grid, j_sub, halo)
+                ws = [rng.standard_normal(dec.size(i))
+                      for i in range(j_sub)]
+                gaps = [0.0]
+                for i in range(j_sub):
+                    for j in dec.neighbors(i):
+                        p_i, p_j = covariance.interface_coupling(cov, dec,
+                                                                 i, j)
+                        gaps.append(np.max(np.abs(p_i @ ws[i]
+                                                  - p_j @ ws[j])))
+                gap = interface_mismatch(inst, dec, ws)
+                if halo == 0:
+                    assert gap == 0.0
+                u_max = max(np.max(np.abs(local_update(inst, dec, i, w)))
+                            for i, w in enumerate(ws))
+                assert abs(gap - max(gaps)) <= 4 * np.spacing(u_max), (
+                    seed, j_sub, halo)
+
+
+def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
+    # the mps assembly is the only reader of the interface factors, two
+    # v_rows gathers per neighbor pair, and a report builds one coupling
+    # per scheme
+    calls = {"v_rows": 0, "coupling": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(covariance, "v_rows",
+                        counted(covariance.v_rows, "v_rows"))
+    monkeypatch.setattr(solvers, "_coupling_rows",
+                        counted(solvers._coupling_rows, "coupling"))
+    j_sub = 5
+    inst, dec = make_instance(n=60, j_sub=j_sub, halo=2, seed=3)
+    for method, gathers in (("mps", 4 * (j_sub - 1)), ("ddda", 0)):
+        calls.update(v_rows=0, coupling=0)
+        assimilate(inst, dec, method)
+        assert calls == {"v_rows": gathers, "coupling": 1}, method
+    calls.update(v_rows=0, coupling=0)
+    equivalence_report(inst, dec)
+    assert calls == {"v_rows": 4 * (j_sub - 1), "coupling": 2}
+
+
+def test_a_decomposition_of_another_grid_is_rejected():
+    inst, _ = make_instance(n=40, j_sub=2, halo=2)
+    for n in (30, 60):
+        dec = decompose_uniform(Grid1D.uniform(n), 2, 2)
+        for method in ("ddda", "mps"):
+            with pytest.raises(DimensionMismatch, match="grid"):
+                assimilate(inst, dec, method)
+        with pytest.raises(DimensionMismatch, match="grid"):
+            equivalence_report(inst, dec)
+        with pytest.raises(DimensionMismatch, match="grid"):
+            local_update(inst, dec, 1, np.zeros(dec.size(1)))
 
 
 def test_control_equivalent_roundtrip():

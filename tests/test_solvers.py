@@ -250,8 +250,9 @@ def test_solvers_reject_mismatched_schemes():
         solve_ddda(mps)
     with pytest.raises(InvalidArgument):
         solve_mps(ddda)
-    with pytest.raises(InvalidArgument):
-        solve_mps([])
+    for solve in (solve_ddda, solve_mps):
+        with pytest.raises(InvalidArgument, match="at least one"):
+            solve([])
 
 
 def test_mps_requires_every_coupled_neighbor():
