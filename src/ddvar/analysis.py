@@ -9,6 +9,12 @@ identical right-hand sides, the exact penalty structure of the coupled
 matrices, and the interface agreement, read off the local analyses, that
 turns uncoupled solutions into fixed points of the coupled sweep.
 
+A run lifts every local analysis at once: with the blocks V[span(i),
+span(i)] laid end to end as one band (covariance.v_blocks, built once per
+call), the stacked u_i are one band product plus u^b at the spans, their
+patch one gather and the interface mismatch one max, equal to
+local_update and patch up to rounding.
+
 The single-domain reference both entry points measure against is the
 minimizer w* of the preconditioned cost, computed in observation space
 (PSAS): with M = H V held sparse, w* = (M^T R^{-1} M + I)^{-1} M^T R^{-1} d
@@ -21,6 +27,7 @@ its band.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,6 +44,8 @@ from .covariance import (
     _band_cholesky,
     _band_of,
     _band_solve,
+    _band_times,
+    v_blocks,
     v_solve,
     v_times,
 )
@@ -115,14 +124,18 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
     """Max over subdomains of ||u_i - u[span(i)]||_inf, u the patch of the u_i.
 
     ws holds one control vector per subdomain, in subdomain order, from
-    either scheme; u_i is its local_update.  Each interface Gamma of i
-    toward j lies in j's base block, where u is u_j, so this is the largest
-    gap ||p_i w_i - p_j w_j||_inf up to the rounding of adding u^b, and 0.0
-    at halo 0.  When it vanishes for the uncoupled solutions, those
-    solutions satisfy the coupled systems verbatim; on generic data it is
-    a reported diagnostic, not an error.  A NaN iterate makes it NaN.
+    either scheme; u_i is its local_update up to rounding, all of them
+    lifted by one band product on the stacked blocks of V.  Each
+    interface Gamma of i toward j lies in j's base block, where u is u_j,
+    so this is the largest gap ||p_i w_i - p_j w_j||_inf up to the
+    rounding of adding u^b, and 0.0 at halo 0.  When it vanishes for the
+    uncoupled solutions, those solutions satisfy the coupled systems
+    verbatim; on generic data it is a reported diagnostic, not an error.
+    A NaN iterate makes it NaN.
     """
-    return _patch_and_gap(dec, _local_analyses(inst, dec, ws))[1]
+    ws = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
+                  "iterate")
+    return _Lift(inst, dec).gap(np.concatenate(ws))[1]
 
 
 def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -155,17 +168,45 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     return m.T @ z
 
 
-def _local_analyses(inst, dec, ws):
-    ws = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
-                  "iterate")
-    return [local_update(inst, dec, i, w_i) for i, w_i in enumerate(ws)]
+class _Lift:
+    """The local analyses of every subdomain at once, spans end to end.
 
+    index is the grid point of each stacked entry, owned the stacked
+    position of each grid point's owner entry, and band the lower band of
+    blockdiag(V[span(i), span(i)]) in subdomain-id order
+    (covariance.v_blocks).  A stacked control vector w lifts to the
+    stacked u_i = u^b[span(i)] + V[span(i), span(i)] w_i by one band
+    product, and those patch by one gather.
+    """
 
-def _patch_and_gap(dec, us):
-    # the patch u of the local analyses and max_i ||u_i - u[span(i)]||_inf
-    u = patch(dec, us)
-    return u, float(np.max([np.max(np.abs(u_i - u[dec.span(i)]))
-                            for i, u_i in enumerate(us)]))
+    def __init__(self, inst, dec):
+        _require_grid(inst, dec)
+        self.cov, self.dec = inst.cov, dec
+        self.index = np.concatenate([dec.indices(i)
+                                     for i in range(dec.j_sub)])
+        self.u_b = inst.u_background[self.index]
+        offsets = np.cumsum([0] + [dec.size(i) for i in range(dec.j_sub)])
+        self.owned = np.concatenate([
+            np.arange(dec.owned(i).start, dec.owned(i).stop)
+            + (offsets[i] - dec.span(i).start) for i in range(dec.j_sub)
+        ])
+
+    @functools.cached_property
+    def band(self) -> np.ndarray:
+        """Built once, on first use: in assimilate's sweep that is the
+        first cost, after the stack's set-up, so the band is not alive at
+        that set-up's peak."""
+        return v_blocks(self.cov, self.dec)
+
+    def patch(self, w):
+        """The patch u of the stacked w and the stacked analyses."""
+        us = self.u_b + _band_times(self.band, w)
+        return us[self.owned], us
+
+    def gap(self, w):
+        """The patch u of the stacked w and max_i ||u_i - u[span(i)]||_inf."""
+        u, us = self.patch(w)
+        return u, float(np.max(np.abs(us - u[self.index])))
 
 
 def _check_convention(convention: str) -> None:
@@ -175,10 +216,12 @@ def _check_convention(convention: str) -> None:
         )
 
 
-def _iterate_cost(inst, dec):
+def _iterate_cost(inst, lift):
+    # the sweep passes its iterate as views of one stacked vector in
+    # subdomain order, already checked
     def cost_of(ws):
-        u = patch(dec, _local_analyses(inst, dec, ws))
-        return cost_w(inst, control_equivalent(inst, u))
+        return cost_w(inst, control_equivalent(
+            inst, lift.patch(np.concatenate(ws))[0]))
     return cost_of
 
 
@@ -213,14 +256,15 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         locals_ = [
             assemble_local(inst, dec, i, method) for i in range(dec.j_sub)
         ]
+        lift = _Lift(inst, dec)
         if method == SCHEME_DDDA:
             ws = solve_ddda(locals_)
             history = IterationHistory(converged=True)
         else:
             ws, history = solve_mps(
-                locals_, opts, cost_fn=_iterate_cost(inst, dec),
+                locals_, opts, cost_fn=_iterate_cost(inst, lift),
             )
-        u, gap = _patch_and_gap(dec, _local_analyses(inst, dec, ws))
+        u, gap = lift.gap(np.concatenate(ws))
         per_w = tuple(ws)
 
     diagnostics = {
@@ -297,10 +341,11 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         for m, d in zip(mps_stack, dd_locals)
     )
 
+    lift = _Lift(inst, dec)
     ws_dd = solve_ddda(dd_locals)
-    u_dd, gap_dd = _patch_and_gap(dec, _local_analyses(inst, dec, ws_dd))
+    u_dd, gap_dd = lift.gap(np.concatenate(ws_dd))
     ws_mps, history = solve_mps(mps_stack, opts,
-                                cost_fn=_iterate_cost(inst, dec))
+                                cost_fn=_iterate_cost(inst, lift))
     w_star = _global_w(inst)
 
     w_delta = float(np.max(

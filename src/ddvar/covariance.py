@@ -12,9 +12,12 @@ therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
 v_rows (rows against a column range), v_rows_sparse (rows, sparse),
-v_times (V x on a diagonal block, BLAS dtbmv), v_normal (the band of
+v_times (V x on a diagonal block), v_blocks (the band of the diagonal
+blocks of every subdomain, laid end to end), v_normal (the band of
 V^T D V and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x,
-LAPACK dtbtrs).  The dense b and v_factor, and the dense matrix of an
+LAPACK dtbtrs).  _band_times (BLAS dtbmv) is the one product with a
+lower band, v_times's and the stacked blocks'.  The dense b and
+v_factor, and the dense matrix of an
 assembled system, are scattered from bands by _dense on first use, for
 factor_check and the tests; _band_of reads the lower band of a sparse
 symmetric matrix.  _band_cholesky and _band_solve (LAPACK dpbtrf /
@@ -241,6 +244,14 @@ def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
     ).tocsr()[rows]
 
 
+def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L x for the lower-triangular L with this lower band, by BLAS dtbmv.
+
+    The package's one band product, O(n k) for k sub-diagonals.
+    """
+    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, x, lower=1)
+
+
 def v_times(model: CovarianceModel, w: np.ndarray,
             span: slice | None = None) -> np.ndarray:
     """V[span, span] @ w by BLAS dtbmv on the band, O(s bw) for s points.
@@ -249,8 +260,28 @@ def v_times(model: CovarianceModel, w: np.ndarray,
     rounding: the sums run in a different order.
     """
     span = span if span is not None else slice(0, model.n_points)
-    band = model.v_band[:span.stop - span.start, span]
-    return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, w, lower=1)
+    return _band_times(model.v_band[:span.stop - span.start, span], w)
+
+
+def v_blocks(model: CovarianceModel, dec: Decomposition) -> np.ndarray:
+    """Lower band of blockdiag(V[span(i), span(i)]), the spans end to end.
+
+    The blocks run in subdomain-id order, bw + 1 rows against one column
+    per point of every span, O(bw sum_i s_i).  A block's column is the
+    column of the band of V at the same grid point with the entries past
+    the block's last row zeroed, so that no block reaches into the next;
+    _band_times on this band is every v_times(model, w_i, dec.span(i)) at
+    once, equal up to rounding.  dec must split the model's grid.
+    """
+    starts, stops = np.array(dec.subdomains).T
+    sizes = stops - starts
+    ends = np.cumsum(sizes)
+    # each stacked column's grid point, and the rows of its block from it on
+    cols = np.arange(ends[-1])
+    band = model.v_band[:, cols + np.repeat(starts - (ends - sizes), sizes)]
+    left = np.repeat(ends, sizes) - cols
+    band[np.arange(band.shape[0])[:, None] >= left] = 0.0
+    return band
 
 
 def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,

@@ -237,7 +237,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
                 iteration=n,
                 max_delta=max_delta,
                 global_cost=float(cost),
-                residual_norms=tuple(float(r) for r in residuals),
+                residual_norms=tuple(residuals.tolist()),
             )
         )
         w = new
@@ -256,10 +256,16 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     too, where it degenerates to the plain linear residual, and accepts
     iterates from either scheme, which is how the uncoupled solutions are
     measured against the coupled systems.  One sparse product K w - c on
-    the stack; entry i is the sup-norm of local_gradient for subdomain i,
-    to the bit.  A stack passed in, as solve_mps passes, is not rebuilt.
+    the stack and one segmented maximum over its blocks, returned in the
+    listed order; entry i is the sup-norm of local_gradient for subdomain
+    i, to the bit.  A stack passed in, as solve_mps passes, is not
+    rebuilt.
     """
     stack = _Stack(locals_)
-    r = stack.system @ stack.gather(ws) - stack.c
-    return np.array([float(np.max(np.abs(r_k), initial=0.0))
-                     for r_k in stack.split(r)])
+    r = np.abs(stack.system @ stack.gather(ws) - stack.c)
+    # an empty block keeps the norm 0.0
+    starts, full = stack.starts[:-1], np.diff(stack.starts) > 0
+    norms = np.zeros(len(stack))
+    norms[np.asarray(stack.order)[full]] = np.maximum.reduceat(
+        r, starts[full])
+    return norms

@@ -216,6 +216,71 @@ def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
     assert calls == {"v_rows": 4 * (j_sub - 1), "coupling": 2}
 
 
+@pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [
+    (120, 5, 3, "identity", 2.0),
+    (120, 5, 4, "gaussian", 0.5),
+    (120, 5, 4, "gaussian", 2.0),
+    (120, 5, 4, "gaussian", 8.0),
+    (120, 1, 0, "gaussian", 2.0),
+    (120, 6, 0, "gaussian", 2.0),
+    (40, 8, 1, "gaussian", 8.0),  # spans of 6-7 points, bw + 1 = 40
+])
+def test_stacked_lift_matches_local_update_and_patch(n, j_sub, halo, kind,
+                                                     length_scale):
+    # one band product on the stacked blocks of V against local_update per
+    # subdomain and patch: the same sums, but BLAS may split a block's
+    # short tail columns differently, so within 4 ulp of max|u|
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, kind=kind,
+                              length_scale=length_scale, seed=2)
+    lift = analysis._Lift(inst, dec)
+    rng = np.random.default_rng(n + j_sub + halo)
+    for _ in range(5):
+        ws = [rng.standard_normal(dec.size(i)) for i in range(j_sub)]
+        us_ref = [local_update(inst, dec, i, w) for i, w in enumerate(ws)]
+        u_ref = patch(dec, us_ref)
+        gap_ref = max(np.max(np.abs(u_i - u_ref[dec.span(i)]))
+                      for i, u_i in enumerate(us_ref))
+        bound = 4 * np.spacing(np.max(np.abs(np.concatenate(us_ref))))
+        u, us = lift.patch(np.concatenate(ws))
+        assert np.max(np.abs(us - np.concatenate(us_ref))) <= bound
+        assert np.max(np.abs(u - u_ref)) <= bound
+        u_gap, gap = lift.gap(np.concatenate(ws))
+        assert np.array_equal(u_gap, u)
+        assert abs(gap - gap_ref) <= bound
+        assert interface_mismatch(inst, dec, ws) == gap
+        if halo == 0:
+            assert gap == 0.0
+
+
+def test_each_run_lifts_through_one_stacked_band(monkeypatch):
+    # assimilate and the report build the stacked blocks of V once per
+    # call and never lift a subdomain on its own; per-subdomain lifting
+    # called local_update j_sub times per sweep iteration and once more
+    # for the final patch
+    calls = {"v_blocks": 0, "local_update": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "v_blocks",
+                        counted(analysis.v_blocks, "v_blocks"))
+    monkeypatch.setattr(analysis, "local_update",
+                        counted(analysis.local_update, "local_update"))
+    inst, dec = make_instance(n=60, j_sub=5, halo=2, seed=3)
+    for method, builds in (("mps", 1), ("ddda", 1), ("global", 0)):
+        calls.update(v_blocks=0, local_update=0)
+        result = assimilate(inst, dec, method)
+        assert calls == {"v_blocks": builds, "local_update": 0}, method
+        if method == "mps":
+            assert result.history.iterations > 1
+    calls.update(v_blocks=0, local_update=0)
+    equivalence_report(inst, dec)
+    assert calls == {"v_blocks": 1, "local_update": 0}
+
+
 def test_a_decomposition_of_another_grid_is_rejected():
     inst, _ = make_instance(n=40, j_sub=2, halo=2)
     for n in (30, 60):

@@ -206,10 +206,27 @@ def test_fixed_point_residual_is_the_local_gradient_norm():
         rng = np.random.default_rng(seed + 1)
         for _ in range(draws):
             ws = [rng.standard_normal(sys.size) for sys in locals_]
-            res = fixed_point_residual(locals_, ws)
-            for i, sys in enumerate(locals_):
-                g = local_gradient(sys, ws[i], dict(enumerate(ws)))
-                assert res[i] == float(np.max(np.abs(g)))
+            by_id = dict(enumerate(ws))
+            # the norms come back in the listed order, whatever it is
+            for listing in (range(j_sub), range(j_sub)[::-1],
+                            rng.permutation(j_sub)):
+                res = fixed_point_residual([locals_[i] for i in listing],
+                                           [ws[i] for i in listing])
+                for k, i in enumerate(listing):
+                    g = local_gradient(locals_[i], ws[i], by_id)
+                    assert res[k] == float(np.max(np.abs(g)))
+
+
+def test_fixed_point_residual_of_an_empty_system_is_zero():
+    # an empty block has no segment of its own in the stacked residual;
+    # its norm is 0.0 and its neighbors' norms keep their places
+    full = [LocalSystem(i, SCHEME_DDDA, np.ones((1, size)),
+                        np.full(size, i + 1.0)) for i, size in ((0, 2), (2, 3))]
+    empty = LocalSystem(1, SCHEME_DDDA, np.ones((1, 0)), np.zeros(0))
+    listing = [full[1], empty, full[0]]
+    res = fixed_point_residual(listing, [np.zeros(s.size) for s in listing])
+    assert res.tolist() == [3.0, 0.0, 1.0]
+    assert fixed_point_residual([empty], [np.zeros(0)]).tolist() == [0.0]
 
 
 def test_fixed_point_residual_validation():
