@@ -21,8 +21,8 @@ of V; the global one is read off the sparse product of the observed rows
 of V, a separate path that the one-subdomain decomposition is checked
 against.  The dense a is derived on first access, for the tests and
 oracles.  The solvers lay the bands end to end; the sparse rows of the
-coupling and of the fixed-point operator are built here, and
-local_gradient multiplies one subdomain's rows of that operator.
+coupling are built here, and local_gradient computes one subdomain's
+rows of the fixed-point residual the way the solvers compute them all.
 
 The right-hand side c_i is computed by one shared code path regardless of
 scheme, which is what makes the cross-scheme equality of c_i hold to the
@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import _band_of, _dense, interface_coupling, v_normal
+from .covariance import (_band_matrix, _band_of, _frozen, interface_coupling,
+                         v_normal)
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -71,8 +72,8 @@ class _Banded:
 
     @functools.cached_property
     def a(self) -> np.ndarray:
-        """Dense a, scattered symmetrically from a_band once, read-only."""
-        return _dense(self.a_band, symmetric=True)
+        """Dense a, the matrix of a_band, formed once, read-only."""
+        return _frozen(_band_matrix(self.a_band, symmetric=True).toarray())
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ class LocalSystem(_Banded):
     penalty_pairs holds the interface factors (j, p_i, p_j) in ascending
     neighbor order and is empty for the ddda scheme.  They define both the
     penalty stiffness sum_j p_i^T p_i inside a and the coupling
-    sum_j p_i^T (p_j w_j) toward the neighbor iterates.
+    sum_j p_i^T (p_j w_j) toward the neighbor iterates.  Construction
+    checks that each p_i is (rows, size) and each p_j 2-D with its rows.
     """
 
     subdomain: int
@@ -99,6 +101,17 @@ class LocalSystem(_Banded):
     a_band: np.ndarray
     c: np.ndarray
     penalty_pairs: tuple = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        for j, p_i, p_j in self.penalty_pairs:
+            rows = np.shape(p_i)[:1]
+            if (np.shape(p_i) != (*rows, self.size)
+                    or np.ndim(p_j) != 2 or np.shape(p_j)[:1] != rows):
+                raise DimensionMismatch(
+                    f"subdomain {self.subdomain}, neighbor {j}: p_i, p_j of "
+                    f"shapes {np.shape(p_i)}, {np.shape(p_j)}, expected "
+                    f"(rows, {self.size}), (rows, any)")
 
     @property
     def size(self) -> int:
@@ -138,25 +151,6 @@ def _require_grid(inst: ProblemInstance, dec: Decomposition) -> None:
             f"decomposition is of a {dec.grid.n_points}-point grid, the "
             f"instance has {inst.grid.n_points} points"
         )
-
-
-def _band_rows(band: np.ndarray, start: int = 0, width: int | None = None):
-    """CSR of the symmetric matrix with this lower band, at column start.
-
-    Explicit zeros are dropped and each row lists its columns in
-    ascending order, so the rows of a block are the same entries whether
-    its band sits in a wider stacked band or stands alone.
-    """
-    k, n = band.shape[0] - 1, band.shape[1]
-    upper = [np.concatenate([np.zeros(d), band[d, :n - d]])
-             for d in range(1, k + 1)]
-    a = scipy.sparse.dia_array(
-        (np.vstack([band[::-1], *upper]), np.arange(-k, k + 1)),
-        shape=(n, n),
-    ).tocsr()
-    a.eliminate_zeros()
-    return scipy.sparse.csr_array((a.data, a.indices + start, a.indptr),
-                                  shape=(n, width or n))
 
 
 def _coupling_rows(systems, layout):
@@ -275,7 +269,7 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     neighbor_ws maps neighbor id to that subdomain's current iterate and
     may be omitted only when the subdomain has no neighbors.  It is
     subdomain i's row block of the stacked fixed_point_residual, computed
-    by the same product, so the two agree to the bit.
+    by the same products in the same order, so the two agree to the bit.
     """
     _require_scheme([sys], SCHEME_MPS)
     w_i = np.asarray(w_i, dtype=float)
@@ -295,7 +289,6 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
             )
     starts = np.cumsum([0] + [ws[j].size for j in ids])
     layout = {j: (int(starts[n]), ws[j].size) for n, j in enumerate(ids)}
-    own = layout[sys.subdomain][0]
-    k = (_band_rows(sys.a_band, own, starts[-1])
-         - _coupling_rows([sys], layout))
-    return k @ np.concatenate([ws[j] for j in ids]) - sys.c
+    w = np.concatenate([ws[j] for j in ids])
+    return (_band_matrix(sys.a_band, symmetric=True) @ w_i
+            - _coupling_rows([sys], layout) @ w - sys.c)

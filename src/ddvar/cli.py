@@ -179,17 +179,18 @@ def _build_config(raw, path):
         fail("nobs", f"must lie in 0..np, got {config.nobs}")
     # the arrays a run holds: the bands, at most bw + 1 rows for bw the
     # sub-diagonals of B, of B and V, of the stacked local systems (s points
-    # each for the widest span s) with their factor and sparse operator
-    # (2 bw + 1 entries a row), of the stacked blocks of V that lift the
-    # local analyses, and of the observation-space matrix and its factor;
-    # and the coupled scheme's interface factors, four halo x s blocks a
-    # seam
+    # each for the widest span s) and their factor, of the stacked blocks
+    # of V that lift the local analyses, and of the observation-space
+    # matrix and its factor; the stacked systems' DIA operator, 2 bw + 1
+    # diagonals and no index arrays; and the coupled scheme's interface
+    # factors, four halo x s blocks a seam
     n, j_sub = config.n_points, config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
     bw = (0 if config.cov_kind == "identity"
           else min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale)))
     seams = (j_sub - 1) if config.method in ("mps", "compare") else 0
-    gib = (8 * (bw + 1) * (2 * n + 7 * j_sub * s + 2 * config.nobs)
+    gib = (8 * ((bw + 1) * (2 * n + 3 * j_sub * s + 2 * config.nobs)
+                + (2 * bw + 1) * j_sub * s)
            + 32 * seams * config.halo * s) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:

@@ -15,15 +15,15 @@ v_rows (rows against a column range), v_rows_sparse (rows, sparse),
 v_times (V x on a diagonal block), v_blocks (the band of the diagonal
 blocks of every subdomain, laid end to end), v_normal (the band of
 V^T D V and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x,
-LAPACK dtbtrs).  _band_times (BLAS dtbmv) is the one product with a
-lower band, v_times's and the stacked blocks'.  The dense b and
-v_factor, and the dense matrix of an
-assembled system, are scattered from bands by _dense on first use, for
-factor_check and the tests; _band_of reads the lower band of a sparse
-symmetric matrix.  _band_cholesky and _band_solve (LAPACK dpbtrf /
-dpbtrs) are the package's one path for SPD systems: B here, the global
-and stacked local systems in solvers and the observation-space matrix in
-analysis.
+LAPACK dtbtrs).  _band_times (BLAS dtbmv) is the one triangular product
+with a lower band, v_times's and the stacked blocks'.  _band_matrix is
+the one place a band becomes a matrix, a sparse DIA array: the residual
+multiplies by it, v_rows_sparse takes its rows, and the dense b, v_factor
+and assembled a, for factor_check and the tests, are its toarray;
+_band_of reads the lower band of a sparse symmetric matrix.
+_band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
+package's one path for SPD systems: B here, the global and stacked local
+systems in solvers and the observation-space matrix in analysis.
 """
 
 from __future__ import annotations
@@ -41,15 +41,24 @@ from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
 
 
-def _dense(band: np.ndarray, symmetric: bool) -> np.ndarray:
-    # Scatter a lower band into a read-only n x n array through strided
-    # flat slices; symmetric also fills the super-diagonals.
-    n = band.shape[1]
-    a = np.zeros((n, n))
-    for k, diagonal in enumerate(band):
-        a.flat[k * n::n + 1] = diagonal[:n - k]
-        if symmetric:
-            a.flat[k:(n - k) * n:n + 1] = diagonal[:n - k]
+def _band_matrix(band: np.ndarray, symmetric: bool) -> scipy.sparse.dia_array:
+    """The matrix with this lower band, as a sparse DIA array.
+
+    The one place a band becomes a matrix; symmetric adds the upper
+    diagonals as shifted copies.  A product sums each row over the
+    diagonals in ascending offset, explicit zeros included, so a block
+    gives the same floats alone or inside a wider, padded band.
+    """
+    k, n = band.shape[0] - 1, band.shape[1]
+    # np.roll's wrapped entries land where an upper diagonal has no row,
+    # which the DIA array never reads
+    upper = [np.roll(band[d], d) for d in range(1, k + 1) if symmetric]
+    return scipy.sparse.dia_array(
+        (np.vstack([band[::-1], *upper]), np.arange(-k, len(upper) + 1)),
+        shape=(n, n))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
@@ -74,7 +83,7 @@ class CovarianceModel:
     length_scale and sigma_b are only set for the gaussian kind.
     Construction checks the shapes and finite entries of both bands and
     stores them as read-only views; the dense b and v_factor, read only by
-    factor_check and the tests, are scattered from them once, on first
+    factor_check and the tests, are formed from them once, on first
     access, read-only too.  factor_check measures
     the residual, so a corrupted (but finite) v_band can be constructed.
     """
@@ -110,13 +119,13 @@ class CovarianceModel:
 
     @functools.cached_property
     def b(self) -> np.ndarray:
-        """Dense B, scattered symmetrically from b_band once."""
-        return _dense(self.b_band, symmetric=True)
+        """Dense B, the matrix of b_band, formed once."""
+        return _frozen(_band_matrix(self.b_band, symmetric=True).toarray())
 
     @functools.cached_property
     def v_factor(self) -> np.ndarray:
-        """Dense lower-triangular V, scattered from v_band once."""
-        return _dense(self.v_band, symmetric=False)
+        """Dense lower-triangular V, the matrix of v_band, formed once."""
+        return _frozen(_band_matrix(self.v_band, symmetric=False).toarray())
 
 
 @dataclass(frozen=True)
@@ -238,10 +247,7 @@ def v_rows(model: CovarianceModel, rows, span: slice) -> np.ndarray:
 
 def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
     """V[rows, :] as a sparse CSR array: at most bw + 1 entries per row."""
-    band = model.v_band
-    return scipy.sparse.dia_array(
-        (band, -np.arange(band.shape[0])), shape=(band.shape[1],) * 2
-    ).tocsr()[rows]
+    return _band_matrix(model.v_band, symmetric=False).tocsr()[rows]
 
 
 def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:

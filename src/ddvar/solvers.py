@@ -17,8 +17,9 @@ values, a Jacobi-style parallel sweep: one banded solve of c + C w^n per
 iteration, C the sparse coupling sum_j p_i^T p_j of the stack.  The stop
 test fires when the largest successive-iterate change drops to tol, or
 when every fixed-point residual is already below tol * kappa with
-kappa = 1 + max_i ||a_i||_inf, read from the stack's rows (which lets a
-coupling-free system stop after its first, already exact, solve).
+kappa = 1 + max_i ||a_i||_inf, the largest absolute row sum of the
+stacked band's matrix (which lets a coupling-free system stop after its
+first, already exact, solve).
 "Converged" means one of the two tests fired; kappa grows with R^{-1}, so
 the residual branch does not bound the distance to the fixed point.
 Running out of iterations is reported through the history flag, never
@@ -38,11 +39,10 @@ from .assembly import (
     SCHEME_DDDA,
     SCHEME_MPS,
     GlobalSystem,
-    _band_rows,
     _coupling_rows,
     _require_scheme,
 )
-from .covariance import _band_cholesky, _band_solve
+from .covariance import _band_cholesky, _band_matrix, _band_solve
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -125,10 +125,9 @@ class _Stack(tuple):
     run in subdomain-id order.  Construction rejects a repeated id and a
     missing or mis-sized neighbor, before anything is factored.  band is
     the lower band of blockdiag(a_i), each a_band zero-padded to the
-    tallest, blocks its CSR, coupling the CSR coupling C (see
-    assembly._coupling_rows), system the fixed-point operator
-    K = blockdiag(a_i) - C and c the concatenated right-hand sides.  A
-    stack passed in is returned unchanged.
+    tallest, operator its matrix (covariance._band_matrix), coupling the
+    CSR coupling C (see assembly._coupling_rows) and c the concatenated
+    right-hand sides.  A stack passed in is returned unchanged.
     """
 
     def __new__(cls, locals_):
@@ -155,14 +154,9 @@ class _Stack(tuple):
         return stack
 
     @functools.cached_property
-    def blocks(self):
-        """blockdiag(a_i) as one CSR matrix, built on first use."""
-        return _band_rows(self.band)
-
-    @functools.cached_property
-    def system(self):
-        """K = blockdiag(a_i) - C as one CSR matrix, built on first use."""
-        return self.blocks - self.coupling
+    def operator(self):
+        """blockdiag(a_i), the matrix of band, built on first use."""
+        return _band_matrix(self.band, symmetric=True)
 
     def factor(self) -> np.ndarray:
         """Banded Cholesky factor of blockdiag(a_i); a failure names its
@@ -222,7 +216,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     _require_scheme(locals_, SCHEME_MPS)
     stack = _Stack(locals_)
     factor = stack.factor()
-    kappa = 1.0 + float(abs(stack.blocks).sum(axis=1).max())
+    kappa = 1.0 + float(np.max(abs(stack.operator) @ np.ones(stack.c.size)))
 
     w = np.zeros(stack.c.size)
     history = IterationHistory()
@@ -255,14 +249,18 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     Zero exactly at a fixed point of the sweep.  Accepts uncoupled systems
     too, where it degenerates to the plain linear residual, and accepts
     iterates from either scheme, which is how the uncoupled solutions are
-    measured against the coupled systems.  One sparse product K w - c on
-    the stack and one segmented maximum over its blocks, returned in the
-    listed order; entry i is the sup-norm of local_gradient for subdomain
-    i, to the bit.  A stack passed in, as solve_mps passes, is not
-    rebuilt.
+    measured against the coupled systems.  One product with the stacked
+    operator, one with C, and one segmented maximum over the blocks of
+    operator w - C w - c, returned in the listed order; entry i is the
+    sup-norm of local_gradient for subdomain i, to the bit.  A non-finite
+    entry of w_i makes norm i non-finite; through the operator's explicit
+    zeros it may also reach the norms of blocks within k stacked
+    positions, k the stack's sub-diagonals.  A stack passed in, as
+    solve_mps passes, is not rebuilt.
     """
     stack = _Stack(locals_)
-    r = np.abs(stack.system @ stack.gather(ws) - stack.c)
+    w = stack.gather(ws)
+    r = np.abs(stack.operator @ w - stack.coupling @ w - stack.c)
     # an empty block keeps the norm 0.0
     starts, full = stack.starts[:-1], np.diff(stack.starts) > 0
     norms = np.zeros(len(stack))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from ddvar import (
     CovarianceModel,
@@ -376,11 +377,12 @@ def test_run_path_never_forms_dense_b(monkeypatch):
 
 def test_run_path_scatters_no_dense_block_of_v(monkeypatch):
     # every read of V on the run path is a gather or a product on its
-    # band; _dense, the scatter behind the dense b and v_factor, never runs
-    def refuse(band, symmetric):
-        raise AssertionError("a dense matrix was scattered from a band")
+    # band; the toarray of a band's matrix, behind the dense b, v_factor
+    # and a, never runs
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a dense matrix was formed from a band")
 
-    monkeypatch.setattr(covariance, "_dense", refuse)
+    monkeypatch.setattr(scipy.sparse.dia_array, "toarray", refuse)
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
     for method in ("global", "mps", "ddda"):
         assimilate(inst, dec, method)

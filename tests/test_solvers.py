@@ -197,12 +197,22 @@ def test_fixed_point_residual_is_the_local_gradient_norm():
     # local_gradient multiplies its own row block of the stacked operator,
     # so on any iterates each residual entry is the sup-norm of that
     # subdomain's gradient to the bit; the n = 400 instances are large
-    # enough that two separately summed products differ in the last bit
-    cases = [(33, 3, 2, 17, 3)]
-    cases += [(400, 4, 4, seed, 1) for seed in range(20)]
-    for n, j_sub, halo, seed, draws in cases:
-        inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=seed)
+    # enough that two separately summed products differ in the last bit;
+    # at length scale 8 the bands have k = 68 sub-diagonals, and at n = 40
+    # with j_sub = 8 the blocks' bands are 6 and 7 rows tall, so the stack
+    # pads the shorter ones with zeros
+    cases = [(dict(n=33, j_sub=3, halo=2, seed=17), 3, {13, 15})]
+    cases += [(dict(n=400, j_sub=4, halo=4, seed=seed), 1, {18})
+              for seed in range(20)]
+    cases += [(dict(n=400, j_sub=4, halo=4, seed=5, length_scale=8.0), 2,
+               {69}),
+              (dict(n=40, j_sub=8, halo=1, seed=6, length_scale=8.0), 3,
+               {6, 7})]
+    for kwargs, draws, heights in cases:
+        inst, dec = make_instance(**kwargs)
+        j_sub, seed = kwargs["j_sub"], kwargs["seed"]
         locals_ = _locals(inst, dec, SCHEME_MPS)
+        assert {sys.a_band.shape[0] for sys in locals_} == heights
         rng = np.random.default_rng(seed + 1)
         for _ in range(draws):
             ws = [rng.standard_normal(sys.size) for sys in locals_]
@@ -215,6 +225,24 @@ def test_fixed_point_residual_is_the_local_gradient_norm():
                 for k, i in enumerate(listing):
                     g = local_gradient(locals_[i], ws[i], by_id)
                     assert res[k] == float(np.max(np.abs(g)))
+
+
+def test_a_non_finite_iterate_never_has_a_finite_norm():
+    # a NaN anywhere in w_i makes norm i NaN; the stacked operator's
+    # explicit zeros may also carry it into the norms of nearby blocks,
+    # but never leave its own block's norm a plausible number
+    cases = (dict(n=300, j_sub=3, halo=0, seed=3),
+             dict(n=40, j_sub=8, halo=1, seed=6, length_scale=8.0))
+    rng = np.random.default_rng(8)
+    for kwargs in cases:
+        inst, dec = make_instance(**kwargs)
+        for scheme in (SCHEME_MPS, SCHEME_DDDA):
+            locals_ = _locals(inst, dec, scheme)
+            for i, sys in enumerate(locals_):
+                for at in {0, sys.size // 2, sys.size - 1}:
+                    ws = [rng.standard_normal(s.size) for s in locals_]
+                    ws[i][at] = np.nan
+                    assert np.isnan(fixed_point_residual(locals_, ws)[i])
 
 
 def test_fixed_point_residual_of_an_empty_system_is_zero():
@@ -343,6 +371,27 @@ def test_system_rejects_a_band_that_does_not_fit_c():
     np.testing.assert_array_equal(sys.a, a)
     np.testing.assert_allclose(solve_ddda([sys])[0], np.linalg.solve(a, sys.c),
                                rtol=0, atol=1e-15)
+
+
+def test_local_system_rejects_mis_shaped_penalty_pairs():
+    # a p_i wider than its subdomain would place its entries in the
+    # neighbor's rows of the stacked coupling, and a p_j with other rows
+    # than p_i has no product with it: both fail at construction, naming
+    # the subdomain and the neighbor
+    band, c = np.ones((1, 3)), np.ones(3)
+    wide = np.zeros((1, 5))
+    wide[0, 4] = 1.0
+    for p_i, p_j in ((wide, np.ones((1, 3))),
+                     (np.ones((1, 3)), np.ones((2, 3))),
+                     (np.ones(3), np.ones((1, 3))),
+                     (np.ones((1, 3)), np.ones(3))):
+        with pytest.raises(DimensionMismatch,
+                           match="subdomain 0, neighbor 1"):
+            LocalSystem(0, SCHEME_MPS, band, c,
+                        penalty_pairs=((1, p_i, p_j),))
+    # a p_j of any width is the neighbor's business, checked in the stack
+    pairs = ((1, np.ones((2, 3)), np.ones((2, 4))),)
+    assert LocalSystem(0, SCHEME_MPS, band, c, pairs).penalty_pairs == pairs
 
 
 def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
