@@ -51,7 +51,7 @@ from .covariance import (
 )
 from .errors import DimensionMismatch, InvalidArgument
 from .geometry import Decomposition
-from .observation import ProblemInstance, innovation
+from .observation import ProblemInstance
 from .solvers import (
     IterationHistory,
     SolverOptions,
@@ -164,7 +164,7 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     band = _band_of(m @ m.T)
     band[0] += inst.obs.r_cov.r_diag
     z = _band_solve(_band_cholesky(band, "observation-space matrix"),
-                    innovation(inst))
+                    inst.innovation)
     return m.T @ z
 
 
@@ -193,9 +193,9 @@ class _Lift:
 
     @functools.cached_property
     def band(self) -> np.ndarray:
-        """Built once, on first use: in assimilate's sweep that is the
-        first cost, after the stack's set-up, so the band is not alive at
-        that set-up's peak."""
+        """Built once, on first use: in assimilate's mps run that is the
+        cost of the sweep's final iterate, after the stack's set-up, so
+        the band is not alive at that set-up's peak."""
         return v_blocks(self.cov, self.dec)
 
     def patch(self, w):
@@ -217,8 +217,8 @@ def _check_convention(convention: str) -> None:
 
 
 def _iterate_cost(inst, lift):
-    # the sweep passes its iterate as views of one stacked vector in
-    # subdomain order, already checked
+    # the sweep passes its final iterate as views of one stacked vector
+    # in subdomain order, already checked
     def cost_of(ws):
         return cost_w(inst, control_equivalent(
             inst, lift.patch(np.concatenate(ws))[0]))
@@ -268,7 +268,9 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         per_w = tuple(ws)
 
     diagnostics = {
-        "global_cost": cost_w(inst, control_equivalent(inst, u)),
+        # the sweep already took the cost of its returned iterate
+        "global_cost": (history.final_cost if method == SCHEME_MPS
+                        else cost_w(inst, control_equivalent(inst, u))),
         "interface_mismatch": gap,
         "vs_global_linf": float(np.max(np.abs(u - u_global))),
     }
@@ -360,7 +362,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         ),
         w_delta_linf=w_delta,
         cost_global=cost_w(inst, w_star),
-        cost_mps=history.records[-1].global_cost,
+        cost_mps=history.final_cost,
         cost_ddda=cost_w(inst, control_equivalent(inst, u_dd)),
         iters_mps=history.iterations,
         mps_converged=history.converged,

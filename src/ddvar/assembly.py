@@ -45,7 +45,7 @@ from .errors import (
     MissingNeighbor,
 )
 from .geometry import Decomposition
-from .observation import ProblemInstance, innovation
+from .observation import ProblemInstance
 
 SCHEME_MPS = "mps"
 SCHEME_DDDA = "ddda"
@@ -128,6 +128,8 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
     band = np.zeros(shape)
     for _, p_i, _ in penalty_pairs:
         cols = np.flatnonzero(p_i.any(axis=0))
+        if not cols.size:  # p_i^T p_i is zero
+            continue
         lo, w = cols[0], cols[-1] + 1 - cols[0]
         q = np.ascontiguousarray(p_i[:, lo:lo + w])
         g = q.T @ q
@@ -200,7 +202,7 @@ def assemble_global(inst: ProblemInstance) -> GlobalSystem:
     a_band = _band_of(m.T @ m.multiply(r_inv[:, None]),
                       inst.cov.bandwidth + 1)
     a_band[0] += 1.0
-    return GlobalSystem(a_band=a_band, c=m.T @ (r_inv * innovation(inst)))
+    return GlobalSystem(a_band=a_band, c=m.T @ (r_inv * inst.innovation))
 
 
 def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
@@ -228,7 +230,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     # H_i^T R_i^{-1} H_i is the diagonal D, R_i^{-1} at the observed points,
     # and x = H_i^T R_i^{-1} d_i
     weights, x = np.zeros((2, span.stop - span.start))
-    weights[at], x[at] = r_inv, r_inv * innovation(inst)[sel]
+    weights[at], x[at] = r_inv, r_inv * inst.innovation[sel]
     a_band, c = v_normal(inst.cov, weights, x, span)
     a_band[0] += 1.0
 
@@ -255,7 +257,7 @@ def cost_w(inst: ProblemInstance, w: np.ndarray) -> float:
     n = inst.grid.n_points
     if w.shape != (n,):
         raise DimensionMismatch(f"w has shape {w.shape}, expected ({n},)")
-    misfit = inst.h_rows @ w - innovation(inst)
+    misfit = inst.h_rows @ w - inst.innovation
     r_inv = 1.0 / inst.obs.r_cov.r_diag
     return 0.5 * float(w @ w) + 0.5 * float(misfit @ (r_inv * misfit))
 

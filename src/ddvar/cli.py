@@ -182,8 +182,9 @@ def _build_config(raw, path):
     # each for the widest span s) and their factor, of the stacked blocks
     # of V that lift the local analyses, and of the observation-space
     # matrix and its factor; the stacked systems' DIA operator, 2 bw + 1
-    # diagonals and no index arrays; and the coupled scheme's interface
-    # factors, four halo x s blocks a seam
+    # diagonals and no index arrays, which the residual still builds (the
+    # stop test's kappa is read off the band); and the coupled scheme's
+    # interface factors, four halo x s blocks a seam
     n, j_sub = config.n_points, config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
     bw = (0 if config.cov_kind == "identity"
@@ -260,12 +261,11 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_history(path: Path, history, j_sub: int) -> None:
-    cols = ["iter", "max_delta", "global_cost"]
+    cols = ["iter", "max_delta"]
     cols += [f"res_sub_{i + 1}" for i in range(j_sub)]
     rows = [",".join(cols)]
     for rec in history.records:
-        row = [str(rec.iteration), _format_float(rec.max_delta),
-               _format_float(rec.global_cost)]
+        row = [str(rec.iteration), _format_float(rec.max_delta)]
         row += [_format_float(r) for r in rec.residual_norms]
         rows.append(",".join(row))
     path.write_text("\n".join(rows) + "\n")

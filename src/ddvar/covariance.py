@@ -18,8 +18,8 @@ V^T D V and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x,
 LAPACK dtbtrs).  _band_times (BLAS dtbmv) is the one triangular product
 with a lower band, v_times's and the stacked blocks'.  _band_matrix is
 the one place a band becomes a matrix, a sparse DIA array: the residual
-multiplies by it, v_rows_sparse takes its rows, and the dense b, v_factor
-and assembled a, for factor_check and the tests, are its toarray;
+multiplies by it, and the dense b, v_factor and assembled a, for
+factor_check and the tests, are its toarray;
 _band_of reads the lower band of a sparse symmetric matrix.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
 package's one path for SPD systems: B here, the global and stacked local
@@ -246,8 +246,23 @@ def v_rows(model: CovarianceModel, rows, span: slice) -> np.ndarray:
 
 
 def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
-    """V[rows, :] as a sparse CSR array: at most bw + 1 entries per row."""
-    return _band_matrix(model.v_band, symmetric=False).tocsr()[rows]
+    """V[rows, :] as a sparse CSR array gathered from the band, O(rows bw).
+
+    Row r keeps the nonzero v_band[r - c, c] for c = r - bw..r, columns
+    ascending and no stored zeros: at most bw + 1 entries per row.
+    """
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    band, n = model.v_band, model.n_points
+    if rows.size and not 0 <= rows.min() <= rows.max() < n:
+        raise IndexError(f"rows must lie in 0..{n - 1}")
+    d = np.arange(band.shape[0] - 1, -1, -1)
+    cols = rows[:, None] - d
+    vals = np.where(cols >= 0, band[d, np.maximum(cols, 0)], 0.0)
+    keep = vals != 0.0
+    return scipy.sparse.csr_array(
+        (vals[keep], cols[keep],
+         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+        shape=(rows.size, n))
 
 
 def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -116,10 +116,17 @@ class ProblemInstance:
             a.flags.writeable = False
         return m
 
+    @functools.cached_property
+    def innovation(self) -> np.ndarray:
+        """d = v - H u^b, computed once, then read-only."""
+        d = self.obs.values - self.u_background[self.obs.obs_indices]
+        d.flags.writeable = False
+        return d
+
 
 def innovation(inst: ProblemInstance) -> np.ndarray:
-    """Observation-minus-background misfit d = v - H u^b."""
-    return inst.obs.values - inst.u_background[inst.obs.obs_indices]
+    """Observation-minus-background misfit d = v - H u^b, read-only."""
+    return inst.innovation
 
 
 def _sigma_o_floor(sigma_b: float | None) -> float:

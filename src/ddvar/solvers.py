@@ -18,12 +18,14 @@ iteration, C the sparse coupling sum_j p_i^T p_j of the stack.  The stop
 test fires when the largest successive-iterate change drops to tol, or
 when every fixed-point residual is already below tol * kappa with
 kappa = 1 + max_i ||a_i||_inf, the largest absolute row sum of the
-stacked band's matrix (which lets a coupling-free system stop after its
-first, already exact, solve).
+stacked band's matrix, read off the band by shifted sums (which lets a
+coupling-free system stop after its first, already exact, solve).
 "Converged" means one of the two tests fired; kappa grows with R^{-1}, so
 the residual branch does not bound the distance to the fixed point.
 Running out of iterations is reported through the history flag, never
-raised, so the best iterate stays available.
+raised, so the best iterate stays available.  The sweep computes only
+what its stop test reads; a cost of the iterate, when asked for, is
+evaluated once, at the returned iterate.
 """
 
 from __future__ import annotations
@@ -78,16 +80,20 @@ class SolverOptions:
 class IterationRecord:
     iteration: int
     max_delta: float
-    global_cost: float
     residual_norms: tuple
 
 
 @dataclass
 class IterationHistory:
-    """Per-iteration trace of the fixed-point sweep."""
+    """Per-iteration trace of the fixed-point sweep.
+
+    final_cost is the cost of the returned iterate when the sweep was
+    given a cost_fn, NaN otherwise.
+    """
 
     records: list = field(default_factory=list)
     converged: bool = False
+    final_cost: float = math.nan
 
     @property
     def iterations(self) -> int:
@@ -158,6 +164,26 @@ class _Stack(tuple):
         """blockdiag(a_i), the matrix of band, built on first use."""
         return _band_matrix(self.band, symmetric=True)
 
+    @property
+    def kappa(self) -> float:
+        """1 + the largest absolute row sum of blockdiag(a_i), off the band.
+
+        Row r sums |a[r, r - d]| = |band[d, r - d]| over d = k..1, then
+        the diagonal, then |a[r, r + d]| = |band[d, r]| over d = 1..k: the
+        order in which the operator's product sums a row, so this is
+        1 + max(abs(operator) @ ones) to the bit.
+        """
+        band = np.abs(self.band)
+        # a sub-diagonal at n or beyond has no row
+        k, n = min(band.shape[0], band.shape[1]) - 1, band.shape[1]
+        sums = np.zeros(n)
+        for d in range(k, 0, -1):
+            sums[d:] += band[d, :n - d]
+        sums += band[0]
+        for d in range(1, k + 1):
+            sums[:n - d] += band[d, :n - d]
+        return 1.0 + float(np.max(sums))
+
     def factor(self) -> np.ndarray:
         """Banded Cholesky factor of blockdiag(a_i); a failure names its
         subdomain."""
@@ -203,9 +229,10 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     """Run the parallel fixed-point sweep over the coupled local systems.
 
     The sweep starts from all zeros (the background) and factors the
-    stacked band once.  cost_fn, when given, is called once per iteration
-    with the fresh iterate list and its value lands in the history;
-    otherwise the cost column is NaN.  Returns (iterates, history);
+    stacked band once; each iteration is one banded solve and one
+    fixed_point_residual, and kappa is read off the band.  cost_fn, when
+    given, is called once, on the returned iterate list, and its value is
+    history.final_cost; otherwise that is NaN.  Returns (iterates, history);
     history.converged is False when the iteration budget ran out.  The
     kappa of the residual stop test grows with R^{-1}, so a sweep that
     stopped on that test need not be within tol of the fixed point.  A
@@ -216,7 +243,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     _require_scheme(locals_, SCHEME_MPS)
     stack = _Stack(locals_)
     factor = stack.factor()
-    kappa = 1.0 + float(np.max(abs(stack.operator) @ np.ones(stack.c.size)))
+    kappa = stack.kappa
 
     w = np.zeros(stack.c.size)
     history = IterationHistory()
@@ -225,12 +252,10 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
         max_delta = float(np.max(np.abs(new - w), initial=0.0))
         ws = stack.split(new)
         residuals = fixed_point_residual(stack, ws)
-        cost = cost_fn(ws) if cost_fn is not None else math.nan
         history.append(
             IterationRecord(
                 iteration=n,
                 max_delta=max_delta,
-                global_cost=float(cost),
                 residual_norms=tuple(residuals.tolist()),
             )
         )
@@ -240,6 +265,8 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
             history.converged = True
             break
 
+    if cost_fn is not None:
+        history.final_cost = float(cost_fn(ws))
     return ws, history
 
 

@@ -502,10 +502,23 @@ def test_assimilate_mps_runs_and_reports():
     assert res.diagnostics["interface_mismatch"] >= 0.0
     assert res.diagnostics["vs_global_linf"] >= 0.0
     assert len(res.per_subdomain_w) == 2
-    # the recorded cost of the last iterate is the cost of the analysis
-    assert res.history.records[-1].global_cost == pytest.approx(
-        res.diagnostics["global_cost"], rel=1e-12
-    )
+    # the sweep's cost of its returned iterate is the cost of the analysis
+    assert res.history.final_cost == res.diagnostics["global_cost"]
+
+
+def test_assimilate_mps_takes_the_cost_once(monkeypatch):
+    # the sweep's stop test does not read the cost: it is taken once, of
+    # the returned iterate, however many iterations the sweep runs
+    inst, dec = make_instance(n=120, j_sub=4, halo=2, seed=3)
+    calls = dict.fromkeys(("control_equivalent", "cost_w"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(analysis, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(analysis, name, counted)
+    res = assimilate(inst, dec, "mps")
+    assert res.history.iterations > 1
+    assert calls == {"control_equivalent": 1, "cost_w": 1}
 
 
 def test_assimilate_ddda_runs_and_reports():

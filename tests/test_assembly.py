@@ -18,6 +18,7 @@ from ddvar import (
     innovation,
     interface_coupling,
     local_gradient,
+    penalty_stiffness,
     point_observations,
 )
 
@@ -305,3 +306,16 @@ def test_assemble_local_without_observations_is_identity():
     sys = assemble_local(inst, dec, 1, SCHEME_DDDA)
     np.testing.assert_array_equal(sys.a, np.eye(9))
     np.testing.assert_array_equal(sys.c, np.zeros(9))
+
+
+def test_penalty_stiffness_skips_an_all_zero_factor():
+    # a p_i with no nonzero column adds p_i^T p_i = 0 and is skipped, next
+    # to a pair that does add
+    empty = (1, np.zeros((1, 3)), np.zeros((1, 3)))
+    assert not penalty_stiffness((empty,), (1, 3)).any()
+    p_i = np.array([[0.0, 1.0, 2.0]])
+    pair = (2, p_i, np.ones((1, 4)))
+    expected = lower_band(p_i.T @ p_i, 1)
+    for pairs in ((pair,), (empty, pair)):
+        band = penalty_stiffness(pairs, (2, 3))
+        assert band.tobytes() == expected.tobytes()

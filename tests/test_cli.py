@@ -128,7 +128,7 @@ def test_compare_run_writes_outputs(tmp_path, capsys):
     assert "output_dir" not in payload["config"]
 
     history = (out / "history.csv").read_text().splitlines()
-    assert history[0] == "iter,max_delta,global_cost,res_sub_1,res_sub_2"
+    assert history[0] == "iter,max_delta,res_sub_1,res_sub_2"
     assert len(history) == payload["iters_mps"] + 1
     first = history[1].split(",")
     assert first[0] == "1"

@@ -205,6 +205,42 @@ def test_problem_instance_validation():
             ProblemInstance(grid, cov, obs, np.zeros(5), u_truth=u)
 
 
+@pytest.mark.parametrize("n, kind, length_scale, rows", [
+    (60, "gaussian", 2.0, [0, 1, 2, 5]),  # rows above the bandwidth (17)
+    (30, "identity", None, [0, 7, 29]),
+    (30, "gaussian", 1e4, [0, 3, 17, 29]),  # the band is full
+    (30, "gaussian", 2.0, []),
+])
+def test_h_rows_are_the_observed_rows_of_v(n, kind, length_scale, rows):
+    # gathered from the band: the dense rows to the bit, each row's columns
+    # ascending and no stored zeros, so sparse products sum as a
+    # canonical CSR of the same rows would
+    grid = Grid1D.uniform(n)
+    cov = (identity_covariance(grid) if kind == "identity"
+           else build_gaussian_covariance(grid, length_scale, 1.0))
+    obs = point_observations(grid, rows, np.ones(len(rows)),
+                             np.ones(len(rows)))
+    m = ProblemInstance(grid, cov, obs, np.zeros(n)).h_rows
+    fresh = cov.v_factor[np.asarray(rows, dtype=int)]
+    assert m.shape == (len(rows), n)
+    assert m.toarray().tobytes() == fresh.tobytes()
+    assert np.all(m.data != 0.0)
+    for r in range(len(rows)):
+        assert np.all(np.diff(m.indices[m.indptr[r]:m.indptr[r + 1]]) > 0)
+
+
+def test_innovation_taken_once_and_read_only():
+    grid = Grid1D.uniform(40)
+    inst = synthesize(grid, build_gaussian_covariance(grid, 2.0, 1.0), 8,
+                      0.1, seed=2)
+    d = innovation(inst)
+    assert innovation(inst) is d
+    np.testing.assert_array_equal(
+        d, inst.obs.values - inst.u_background[inst.obs.obs_indices])
+    with pytest.raises(ValueError):
+        d[0] = 0.0
+
+
 def test_h_rows_taken_once_and_read_only():
     grid = Grid1D.uniform(40)
     inst = synthesize(grid, build_gaussian_covariance(grid, 2.0, 1.0), 8,

@@ -31,6 +31,8 @@ from ddvar import (
     solve_mps,
 )
 
+from ddvar.solvers import _Stack
+
 from conftest import lower_band, make_instance
 
 
@@ -173,16 +175,49 @@ def test_mps_budget_exhaustion_is_flagged_not_raised():
 
 
 def test_mps_records_cost_when_asked():
+    # the cost is taken once, of the returned iterate, however many
+    # iterations the sweep runs
     inst, dec = make_instance(n=20, j_sub=2, halo=1, seed=12)
     locals_ = _locals(inst, dec, SCHEME_MPS)
     _, plain = solve_mps(locals_, opts=SolverOptions(max_iters=3, tol=1e-30))
-    assert all(math.isnan(r.global_cost) for r in plain.records)
-    _, traced = solve_mps(
+    assert math.isnan(plain.final_cost)
+    seen = []
+
+    def cost_fn(ws):
+        seen.append([w.copy() for w in ws])
+        return 7.0
+
+    ws, traced = solve_mps(
         locals_,
         opts=SolverOptions(max_iters=3, tol=1e-30),
-        cost_fn=lambda ws: 7.0,
+        cost_fn=cost_fn,
     )
-    assert all(r.global_cost == 7.0 for r in traced.records)
+    assert traced.iterations == 3
+    assert traced.final_cost == 7.0
+    assert len(seen) == 1
+    for seen_w, w in zip(seen[0], ws):
+        assert seen_w.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [
+    (120, 4, 3, "gaussian", 0.5),
+    (120, 4, 3, "gaussian", 2.0),
+    (120, 4, 3, "gaussian", 8.0),
+    (60, 3, 2, "identity", 2.0),
+    # each block narrower than V's band: the stack pads them to the tallest
+    (40, 8, 1, "gaussian", 8.0),
+])
+def test_kappa_is_read_off_the_band(n, j_sub, halo, kind, length_scale):
+    # the largest absolute row sum of the dense blocks within 2 ulp, and
+    # that of the stacked operator's product to the bit
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=4, kind=kind,
+                              length_scale=length_scale)
+    stack = _Stack(_locals(inst, dec, SCHEME_MPS))
+    dense = max(float(np.max(np.abs(sys.a).sum(axis=1))) for sys in stack)
+    assert abs((stack.kappa - 1.0) - dense) <= 2 * np.spacing(dense)
+    by_product = 1.0 + float(np.max(abs(stack.operator)
+                                    @ np.ones(stack.c.size)))
+    assert stack.kappa == by_product
 
 
 def test_fixed_point_residual_zero_at_uncoupled_solve():
@@ -321,11 +356,11 @@ def test_mps_rejects_a_repeated_subdomain_before_factorizing():
 
 def test_history_appends_in_order_only():
     history = IterationHistory()
-    history.append(IterationRecord(1, 0.5, math.nan, (0.1,)))
-    history.append(IterationRecord(2, 0.25, math.nan, (0.05,)))
+    history.append(IterationRecord(1, 0.5, (0.1,)))
+    history.append(IterationRecord(2, 0.25, (0.05,)))
     assert history.iterations == 2
     with pytest.raises(InvalidArgument):
-        history.append(IterationRecord(2, 0.1, math.nan, (0.01,)))
+        history.append(IterationRecord(2, 0.1, (0.01,)))
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_DDDA, SCHEME_MPS])
