@@ -17,12 +17,13 @@ H selects distinct points, so H^T R^{-1} H is a diagonal D and
 a = V^T D V + I has at most the bw sub-diagonals of V: it is formed and
 stored as its lower band a_band, O(s bw^2) for s points, and no s x s
 matrix is formed.  The local band is a product over windows of the band
-of V; the global one is read off the sparse product of the observed rows
-of V, a separate path that the one-subdomain decomposition is checked
-against.  The dense a is derived on first access, for the tests and
-oracles.  The solvers lay the bands end to end; the sparse rows of the
-coupling are built here, and local_gradient computes one subdomain's
-rows of the fixed-point residual the way the solvers compute them all.
+of V, D and D d sliced from the instance's weights; the global one is
+read off the sparse product of the observed rows of V, a separate path
+that the one-subdomain decomposition is checked against.  The dense a is
+derived on first access, for the tests and oracles.  The solvers lay the
+bands end to end; the sparse rows of the coupling are built here, and
+local_gradient computes one subdomain's rows of the fixed-point residual
+the way the solvers compute them all.
 
 The right-hand side c_i is computed by one shared code path regardless of
 scheme, which is what makes the cross-scheme equality of c_i hold to the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import (_band_matrix, _band_of, _frozen, interface_coupling,
+from .covariance import (_band_matrix, _band_of, _frozen, _interface_factors,
                          v_normal)
 from .errors import (
     DimensionMismatch,
@@ -122,19 +123,22 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
     """Lower band, of the given shape, of sum_j p_i^T p_i over the pairs.
 
     Each p_i^T p_i is one BLAS product on the range of columns where p_i is
-    nonzero, added in the pairs' ascending neighbor order, so every caller
-    lands on the same floats; with no pairs the band is zero.
+    nonzero, added in the pairs' ascending neighbor order by one strided
+    add, so every caller lands on the same floats; with no pairs the band
+    is zero.
     """
     band = np.zeros(shape)
     for _, p_i, _ in penalty_pairs:
-        cols = np.flatnonzero(p_i.any(axis=0))
+        cols = p_i.any(axis=0).nonzero()[0]
         if not cols.size:  # p_i^T p_i is zero
             continue
         lo, w = cols[0], cols[-1] + 1 - cols[0]
         q = np.ascontiguousarray(p_i[:, lo:lo + w])
-        g = q.T @ q
-        for d in range(min(shape[0], w)):
-            band[d, lo:lo + w - d] += g.diagonal(-d)
+        # g[c + d, c] at (d, c); the zero rows add zeros past the last row
+        g = np.zeros((2 * w, w))
+        g[:w] = q.T @ q
+        band[:w, lo:lo + w] += np.ndarray((min(shape[0], w), w), float, g, 0,
+                                          (8 * w, 8 * w + 8))
     return band
 
 
@@ -178,13 +182,20 @@ def _coupling_rows(systems, layout):
                     f"neighbor {j} has {layout[j][1]} points, subdomain "
                     f"{sys.subdomain} couples to {p_j.shape[1]}"
                 )
-            ci, cj = (np.flatnonzero(p.any(axis=0)) for p in (p_i, p_j))
-            rows.append(np.repeat(ci + top, cj.size))
-            cols.append(np.tile(cj + layout[j][0], ci.size))
-            vals.append((p_i[:, ci].T @ p_j[:, cj]).ravel())
+            ci, cj = (p.any(axis=0).nonzero()[0] for p in (p_i, p_j))
+            rows.append(ci + top)
+            cols.append(cj + layout[j][0])
+            vals.append(p_i[:, ci].T @ p_j[:, cj])
         top += sys.size
+    # entry e of a pair's product, row-major, is at (e // n_j, e % n_j)
+    n_i, n_j = (np.array([c.size for c in cs]) for cs in (rows, cols))
+    count = n_i * n_j
+    e = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     return scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate(vals, axis=None),
+         (np.repeat(np.concatenate(rows), np.repeat(n_j, n_i)),
+          np.concatenate(cols)[np.repeat(np.cumsum(n_j) - n_j, count)
+                               + e % np.repeat(n_j, count)])),
         shape=(top, max((start + size for start, size in layout.values()),
                         default=0)),
     )
@@ -212,11 +223,12 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     Both schemes share a_i = V_i^T H_i^T R_i^{-1} H_i V_i + I_i and
     c_i = V_i^T H_i^T R_i^{-1} d_i, V_i = V[span, span], where H_i, R_i,
     d_i keep exactly the observations whose grid point lies in subdomain
-    i: a contiguous slice of the strictly increasing obs_indices, so an
-    observation in an overlap enters both neighbors' systems; both come
-    from v_normal, on the band of V.  The mps scheme then adds the band of
-    penalty_stiffness of its interface pairs, which reports recompose to
-    identical floats.  dec must split the instance's grid.
+    i, so an observation in an overlap enters both neighbors' systems:
+    H_i^T R_i^{-1} H_i and H_i^T R_i^{-1} d_i are the span's slice of
+    inst.weights, and both come from v_normal, on the band of V.  The mps
+    scheme then takes its interface pairs toward all neighbors from one
+    gather and adds the band of their penalty_stiffness, which reports
+    recompose to identical floats.  dec must split the instance's grid.
     """
     _require_grid(inst, dec)
     if scheme not in _SCHEMES:
@@ -224,22 +236,12 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
             f"scheme must be one of {_SCHEMES}, got {scheme!r}"
         )
     span = dec.span(i)
-    idx = inst.obs.obs_indices
-    sel = slice(*np.searchsorted(idx, [span.start, span.stop]))
-    at, r_inv = idx[sel] - span.start, 1.0 / inst.obs.r_cov.r_diag[sel]
-    # H_i^T R_i^{-1} H_i is the diagonal D, R_i^{-1} at the observed points,
-    # and x = H_i^T R_i^{-1} d_i
-    weights, x = np.zeros((2, span.stop - span.start))
-    weights[at], x[at] = r_inv, r_inv * inst.innovation[sel]
-    a_band, c = v_normal(inst.cov, weights, x, span)
+    a_band, c = v_normal(inst.cov, *inst.weights[:, span], span)
     a_band[0] += 1.0
 
     pairs = ()
     if scheme == SCHEME_MPS:
-        pairs = tuple(
-            (j, *interface_coupling(inst.cov, dec, i, j))
-            for j in dec.neighbors(i)
-        )
+        pairs = _interface_factors(inst.cov, dec, i, dec.neighbors(i))
         a_band = a_band + penalty_stiffness(pairs, a_band.shape)
 
     return LocalSystem(

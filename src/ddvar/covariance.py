@@ -11,16 +11,16 @@ scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
 therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
-v_rows (rows against a column range), v_rows_sparse (rows, sparse),
-v_times (V x on a diagonal block), v_blocks (the band of the diagonal
-blocks of every subdomain, laid end to end), v_normal (the band of
-V^T D V and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x,
-LAPACK dtbtrs).  _band_times (BLAS dtbmv) is the one triangular product
-with a lower band, v_times's and the stacked blocks'.  _band_matrix is
-the one place a band becomes a matrix, a sparse DIA array: the residual
-multiplies by it, and the dense b, v_factor and assembled a, for
-factor_check and the tests, are its toarray;
-_band_of reads the lower band of a sparse symmetric matrix.
+v_rows (rows against a column range, once per subdomain for its interface
+factors), v_rows_sparse (rows, sparse), v_times (V x on a diagonal
+block), v_blocks (the band of the diagonal blocks of every subdomain,
+laid end to end), v_normal (the band of V^T D V and V^T x on a diagonal
+block, D diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).  _band_times
+(BLAS dtbmv) is the one triangular product with a lower band, v_times's
+and the stacked blocks'.  _band_matrix is the one place a band becomes a
+matrix, a sparse DIA array: the residual multiplies by it, and the dense
+b, v_factor and assembled a, for factor_check and the tests, are its
+toarray; _band_of reads the lower band of a sparse symmetric matrix.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
 package's one path for SPD systems: B here, the global and stacked local
 systems in solvers and the observation-space matrix in analysis.
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
@@ -242,7 +241,7 @@ def v_rows(model: CovarianceModel, rows, span: slice) -> np.ndarray:
     k = np.asarray(rows)[:, None] - cols
     band = model.v_band
     inside = (k >= 0) & (k < band.shape[0])
-    return np.where(inside, band[np.clip(k, 0, band.shape[0] - 1), cols], 0.0)
+    return np.where(inside, band[k % band.shape[0], cols], 0.0)
 
 
 def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
@@ -324,12 +323,12 @@ def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,
     padded[:, :s] = weights, x
     row, col = band.strides
     # weighted[t, c] = weights[c + t] V_s[c + t, c], the same for x in xv
-    weighted, xv = as_strided(padded, (2, 2 * k + 1, s),
+    weighted, xv = np.ndarray((2, 2 * k + 1, s), float, padded, 0,
                               (padded.strides[0], col, col)) * band[:, :s]
     # a[d, c, u] = weighted[d + u, c], b[d, c, u] = V_s[c + d + u, c + d]
-    a = as_strided(weighted, (k + 1, s, k + 1),
+    a = np.ndarray((k + 1, s, k + 1), float, weighted, 0,
                    (weighted.strides[0], col, weighted.strides[0]))
-    b = as_strided(band, (k + 1, s, k + 1), (col, col, row))
+    b = np.ndarray((k + 1, s, k + 1), float, band, 0, (col, col, row))
     return np.einsum("dcu,dcu->dc", a, b), xv.sum(axis=0)
 
 
@@ -342,21 +341,33 @@ def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def interface_coupling(model: CovarianceModel, dec: Decomposition,
-                       i: int, j: int):
-    """Interface rows of V against the two neighboring column ranges.
+def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
+                       neighbors) -> tuple:
+    """(j, p_i, p_j) for each listed neighbor j of subdomain i, in order.
 
-    Returns (p_i, p_j) where p_i holds the entries of V at the interface
-    rows dec.interface(i, j) and the columns dec.span(i), and p_j the same
-    rows against the columns dec.span(j); both are v_rows gathers.  The pair
-    defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2, so the
-    stiffness contribution on subdomain i is p_i^T p_i and the coupling
-    toward j is p_i^T (p_j w_j).
+    p_i is V at the rows dec.interface(i, j) and the columns dec.span(i),
+    p_j at the same rows and dec.span(j): copies of the blocks of one
+    v_rows gather of all the interfaces against all the spans' columns.
     """
     if model.n_points != dec.grid.n_points:
-        raise DimensionMismatch(
-            f"covariance is {model.n_points} points, grid is "
-            f"{dec.grid.n_points}"
-        )
-    gamma = dec.interface(i, j)
-    return tuple(v_rows(model, gamma, dec.span(k)) for k in (i, j))
+        raise DimensionMismatch(f"covariance is {model.n_points} points, "
+                                f"grid is {dec.grid.n_points}")
+    rows = np.array([dec.interface(i, j) for j in neighbors], np.intp).ravel()
+    spans = {k: dec.span(k) for k in (i, *neighbors)}
+    lo = spans[min(spans)].start
+    g = v_rows(model, rows, slice(lo, spans[max(spans)].stop))
+    return tuple((j, *(g[n * dec.halo:(n + 1) * dec.halo,
+                         spans[k].start - lo:spans[k].stop - lo].copy()
+                       for k in (i, j)))
+                 for n, j in enumerate(neighbors))
+
+
+def interface_coupling(model: CovarianceModel, dec: Decomposition,
+                       i: int, j: int):
+    """(p_i, p_j) of subdomain i toward j, of _interface_factors.
+
+    The pair defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2,
+    so the stiffness contribution on subdomain i is p_i^T p_i and the
+    coupling toward j is p_i^T (p_j w_j).
+    """
+    return _interface_factors(model, dec, i, (j,))[0][1:]

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import CovarianceModel, ObsCovariance, v_rows_sparse, v_times
+from .covariance import (CovarianceModel, ObsCovariance, _frozen,
+                         v_rows_sparse, v_times)
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
 from .geometry import Grid1D
 
@@ -119,9 +120,16 @@ class ProblemInstance:
     @functools.cached_property
     def innovation(self) -> np.ndarray:
         """d = v - H u^b, computed once, then read-only."""
-        d = self.obs.values - self.u_background[self.obs.obs_indices]
-        d.flags.writeable = False
-        return d
+        return _frozen(self.obs.values
+                       - self.u_background[self.obs.obs_indices])
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """diag(H^T R^{-1} H) over H^T R^{-1} d: once, then read-only."""
+        idx, r_inv = self.obs.obs_indices, 1.0 / self.obs.r_cov.r_diag
+        w = np.zeros((2, self.grid.n_points))
+        w[0, idx], w[1, idx] = r_inv, r_inv * self.innovation
+        return _frozen(w)
 
 
 def innovation(inst: ProblemInstance) -> np.ndarray:

@@ -14,12 +14,13 @@ the coupled scheme iterates
 
 with every subdomain in an iteration consuming only iteration-n neighbor
 values, a Jacobi-style parallel sweep: one banded solve of c + C w^n per
-iteration, C the sparse coupling sum_j p_i^T p_j of the stack.  The stop
-test fires when the largest successive-iterate change drops to tol, or
-when every fixed-point residual is already below tol * kappa with
-kappa = 1 + max_i ||a_i||_inf, the largest absolute row sum of the
-stacked band's matrix, read off the band by shifted sums (which lets a
-coupling-free system stop after its first, already exact, solve).
+iteration, C the sparse coupling sum_j p_i^T p_j of the stack, on an
+iterate kept stacked until it is returned.  The stop test fires when the
+largest successive-iterate change drops to tol, or when every fixed-point
+residual is already below tol * kappa with kappa = 1 + max_i ||a_i||_inf,
+the largest absolute row sum of the stacked band's matrix, read off the
+band by shifted sums (which lets a coupling-free system stop after its
+first, already exact, solve).
 "Converged" means one of the two tests fired; kappa grows with R^{-1}, so
 the residual branch does not bound the distance to the fixed point.
 Running out of iterations is reported through the history flag, never
@@ -194,7 +195,12 @@ class _Stack(tuple):
         return _band_cholesky(self.band, what)
 
     def gather(self, ws) -> np.ndarray:
-        """The listed per-subdomain vectors as one stacked vector."""
+        """The iterate as one vector: the listed ones stacked, or as given."""
+        if isinstance(ws, np.ndarray) and ws.ndim == 1:
+            if ws.shape != self.c.shape:
+                raise DimensionMismatch(f"stacked iterate has shape "
+                                        f"{ws.shape}, expected {self.c.shape}")
+            return ws.astype(float, copy=False)
         vecs = _vectors(ws, [(sys.subdomain, sys.size) for sys in self],
                         "iterate")
         return np.concatenate([vecs[k] for k in self.order])
@@ -230,14 +236,14 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
 
     The sweep starts from all zeros (the background) and factors the
     stacked band once; each iteration is one banded solve and one
-    fixed_point_residual, and kappa is read off the band.  cost_fn, when
-    given, is called once, on the returned iterate list, and its value is
-    history.final_cost; otherwise that is NaN.  Returns (iterates, history);
-    history.converged is False when the iteration budget ran out.  The
-    kappa of the residual stop test grows with R^{-1}, so a sweep that
-    stopped on that test need not be within tol of the fixed point.  A
-    coupled neighbor absent from locals_ raises MissingNeighbor before
-    the first sweep.
+    fixed_point_residual of the stacked iterate, split once, on return,
+    and kappa is read off the band.  cost_fn, when given, is called once,
+    on the returned iterate list, and its value is history.final_cost;
+    otherwise that is NaN.  Returns (iterates, history); history.converged
+    is False when the iteration budget ran out.  The kappa of the residual
+    stop test grows with R^{-1}, so a sweep that stopped on that test need
+    not be within tol of the fixed point.  A coupled neighbor absent from
+    locals_ raises MissingNeighbor before the first sweep.
     """
     opts = opts if opts is not None else SolverOptions()
     _require_scheme(locals_, SCHEME_MPS)
@@ -250,8 +256,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     for n in range(1, opts.max_iters + 1):
         new = _band_solve(factor, stack.c + stack.coupling @ w)
         max_delta = float(np.max(np.abs(new - w), initial=0.0))
-        ws = stack.split(new)
-        residuals = fixed_point_residual(stack, ws)
+        residuals = fixed_point_residual(stack, new)
         history.append(
             IterationRecord(
                 iteration=n,
@@ -265,6 +270,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
             history.converged = True
             break
 
+    ws = stack.split(w)
     if cost_fn is not None:
         history.final_cost = float(cost_fn(ws))
     return ws, history
@@ -276,8 +282,10 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     Zero exactly at a fixed point of the sweep.  Accepts uncoupled systems
     too, where it degenerates to the plain linear residual, and accepts
     iterates from either scheme, which is how the uncoupled solutions are
-    measured against the coupled systems.  One product with the stacked
-    operator, one with C, and one segmented maximum over the blocks of
+    measured against the coupled systems.  ws lists the iterates, or is
+    one 1-D array stacking them in subdomain-id order, as solve_mps passes
+    it, to the same norms.  One product with the stacked operator, one
+    with C, and one segmented maximum over the blocks of
     operator w - C w - c, returned in the listed order; entry i is the
     sup-norm of local_gradient for subdomain i, to the bit.  A non-finite
     entry of w_i makes norm i non-finite; through the operator's explicit

@@ -191,9 +191,9 @@ def test_interface_mismatch_is_the_largest_interface_factor_gap(length_scale):
 
 
 def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
-    # the mps assembly is the only reader of the interface factors, two
-    # v_rows gathers per neighbor pair, and a report builds one coupling
-    # per scheme
+    # the mps assembly is the only reader of the interface factors, one
+    # v_rows gather per subdomain for all of its neighbor pairs, and a
+    # report builds one coupling per scheme
     calls = {"v_rows": 0, "coupling": 0}
 
     def counted(fn, key):
@@ -208,13 +208,17 @@ def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
                         counted(solvers._coupling_rows, "coupling"))
     j_sub = 5
     inst, dec = make_instance(n=60, j_sub=j_sub, halo=2, seed=3)
-    for method, gathers in (("mps", 4 * (j_sub - 1)), ("ddda", 0)):
+    for method, gathers in (("mps", j_sub), ("ddda", 0)):
         calls.update(v_rows=0, coupling=0)
         assimilate(inst, dec, method)
         assert calls == {"v_rows": gathers, "coupling": 1}, method
     calls.update(v_rows=0, coupling=0)
     equivalence_report(inst, dec)
-    assert calls == {"v_rows": 4 * (j_sub - 1), "coupling": 2}
+    assert calls == {"v_rows": j_sub, "coupling": 2}
+    # without interfaces each gather is of no rows
+    calls.update(v_rows=0, coupling=0)
+    assimilate(inst, decompose_uniform(inst.grid, j_sub, 0), "mps")
+    assert calls == {"v_rows": j_sub, "coupling": 1}
 
 
 @pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [

@@ -22,6 +22,8 @@ from ddvar import (
     point_observations,
 )
 
+from ddvar.covariance import v_normal
+
 from conftest import lower_band, make_instance
 
 
@@ -319,3 +321,62 @@ def test_penalty_stiffness_skips_an_all_zero_factor():
     for pairs in ((pair,), (empty, pair)):
         band = penalty_stiffness(pairs, (2, 3))
         assert band.tobytes() == expected.tobytes()
+
+
+def _searchsorted_local(inst, dec, i, scheme):
+    # subdomain i's a_band, c and interface pairs by the per-call formula:
+    # the span's observations found by searchsorted and scattered into the
+    # weights, the blocks indexed out of the dense V, and each p_i^T p_i
+    # added into the band diagonal by diagonal
+    span = dec.span(i)
+    idx = inst.obs.obs_indices
+    sel = slice(*np.searchsorted(idx, [span.start, span.stop]))
+    at, r_inv = idx[sel] - span.start, 1.0 / inst.obs.r_cov.r_diag[sel]
+    weights, x = np.zeros((2, span.stop - span.start))
+    weights[at], x[at] = r_inv, r_inv * innovation(inst)[sel]
+    a_band, c = v_normal(inst.cov, weights, x, span)
+    a_band[0] += 1.0
+    if scheme == SCHEME_DDDA:
+        return a_band, c, []
+    v = inst.cov.v_factor
+    pairs = [(j, v[np.ix_(dec.interface(i, j), dec.indices(i))],
+              v[np.ix_(dec.interface(i, j), dec.indices(j))])
+             for j in dec.neighbors(i)]
+    penalty = np.zeros(a_band.shape)
+    for _, p_i, _ in pairs:
+        cols = np.flatnonzero(p_i.any(axis=0))
+        if cols.size:
+            lo, w = cols[0], cols[-1] + 1 - cols[0]
+            q = np.ascontiguousarray(p_i[:, lo:lo + w])
+            g = q.T @ q
+            for d in range(min(penalty.shape[0], w)):
+                penalty[d, lo:lo + w - d] += g.diagonal(-d)
+    return a_band + penalty, c, pairs
+
+
+@pytest.mark.parametrize("kind, length_scale, n, j_sub, halo", [
+    *((kind, ell, 120, j_sub, halo)
+      for kind, ell in (("identity", None), ("gaussian", 0.5),
+                        ("gaussian", 2.0), ("gaussian", 8.0))
+      for j_sub, halo in ((5, 0), (5, 1), (5, 4), (1, 0))),
+    # spans of 6 and 7 points, shorter than the 69 rows of V's band
+    ("gaussian", 8.0, 40, 8, 1),
+])
+def test_assemble_local_is_the_searchsorted_formula_to_the_byte(
+        kind, length_scale, n, j_sub, halo):
+    # the sliced instance weights, the one gather per subdomain and the
+    # strided penalty add change no byte of a_band, c, p_i or p_j
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=8, kind=kind,
+                              length_scale=length_scale)
+    for i in range(j_sub):
+        for scheme in (SCHEME_DDDA, SCHEME_MPS):
+            sys = assemble_local(inst, dec, i, scheme)
+            a_band, c, pairs = _searchsorted_local(inst, dec, i, scheme)
+            assert sys.a_band.tobytes() == a_band.tobytes(), (i, scheme)
+            assert sys.c.tobytes() == c.tobytes(), (i, scheme)
+            assert [j for j, _, _ in sys.penalty_pairs] == [
+                j for j, _, _ in pairs]
+            for got, want in zip(sys.penalty_pairs, pairs):
+                for p, q in zip(got[1:], want[1:]):
+                    assert p.shape == q.shape
+                    assert p.tobytes() == q.tobytes(), (i, got[0])

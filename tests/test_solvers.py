@@ -31,6 +31,7 @@ from ddvar import (
     solve_mps,
 )
 
+from ddvar import solvers
 from ddvar.solvers import _Stack
 
 from conftest import lower_band, make_instance
@@ -454,3 +455,51 @@ def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
     (w,) = solve_ddda(systems[1:])
     np.testing.assert_allclose(w, np.linalg.solve(full, systems[1].c),
                                rtol=0, atol=1e-13)
+
+
+def test_the_sweep_keeps_its_iterate_stacked(monkeypatch):
+    # every iteration hands fixed_point_residual the stacked iterate, and
+    # the sweep splits it into per-subdomain views once, on return
+    inst, dec = make_instance(n=60, j_sub=4, halo=2, seed=9)
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    seen, splits = [], []
+    residual, split = solvers.fixed_point_residual, _Stack.split
+
+    def counted_residual(stack, ws):
+        seen.append(ws)
+        return residual(stack, ws)
+
+    def counted_split(stack, w):
+        splits.append(w)
+        return split(stack, w)
+
+    monkeypatch.setattr(solvers, "fixed_point_residual", counted_residual)
+    monkeypatch.setattr(_Stack, "split", counted_split)
+    ws, history = solve_mps(locals_)
+    assert history.iterations > 1
+    assert len(seen) == history.iterations and len(splits) == 1
+    assert all(isinstance(w, np.ndarray) and w.ndim == 1 for w in seen)
+    assert np.concatenate(ws).tobytes() == seen[-1].tobytes()
+
+
+def test_fixed_point_residual_takes_the_stacked_iterate():
+    # the stacked iterate, in subdomain-id order, gives the norms of the
+    # per-subdomain list to the bit, in whatever order that is listed;
+    # a stacked vector of another length is rejected
+    rng = np.random.default_rng(10)
+    for kwargs in (dict(n=120, j_sub=4, halo=3, seed=2),
+                   dict(n=40, j_sub=8, halo=1, seed=6, length_scale=8.0)):
+        inst, dec = make_instance(**kwargs)
+        for scheme in (SCHEME_MPS, SCHEME_DDDA):
+            locals_ = _locals(inst, dec, scheme)
+            ws = [rng.standard_normal(sys.size) for sys in locals_]
+            for listing in (range(dec.j_sub), rng.permutation(dec.j_sub)):
+                listed = [locals_[i] for i in listing]
+                by_list = fixed_point_residual(listed,
+                                               [ws[i] for i in listing])
+                stacked = fixed_point_residual(listed, np.concatenate(ws))
+                assert stacked.tobytes() == by_list.tobytes()
+            w = np.concatenate(ws)
+            for bad in (w[:-1], np.append(w, 0.0)):
+                with pytest.raises(DimensionMismatch):
+                    fixed_point_residual(locals_, bad)
