@@ -7,15 +7,12 @@ subdomain schemes.
 """
 
 from .analysis import (
-    V_TIMES_W,
     AssimilationResult,
     EquivalenceReport,
     assimilate,
     control_equivalent,
     equivalence_report,
     interface_mismatch,
-    local_update,
-    patch,
 )
 from .assembly import (
     SCHEME_DDDA,
@@ -34,7 +31,6 @@ from .covariance import (
     build_gaussian_covariance,
     factor_check,
     identity_covariance,
-    interface_coupling,
 )
 from .errors import (
     DdvarError,
@@ -52,7 +48,6 @@ from .geometry import Decomposition, Grid1D, decompose_uniform
 from .observation import (
     ObservationSet,
     ProblemInstance,
-    innovation,
     point_observations,
     synthesize,
 )
@@ -93,7 +88,6 @@ __all__ = [
     "SCHEME_DDDA",
     "SCHEME_MPS",
     "SolverOptions",
-    "V_TIMES_W",
     "ValidationError",
     "assemble_global",
     "assemble_local",
@@ -106,12 +100,8 @@ __all__ = [
     "factor_check",
     "fixed_point_residual",
     "identity_covariance",
-    "innovation",
-    "interface_coupling",
     "interface_mismatch",
     "local_gradient",
-    "local_update",
-    "patch",
     "penalty_stiffness",
     "point_observations",
     "solve_ddda",

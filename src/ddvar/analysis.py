@@ -1,19 +1,17 @@
-"""Physical-space updates, patching, and the scheme-equivalence checks.
+"""The analysis of each scheme and the scheme-equivalence checks.
 
-A control vector w_i lives in the preconditioned space of its subdomain;
-local_update maps it back to a physical increment on the subdomain, patch
-recombines the subdomain states into the full-domain analysis, and
+A control vector w_i lives in the preconditioned space of its subdomain.
+Its subdomain analysis is u_i = u^b[span(i)] + V[span(i), span(i)] w_i,
+and the full-domain analysis patches the u_i together, each point taken
+from its owner.  A run lifts every subdomain at once: with the blocks
+V[span(i), span(i)] laid end to end as one band (covariance.v_blocks,
+built once per call), the stacked u_i are one band product plus u^b at
+the spans, their patch one gather and the interface mismatch one max.
 equivalence_report measures, on one instance, every quantity behind the
 claim that the coupled and uncoupled schemes produce the same solution:
 identical right-hand sides, the exact penalty structure of the coupled
 matrices, and the interface agreement, read off the local analyses, that
 turns uncoupled solutions into fixed points of the coupled sweep.
-
-A run lifts every local analysis at once: with the blocks V[span(i),
-span(i)] laid end to end as one band (covariance.v_blocks, built once per
-call), the stacked u_i are one band product plus u^b at the spans, their
-patch one gather and the interface mismatch one max, equal to
-local_update and patch up to rounding.
 
 The single-domain reference both entry points measure against is the
 minimizer w* of the preconditioned cost, computed in observation space
@@ -86,46 +84,13 @@ class AssimilationResult:
     diagnostics: dict
 
 
-def local_update(inst: ProblemInstance, dec: Decomposition, i: int,
-                 w_i: np.ndarray) -> np.ndarray:
-    """Subdomain analysis u_i = u_i^b + V_i w_i from its control vector.
-
-    Under this increment the quadratic cost is exactly the cost of the
-    returned state.  V_i w_i is taken on the band of V (v_times), and u_i^b
-    is a view through dec.span(i).  dec must split the instance's grid.
-    """
-    _require_grid(inst, dec)
-    span = dec.span(i)
-    u_b = inst.u_background[span]
-    (w_i,) = _vectors([w_i], [(i, u_b.size)], "control vector")
-    return u_b + v_times(inst.cov, w_i, span)
-
-
-def patch(dec: Decomposition, local_us) -> np.ndarray:
-    """Recombine per-subdomain states into the full-domain vector.
-
-    Each point takes the value of its owner, the subdomain whose base
-    block dec.owned(i) holds it (restricted additive Schwarz), so the halo
-    values, worst at a subdomain's edge, are dropped.  The base blocks
-    tile the grid in order, so the result is the owned pieces
-    concatenated.
-    """
-    local_us = _vectors(local_us, [(i, dec.size(i)) for i in range(dec.j_sub)],
-                        "local vector")
-    pieces = []
-    for i, u_i in enumerate(local_us):
-        owned, start = dec.owned(i), dec.span(i).start
-        pieces.append(u_i[owned.start - start:owned.stop - start])
-    return np.concatenate(pieces)
-
-
 def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
                        ws) -> float:
     """Max over subdomains of ||u_i - u[span(i)]||_inf, u the patch of the u_i.
 
     ws holds one control vector per subdomain, in subdomain order, from
-    either scheme; u_i is its local_update up to rounding, all of them
-    lifted by one band product on the stacked blocks of V.  Each
+    either scheme, and u_i = u^b[span(i)] + V[span(i), span(i)] w_i, all
+    of them lifted by one band product on the stacked blocks of V.  Each
     interface Gamma of i toward j lies in j's base block, where u is u_j,
     so this is the largest gap ||p_i w_i - p_j w_j||_inf up to the
     rounding of adding u^b, and 0.0 at halo 0.  When it vanishes for the
@@ -176,7 +141,10 @@ class _Lift:
     blockdiag(V[span(i), span(i)]) in subdomain-id order
     (covariance.v_blocks).  A stacked control vector w lifts to the
     stacked u_i = u^b[span(i)] + V[span(i), span(i)] w_i by one band
-    product, and those patch by one gather.
+    product, and those patch by one gather: each point takes the value of
+    its owner, the subdomain whose base block dec.owned(i) holds it
+    (restricted additive Schwarz), so the halo values, worst at a
+    subdomain's edge, are dropped.
     """
 
     def __init__(self, inst, dec):

@@ -348,6 +348,9 @@ def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
     p_i is V at the rows dec.interface(i, j) and the columns dec.span(i),
     p_j at the same rows and dec.span(j): copies of the blocks of one
     v_rows gather of all the interfaces against all the spans' columns.
+    The pair defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2:
+    its stiffness on subdomain i is p_i^T p_i, its coupling toward j
+    p_i^T (p_j w_j).
     """
     if model.n_points != dec.grid.n_points:
         raise DimensionMismatch(f"covariance is {model.n_points} points, "
@@ -361,13 +364,3 @@ def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
                        for k in (i, j)))
                  for n, j in enumerate(neighbors))
 
-
-def interface_coupling(model: CovarianceModel, dec: Decomposition,
-                       i: int, j: int):
-    """(p_i, p_j) of subdomain i toward j, of _interface_factors.
-
-    The pair defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2,
-    so the stiffness contribution on subdomain i is p_i^T p_i and the
-    coupling toward j is p_i^T (p_j w_j).
-    """
-    return _interface_factors(model, dec, i, (j,))[0][1:]

@@ -132,11 +132,6 @@ class ProblemInstance:
         return _frozen(w)
 
 
-def innovation(inst: ProblemInstance) -> np.ndarray:
-    """Observation-minus-background misfit d = v - H u^b, read-only."""
-    return inst.innovation
-
-
 def _sigma_o_floor(sigma_b: float | None) -> float:
     # Largest rejected nonzero sigma_o: sigma_b * 2^-26, with sigma_b read
     # as 1 when it is None (identity covariance).  At or below it

@@ -66,12 +66,15 @@ class SolverOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
+        # a bool is an Integral and a Real, but never a count or a tolerance
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not 0.0 < self.tol < math.inf):
             raise InvalidArgument(f"tol must be positive and finite, got "
-                                  f"{self.tol}")
+                                  f"{self.tol!r}")
         for name in ("max_iters", "threads"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
                 raise InvalidArgument(
                     f"{name} must be an integer >= 1, got {value!r}"
                 )

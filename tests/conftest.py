@@ -16,6 +16,7 @@ from ddvar import (
     point_observations,
     synthesize,
 )
+from ddvar.covariance import _interface_factors, v_times
 
 
 def make_instance(n=30, j_sub=2, halo=1, nobs=None, seed=0, kind="gaussian",
@@ -38,6 +39,35 @@ def lower_band(a, k):
     n = a.shape[0]
     return np.array([np.concatenate([np.diagonal(a, -d), np.zeros(min(d, n))])
                      for d in range(k + 1)])
+
+
+def local_update(inst, dec, i, w_i):
+    """Oracle of subdomain i's analysis u^b[span(i)] + V[span(i), span(i)] w_i.
+
+    One subdomain at a time on the band of V: the stacked lift of all of
+    them (analysis._Lift) is checked against it.
+    """
+    span = dec.span(i)
+    return inst.u_background[span] + v_times(inst.cov, w_i, span)
+
+
+def patch(dec, local_us):
+    """Oracle of the owner patch of the local states, one per subdomain.
+
+    Each point takes the value of the subdomain whose base block
+    dec.owned(i) holds it; the base blocks tile the grid in order, so the
+    patch is the owned pieces concatenated.
+    """
+    pieces = []
+    for i, u_i in enumerate(local_us):
+        owned, start = dec.owned(i), dec.span(i).start
+        pieces.append(u_i[owned.start - start:owned.stop - start])
+    return np.concatenate(pieces)
+
+
+def interface_pair(model, dec, i, j):
+    """(p_i, p_j) of subdomain i toward j: the one-pair interface factors."""
+    return _interface_factors(model, dec, i, (j,))[0][1:]
 
 
 def mirror_symmetric_instance():

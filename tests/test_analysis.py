@@ -8,7 +8,6 @@ from ddvar import (
     Decomposition,
     DimensionMismatch,
     Grid1D,
-    IndexOutOfRange,
     InvalidArgument,
     ProblemInstance,
     SCHEME_DDDA,
@@ -21,10 +20,7 @@ from ddvar import (
     decompose_uniform,
     equivalence_report,
     identity_covariance,
-    innovation,
     interface_mismatch,
-    local_update,
-    patch,
     point_observations,
     solve_ddda,
     solve_global,
@@ -33,7 +29,13 @@ from ddvar import (
 
 from ddvar import analysis, covariance, solvers
 
-from conftest import make_instance, mirror_symmetric_instance
+from conftest import (
+    interface_pair,
+    local_update,
+    make_instance,
+    mirror_symmetric_instance,
+    patch,
+)
 from test_acceptance import instance_matrix
 
 
@@ -43,15 +45,11 @@ def test_local_update_zero_control_returns_background():
         idx = dec.indices(i)
         u = local_update(inst, dec, i, np.zeros(idx.size))
         np.testing.assert_array_equal(u, inst.u_background[idx])
-
-
-def test_local_update_validation():
-    inst, dec = make_instance(n=20, j_sub=2, halo=1)
-    with pytest.raises(DimensionMismatch):
-        local_update(inst, dec, 0, np.zeros(dec.size(0) + 1))
-    for bad in (-1, 2):
-        with pytest.raises(IndexOutOfRange):
-            local_update(inst, dec, bad, np.zeros(dec.size(0)))
+    # and so is the stacked lift of zero controls, patched or not
+    lift = analysis._Lift(inst, dec)
+    u, us = lift.patch(np.zeros(lift.index.size))
+    np.testing.assert_array_equal(us, inst.u_background[lift.index])
+    np.testing.assert_array_equal(u, inst.u_background)
 
 
 def test_global_analysis_matches_state_space_oracle():
@@ -110,11 +108,6 @@ def test_patch_rejects_gaps_and_bad_shapes():
     # from (grid, j_sub, halo) and its base blocks tile the grid
     with pytest.raises(TypeError):
         Decomposition(grid=grid, j_sub=2, halo=0, subdomains=((0, 3), (5, 8)))
-    dec = decompose_uniform(grid, 2, 1)
-    with pytest.raises(DimensionMismatch):
-        patch(dec, [np.zeros(dec.size(0))])
-    with pytest.raises(DimensionMismatch):
-        patch(dec, [np.zeros(dec.size(0) + 1), np.zeros(dec.size(1))])
 
 
 def _ddda_ws(inst, dec):
@@ -177,8 +170,7 @@ def test_interface_mismatch_is_the_largest_interface_factor_gap(length_scale):
                 gaps = [0.0]
                 for i in range(j_sub):
                     for j in dec.neighbors(i):
-                        p_i, p_j = covariance.interface_coupling(cov, dec,
-                                                                 i, j)
+                        p_i, p_j = interface_pair(cov, dec, i, j)
                         gaps.append(np.max(np.abs(p_i @ ws[i]
                                                   - p_j @ ws[j])))
                 gap = interface_mismatch(inst, dec, ws)
@@ -259,31 +251,25 @@ def test_stacked_lift_matches_local_update_and_patch(n, j_sub, halo, kind,
 
 def test_each_run_lifts_through_one_stacked_band(monkeypatch):
     # assimilate and the report build the stacked blocks of V once per
-    # call and never lift a subdomain on its own; per-subdomain lifting
-    # called local_update j_sub times per sweep iteration and once more
-    # for the final patch
-    calls = {"v_blocks": 0, "local_update": 0}
+    # call, however many sweep iterations lift the iterate
+    calls = 0
 
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return covariance.v_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "v_blocks",
-                        counted(analysis.v_blocks, "v_blocks"))
-    monkeypatch.setattr(analysis, "local_update",
-                        counted(analysis.local_update, "local_update"))
+    monkeypatch.setattr(analysis, "v_blocks", counted)
     inst, dec = make_instance(n=60, j_sub=5, halo=2, seed=3)
     for method, builds in (("mps", 1), ("ddda", 1), ("global", 0)):
-        calls.update(v_blocks=0, local_update=0)
+        calls = 0
         result = assimilate(inst, dec, method)
-        assert calls == {"v_blocks": builds, "local_update": 0}, method
+        assert calls == builds, method
         if method == "mps":
             assert result.history.iterations > 1
-    calls.update(v_blocks=0, local_update=0)
+    calls = 0
     equivalence_report(inst, dec)
-    assert calls == {"v_blocks": 1, "local_update": 0}
+    assert calls == 1
 
 
 def test_a_decomposition_of_another_grid_is_rejected():
@@ -296,7 +282,8 @@ def test_a_decomposition_of_another_grid_is_rejected():
         with pytest.raises(DimensionMismatch, match="grid"):
             equivalence_report(inst, dec)
         with pytest.raises(DimensionMismatch, match="grid"):
-            local_update(inst, dec, 1, np.zeros(dec.size(1)))
+            interface_mismatch(inst, dec, [np.zeros(dec.size(i))
+                                           for i in range(dec.j_sub)])
 
 
 def test_control_equivalent_roundtrip():
@@ -463,7 +450,7 @@ def test_banded_reference_matches_dense_observation_space_solve(
                             length_scale=length_scale)
     m = inst.h_rows.toarray()
     s = m @ m.T + np.diag(inst.obs.r_cov.r_diag)
-    w_dense = m.T @ np.linalg.solve(s, innovation(inst))
+    w_dense = m.T @ np.linalg.solve(s, inst.innovation)
     w = analysis._global_w(inst)
     assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
 

@@ -15,8 +15,6 @@ from ddvar import (
     cost_w,
     decompose_uniform,
     identity_covariance,
-    innovation,
-    interface_coupling,
     local_gradient,
     penalty_stiffness,
     point_observations,
@@ -24,7 +22,7 @@ from ddvar import (
 
 from ddvar.covariance import v_normal
 
-from conftest import lower_band, make_instance
+from conftest import interface_pair, lower_band, make_instance
 
 
 def _single_point_instance():
@@ -124,7 +122,7 @@ def test_matrix_split_is_exact():
         ddda = assemble_local(inst, dec, i, SCHEME_DDDA)
         g_sum = None
         for j in dec.neighbors(i):
-            p_i, _ = interface_coupling(inst.cov, dec, i, j)
+            p_i, _ = interface_pair(inst.cov, dec, i, j)
             g = p_i.T @ p_i
             g_sum = g if g_sum is None else g_sum + g
         np.testing.assert_array_equal(mps.a, ddda.a + g_sum)
@@ -146,7 +144,7 @@ def test_band_is_the_lower_band_of_the_dense_definition(kind, length_scale,
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=11,
                               kind=kind, length_scale=length_scale)
     v = inst.cov.v_factor
-    idx, d = inst.obs.obs_indices, innovation(inst)
+    idx, d = inst.obs.obs_indices, inst.innovation
     bw = inst.cov.v_band.shape[0] - 1
     for i in range(dec.j_sub):
         cols = dec.indices(i)
@@ -333,7 +331,7 @@ def _searchsorted_local(inst, dec, i, scheme):
     sel = slice(*np.searchsorted(idx, [span.start, span.stop]))
     at, r_inv = idx[sel] - span.start, 1.0 / inst.obs.r_cov.r_diag[sel]
     weights, x = np.zeros((2, span.stop - span.start))
-    weights[at], x[at] = r_inv, r_inv * innovation(inst)[sel]
+    weights[at], x[at] = r_inv, r_inv * inst.innovation[sel]
     a_band, c = v_normal(inst.cov, weights, x, span)
     a_band[0] += 1.0
     if scheme == SCHEME_DDDA:

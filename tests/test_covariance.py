@@ -17,9 +17,10 @@ from ddvar import (
     decompose_uniform,
     factor_check,
     identity_covariance,
-    interface_coupling,
 )
 from ddvar.covariance import _band_cholesky, v_rows, v_times
+
+from conftest import interface_pair
 
 JITTER = 1e-10
 
@@ -108,7 +109,7 @@ def test_interface_coupling_identity_factor():
     grid = Grid1D.uniform(10)
     model = identity_covariance(grid)
     dec = decompose_uniform(grid, 2, 1)
-    p_0, p_1 = interface_coupling(model, dec, 0, 1)
+    p_0, p_1 = interface_pair(model, dec, 0, 1)
     # the interface point is global index 5: last of subdomain 0,
     # second of subdomain 1
     expected_0 = np.zeros((1, 6))
@@ -123,7 +124,7 @@ def test_interface_coupling_gaussian_rows():
     grid = Grid1D.uniform(10)
     model = build_gaussian_covariance(grid, 2.0, 1.0)
     dec = decompose_uniform(grid, 2, 1)
-    p_0, p_1 = interface_coupling(model, dec, 0, 1)
+    p_0, p_1 = interface_pair(model, dec, 0, 1)
     np.testing.assert_array_equal(p_0, model.v_factor[[5], 0:6])
     np.testing.assert_array_equal(p_1, model.v_factor[[5], 4:10])
     # three subdomains with halo 2, both directions of every interface,
@@ -133,7 +134,7 @@ def test_interface_coupling_gaussian_rows():
     v = model.v_factor
     dec = decompose_uniform(grid, 3, 2)
     for i, j in ((0, 1), (1, 0), (1, 2), (2, 1)):
-        p_i, p_j = interface_coupling(model, dec, i, j)
+        p_i, p_j = interface_pair(model, dec, i, j)
         gamma = dec.interface(i, j)
         assert gamma.size == 2
         assert p_i.tobytes() == v[np.ix_(gamma, dec.indices(i))].tobytes()
@@ -145,14 +146,14 @@ def test_interface_coupling_requires_adjacency():
     model = build_gaussian_covariance(grid, 2.0, 1.0)
     dec = decompose_uniform(grid, 3, 2)
     with pytest.raises(NoInterface):
-        interface_coupling(model, dec, 0, 2)
+        interface_pair(model, dec, 0, 2)
 
 
 def test_penalty_gram_is_psd_with_bounded_rank():
     grid = Grid1D.uniform(20)
     model = build_gaussian_covariance(grid, 2.0, 1.0)
     dec = decompose_uniform(grid, 2, 2)
-    p_0, _ = interface_coupling(model, dec, 0, 1)
+    p_0, _ = interface_pair(model, dec, 0, 1)
     gram = p_0.T @ p_0
     np.testing.assert_allclose(gram, gram.T, atol=0)
     eigs = np.linalg.eigvalsh(gram)
@@ -164,7 +165,7 @@ def test_penalty_gram_identity_eigenvalues():
     grid = Grid1D.uniform(20)
     model = identity_covariance(grid)
     dec = decompose_uniform(grid, 2, 2)
-    p_0, _ = interface_coupling(model, dec, 0, 1)
+    p_0, _ = interface_pair(model, dec, 0, 1)
     eigs = np.sort(np.linalg.eigvalsh(p_0.T @ p_0))
     t = dec.interface(0, 1).size
     np.testing.assert_allclose(eigs[-t:], 1.0, atol=1e-12)
@@ -357,7 +358,7 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
             assert (np.linalg.norm(v_times(model, w, span) - block @ w)
                     <= 1e-15 * np.linalg.norm(block, 2) * np.linalg.norm(w))
             for k in dec.neighbors(i):
-                p_i, p_k = interface_coupling(model, dec, i, k)
+                p_i, p_k = interface_pair(model, dec, i, k)
                 gamma = dec.interface(i, k)
                 assert p_i.tobytes() == v[np.ix_(gamma, idx)].tobytes()
                 assert (p_k.tobytes()

@@ -12,7 +12,6 @@ from ddvar import (
     build_gaussian_covariance,
     cost_w,
     identity_covariance,
-    innovation,
     point_observations,
     synthesize,
 )
@@ -27,7 +26,7 @@ def test_innovation_hand_example():
         obs=obs,
         u_background=np.array([1.0, 2.0, 3.0]),
     )
-    np.testing.assert_array_equal(innovation(inst), [1.0, 1.0])
+    np.testing.assert_array_equal(inst.innovation, [1.0, 1.0])
 
 
 def test_innovation_vanishes_for_perfect_background():
@@ -40,7 +39,7 @@ def test_innovation_vanishes_for_perfect_background():
         obs=obs,
         u_background=u_b,
     )
-    np.testing.assert_array_equal(innovation(inst), [0.0, 0.0])
+    np.testing.assert_array_equal(inst.innovation, [0.0, 0.0])
 
 
 def test_innovation_empty_without_observations():
@@ -52,7 +51,7 @@ def test_innovation_empty_without_observations():
         obs=obs,
         u_background=np.zeros(4),
     )
-    assert innovation(inst).shape == (0,)
+    assert inst.innovation.shape == (0,)
 
 
 def test_innovation_linear_in_values():
@@ -61,9 +60,10 @@ def test_innovation_linear_in_values():
     obs_a = point_observations(grid, [0, 4], [1.0, 2.0], [1.0, 1.0])
     obs_b = point_observations(grid, [0, 4], [3.0, -1.0], [1.0, 1.0])
     obs_sum = point_observations(grid, [0, 4], [4.0, 1.0], [1.0, 1.0])
-    d_a = innovation(ProblemInstance(grid, identity_covariance(grid), obs_a, u_b))
-    d_b = innovation(ProblemInstance(grid, identity_covariance(grid), obs_b, u_b))
-    d_sum = innovation(ProblemInstance(grid, identity_covariance(grid), obs_sum, u_b))
+    d_a, d_b, d_sum = (
+        ProblemInstance(grid, identity_covariance(grid), obs, u_b).innovation
+        for obs in (obs_a, obs_b, obs_sum)
+    )
     np.testing.assert_allclose(d_sum, d_a + d_b + u_b[[0, 4]], rtol=0, atol=0)
 
 
@@ -233,8 +233,8 @@ def test_innovation_taken_once_and_read_only():
     grid = Grid1D.uniform(40)
     inst = synthesize(grid, build_gaussian_covariance(grid, 2.0, 1.0), 8,
                       0.1, seed=2)
-    d = innovation(inst)
-    assert innovation(inst) is d
+    d = inst.innovation
+    assert inst.innovation is d
     np.testing.assert_array_equal(
         d, inst.obs.values - inst.u_background[inst.obs.obs_indices])
     with pytest.raises(ValueError):
@@ -257,7 +257,7 @@ def test_h_rows_taken_once_and_read_only():
     # the cost reads the held rows; the sparse product sums in another
     # order than a dense row copy, so the two agree to rounding
     w = np.linspace(-1.0, 1.0, 40)
-    misfit = fresh @ w - innovation(inst)
+    misfit = fresh @ w - inst.innovation
     r_inv = 1.0 / inst.obs.r_cov.r_diag
     expected = 0.5 * float(w @ w) + 0.5 * float(misfit @ (r_inv * misfit))
     assert abs(cost_w(inst, w) - expected) <= 1e-14 * abs(expected)

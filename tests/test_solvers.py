@@ -321,6 +321,15 @@ def test_solver_options_validation():
         SolverOptions(max_iters=2.5)
     with pytest.raises(InvalidArgument, match="threads"):
         SolverOptions(threads=2.5)
+    # a bool is an Integral and a Real, so it needs its own rejection
+    for name in ("max_iters", "threads"):
+        for flag in (True, False):
+            with pytest.raises(InvalidArgument, match=name):
+                SolverOptions(**{name: flag})
+    # a non-number tol fails with a typed error, not from the comparison
+    for tol in ("1e-3", None, True, 1e-3 + 0j):
+        with pytest.raises(InvalidArgument, match="tol"):
+            SolverOptions(tol=tol)
 
 
 def test_solvers_reject_mismatched_schemes():
