@@ -7,11 +7,13 @@ from its owner.  A run lifts every subdomain at once: with the blocks
 V[span(i), span(i)] laid end to end as one band (covariance.v_blocks,
 built once per call), the stacked u_i are one band product plus u^b at
 the spans, their patch one gather and the interface mismatch one max.
-equivalence_report measures, on one instance, every quantity behind the
-claim that the coupled and uncoupled schemes produce the same solution:
-identical right-hand sides, the exact penalty structure of the coupled
-matrices, and the interface agreement, read off the local analyses, that
-turns uncoupled solutions into fixed points of the coupled sweep.
+One scheme run (assemble, solve, patch, cost) serves both entry points:
+assimilate makes one, and equivalence_report makes one of each scheme
+and measures off the two every quantity behind the claim that the
+coupled and uncoupled schemes produce the same solution: identical
+right-hand sides, the exact penalty structure of the coupled matrices,
+and the interface agreement, read off the local analyses, that turns
+uncoupled solutions into fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against is the
 minimizer w* of the preconditioned cost, computed in observation space
@@ -179,18 +181,35 @@ class _Lift:
 
 def _check_convention(convention: str) -> None:
     if convention != V_TIMES_W:
-        raise InvalidArgument(
-            f"convention must be {V_TIMES_W!r}, got {convention!r}"
-        )
+        raise InvalidArgument(f"convention must be {V_TIMES_W!r}, got "
+                              f"{convention!r}")
 
 
-def _iterate_cost(inst, lift):
-    # the sweep passes its final iterate as views of one stacked vector
-    # in subdomain order, already checked
-    def cost_of(ws):
-        return cost_w(inst, control_equivalent(
-            inst, lift.patch(np.concatenate(ws))[0]))
-    return cost_of
+def _analysis_cost(inst, u):
+    """The cost of the analysis u, through its control-space equivalent."""
+    return cost_w(inst, control_equivalent(inst, u))
+
+
+def _run_scheme(inst, dec, scheme, opts, lift):
+    """(stack, ws, history, u, gap, cost) of one ddda or mps run.
+
+    The stacked local systems, the control vectors in subdomain order, the
+    history (empty for ddda), the patch u through lift, its interface
+    mismatch and its cost, which an mps sweep takes itself (cost_fn).
+    """
+    stack = _Stack([assemble_local(inst, dec, i, scheme)
+                    for i in range(dec.j_sub)])
+    if scheme == SCHEME_DDDA:
+        ws, history = solve_ddda(stack), IterationHistory(converged=True)
+    else:
+        # the sweep passes its final iterate as views of one stacked
+        # vector in subdomain order, already checked
+        ws, history = solve_mps(stack, opts, cost_fn=lambda final: (
+            _analysis_cost(inst, lift.patch(np.concatenate(final))[0])))
+    u, gap = lift.gap(np.concatenate(ws))
+    cost = (history.final_cost if scheme == SCHEME_MPS
+            else _analysis_cost(inst, u))
+    return stack, ws, history, u, gap, cost
 
 
 def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
@@ -216,38 +235,22 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     u_global = inst.u_background + v_times(inst.cov, w_star)
 
     if method == SCHEME_GLOBAL:
-        u = u_global
-        per_w = (w_star,)
+        u, gap, ws = u_global, 0.0, [w_star]
         history = IterationHistory(converged=True)
-        gap = 0.0
+        cost = _analysis_cost(inst, u)
     else:
-        locals_ = [
-            assemble_local(inst, dec, i, method) for i in range(dec.j_sub)
-        ]
-        lift = _Lift(inst, dec)
-        if method == SCHEME_DDDA:
-            ws = solve_ddda(locals_)
-            history = IterationHistory(converged=True)
-        else:
-            ws, history = solve_mps(
-                locals_, opts, cost_fn=_iterate_cost(inst, lift),
-            )
-        u, gap = lift.gap(np.concatenate(ws))
-        per_w = tuple(ws)
-
-    diagnostics = {
-        # the sweep already took the cost of its returned iterate
-        "global_cost": (history.final_cost if method == SCHEME_MPS
-                        else cost_w(inst, control_equivalent(inst, u))),
-        "interface_mismatch": gap,
-        "vs_global_linf": float(np.max(np.abs(u - u_global))),
-    }
+        _, ws, history, u, gap, cost = _run_scheme(inst, dec, method, opts,
+                                                   _Lift(inst, dec))
     return AssimilationResult(
         u_analysis=u,
-        per_subdomain_w=per_w,
+        per_subdomain_w=tuple(ws),
         scheme=method,
         history=history,
-        diagnostics=diagnostics,
+        diagnostics={
+            "global_cost": cost,
+            "interface_mismatch": gap,
+            "vs_global_linf": float(np.max(np.abs(u - u_global))),
+        },
     )
 
 
@@ -293,45 +296,28 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     passes the config's update_convention positionally.
     """
     _check_convention(convention)
-    mps_stack = _Stack([
-        assemble_local(inst, dec, i, SCHEME_MPS) for i in range(dec.j_sub)
-    ])
-    dd_locals = [
-        assemble_local(inst, dec, i, SCHEME_DDDA) for i in range(dec.j_sub)
-    ]
-
-    c_equal = all(
-        m.c.tobytes() == d.c.tobytes()
-        for m, d in zip(mps_stack, dd_locals)
-    )
-
-    a_structure_exact = all(
-        np.array_equal(m.a_band, d.a_band + penalty_stiffness(
-            m.penalty_pairs, d.a_band.shape))
-        for m, d in zip(mps_stack, dd_locals)
-    )
-
     lift = _Lift(inst, dec)
-    ws_dd = solve_ddda(dd_locals)
-    u_dd, gap_dd = lift.gap(np.concatenate(ws_dd))
-    ws_mps, history = solve_mps(mps_stack, opts,
-                                cost_fn=_iterate_cost(inst, lift))
-    w_star = _global_w(inst)
-
-    w_delta = float(np.max(
-        [np.max(np.abs(wm - wd)) for wm, wd in zip(ws_mps, ws_dd)]
-    ))
+    dd_stack, ws_dd, _, _, gap_dd, cost_dd = _run_scheme(
+        inst, dec, SCHEME_DDDA, None, lift)
+    mps_stack, ws_mps, history, _, _, cost_mps = _run_scheme(
+        inst, dec, SCHEME_MPS, opts, lift)
     return EquivalenceReport(
-        c_equal=c_equal,
-        a_structure_exact=a_structure_exact,
+        # both stacks run in subdomain-id order
+        c_equal=mps_stack.c.tobytes() == dd_stack.c.tobytes(),
+        a_structure_exact=all(
+            np.array_equal(m.a_band, d.a_band + penalty_stiffness(
+                m.penalty_pairs, d.a_band.shape))
+            for m, d in zip(mps_stack, dd_stack)
+        ),
         interface_mismatch=gap_dd,
         ddda_in_mps_residual=float(
             np.max(fixed_point_residual(mps_stack, ws_dd))
         ),
-        w_delta_linf=w_delta,
-        cost_global=cost_w(inst, w_star),
-        cost_mps=history.final_cost,
-        cost_ddda=cost_w(inst, control_equivalent(inst, u_dd)),
+        w_delta_linf=float(np.max(np.abs(
+            np.concatenate(ws_mps) - np.concatenate(ws_dd)))),
+        cost_global=cost_w(inst, _global_w(inst)),
+        cost_mps=cost_mps,
+        cost_ddda=cost_dd,
         iters_mps=history.iterations,
         mps_converged=history.converged,
         history=history,

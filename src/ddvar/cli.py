@@ -313,67 +313,61 @@ def _build_problem(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one config; writes result.json (+ history.csv) to output_dir."""
     inst, dec = _build_problem(config)
-    opts = SolverOptions(
-        tol=config.tol,
-        max_iters=config.max_iters,
-        threads=_threads_from_env(),
-    )
+    opts = SolverOptions(tol=config.tol, max_iters=config.max_iters,
+                         threads=_threads_from_env())
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result_path = out / "result.json"
-    history_path = out / "history.csv"
+    result_path, history_path = out / "result.json", out / "history.csv"
 
     if config.method == "compare":
         report = equivalence_report(inst, dec, opts,
                                     config.update_convention)
-        payload = {"config": _config_dict(config)}
-        payload.update(report.to_dict())
-        _write_json(result_path, payload)
-        _write_history(history_path, report.history, dec.j_sub)
-        print(f"compare: np={config.n_points} j_sub={config.j_sub} "
-              f"halo={config.halo} nobs={config.nobs} seed={config.seed}")
-        print(f"  c_equal={report.c_equal} "
-              f"a_structure_exact={report.a_structure_exact}")
-        print(f"  interface_mismatch={report.interface_mismatch:.3e} "
-              f"ddda_in_mps_residual={report.ddda_in_mps_residual:.3e} "
-              f"w_delta_linf={report.w_delta_linf:.3e}")
-        print(f"  cost_global={report.cost_global:.6e} "
-              f"cost_mps={report.cost_mps:.6e} "
-              f"cost_ddda={report.cost_ddda:.6e}")
-        print(f"  mps iterations={report.iters_mps} "
-              f"converged={report.mps_converged}")
-        print(f"wrote {result_path}")
-        print(f"wrote {history_path}")
-        return 0 if report.mps_converged else 2
+        payload = {"config": _config_dict(config), **report.to_dict()}
+        history, converged = report.history, report.mps_converged
+        lines = [
+            f"  c_equal={report.c_equal} "
+            f"a_structure_exact={report.a_structure_exact}",
+            f"  interface_mismatch={report.interface_mismatch:.3e} "
+            f"ddda_in_mps_residual={report.ddda_in_mps_residual:.3e} "
+            f"w_delta_linf={report.w_delta_linf:.3e}",
+            f"  cost_global={report.cost_global:.6e} "
+            f"cost_mps={report.cost_mps:.6e} "
+            f"cost_ddda={report.cost_ddda:.6e}",
+            f"  mps iterations={report.iters_mps} "
+            f"converged={report.mps_converged}",
+        ]
+    else:
+        result = assimilate(inst, dec, config.method, opts,
+                            config.update_convention)
+        converged, diag = result.history.converged, result.diagnostics
+        payload = {
+            "config": _config_dict(config),
+            "scheme": result.scheme,
+            "converged": bool(converged),
+            "iterations": result.history.iterations,
+            "diagnostics": diag,
+            "u_analysis": result.u_analysis.tolist(),
+            "w": [w.tolist() for w in result.per_subdomain_w],
+        }
+        history = result.history if config.method == "mps" else None
+        lines = [
+            f"  global_cost={diag['global_cost']:.6e} "
+            f"interface_mismatch={diag['interface_mismatch']:.3e} "
+            f"vs_global_linf={diag['vs_global_linf']:.3e}",
+            f"  converged={converged} "
+            f"iterations={result.history.iterations}",
+        ]
 
-    result = assimilate(inst, dec, config.method, opts,
-                        config.update_convention)
-    payload = {
-        "config": _config_dict(config),
-        "scheme": result.scheme,
-        "converged": bool(result.history.converged),
-        "iterations": result.history.iterations,
-        "diagnostics": result.diagnostics,
-        "u_analysis": result.u_analysis.tolist(),
-        "w": [w.tolist() for w in result.per_subdomain_w],
-    }
     _write_json(result_path, payload)
-    wrote_history = False
-    if config.method == "mps":
-        _write_history(history_path, result.history, dec.j_sub)
-        wrote_history = True
-    diag = result.diagnostics
+    if history is not None:
+        _write_history(history_path, history, dec.j_sub)
     print(f"{config.method}: np={config.n_points} j_sub={config.j_sub} "
           f"halo={config.halo} nobs={config.nobs} seed={config.seed}")
-    print(f"  global_cost={diag['global_cost']:.6e} "
-          f"interface_mismatch={diag['interface_mismatch']:.3e} "
-          f"vs_global_linf={diag['vs_global_linf']:.3e}")
-    print(f"  converged={result.history.converged} "
-          f"iterations={result.history.iterations}")
+    print("\n".join(lines))
     print(f"wrote {result_path}")
-    if wrote_history:
+    if history is not None:
         print(f"wrote {history_path}")
-    return 0 if result.history.converged else 2
+    return 0 if converged else 2
 
 
 def _check_cases():
@@ -396,12 +390,9 @@ def run_check() -> int:
 
     for kind, n, j, h in _check_cases():
         label = f"{kind} np={n} j_sub={j} halo={h}"
-        grid = Grid1D.uniform(n)
-        cov = (identity_covariance(grid) if kind == "identity"
-               else build_gaussian_covariance(grid, 2.0, 1.0))
-        report(factor_check(cov) <= 1e-12, f"factor residual: {label}")
-        inst = synthesize(grid, cov, max(1, n // 5), 0.1, seed=3)
-        dec = decompose_uniform(grid, j, h)
+        inst, dec = _build_problem(ExperimentConfig(
+            n, j_sub=j, halo=h, cov_kind=kind, nobs=max(1, n // 5), seed=3))
+        report(factor_check(inst.cov) <= 1e-12, f"factor residual: {label}")
         rep = equivalence_report(inst, dec)
         report(rep.c_equal, f"rhs identity: {label}")
         report(rep.a_structure_exact, f"matrix structure: {label}")
@@ -415,10 +406,8 @@ def run_check() -> int:
                 f"delta {delta:.1e}, iters {hist.iterations}",
             )
 
-    grid = Grid1D.uniform(30)
-    cov = build_gaussian_covariance(grid, 2.0, 1.0)
-    a = synthesize(grid, cov, 6, 0.1, seed=11)
-    b = synthesize(grid, cov, 6, 0.1, seed=11)
+    a, b = (_build_problem(ExperimentConfig(30, nobs=6, seed=11))[0]
+            for _ in range(2))
     same = (a.u_background.tobytes() == b.u_background.tobytes()
             and a.obs.values.tobytes() == b.obs.values.tobytes())
     report(same, "synthesis determinism: np=30 seed=11")

@@ -12,10 +12,10 @@ therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
 v_rows (rows against a column range, once per subdomain for its interface
-factors), v_rows_sparse (rows, sparse), v_times (V x on a diagonal
-block), v_blocks (the band of the diagonal blocks of every subdomain,
-laid end to end), v_normal (the band of V^T D V and V^T x on a diagonal
-block, D diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).  _band_times
+factors), v_rows_sparse (rows, sparse), v_times (V x), v_blocks (the
+band of the diagonal blocks of every subdomain, laid end to end),
+v_normal (the band of V^T D V and V^T x on a diagonal block, D
+diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).  _band_times
 (BLAS dtbmv) is the one triangular product with a lower band, v_times's
 and the stacked blocks'.  _band_matrix is the one place a band becomes a
 matrix, a sparse DIA array: the residual multiplies by it, and the dense
@@ -272,15 +272,13 @@ def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, x, lower=1)
 
 
-def v_times(model: CovarianceModel, w: np.ndarray,
-            span: slice | None = None) -> np.ndarray:
-    """V[span, span] @ w by BLAS dtbmv on the band, O(s bw) for s points.
+def v_times(model: CovarianceModel, w: np.ndarray) -> np.ndarray:
+    """V @ w by BLAS dtbmv on the band, O(n bw).
 
-    The default span is the whole grid.  Equal to the dense product up to
-    rounding: the sums run in a different order.
+    Equal to the dense product up to rounding: the sums run in a different
+    order.
     """
-    span = span if span is not None else slice(0, model.n_points)
-    return _band_times(model.v_band[:span.stop - span.start, span], w)
+    return _band_times(model.v_band, w)
 
 
 def v_blocks(model: CovarianceModel, dec: Decomposition) -> np.ndarray:
@@ -290,8 +288,9 @@ def v_blocks(model: CovarianceModel, dec: Decomposition) -> np.ndarray:
     per point of every span, O(bw sum_i s_i).  A block's column is the
     column of the band of V at the same grid point with the entries past
     the block's last row zeroed, so that no block reaches into the next;
-    _band_times on this band is every v_times(model, w_i, dec.span(i)) at
-    once, equal up to rounding.  dec must split the model's grid.
+    _band_times on this band is every V[span(i), span(i)] w_i at once, each
+    the same floats as _band_times on that block's own band,
+    v_band[:s_i, span(i)].  dec must split the model's grid.
     """
     starts, stops = np.array(dec.subdomains).T
     sizes = stops - starts

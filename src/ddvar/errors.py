@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import numbers
 
 
 class DdvarError(Exception):
@@ -10,7 +12,7 @@ class InvalidDecomposition(DdvarError):
 
 
 class IndexOutOfRange(DdvarError):
-    """Subdomain id outside [0, j_sub)."""
+    """Subdomain id outside [0, j_sub), or an index that is no integer."""
 
 
 class NoInterface(DdvarError):
@@ -39,3 +41,12 @@ class ParseError(DdvarError):
 
 class ValidationError(DdvarError):
     """Config parsed but violates a precondition; message names the key."""
+
+
+def _check_integer(name: str, value, error=InvalidArgument) -> None:
+    """Raise error, naming name, unless value is an int or a numpy integer."""
+    # a bool is an Integral, but never a count or an index; a plain int
+    # skips the slower ABC check, since ids are checked on every lookup
+    if type(value) is not int and (isinstance(value, bool) or not
+                                   isinstance(value, numbers.Integral)):
+        raise error(f"{name} must be an integer, got {value!r}")

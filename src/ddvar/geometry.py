@@ -26,6 +26,7 @@ from .errors import (
     InvalidArgument,
     InvalidDecomposition,
     NoInterface,
+    _check_integer,
 )
 
 
@@ -41,6 +42,7 @@ class Grid1D:
     coords: np.ndarray
 
     def __post_init__(self):
+        _check_integer("n_points", self.n_points)
         if self.n_points < 1:
             raise InvalidArgument("n_points must be >= 1")
         coords = np.asarray(self.coords, dtype=float)
@@ -90,6 +92,8 @@ class Decomposition:
 
     def __post_init__(self):
         n, j_sub, halo = self.grid.n_points, self.j_sub, self.halo
+        _check_integer("j_sub", j_sub, InvalidDecomposition)
+        _check_integer("halo", halo, InvalidDecomposition)
         if j_sub < 1:
             raise InvalidDecomposition("j_sub must be >= 1")
         if halo < 0:
@@ -118,6 +122,7 @@ class Decomposition:
                      for i in range(self.j_sub))
 
     def _check_id(self, i: int) -> None:
+        _check_integer("subdomain id", i, IndexOutOfRange)
         if not 0 <= i < self.j_sub:
             raise IndexOutOfRange(
                 f"subdomain id {i} outside 0..{self.j_sub - 1}"

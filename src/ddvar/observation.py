@@ -11,7 +11,8 @@ import scipy.sparse
 
 from .covariance import (CovarianceModel, ObsCovariance, _frozen,
                          v_rows_sparse, v_times)
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
+from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
+                     _check_integer)
 from .geometry import Grid1D
 
 
@@ -19,8 +20,8 @@ from .geometry import Grid1D
 class ObservationSet:
     """Observed values v at distinct grid points plus their error model.
 
-    obs_indices, strictly increasing, is the observation operator H: a
-    point selection, so H u is u[obs_indices] and H V the matching rows
+    obs_indices, strictly increasing integers, is the observation operator
+    H: a point selection, so H u is u[obs_indices] and H V the matching rows
     of V.  ProblemInstance checks that every index lies on its grid.
     """
 
@@ -29,7 +30,7 @@ class ObservationSet:
     r_cov: ObsCovariance
 
     def __post_init__(self):
-        idx = np.asarray(self.obs_indices, dtype=np.intp).reshape(-1)
+        idx = _grid_indices(self.obs_indices)
         vals = np.asarray(self.values, dtype=float).reshape(-1)
         if idx.size > 1 and not np.all(np.diff(idx) > 0):
             raise InvalidArgument("obs_indices must be strictly increasing")
@@ -51,10 +52,20 @@ class ObservationSet:
         return int(self.obs_indices.size)
 
 
+def _grid_indices(obs_indices) -> np.ndarray:
+    # the indices as a flat intp array: integers only (np.integer excludes
+    # bool), but an empty list, which numpy reads as float64, passes
+    idx = np.asarray(obs_indices).reshape(-1)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise IndexOutOfRange(f"observation indices must be integers, got "
+                              f"{idx.dtype} {idx[:3].tolist()}")
+    return idx.astype(np.intp, copy=False)
+
+
 def point_observations(grid: Grid1D, obs_indices, values,
                        r_diag) -> ObservationSet:
     """Build an ObservationSet for given points, values, and variances."""
-    idx = np.asarray(obs_indices, dtype=np.intp).reshape(-1)
+    idx = _grid_indices(obs_indices)
     if idx.size and (idx.min() < 0 or idx.max() >= grid.n_points):
         raise IndexOutOfRange(
             f"observation indices must lie in 0..{grid.n_points - 1}"
@@ -153,6 +164,8 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).
     """
     n = grid.n_points
+    _check_integer("seed", seed)
+    _check_integer("nobs", nobs)
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     if not 0 <= nobs <= n:

@@ -46,10 +46,7 @@ from .assembly import (
     _require_scheme,
 )
 from .covariance import _band_cholesky, _band_matrix, _band_solve
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-)
+from .errors import DimensionMismatch, InvalidArgument, _check_integer
 
 
 @dataclass
@@ -73,11 +70,9 @@ class SolverOptions:
                                   f"{self.tol!r}")
         for name in ("max_iters", "threads"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 1):
-                raise InvalidArgument(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
+            _check_integer(name, value)
+            if value < 1:
+                raise InvalidArgument(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from ddvar import (
     point_observations,
     synthesize,
 )
-from ddvar.covariance import _interface_factors, v_times
+from ddvar.covariance import _band_times, _interface_factors
 
 
 def make_instance(n=30, j_sub=2, halo=1, nobs=None, seed=0, kind="gaussian",
@@ -41,6 +41,11 @@ def lower_band(a, k):
                      for d in range(k + 1)])
 
 
+def block_times(model, w, span):
+    """Oracle of V[span, span] @ w: dtbmv on the block's own band."""
+    return _band_times(model.v_band[:span.stop - span.start, span], w)
+
+
 def local_update(inst, dec, i, w_i):
     """Oracle of subdomain i's analysis u^b[span(i)] + V[span(i), span(i)] w_i.
 
@@ -48,7 +53,7 @@ def local_update(inst, dec, i, w_i):
     them (analysis._Lift) is checked against it.
     """
     span = dec.span(i)
-    return inst.u_background[span] + v_times(inst.cov, w_i, span)
+    return inst.u_background[span] + block_times(inst.cov, w_i, span)
 
 
 def patch(dec, local_us):

@@ -249,6 +249,36 @@ def test_stacked_lift_matches_local_update_and_patch(n, j_sub, halo, kind,
             assert gap == 0.0
 
 
+@pytest.mark.parametrize("length_scale", [2.0, 8.0])
+def test_report_measures_the_runs_assimilate_makes(length_scale):
+    # the report's ddda and mps numbers come from the same scheme runs that
+    # assimilate makes, so they agree bit for bit
+    inst, dec = make_instance(n=300, j_sub=6, halo=3, seed=4,
+                              length_scale=length_scale)
+    report = equivalence_report(inst, dec)
+    ddda = assimilate(inst, dec, "ddda")
+    mps = assimilate(inst, dec, "mps")
+
+    def bits(*x):
+        return np.array(x, dtype=float).tobytes()
+
+    def rows(history):
+        return [bits(r.iteration, r.max_delta, *r.residual_norms)
+                for r in history.records]
+
+    assert (bits(report.interface_mismatch, report.cost_ddda)
+            == bits(*(ddda.diagnostics[k]
+                      for k in ("interface_mismatch", "global_cost"))))
+    assert bits(report.cost_mps) == bits(mps.diagnostics["global_cost"])
+    assert report.iters_mps == mps.history.iterations > 1
+    assert report.mps_converged is mps.history.converged is True
+    assert rows(report.history) == rows(mps.history)
+    # and the two control vectors they compare are the runs' own
+    w_delta = max(np.max(np.abs(wm - wd)) for wm, wd in
+                  zip(mps.per_subdomain_w, ddda.per_subdomain_w))
+    assert bits(report.w_delta_linf) == bits(w_delta)
+
+
 def test_each_run_lifts_through_one_stacked_band(monkeypatch):
     # assimilate and the report build the stacked blocks of V once per
     # call, however many sweep iterations lift the iterate

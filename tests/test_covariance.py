@@ -20,7 +20,7 @@ from ddvar import (
 )
 from ddvar.covariance import _band_cholesky, v_rows, v_times
 
-from conftest import interface_pair
+from conftest import block_times, interface_pair
 
 JITTER = 1e-10
 
@@ -355,7 +355,7 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
             assert (v_rows(model, rows, span).tobytes()
                     == v[np.ix_(rows, idx)].tobytes())
             w = rng.standard_normal(idx.size)
-            assert (np.linalg.norm(v_times(model, w, span) - block @ w)
+            assert (np.linalg.norm(block_times(model, w, span) - block @ w)
                     <= 1e-15 * np.linalg.norm(block, 2) * np.linalg.norm(w))
             for k in dec.neighbors(i):
                 p_i, p_k = interface_pair(model, dec, i, k)

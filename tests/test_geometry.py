@@ -113,6 +113,33 @@ def test_decomposition_rejections():
         decompose_uniform(grid, 3, 1).subdomains
 
 
+def test_counts_and_ids_must_be_integers():
+    # a float or a bool count, size or id is rejected by name with the
+    # module's typed error, not floored, taken as 0 / 1 or left to fail
+    # deeper with a bare TypeError; numpy integers pass
+    grid = Grid1D.uniform(10)
+    for j_sub, halo, name in ((2, 1.5, "halo"), (2.0, 1, "j_sub"),
+                              (True, 0, "j_sub"), (2, False, "halo")):
+        with pytest.raises(InvalidDecomposition, match=f"{name} must be an "
+                                                       "integer"):
+            Decomposition(grid, j_sub, halo)
+    dec = Decomposition(grid, np.int64(2), np.int32(1))
+    assert dec.subdomains == ((0, 6), (4, 10))
+    for i in (1.0, True, np.float64(0.0)):
+        for read in (dec.span, dec.indices, dec.size, dec.neighbors,
+                     dec.owned):
+            with pytest.raises(IndexOutOfRange, match="subdomain id"):
+                read(i)
+        with pytest.raises(IndexOutOfRange, match="subdomain id"):
+            dec.interface(0, i)
+    assert dec.span(np.int64(1)) == slice(4, 10)
+    for n in (10.0, True, np.float64(3)):
+        with pytest.raises(InvalidArgument, match="n_points must be an "
+                                                  "integer"):
+            Grid1D.uniform(n)
+    assert Grid1D.uniform(np.int64(3)) == Grid1D.uniform(3)
+
+
 @pytest.mark.parametrize("n,j,h", [
     (10, 1, 0), (10, 2, 1), (9, 3, 1), (12, 2, 2), (40, 3, 2), (17, 2, 2),
 ])

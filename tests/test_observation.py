@@ -125,6 +125,34 @@ def test_synthesize_without_observations():
     assert inst.obs.values.shape == (0,)
 
 
+def test_observation_indices_and_counts_must_be_integers():
+    # non-integral or bool indices are rejected, not floored or read as
+    # 0 / 1; integer dtypes and an empty list (float64 to numpy) pass
+    grid = Grid1D.uniform(8)
+    for idx in ([1.5, 3.9], [1.0, 3.0], [True, False], np.array([0.0])):
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            point_observations(grid, idx, np.zeros(len(idx)),
+                               np.ones(len(idx)))
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            ObservationSet(idx, np.zeros(len(idx)),
+                           ObsCovariance(np.ones(len(idx))))
+    for idx in (np.array([1, 3], np.uint8), np.array([1, 3], np.int32)):
+        obs = point_observations(grid, idx, [0.0, 0.0], [1.0, 1.0])
+        assert obs.obs_indices.dtype == np.intp
+        np.testing.assert_array_equal(obs.obs_indices, [1, 3])
+    assert point_observations(grid, [], [], []).nobs == 0
+    # a float or bool nobs or seed fails with a typed error naming it
+    cov = identity_covariance(grid)
+    for nobs, seed, name in ((2.0, 0, "nobs"), (True, 0, "nobs"),
+                             (2, 1.5, "seed"), (2, True, "seed")):
+        with pytest.raises(InvalidArgument, match=f"{name} must be an "
+                                                  "integer"):
+            synthesize(grid, cov, nobs, 0.1, seed)
+    a = synthesize(grid, cov, np.int64(2), 0.1, np.int64(3))
+    b = synthesize(grid, cov, 2, 0.1, 3)
+    assert a.obs.values.tobytes() == b.obs.values.tobytes()
+
+
 def test_synthesize_rejects_bad_arguments():
     grid = Grid1D.uniform(8)
     cov = identity_covariance(grid)
