@@ -191,25 +191,29 @@ def _analysis_cost(inst, u):
 
 
 def _run_scheme(inst, dec, scheme, opts, lift):
-    """(stack, ws, history, u, gap, cost) of one ddda or mps run.
+    """(stack, ws, history, u, gap) of one ddda or mps run.
 
     The stacked local systems, the control vectors in subdomain order, the
-    history (empty for ddda), the patch u through lift, its interface
-    mismatch and its cost, which an mps sweep takes itself (cost_fn).
+    history (empty for ddda) and the patch u through lift with its interface
+    mismatch, both from one lift.gap of the returned iterate, which also
+    takes the cost of u into history.final_cost (the sweep's cost_fn).
     """
     stack = _Stack([assemble_local(inst, dec, i, scheme)
                     for i in range(dec.j_sub)])
+    patched = {}
+
+    def patch_and_cost(ws):
+        # both solvers return views of one stacked vector, already checked
+        patched["u"], patched["gap"] = lift.gap(np.concatenate(ws))
+        return _analysis_cost(inst, patched["u"])
+
     if scheme == SCHEME_DDDA:
-        ws, history = solve_ddda(stack), IterationHistory(converged=True)
+        ws = solve_ddda(stack)
+        history = IterationHistory(converged=True,
+                                   final_cost=patch_and_cost(ws))
     else:
-        # the sweep passes its final iterate as views of one stacked
-        # vector in subdomain order, already checked
-        ws, history = solve_mps(stack, opts, cost_fn=lambda final: (
-            _analysis_cost(inst, lift.patch(np.concatenate(final))[0])))
-    u, gap = lift.gap(np.concatenate(ws))
-    cost = (history.final_cost if scheme == SCHEME_MPS
-            else _analysis_cost(inst, u))
-    return stack, ws, history, u, gap, cost
+        ws, history = solve_mps(stack, opts, cost_fn=patch_and_cost)
+    return stack, ws, history, patched["u"], patched["gap"]
 
 
 def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
@@ -236,18 +240,18 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
 
     if method == SCHEME_GLOBAL:
         u, gap, ws = u_global, 0.0, [w_star]
-        history = IterationHistory(converged=True)
-        cost = _analysis_cost(inst, u)
+        history = IterationHistory(converged=True,
+                                   final_cost=_analysis_cost(inst, u))
     else:
-        _, ws, history, u, gap, cost = _run_scheme(inst, dec, method, opts,
-                                                   _Lift(inst, dec))
+        _, ws, history, u, gap = _run_scheme(inst, dec, method, opts,
+                                             _Lift(inst, dec))
     return AssimilationResult(
         u_analysis=u,
         per_subdomain_w=tuple(ws),
         scheme=method,
         history=history,
         diagnostics={
-            "global_cost": cost,
+            "global_cost": history.final_cost,
             "interface_mismatch": gap,
             "vs_global_linf": float(np.max(np.abs(u - u_global))),
         },
@@ -297,17 +301,20 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     """
     _check_convention(convention)
     lift = _Lift(inst, dec)
-    dd_stack, ws_dd, _, _, gap_dd, cost_dd = _run_scheme(
+    dd_stack, ws_dd, dd_history, _, gap_dd = _run_scheme(
         inst, dec, SCHEME_DDDA, None, lift)
-    mps_stack, ws_mps, history, _, _, cost_mps = _run_scheme(
+    # the ddda systems and c, not their stacked band, live through the mps run
+    dd_systems, dd_c = tuple(dd_stack), dd_stack.c
+    del dd_stack
+    mps_stack, ws_mps, history, _, _ = _run_scheme(
         inst, dec, SCHEME_MPS, opts, lift)
     return EquivalenceReport(
         # both stacks run in subdomain-id order
-        c_equal=mps_stack.c.tobytes() == dd_stack.c.tobytes(),
+        c_equal=mps_stack.c.tobytes() == dd_c.tobytes(),
         a_structure_exact=all(
             np.array_equal(m.a_band, d.a_band + penalty_stiffness(
                 m.penalty_pairs, d.a_band.shape))
-            for m, d in zip(mps_stack, dd_stack)
+            for m, d in zip(mps_stack, dd_systems)
         ),
         interface_mismatch=gap_dd,
         ddda_in_mps_residual=float(
@@ -316,8 +323,8 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         w_delta_linf=float(np.max(np.abs(
             np.concatenate(ws_mps) - np.concatenate(ws_dd)))),
         cost_global=cost_w(inst, _global_w(inst)),
-        cost_mps=cost_mps,
-        cost_ddda=cost_dd,
+        cost_mps=history.final_cost,
+        cost_ddda=dd_history.final_cost,
         iters_mps=history.iterations,
         mps_converged=history.converged,
         history=history,

@@ -103,23 +103,21 @@ def _read_raw(path):
 
 
 def _build_config(raw, path):
+    def anchor(key):
+        # an override, as compare and sweep apply, has line 0
+        lineno = raw.get(key, ("", 0))[1]
+        return f"{path}:{lineno}: " if lineno else f"{path}: "
+
     fields = {}
-    lines = {}
-    for key, (text, lineno) in raw.items():
+    for key, (text, _) in raw.items():
         attr, conv = _KEYS[key]
         try:
             fields[attr] = conv(text)
         except ValueError:
             kind = "an integer" if conv is int else "a number"
             raise ParseError(
-                f"{path}:{lineno}: value {text!r} for {key} is not {kind}"
+                f"{anchor(key)}value {text!r} for {key} is not {kind}"
             ) from None
-        lines[key] = lineno
-
-    def anchor(key):
-        if key in lines and lines[key] > 0:
-            return f"{path}:{lines[key]}: "
-        return f"{path}: "
 
     if "n_points" not in fields:
         raise ValidationError(f"{path}: np is required")
@@ -312,11 +310,16 @@ def _build_problem(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one config; writes result.json (+ history.csv) to output_dir."""
-    inst, dec = _build_problem(config)
+    # DDVAR_THREADS and output_dir fail, if at all, before the set-up runs
     opts = SolverOptions(tol=config.tol, max_iters=config.max_iters,
                          threads=_threads_from_env())
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output_dir {config.output_dir!r} cannot be "
+                              f"created: {exc}") from None
+    inst, dec = _build_problem(config)
     result_path, history_path = out / "result.json", out / "history.csv"
 
     if config.method == "compare":
@@ -417,29 +420,21 @@ def run_check() -> int:
 
 
 def run_sweep(config_path, key, values_text) -> int:
-    """Re-run one config with `key` swept over comma-separated values."""
+    """Run one config per comma-separated value of key, all validated first."""
     if key not in _KEYS or key == "output_dir":
         raise InvalidArgument(f"cannot sweep key {key!r}")
     values = [v.strip() for v in values_text.split(",") if v.strip()]
     if not values:
         raise InvalidArgument("sweep needs at least one value")
-    conv = _KEYS[key][1]
-    for v in values:
-        try:
-            conv(v)
-        except ValueError:
-            raise InvalidArgument(
-                f"sweep value {v!r} is invalid for key {key!r}"
-            ) from None
+    raw = _read_raw(config_path)
+    configs = [_build_config({**raw, key: (v, 0)}, config_path)
+               for v in values]
     status = 0
-    for v in values:
-        raw = _read_raw(config_path)
-        raw[key] = (v, 0)
-        config = _build_config(raw, config_path)
+    for v, config in zip(values, configs):
         subdir = Path(config.output_dir) / f"{key}={v}"
-        config = replace(config, output_dir=str(subdir))
         print(f"--- {key}={v}")
-        status = max(status, run_experiment(config))
+        status = max(status, run_experiment(
+            replace(config, output_dir=str(subdir))))
     return status
 
 
@@ -472,8 +467,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run_experiment(load_config(args.config))
         if args.command == "compare":
-            config = replace(load_config(args.config), method="compare")
-            return run_experiment(config)
+            # validated as the run it makes: the file's method is ignored
+            raw = {**_read_raw(args.config), "method": ("compare", 0)}
+            return run_experiment(_build_config(raw, args.config))
         if args.command == "check":
             return run_check()
         return run_sweep(args.config, args.key, args.values)

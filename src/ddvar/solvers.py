@@ -86,8 +86,9 @@ class IterationRecord:
 class IterationHistory:
     """Per-iteration trace of the fixed-point sweep.
 
-    final_cost is the cost of the returned iterate when the sweep was
-    given a cost_fn, NaN otherwise.
+    final_cost is the cost of the returned iterate: set on every history
+    that assimilate and equivalence_report return, NaN from a solve_mps
+    given no cost_fn.
     """
 
     records: list = field(default_factory=list)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from ddvar import (
     InvalidArgument,
     ProblemInstance,
     SCHEME_DDDA,
+    SCHEME_MPS,
     build_gaussian_covariance,
     assemble_global,
     assemble_local,
@@ -281,25 +284,36 @@ def test_report_measures_the_runs_assimilate_makes(length_scale):
 
 def test_each_run_lifts_through_one_stacked_band(monkeypatch):
     # assimilate and the report build the stacked blocks of V once per
-    # call, however many sweep iterations lift the iterate
+    # call, however many sweep iterations lift the iterate, and each
+    # scheme run lifts its returned iterate by one band product, which
+    # gives its patch, its interface gap and its cost
     calls = 0
+    lifts = 0
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return covariance.v_blocks(*args, **kwargs)
 
+    def counted_lift(*args, _fn=analysis._band_times):
+        nonlocal lifts
+        lifts += 1
+        return _fn(*args)
+
     monkeypatch.setattr(analysis, "v_blocks", counted)
+    monkeypatch.setattr(analysis, "_band_times", counted_lift)
     inst, dec = make_instance(n=60, j_sub=5, halo=2, seed=3)
     for method, builds in (("mps", 1), ("ddda", 1), ("global", 0)):
-        calls = 0
+        calls = lifts = 0
         result = assimilate(inst, dec, method)
         assert calls == builds, method
+        assert lifts == builds, method
         if method == "mps":
             assert result.history.iterations > 1
-    calls = 0
+    calls = lifts = 0
     equivalence_report(inst, dec)
     assert calls == 1
+    assert lifts == 2
 
 
 def test_a_decomposition_of_another_grid_is_rejected():
@@ -511,6 +525,7 @@ def test_assimilate_global_diagnostics():
     )
     assert res.history.converged
     assert res.history.iterations == 0
+    assert res.history.final_cost == res.diagnostics["global_cost"]
 
 
 def test_assimilate_mps_runs_and_reports():
@@ -550,6 +565,31 @@ def test_assimilate_ddda_runs_and_reports():
     assert res.history.iterations == 0
     assert res.diagnostics["interface_mismatch"] > 0.0
     assert len(res.per_subdomain_w) == 3
+    assert res.history.final_cost == res.diagnostics["global_cost"]
+
+
+def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
+        monkeypatch):
+    # the ddda systems and c outlive the ddda run, its stacked band does
+    # not: it is gone before the first coupled system is assembled
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    bands, alive = [], []
+
+    def solve(stack, _fn=analysis.solve_ddda):
+        bands.append(weakref.ref(stack.band))
+        return _fn(stack)
+
+    def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
+        if scheme == SCHEME_MPS and not alive:
+            alive.append(bands[0]() is not None)
+        return _fn(inst, dec, i, scheme)
+
+    monkeypatch.setattr(analysis, "solve_ddda", solve)
+    monkeypatch.setattr(analysis, "assemble_local", assemble)
+    rep = equivalence_report(inst, dec)
+    assert len(bands) == 1
+    assert alive == [False]
+    assert rep.c_equal and rep.a_structure_exact
 
 
 def test_assimilate_rejects_unknown_method():
@@ -610,6 +650,7 @@ def test_equivalence_report_generic_instance():
     assert rep.mps_converged
     assert np.isfinite(rep.cost_mps)
     assert np.isfinite(rep.cost_ddda)
+    assert rep.history.final_cost == rep.cost_mps
     d = rep.to_dict()
     assert sorted(d) == [
         "a_structure_exact",

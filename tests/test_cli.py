@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from ddvar import (
     build_gaussian_covariance,
     synthesize,
 )
+from ddvar import cli
 from ddvar.cli import load_config, main
 
 FLOAT_RE = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}")
@@ -187,14 +189,53 @@ def test_result_json_is_sorted_and_scientific(tmp_path):
 
 def test_compare_subcommand_overrides_method(tmp_path):
     out = tmp_path / "out"
+    base = "np = 20\nj_sub = 2\nhalo = 1\n"
     path = write_config(
-        tmp_path,
-        f"np = 20\nj_sub = 2\nhalo = 1\nmethod = global\noutput_dir = {out}\n",
-    )
+        tmp_path, base + f"method = global\noutput_dir = {out}\n")
     assert main(["compare", path]) == 0
     payload = json.loads((out / "result.json").read_text())
     assert payload["config"]["method"] == "compare"
     assert "w_delta_linf" in payload
+    # the subcommand makes the files of the key, and ignores the file's
+    # method, even one that run rejects
+    ref = tmp_path / "ref"
+    assert main(["run", write_config(
+        tmp_path, base + f"method = compare\noutput_dir = {ref}\n",
+        "ref.cfg")]) == 0
+    bogus = tmp_path / "bogus"
+    path = write_config(
+        tmp_path, base + f"method = bogus\noutput_dir = {bogus}\n", "b.cfg")
+    assert main(["run", path]) == 1
+    assert main(["compare", path]) == 0
+    for name in ("result.json", "history.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+        assert (bogus / name).read_bytes() == (ref / name).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["global", "ddda"])
+def test_compare_subcommand_is_validated_as_a_compare_run(
+        tmp_path, capsys, monkeypatch, method):
+    # 4 subdomains of 90 points at halo 20 on 200 identity points: the
+    # bands of a global or ddda run, 15 KiB, fit in 64 KiB of RAM; the
+    # interface factors of the compare run the subcommand makes, 169 KiB,
+    # do not
+    sysconf = os.sysconf
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: (
+        64 * 1024 // sysconf("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+        else sysconf(name)))
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, "np = 200\nj_sub = 4\nhalo = 20\ncov_kind = identity\n"
+        f"method = {method}\noutput_dir = {out}\n")
+    assert load_config(path).method == method
+    assert main(["compare", path]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}:1: np 200 needs")
+    assert "interface factors" in err[0]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_exhausted_budget_exits_two(tmp_path):
@@ -233,9 +274,29 @@ def test_sweep_creates_per_value_directories(tmp_path):
 def test_sweep_rejects_bad_input(tmp_path, capsys):
     path = write_config(tmp_path, "np = 30\n")
     assert main(["sweep", path, "--key", "j_sub", "--values", "1,two"]) == 1
-    assert "error:" in capsys.readouterr().err
+    # the value names the key and itself, anchored to the file alone: a
+    # swept value has no line
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: value 'two' for j_sub is not an integer"]
     assert main(["sweep", path, "--key", "output_dir", "--values", "x"]) == 1
     assert main(["sweep", path, "--key", "j_sub", "--values", " , "]) == 1
+
+
+def test_sweep_validates_every_value_before_the_first_run(tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"np = 30\nj_sub = 2\nmethod = ddda\noutput_dir = {out}\n")
+    # halo 100 is too large for 15 points a subdomain: no run is made
+    assert main(["sweep", path, "--key", "halo", "--values", "1,100"]) == 1
+    captured = capsys.readouterr()
+    assert "---" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: halo 100 too large")
+    assert not out.exists()
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -318,7 +379,13 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def no_set_up(config):
+    raise AssertionError("the problem was built")
+
+
 def test_invalid_thread_count_exits_one(tmp_path, capsys, monkeypatch):
+    # checked before the problem is built
+    monkeypatch.setattr(cli, "_build_problem", no_set_up)
     out = tmp_path / "out"
     path = write_config(
         tmp_path,
@@ -329,3 +396,19 @@ def test_invalid_thread_count_exits_one(tmp_path, capsys, monkeypatch):
     assert "DDVAR_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("DDVAR_THREADS", "0")
     assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: DDVAR_THREADS")
+
+
+def test_uncreatable_output_dir_fails_before_the_set_up(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "_build_problem", no_set_up)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_config(tmp_path,
+                        f"np = 20\noutput_dir = {blocker / 'out'}\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: output_dir")
