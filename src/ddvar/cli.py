@@ -176,13 +176,14 @@ def _build_config(raw, path):
     if not 0 <= config.nobs <= config.n_points:
         fail("nobs", f"must lie in 0..np, got {config.nobs}")
     # the arrays a run holds: the bands, at most bw + 1 rows for bw the
-    # sub-diagonals of B, of B and V, of the stacked local systems (s points
-    # each for the widest span s) and their factor, of the stacked blocks
-    # of V that lift the local analyses, and of the observation-space
-    # matrix and its factor; the stacked systems' DIA operator, 2 bw + 1
-    # diagonals and no index arrays, which the residual still builds (the
-    # stop test's kappa is read off the band); and the coupled scheme's
-    # interface factors, four halo x s blocks a seam
+    # sub-diagonals of B, of B and V, of the local systems (s points each
+    # for the widest span s), of their stacked factor and of the stacked
+    # blocks of V that lift the local analyses (both counted, though the
+    # factor is freed before the lift builds the blocks), and of the
+    # observation-space matrix and its factor; the stacked systems' one
+    # array of 2 bw + 1 diagonals, which holds their stacked band and is
+    # the residual's DIA operator (no index arrays); and the coupled
+    # scheme's interface factors, four halo x s blocks a seam
     n, j_sub = config.n_points, config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
     bw = (0 if config.cov_kind == "identity"
@@ -254,6 +255,15 @@ def _json_encode(obj, indent=0) -> str:
     raise InvalidArgument(f"cannot serialize {type(obj).__name__}")
 
 
+def _probe_writable(path: Path) -> None:
+    # opening for append writes nothing and truncates nothing; a file the
+    # probe made is removed again, so a run that fails later leaves none
+    made = not path.exists()
+    path.open("a").close()
+    if made:
+        path.unlink()
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(_json_encode(payload) + "\n")
 
@@ -314,13 +324,17 @@ def run_experiment(config: ExperimentConfig) -> int:
     opts = SolverOptions(tol=config.tol, max_iters=config.max_iters,
                          threads=_threads_from_env())
     out = Path(config.output_dir)
+    result_path, history_path = out / "result.json", out / "history.csv"
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for path in ((result_path, history_path)
+                     if config.method in ("mps", "compare") else
+                     (result_path,)):
+            _probe_writable(path)
     except OSError as exc:
         raise ValidationError(f"output_dir {config.output_dir!r} cannot be "
-                              f"created: {exc}") from None
+                              f"written: {exc}") from None
     inst, dec = _build_problem(config)
-    result_path, history_path = out / "result.json", out / "history.csv"
 
     if config.method == "compare":
         report = equivalence_report(inst, dec, opts,

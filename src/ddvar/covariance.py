@@ -17,10 +17,15 @@ band of the diagonal blocks of every subdomain, laid end to end),
 v_normal (the band of V^T D V and V^T x on a diagonal block, D
 diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).  _band_times
 (BLAS dtbmv) is the one triangular product with a lower band, v_times's
-and the stacked blocks'.  _band_matrix is the one place a band becomes a
-matrix, a sparse DIA array: the residual multiplies by it, and the dense
-b, v_factor and assembled a, for factor_check and the tests, are its
-toarray; _band_of reads the lower band of a sparse symmetric matrix.
+and the stacked blocks'.  _dia_layout is the one place a band becomes a
+matrix: it lays the band out as the lower rows of zeroed DIA data, and
+_dia_matrix writes the upper rows from them and wraps that same array as
+a sparse DIA array, no copy made.  The stacked local systems of solvers
+hold their band in such data from the start, so the residual's operator
+is that band's own storage; _band_matrix copies any other band into a
+fresh layout, for local_gradient and for the dense b, v_factor and
+assembled a (its toarray) of factor_check and the tests.  _band_of reads
+the lower band of a sparse symmetric matrix.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
 package's one path for SPD systems: B here, the global and stacked local
 systems in solvers and the observation-space matrix in analysis.
@@ -40,21 +45,43 @@ from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
 from .geometry import Decomposition, Grid1D
 
 
-def _band_matrix(band: np.ndarray, symmetric: bool) -> scipy.sparse.dia_array:
-    """The matrix with this lower band, as a sparse DIA array.
+def _dia_layout(k: int, n: int, symmetric: bool):
+    """(data, band): zeroed DIA data of an n x n matrix with k
+    sub-diagonals, and its lower band as a view.
 
-    The one place a band becomes a matrix; symmetric adds the upper
-    diagonals as shifted copies.  A product sums each row over the
-    diagonals in ascending offset, explicit zeros included, so a block
-    gives the same floats alone or inside a wider, padded band.
+    The one layout of a band as a matrix: data holds one row per diagonal
+    in ascending offset, -k..k when symmetric (2k + 1 rows), else -k..0,
+    and band is the reversed view of its lower k + 1 rows, band[d]
+    sub-diagonal d (LAPACK band storage).  Whatever is written into band
+    is what _dia_matrix(data, k) wraps.
     """
-    k, n = band.shape[0] - 1, band.shape[1]
-    # np.roll's wrapped entries land where an upper diagonal has no row,
-    # which the DIA array never reads
-    upper = [np.roll(band[d], d) for d in range(1, k + 1) if symmetric]
+    data = np.zeros((2 * k + 1 if symmetric else k + 1, n))
+    return data, data[k::-1]
+
+
+def _dia_matrix(data: np.ndarray, k: int) -> scipy.sparse.dia_array:
+    """The matrix of data laid out by _dia_layout, as a DIA array on it.
+
+    The upper rows, if any, are first written in place from the band:
+    upper diagonal d, a[r, r + d] = a[r + d, r], is sub-diagonal d
+    shifted by d, and the d leading entries of its row, which have no
+    matrix row, stay zero.  No copy is made.  A product sums each row
+    over the diagonals in ascending offset, explicit zeros included, so a
+    block gives the same floats alone or inside a wider, padded band.
+    """
+    n = data.shape[1]
+    for d in range(1, min(data.shape[0] - k, n)):
+        data[k + d, d:] = data[k - d, :n - d]
     return scipy.sparse.dia_array(
-        (np.vstack([band[::-1], *upper]), np.arange(-k, len(upper) + 1)),
-        shape=(n, n))
+        (data, np.arange(-k, data.shape[0] - k)), shape=(n, n))
+
+
+def _band_matrix(band: np.ndarray, symmetric: bool) -> scipy.sparse.dia_array:
+    """The matrix with this lower band: a copy of it in a _dia_layout."""
+    k, n = band.shape[0] - 1, band.shape[1]
+    data, lower = _dia_layout(k, n, symmetric)
+    lower[...] = band
+    return _dia_matrix(data, k)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ from .assembly import (
     _coupling_rows,
     _require_scheme,
 )
-from .covariance import _band_cholesky, _band_matrix, _band_solve
+from .covariance import (_band_cholesky, _band_solve, _dia_layout,
+                         _dia_matrix)
 from .errors import DimensionMismatch, InvalidArgument, _check_integer
 
 
@@ -129,11 +130,18 @@ class _Stack(tuple):
 
     The tuple holds the systems in their listed order; the stacked arrays
     run in subdomain-id order.  Construction rejects a repeated id and a
-    missing or mis-sized neighbor, before anything is factored.  band is
-    the lower band of blockdiag(a_i), each a_band zero-padded to the
-    tallest, operator its matrix (covariance._band_matrix), coupling the
-    CSR coupling C (see assembly._coupling_rows) and c the concatenated
-    right-hand sides.  A stack passed in is returned unchanged.
+    missing or mis-sized neighbor, before anything is factored.  One array
+    holds blockdiag(a_i), allocated zeroed at construction as the DIA data
+    of its 2k + 1 diagonals (covariance._dia_layout), k the sub-diagonals
+    of the tallest a_band: band, the lower band with each a_band copied in
+    and zero-padded, is the reversed view of its lower k + 1 rows, and
+    operator, built on first use, writes the upper k rows from band and
+    wraps the same array; until then those rows stay zero and unwritten,
+    which a large allocation does not keep in memory.  The array lives as
+    long as the stack.  factor() returns a fresh array that its caller
+    frees; coupling is the CSR coupling C (see assembly._coupling_rows)
+    and c the concatenated right-hand sides.  A stack passed in is
+    returned unchanged.
     """
 
     def __new__(cls, locals_):
@@ -151,8 +159,9 @@ class _Stack(tuple):
         layout = {sys.subdomain: (int(start), sys.size)
                   for sys, start in zip(stack.systems, stack.starts)}
         stack.coupling = _coupling_rows(stack.systems, layout)
-        stack.band = np.zeros((max(sys.a_band.shape[0] for sys in stack),
-                               stack.starts[-1]))
+        stack._data, stack.band = _dia_layout(
+            max(sys.a_band.shape[0] for sys in stack) - 1,
+            int(stack.starts[-1]), symmetric=True)
         for sys, start in zip(stack.systems, stack.starts):
             stack.band[:sys.a_band.shape[0], start:start + sys.size] = (
                 sys.a_band)
@@ -161,8 +170,11 @@ class _Stack(tuple):
 
     @functools.cached_property
     def operator(self):
-        """blockdiag(a_i), the matrix of band, built on first use."""
-        return _band_matrix(self.band, symmetric=True)
+        """blockdiag(a_i) as a DIA array on band's own storage, on first use.
+
+        Its upper rows are written from the band then; no array is copied.
+        """
+        return _dia_matrix(self._data, self.band.shape[0] - 1)
 
     @property
     def kappa(self) -> float:
@@ -236,13 +248,16 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     The sweep starts from all zeros (the background) and factors the
     stacked band once; each iteration is one banded solve and one
     fixed_point_residual of the stacked iterate, split once, on return,
-    and kappa is read off the band.  cost_fn, when given, is called once,
-    on the returned iterate list, and its value is history.final_cost;
-    otherwise that is NaN.  Returns (iterates, history); history.converged
-    is False when the iteration budget ran out.  The kappa of the residual
-    stop test grows with R^{-1}, so a sweep that stopped on that test need
-    not be within tol of the fixed point.  A coupled neighbor absent from
-    locals_ raises MissingNeighbor before the first sweep.
+    and kappa is read off the band.  The first residual builds the stack's
+    operator on the band's own storage.  The factor, as large as the band,
+    is freed when the sweep ends, before cost_fn is called: cost_fn, when
+    given, is called once, on the returned iterate list, and its value is
+    history.final_cost; otherwise that is NaN.  Returns (iterates,
+    history); history.converged is False when the iteration budget ran
+    out.  The kappa of the residual stop test grows with R^{-1}, so a
+    sweep that stopped on that test need not be within tol of the fixed
+    point.  A coupled neighbor absent from locals_ raises MissingNeighbor
+    before the first sweep.
     """
     opts = opts if opts is not None else SolverOptions()
     _require_scheme(locals_, SCHEME_MPS)
@@ -269,6 +284,9 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
             history.converged = True
             break
 
+    # the factor is the sweep's alone: freed before cost_fn, whose lift
+    # may reuse its memory
+    del factor
     ws = stack.split(w)
     if cost_fn is not None:
         history.final_cost = float(cost_fn(ws))

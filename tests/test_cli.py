@@ -401,6 +401,51 @@ def test_invalid_thread_count_exits_one(tmp_path, capsys, monkeypatch):
     assert err[0].startswith("error: DDVAR_THREADS")
 
 
+@pytest.mark.parametrize("method, blocked", [
+    ("mps", "result.json"), ("mps", "history.csv"),
+    ("compare", "history.csv"), ("ddda", "result.json"),
+])
+def test_unwritable_output_file_fails_before_the_set_up(
+        tmp_path, capsys, monkeypatch, method, blocked):
+    # a file the run will write is a directory: one error line, and the
+    # problem is never built
+    monkeypatch.setattr(cli, "_build_problem", no_set_up)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    path = write_config(tmp_path, f"np = 20\nmethod = {method}\n"
+                                  f"output_dir = {out}\n")
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and captured.out == ""
+    assert err[0].startswith("error: output_dir") and blocked in err[0]
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
+
+
+def test_the_output_probe_leaves_the_files_as_it_found_them(
+        tmp_path, capsys, monkeypatch):
+    # the probe creates no file that the run then fails to write, and
+    # truncates none that is there; history.csv is not probed for a
+    # method that writes none
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "result.json").write_text("kept\n")
+    monkeypatch.setattr(cli, "_build_problem", no_set_up)
+    path = write_config(tmp_path, f"np = 20\nmethod = mps\n"
+                                  f"output_dir = {out}\n")
+    with pytest.raises(AssertionError, match="the problem was built"):
+        main(["run", path])
+    assert sorted(p.name for p in out.iterdir()) == ["result.json"]
+    assert (out / "result.json").read_text() == "kept\n"
+    monkeypatch.undo()
+    (out / "history.csv").mkdir()
+    path = write_config(tmp_path, f"np = 20\nmethod = ddda\n"
+                                  f"output_dir = {out}\n")
+    assert main(["run", path]) == 0
+    assert (out / "result.json").read_text().startswith("{")
+    capsys.readouterr()
+
+
 def test_uncreatable_output_dir_fails_before_the_set_up(tmp_path, capsys,
                                                         monkeypatch):
     monkeypatch.setattr(cli, "_build_problem", no_set_up)

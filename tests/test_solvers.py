@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from ddvar import (
     DimensionMismatch,
@@ -200,6 +203,27 @@ def test_mps_records_cost_when_asked():
         assert seen_w.tobytes() == w.tobytes()
 
 
+def test_the_sweep_frees_its_factor_before_the_cost(monkeypatch):
+    # the factor is dead by the time cost_fn runs, so the lift of the
+    # returned iterate can take its memory
+    inst, dec = make_instance(n=60, j_sub=4, halo=2, seed=9)
+    factors = []
+    cholesky = solvers._band_cholesky
+
+    def kept(*args):
+        factor = cholesky(*args)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    def cost_fn(ws):
+        assert len(factors) == 1 and factors[0]() is None
+        return 0.0
+
+    monkeypatch.setattr(solvers, "_band_cholesky", kept)
+    _, history = solve_mps(_locals(inst, dec, SCHEME_MPS), cost_fn=cost_fn)
+    assert history.iterations > 1 and history.final_cost == 0.0
+
+
 @pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [
     (120, 4, 3, "gaussian", 0.5),
     (120, 4, 3, "gaussian", 2.0),
@@ -219,6 +243,39 @@ def test_kappa_is_read_off_the_band(n, j_sub, halo, kind, length_scale):
     by_product = 1.0 + float(np.max(abs(stack.operator)
                                     @ np.ones(stack.c.size)))
     assert stack.kappa == by_product
+
+
+@pytest.mark.parametrize("n, j_sub, halo, kind, length_scale, scheme", [
+    # each block narrower than V's band: the stack pads them to the tallest
+    (40, 8, 1, "gaussian", 8.0, SCHEME_MPS),
+    (40, 8, 1, "gaussian", 8.0, SCHEME_DDDA),
+    (120, 4, 3, "gaussian", 2.0, SCHEME_MPS),
+    (60, 3, 2, "identity", 2.0, SCHEME_MPS),
+])
+def test_the_stacked_band_is_the_operator_storage(n, j_sub, halo, kind,
+                                                  length_scale, scheme):
+    # the operator wraps the array that holds the band: building it writes
+    # only the upper rows, it is blockdiag(a_i) to the bit, and its product
+    # is that of the operator once built from shifted copies of the band.
+    # Every stack here holds entries: an empty array shares memory with
+    # nothing.
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=4, kind=kind,
+                              length_scale=length_scale)
+    stack = _Stack(_locals(inst, dec, scheme))
+    band = stack.band.copy()
+    op = stack.operator
+    assert np.shares_memory(stack.band, op.data)
+    assert stack.band.tobytes() == band.tobytes()
+    np.testing.assert_array_equal(
+        op.toarray(),
+        scipy.linalg.block_diag(*(sys.a for sys in stack.systems)))
+    k, size = band.shape[0] - 1, band.shape[1]
+    copied = scipy.sparse.dia_array(
+        (np.vstack([band[::-1], *(np.roll(band[d], d)
+                                  for d in range(1, k + 1))]),
+         np.arange(-k, k + 1)), shape=(size, size))
+    w = np.random.default_rng(5).standard_normal(size)
+    assert (op @ w).tobytes() == (copied @ w).tobytes()
 
 
 def test_fixed_point_residual_zero_at_uncoupled_solve():
