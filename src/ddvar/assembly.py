@@ -94,7 +94,7 @@ class LocalSystem(_Banded):
     neighbor order and is empty for the ddda scheme.  They define both the
     penalty stiffness sum_j p_i^T p_i inside a and the coupling
     sum_j p_i^T (p_j w_j) toward the neighbor iterates.  Construction
-    checks that each p_i is (rows, size) and each p_j 2-D with its rows.
+    stores them as float arrays: each p_i (rows, size), its p_j (rows, any).
     """
 
     subdomain: int
@@ -105,14 +105,17 @@ class LocalSystem(_Banded):
 
     def __post_init__(self):
         super().__post_init__()
-        for j, p_i, p_j in self.penalty_pairs:
-            rows = np.shape(p_i)[:1]
-            if (np.shape(p_i) != (*rows, self.size)
-                    or np.ndim(p_j) != 2 or np.shape(p_j)[:1] != rows):
+        pairs = tuple((j, *(np.asarray(p, dtype=float) for p in (p_i, p_j)))
+                      for j, p_i, p_j in self.penalty_pairs)
+        for j, p_i, p_j in pairs:
+            rows = p_i.shape[:1]
+            if (p_i.shape != (*rows, self.size)
+                    or p_j.ndim != 2 or p_j.shape[:1] != rows):
                 raise DimensionMismatch(
                     f"subdomain {self.subdomain}, neighbor {j}: p_i, p_j of "
-                    f"shapes {np.shape(p_i)}, {np.shape(p_j)}, expected "
+                    f"shapes {p_i.shape}, {p_j.shape}, expected "
                     f"(rows, {self.size}), (rows, any)")
+        object.__setattr__(self, "penalty_pairs", pairs)
 
     @property
     def size(self) -> int:
@@ -226,8 +229,8 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     i, so an observation in an overlap enters both neighbors' systems:
     H_i^T R_i^{-1} H_i and H_i^T R_i^{-1} d_i are the span's slice of
     inst.weights, and both come from v_normal, on the band of V.  The mps
-    scheme then takes its interface pairs toward all neighbors from one
-    gather and adds the band of their penalty_stiffness, which reports
+    scheme then cuts its interface pairs from one gather of their rows of
+    V and adds the band of their penalty_stiffness, which reports
     recompose to identical floats.  dec must split the instance's grid.
     """
     _require_grid(inst, dec)

@@ -11,19 +11,19 @@ scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
 therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
-v_rows (rows against a column range, once per subdomain for its interface
-factors), v_rows_sparse (rows, sparse), v_times (V x), v_blocks (the
-band of the diagonal blocks of every subdomain, laid end to end),
-v_normal (the band of V^T D V and V^T x on a diagonal block, D
-diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).  _band_times
-(BLAS dtbmv) is the one triangular product with a lower band, v_times's
-and the stacked blocks'.  _dia_layout is the one place a band becomes a
-matrix: it lays the band out as the lower rows of zeroed DIA data, and
-_dia_matrix writes the upper rows from them and wraps that same array as
-a sparse DIA array, no copy made.  The stacked local systems of solvers
-hold their band in such data from the start, so the residual's operator
-is that band's own storage; _band_matrix copies any other band into a
-fresh layout, for local_gradient and for the dense b, v_factor and
+v_rows_sparse (rows, sparse) and _interface_factors (a subdomain's
+interface pairs), both on _band_rows, the one gather of rows of V, and
+through v_times (V x), v_blocks (the band of the diagonal blocks of every
+subdomain, laid end to end), v_normal (the band of V^T D V and V^T x on a
+diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).
+_band_times (BLAS dtbmv) is the one triangular product with a lower band,
+v_times's and the stacked blocks'.  _dia_layout is the one place a band
+becomes a matrix: it lays the band out as the lower rows of zeroed DIA
+data, and _dia_matrix writes the upper rows from them and wraps that same
+array as a sparse DIA array, no copy made.  The stacked local systems of
+solvers hold their band in such data from the start, so the residual's
+operator is that band's own storage; _band_matrix copies any other band
+into a fresh layout, for local_gradient and for the dense b, v_factor and
 assembled a (its toarray) of factor_check and the tests.  _band_of reads
 the lower band of a sparse symmetric matrix.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
@@ -259,31 +259,29 @@ def factor_check(model: CovarianceModel) -> float:
     return float(np.max(np.abs(model.b - model.v_factor @ model.v_factor.T)))
 
 
-def v_rows(model: CovarianceModel, rows, span: slice) -> np.ndarray:
-    """V[rows, span] gathered from the band: fresh, bit for bit the dense V.
+def _band_rows(model: CovarianceModel, rows: np.ndarray):
+    """(cols, vals): the one gather of rows of V, O(rows bw), bit for bit.
 
-    Entry (r, c) is v_band[r - c, c] inside the band and zero outside it.
+    Row r = rows[t] is nonzero only at the columns r - bw..r of cols[t],
+    where vals[t, e] = v_band[bw - e, cols[t, e]], zero left of the grid.
     """
-    cols = np.arange(span.start, span.stop)
-    k = np.asarray(rows)[:, None] - cols
     band = model.v_band
-    inside = (k >= 0) & (k < band.shape[0])
-    return np.where(inside, band[k % band.shape[0], cols], 0.0)
+    d = np.arange(band.shape[0] - 1, -1, -1)
+    cols = rows[:, None] - d
+    return cols, np.where(cols >= 0, band[d, np.maximum(cols, 0)], 0.0)
 
 
 def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
-    """V[rows, :] as a sparse CSR array gathered from the band, O(rows bw).
+    """V[rows, :] as a sparse CSR array of _band_rows, O(rows bw).
 
-    Row r keeps the nonzero v_band[r - c, c] for c = r - bw..r, columns
-    ascending and no stored zeros: at most bw + 1 entries per row.
+    Row r keeps the nonzero entries of its band, columns ascending and no
+    stored zeros: at most bw + 1 entries per row.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    band, n = model.v_band, model.n_points
+    n = model.n_points
     if rows.size and not 0 <= rows.min() <= rows.max() < n:
         raise IndexError(f"rows must lie in 0..{n - 1}")
-    d = np.arange(band.shape[0] - 1, -1, -1)
-    cols = rows[:, None] - d
-    vals = np.where(cols >= 0, band[d, np.maximum(cols, 0)], 0.0)
+    cols, vals = _band_rows(model, rows)
     keep = vals != 0.0
     return scipy.sparse.csr_array(
         (vals[keep], cols[keep],
@@ -372,21 +370,26 @@ def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
     """(j, p_i, p_j) for each listed neighbor j of subdomain i, in order.
 
     p_i is V at the rows dec.interface(i, j) and the columns dec.span(i),
-    p_j at the same rows and dec.span(j): copies of the blocks of one
-    v_rows gather of all the interfaces against all the spans' columns.
+    p_j at the same rows and dec.span(j): each the part, at its span's
+    offset, of the interface's window of h + bw columns ending at its
+    last point, from one _band_rows gather of all the interface rows.
     The pair defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2:
     its stiffness on subdomain i is p_i^T p_i, its coupling toward j
     p_i^T (p_j w_j).
     """
-    if model.n_points != dec.grid.n_points:
-        raise DimensionMismatch(f"covariance is {model.n_points} points, "
-                                f"grid is {dec.grid.n_points}")
-    rows = np.array([dec.interface(i, j) for j in neighbors], np.intp).ravel()
-    spans = {k: dec.span(k) for k in (i, *neighbors)}
-    lo = spans[min(spans)].start
-    g = v_rows(model, rows, slice(lo, spans[max(spans)].stop))
-    return tuple((j, *(g[n * dec.halo:(n + 1) * dec.halo,
-                         spans[k].start - lo:spans[k].stop - lo].copy()
-                       for k in (i, j)))
-                 for n, j in enumerate(neighbors))
-
+    h, bw = dec.halo, model.bandwidth
+    rows = np.array([dec.interface(i, j) for j in neighbors], np.intp)
+    _, vals = _band_rows(model, rows.reshape(-1))
+    # window[n, t, t + e] = vals[n * h + t, e]; window n covers the grid
+    # columns rows[n, 0] - bw..rows[n, -1]
+    t, e = np.arange(h)[:, None], np.arange(bw + 1)
+    window = np.zeros((len(neighbors), h, h + bw))
+    window[:, t, t + e] = vals.reshape(len(neighbors), h, e.size)
+    pairs = []
+    for n, j in enumerate(neighbors):
+        pair = [np.zeros((h, dec.size(k))) for k in (i, j)]
+        for p, k in zip(pair, (i, j)):
+            off = rows[n, 0] - bw - dec.span(k).start  # < 0: left of the span
+            p[:, max(off, 0):off + h + bw] = window[n, :, max(-off, 0):]
+        pairs.append((j, *pair))
+    return tuple(pairs)

@@ -90,33 +90,26 @@ class ProblemInstance:
 
     def __post_init__(self):
         n = self.grid.n_points
-        ub = np.asarray(self.u_background, dtype=float).reshape(-1)
         if self.cov.n_points != n:
             raise DimensionMismatch(
                 f"covariance is {self.cov.n_points} points, grid is {n}"
             )
-        if ub.size != n:
-            raise DimensionMismatch(
-                f"u_background has {ub.size} entries, grid has {n}"
-            )
-        if not np.isfinite(ub).all():
-            raise InvalidArgument("u_background has non-finite entries")
+        for name in ("u_background", "u_truth"):
+            if name == "u_truth" and self.u_truth is None:
+                continue
+            u = np.asarray(getattr(self, name), dtype=float).reshape(-1)
+            if u.size != n:
+                raise DimensionMismatch(
+                    f"{name} has {u.size} entries, grid has {n}")
+            if not np.isfinite(u).all():
+                raise InvalidArgument(f"{name} has non-finite entries")
+            object.__setattr__(self, name, u)
         idx = self.obs.obs_indices
         if idx.size and (idx[0] < 0 or idx[-1] >= n):
             raise DimensionMismatch(
                 f"observation indices {idx[0]}..{idx[-1]} do not fit a grid "
                 f"of {n} points"
             )
-        object.__setattr__(self, "u_background", ub)
-        if self.u_truth is not None:
-            ut = np.asarray(self.u_truth, dtype=float).reshape(-1)
-            if ut.size != n:
-                raise DimensionMismatch(
-                    f"u_truth has {ut.size} entries, grid has {n}"
-                )
-            if not np.isfinite(ut).all():
-                raise InvalidArgument("u_truth has non-finite entries")
-            object.__setattr__(self, "u_truth", ut)
 
     @functools.cached_property
     def h_rows(self) -> scipy.sparse.csr_array:
@@ -155,10 +148,10 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
                sigma_o: float, seed: int) -> ProblemInstance:
     """Deterministic synthetic truth, background, and observations.
 
-    Draws, in order, z then z' then eps from a PCG64 generator seeded with
-    `seed`; the truth is V z, the background adds V z' (background errors
-    then have covariance B), both products taken on the band of V, and observations add sigma_o-scaled noise to
-    the truth at nobs equispaced points, obs_indices[k] = floor(k*n/nobs).
+    Draws z, z' and eps, in order, from a PCG64 generator seeded with
+    `seed`: truth V z, background V z + V z' (errors of covariance B),
+    both on the band of V, and observations the truth plus sigma_o eps at
+    nobs equispaced points, obs_indices[k] = floor(k*n/nobs).
     sigma_o = 0 gives noiseless observations with unit variances standing
     in for the degenerate error model; a nonzero sigma_o must lie above
     sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).

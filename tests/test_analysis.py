@@ -187,9 +187,10 @@ def test_interface_mismatch_is_the_largest_interface_factor_gap(length_scale):
 
 def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
     # the mps assembly is the only reader of the interface factors, one
-    # v_rows gather per subdomain for all of its neighbor pairs, and a
-    # report builds one coupling per scheme
-    calls = {"v_rows": 0, "coupling": 0}
+    # _band_rows gather per subdomain for all of its neighbor pairs; the
+    # observed rows of V are one more gather, made once per instance when
+    # h_rows is first read; and a report builds one coupling per scheme
+    calls = {"gather": 0, "coupling": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -197,23 +198,24 @@ def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(covariance, "v_rows",
-                        counted(covariance.v_rows, "v_rows"))
+    monkeypatch.setattr(covariance, "_band_rows",
+                        counted(covariance._band_rows, "gather"))
     monkeypatch.setattr(solvers, "_coupling_rows",
                         counted(solvers._coupling_rows, "coupling"))
     j_sub = 5
     inst, dec = make_instance(n=60, j_sub=j_sub, halo=2, seed=3)
-    for method, gathers in (("mps", j_sub), ("ddda", 0)):
-        calls.update(v_rows=0, coupling=0)
+    for method, gathers in (("mps", j_sub + 1), ("mps", j_sub),
+                            ("ddda", 0)):
+        calls.update(gather=0, coupling=0)
         assimilate(inst, dec, method)
-        assert calls == {"v_rows": gathers, "coupling": 1}, method
-    calls.update(v_rows=0, coupling=0)
+        assert calls == {"gather": gathers, "coupling": 1}, method
+    calls.update(gather=0, coupling=0)
     equivalence_report(inst, dec)
-    assert calls == {"v_rows": j_sub, "coupling": 2}
+    assert calls == {"gather": j_sub, "coupling": 2}
     # without interfaces each gather is of no rows
-    calls.update(v_rows=0, coupling=0)
+    calls.update(gather=0, coupling=0)
     assimilate(inst, decompose_uniform(inst.grid, j_sub, 0), "mps")
-    assert calls == {"v_rows": j_sub, "coupling": 1}
+    assert calls == {"gather": j_sub, "coupling": 1}
 
 
 @pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [

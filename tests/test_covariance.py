@@ -18,7 +18,7 @@ from ddvar import (
     factor_check,
     identity_covariance,
 )
-from ddvar.covariance import _band_cholesky, v_rows, v_times
+from ddvar.covariance import _band_cholesky, _band_rows, v_times
 
 from conftest import block_times, interface_pair
 
@@ -332,28 +332,36 @@ def test_model_rejects_bad_band_shapes():
     (Grid1D.uniform(120), None),  # identity
 ])
 def test_band_reads_match_the_dense_factor(grid, length_scale):
-    # the whole grid, then six spans, then 24 spans of 5 to 7 points (all
-    # but the 0.5 kernel's narrower than bw + 1); first and last included,
-    # each also against seven random rows, most of them outside the span
+    # every row of the grid, then seven random rows per subdomain of the
+    # whole grid, six spans and 24 spans of 5 to 7 points (all but the 0.5
+    # kernel's narrower than bw + 1), first and last included, with the
+    # products on each block and its interface pairs
     model = (identity_covariance(grid) if length_scale is None
              else build_gaussian_covariance(grid, length_scale, 1.0))
     v = model.v_factor
+    n = grid.n_points
     rng = np.random.default_rng(5)
-    w = rng.standard_normal(grid.n_points)
-    whole = v_rows(model, np.arange(grid.n_points), slice(0, grid.n_points))
-    assert whole.tobytes() == v.tobytes()
+
+    def placed(rows):
+        # the gathered rows placed at their columns of an n-column matrix;
+        # the zeros left of the grid wrap into the dropped tail
+        cols, vals = _band_rows(model, rows)
+        assert not vals[cols < 0].any()
+        out = np.zeros((rows.size, n + cols.shape[1]))
+        np.put_along_axis(out, cols % out.shape[1], vals, axis=1)
+        return out[:, :n]
+
+    assert placed(np.arange(n)).tobytes() == v.tobytes()
+    w = rng.standard_normal(n)
     assert (np.linalg.norm(v_times(model, w) - v @ w)
             <= 1e-15 * np.linalg.norm(v, 2) * np.linalg.norm(w))
     for j_sub, halo in ((1, 0), (6, 2), (24, 1)):
         dec = decompose_uniform(grid, j_sub, halo)
         for i in range(j_sub):
             span, idx = dec.span(i), dec.indices(i)
-            block = v_rows(model, idx, span)
-            assert block.tobytes() == v[span, span].tobytes()
-            assert block.tobytes() == v[np.ix_(idx, idx)].tobytes()
-            rows = np.sort(rng.choice(grid.n_points, 7, replace=False))
-            assert (v_rows(model, rows, span).tobytes()
-                    == v[np.ix_(rows, idx)].tobytes())
+            rows = np.sort(rng.choice(n, 7, replace=False))
+            assert placed(rows).tobytes() == v[rows].tobytes()
+            block = v[span, span]
             w = rng.standard_normal(idx.size)
             assert (np.linalg.norm(block_times(model, w, span) - block @ w)
                     <= 1e-15 * np.linalg.norm(block, 2) * np.linalg.norm(w))

@@ -1,6 +1,9 @@
 """The package surface: ``ddvar.__all__`` against what the package binds."""
 
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import ddvar
 
@@ -18,3 +21,24 @@ def test_all_lists_every_public_function_and_class_once():
         and (inspect.isfunction(value) or inspect.isclass(value))
     }
     assert public <= set(names), sorted(public - set(names))
+
+
+def test_every_public_library_name_is_exported_or_called():
+    # public API that nothing calls is removed: a public function or class
+    # of a library module (every module but cli, the entry point) is in
+    # __all__ or named by another module of the package
+    paths = sorted(Path(ddvar.__file__).parent.glob("*.py"))
+    texts = {path.name: path.read_text() for path in paths}
+    unused = []
+    for name, text in texts.items():
+        if name == "cli.py":
+            continue
+        for node in ast.parse(text).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in ddvar.__all__
+                    and not any(re.search(rf"\b{node.name}\b", other)
+                                for key, other in texts.items()
+                                if key != name)):
+                unused.append(f"{name[:-3]}.{node.name}")
+    assert not unused, unused

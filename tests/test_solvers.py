@@ -496,6 +496,28 @@ def test_local_system_rejects_mis_shaped_penalty_pairs():
     assert LocalSystem(0, SCHEME_MPS, band, c, pairs).penalty_pairs == pairs
 
 
+def test_list_valued_penalty_pairs_give_the_iterates_of_arrays():
+    # a pair given as nested lists is stored as float arrays, so the sweep
+    # and local_gradient run on it and land on the same floats
+    inst, dec = make_instance(n=30, j_sub=3, halo=2, seed=4)
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    listed = [dataclasses.replace(sys, penalty_pairs=tuple(
+        (j, p_i.tolist(), p_j.tolist()) for j, p_i, p_j in sys.penalty_pairs))
+        for sys in locals_]
+    for sys in listed:
+        for _, p_i, p_j in sys.penalty_pairs:
+            assert p_i.dtype == p_j.dtype == np.float64
+    ws, history = solve_mps(locals_)
+    ws_listed, history_listed = solve_mps(listed)
+    assert len(history_listed.records) == len(history.records)
+    for w, w_listed in zip(ws, ws_listed):
+        assert w.tobytes() == w_listed.tobytes()
+    by_id = dict(enumerate(ws))
+    for sys, sys_listed, w in zip(locals_, listed, ws):
+        assert (local_gradient(sys, w, by_id).tobytes()
+                == local_gradient(sys_listed, w, by_id).tobytes())
+
+
 def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
     # a full-bandwidth system stacked with a tridiagonal one: the stack's
     # band is as tall as the tallest block's, and each block still solves
