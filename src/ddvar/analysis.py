@@ -5,8 +5,9 @@ Its subdomain analysis is u_i = u^b[span(i)] + V[span(i), span(i)] w_i,
 and the full-domain analysis patches the u_i together, each point taken
 from its owner.  A run lifts every subdomain at once: with the blocks
 V[span(i), span(i)] laid end to end as one band (covariance.v_blocks,
-built once per call), the stacked u_i are one band product plus u^b at
-the spans, their patch one gather and the interface mismatch one max.
+built for each patch and freed with it), the stacked u_i are one band
+product plus u^b at the spans, their patch one gather and the interface
+mismatch one max.
 One scheme run (assemble, solve, patch, cost) serves both entry points:
 assimilate makes one, and equivalence_report makes one of each scheme
 and measures off the two every quantity behind the claim that the
@@ -15,8 +16,9 @@ right-hand sides, the exact penalty structure of the coupled matrices,
 and the interface agreement, read off the local analyses, that turns
 uncoupled solutions into fixed points of the coupled sweep.
 
-The single-domain reference both entry points measure against is the
-minimizer w* of the preconditioned cost, computed in observation space
+The single-domain reference both entry points measure against, solved
+before either scheme is assembled, is the minimizer w* of the
+preconditioned cost, computed in observation space
 (PSAS): with M = H V held sparse, w* = (M^T R^{-1} M + I)^{-1} M^T R^{-1} d
 is M^T (M M^T + R)^{-1} d exactly.  M M^T + R is banded, since S[p, q] is
 zero once observations p and q lie more than bw grid points apart, so it
@@ -27,7 +29,6 @@ its band.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -138,15 +139,14 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
 class _Lift:
     """The local analyses of every subdomain at once, spans end to end.
 
-    index is the grid point of each stacked entry, owned the stacked
-    position of each grid point's owner entry, and band the lower band of
-    blockdiag(V[span(i), span(i)]) in subdomain-id order
-    (covariance.v_blocks).  A stacked control vector w lifts to the
-    stacked u_i = u^b[span(i)] + V[span(i), span(i)] w_i by one band
-    product, and those patch by one gather: each point takes the value of
-    its owner, the subdomain whose base block dec.owned(i) holds it
-    (restricted additive Schwarz), so the halo values, worst at a
-    subdomain's edge, are dropped.
+    index is the grid point of each stacked entry and owned the stacked
+    position of each grid point's owner entry.  A stacked control vector
+    w lifts to the stacked u_i = u^b[span(i)] + V[span(i), span(i)] w_i
+    by one band product with the lower band of blockdiag(V[span(i),
+    span(i)]) in subdomain-id order (covariance.v_blocks), and those patch
+    by one gather: each point takes the value of its owner, the subdomain
+    whose base block dec.owned(i) holds it (restricted additive Schwarz),
+    so the halo values, worst at a subdomain's edge, are dropped.
     """
 
     def __init__(self, inst, dec):
@@ -161,16 +161,10 @@ class _Lift:
             + (offsets[i] - dec.span(i).start) for i in range(dec.j_sub)
         ])
 
-    @functools.cached_property
-    def band(self) -> np.ndarray:
-        """Built once, on first use: in assimilate's mps run that is the
-        cost of the sweep's final iterate, after the stack's set-up, so
-        the band is not alive at that set-up's peak."""
-        return v_blocks(self.cov, self.dec)
-
     def patch(self, w):
-        """The patch u of the stacked w and the stacked analyses."""
-        us = self.u_b + _band_times(self.band, w)
+        """The patch u of the stacked w and the stacked analyses; the
+        stacked blocks of V live only inside this call."""
+        us = self.u_b + _band_times(v_blocks(self.cov, self.dec), w)
         return us[self.owned], us
 
     def gap(self, w):
@@ -295,15 +289,17 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
 
     Mismatch is data, not an error: the report never raises on a nonzero
     gap, it only records it.  cost_global is the cost of the
-    observation-space reference w* of the module docstring.  convention
-    accepts only "v_times_w"; it remains because the benchmark worker
-    passes the config's update_convention positionally.
+    observation-space reference w* of the module docstring, solved first.
+    convention accepts only "v_times_w"; it remains because the benchmark
+    worker passes the config's update_convention positionally.
     """
     _check_convention(convention)
+    cost_global = cost_w(inst, _global_w(inst))
     lift = _Lift(inst, dec)
     dd_stack, ws_dd, dd_history, _, gap_dd = _run_scheme(
         inst, dec, SCHEME_DDDA, None, lift)
-    # the ddda systems and c, not their stacked band, live through the mps run
+    # the ddda systems, c and iterate live through the mps run; their
+    # stacked band and the lift's blocks of V do not
     dd_systems, dd_c = tuple(dd_stack), dd_stack.c
     del dd_stack
     mps_stack, ws_mps, history, _, _ = _run_scheme(
@@ -322,7 +318,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
         ),
         w_delta_linf=float(np.max(np.abs(
             np.concatenate(ws_mps) - np.concatenate(ws_dd)))),
-        cost_global=cost_w(inst, _global_w(inst)),
+        cost_global=cost_global,
         cost_mps=history.final_cost,
         cost_ddda=dd_history.final_cost,
         iters_mps=history.iterations,

@@ -183,17 +183,17 @@ class _Stack(tuple):
         Row r sums |a[r, r - d]| = |band[d, r - d]| over d = k..1, then
         the diagonal, then |a[r, r + d]| = |band[d, r]| over d = 1..k: the
         order in which the operator's product sums a row, so this is
-        1 + max(abs(operator) @ ones) to the bit.
+        1 + max(abs(operator) @ ones) to the bit, with no band-sized abs.
         """
-        band = np.abs(self.band)
+        band = self.band
         # a sub-diagonal at n or beyond has no row
         k, n = min(band.shape[0], band.shape[1]) - 1, band.shape[1]
         sums = np.zeros(n)
         for d in range(k, 0, -1):
-            sums[d:] += band[d, :n - d]
-        sums += band[0]
+            sums[d:] += np.abs(band[d, :n - d])
+        sums += np.abs(band[0])
         for d in range(1, k + 1):
-            sums[:n - d] += band[d, :n - d]
+            sums[:n - d] += np.abs(band[d, :n - d])
         return 1.0 + float(np.max(sums))
 
     def factor(self) -> np.ndarray:

@@ -285,10 +285,11 @@ def test_report_measures_the_runs_assimilate_makes(length_scale):
 
 
 def test_each_run_lifts_through_one_stacked_band(monkeypatch):
-    # assimilate and the report build the stacked blocks of V once per
-    # call, however many sweep iterations lift the iterate, and each
-    # scheme run lifts its returned iterate by one band product, which
-    # gives its patch, its interface gap and its cost
+    # each scheme run builds the stacked blocks of V once, however many
+    # sweep iterations it takes, and lifts its returned iterate by one
+    # band product, which gives its patch, its interface gap and its
+    # cost; the report's two runs build them once each, so none are
+    # alive during the mps sweep
     calls = 0
     lifts = 0
 
@@ -314,7 +315,7 @@ def test_each_run_lifts_through_one_stacked_band(monkeypatch):
             assert result.history.iterations > 1
     calls = lifts = 0
     equivalence_report(inst, dec)
-    assert calls == 1
+    assert calls == 2
     assert lifts == 2
 
 
@@ -591,6 +592,31 @@ def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
     rep = equivalence_report(inst, dec)
     assert len(bands) == 1
     assert alive == [False]
+    assert rep.c_equal and rep.a_structure_exact
+
+
+def test_equivalence_report_frees_the_blocks_of_v_before_the_mps_sweep(
+        monkeypatch):
+    # the ddda run's lift builds the stacked blocks of V and lets them go:
+    # none is alive when the mps sweep starts
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    bands, sweeps = [], []
+
+    def blocks(*args, _fn=analysis.v_blocks):
+        band = _fn(*args)
+        bands.append(weakref.ref(band))
+        return band
+
+    def sweep(*args, _fn=analysis.solve_mps, **kwargs):
+        assert bands and all(band() is None for band in bands)
+        sweeps.append(len(bands))
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "v_blocks", blocks)
+    monkeypatch.setattr(analysis, "solve_mps", sweep)
+    rep = equivalence_report(inst, dec)
+    assert sweeps == [1]
+    assert len(bands) == 2
     assert rep.c_equal and rep.a_structure_exact
 
 
