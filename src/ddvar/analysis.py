@@ -173,10 +173,9 @@ class _Lift:
         return u, float(np.max(np.abs(us - u[self.index])))
 
 
-def _check_convention(convention: str) -> None:
+def _check_convention(convention, fail) -> None:
     if convention != V_TIMES_W:
-        raise InvalidArgument(f"convention must be {V_TIMES_W!r}, got "
-                              f"{convention!r}")
+        fail("convention", f"must be {V_TIMES_W!r}, got {convention!r}")
 
 
 def _analysis_cost(inst, u):
@@ -223,7 +222,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     accepts only "v_times_w"; it remains because the benchmark
     worker passes the config's update_convention positionally.
     """
-    _check_convention(convention)
+    _check_convention(convention, InvalidArgument.fail)
     if method not in (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA):
         raise InvalidArgument(
             f"method must be one of ('global', 'mps', 'ddda'), got {method!r}"
@@ -293,7 +292,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     convention accepts only "v_times_w"; it remains because the benchmark
     worker passes the config's update_convention positionally.
     """
-    _check_convention(convention)
+    _check_convention(convention, InvalidArgument.fail)
     cost_global = cost_w(inst, _global_w(inst))
     lift = _Lift(inst, dec)
     dd_stack, ws_dd, dd_history, _, gap_dd = _run_scheme(

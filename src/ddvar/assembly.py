@@ -104,6 +104,7 @@ class LocalSystem(_Banded):
     penalty_pairs: tuple = ()
 
     def __post_init__(self):
+        _check_scheme(self.scheme)
         super().__post_init__()
         pairs = tuple((j, *(np.asarray(p, dtype=float) for p in (p_i, p_j)))
                       for j, p_i, p_j in self.penalty_pairs)
@@ -143,6 +144,12 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
         band[:w, lo:lo + w] += np.ndarray((min(shape[0], w), w), float, g, 0,
                                           (8 * w, 8 * w + 8))
     return band
+
+
+def _check_scheme(scheme) -> None:
+    if scheme not in _SCHEMES:
+        raise InvalidArgument(
+            f"scheme must be one of {_SCHEMES}, got {scheme!r}")
 
 
 def _require_scheme(locals_, scheme: str) -> None:
@@ -234,10 +241,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     recompose to identical floats.  dec must split the instance's grid.
     """
     _require_grid(inst, dec)
-    if scheme not in _SCHEMES:
-        raise InvalidArgument(
-            f"scheme must be one of {_SCHEMES}, got {scheme!r}"
-        )
+    _check_scheme(scheme)
     span = dec.span(i)
     a_band, c = v_normal(inst.cov, *inst.weights[:, span], span)
     a_band[0] += 1.0

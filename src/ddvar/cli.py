@@ -1,7 +1,11 @@
 """Command line front end: config parsing, orchestration, file output.
 
 Configs are flat key = value text, one pair per line, # comments allowed.
-Outputs are a result.json (sorted keys, every float printed as 17
+A config is checked by the library's own rules, each reached through the
+private check of the module that takes the value, with a fail that names
+the key at its file and line.  Only what no library call takes is checked
+here: cov_kind, method, the memory estimate, and, before the set-up,
+DDVAR_THREADS and output_dir.  Outputs are a result.json (sorted keys, every float printed as 17
 significant digits in scientific notation) and, for runs that iterate, a
 history.csv; both are byte-identical across repeat runs of the same
 config and across `DDVAR_THREADS`, not across BLAS thread counts.
@@ -14,22 +18,26 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import V_TIMES_W, assimilate, equivalence_report
+from .analysis import (V_TIMES_W, _check_convention, assimilate,
+                       equivalence_report)
 from .assembly import assemble_global, assemble_local
 from .covariance import (
+    _check_scale,
     build_gaussian_covariance,
     factor_check,
     identity_covariance,
 )
 from .errors import DdvarError, InvalidArgument, ParseError, ValidationError
-from .geometry import Grid1D, decompose_uniform
-from .observation import _sigma_o_floor, synthesize
-from .solvers import SolverOptions, solve_global, solve_mps
+from .geometry import (Grid1D, _check_decomposition, _check_grid_size,
+                       decompose_uniform)
+from .observation import _check_synthesis, synthesize
+from .solvers import SolverOptions, _check_options, solve_global, solve_mps
 
 _METHODS = ("global", "mps", "ddda", "compare")
 # sub-diagonals of the Gaussian B per unit length scale on a unit grid:
@@ -37,27 +45,12 @@ _METHODS = ("global", "mps", "ddda", "compare")
 _GAUSSIAN_REACH = math.sqrt(106 * math.log(2))
 _COV_KINDS = ("identity", "gaussian")
 
-# external key -> (attribute, converter)
-_KEYS = {
-    "np": ("n_points", int),
-    "j_sub": ("j_sub", int),
-    "halo": ("halo", int),
-    "cov_kind": ("cov_kind", str),
-    "length_scale": ("length_scale", float),
-    "sigma_b": ("sigma_b", float),
-    "sigma_o": ("sigma_o", float),
-    "nobs": ("nobs", int),
-    "seed": ("seed", int),
-    "method": ("method", str),
-    "tol": ("tol", float),
-    "max_iters": ("max_iters", int),
-    "update_convention": ("update_convention", str),
-    "output_dir": ("output_dir", str),
-}
-
 
 @dataclass
 class ExperimentConfig:
+    """One run's inputs, named as the library's parameters: an attribute
+    is its config key, but n_points for np."""
+
     n_points: int
     j_sub: int = 1
     halo: int = 1
@@ -72,6 +65,13 @@ class ExperimentConfig:
     max_iters: int = 500
     update_convention: str = V_TIMES_W
     output_dir: str = "."
+
+
+# library parameter -> config key, where they differ
+_KEY_OF = {"n_points": "np", "convention": "update_convention"}
+# config key -> (attribute, converter)
+_KEYS = {_KEY_OF.get(attr, attr): (attr, conv) for attr, conv
+         in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def _read_raw(path):
@@ -125,56 +125,27 @@ def _build_config(raw, path):
     if "nobs" not in raw:
         config = replace(config, nobs=config.n_points // 5)
 
-    def fail(key, message):
+    def fail(name, message):
+        key = _KEY_OF.get(name, name)
         raise ValidationError(f"{anchor(key)}{key} {message}")
 
-    for key, (attr, conv) in _KEYS.items():
-        value = getattr(config, attr)
-        if conv is float and not math.isfinite(value):
-            fail(key, f"must be finite, got {value}")
-    # these enter squared: sigma_b^2 in B, 1 / length_scale^2 in the
-    # kernel and R^{-1} = 1 / sigma_o^2; a square must neither overflow nor
-    # underflow, and its reciprocal must not overflow
-    for key in ("length_scale", "sigma_b", "sigma_o"):
-        value = getattr(config, _KEYS[key][0])
-        square = value * value
-        if value and not (0.0 < square < math.inf
-                          and 1.0 / square < math.inf):
-            fail(key, f"{value} is out of range: its square or the "
-                      "reciprocal of its square over- or underflows")
-
-    if config.n_points < 1:
-        fail("np", f"must be >= 1, got {config.n_points}")
-    if config.j_sub < 1:
-        fail("j_sub", f"must be >= 1, got {config.j_sub}")
-    if config.n_points < config.j_sub:
-        fail("j_sub", f"{config.j_sub} exceeds np {config.n_points}")
-    if config.halo < 0:
-        fail("halo", f"must be >= 0, got {config.halo}")
-    if (config.j_sub > 1
-            and config.n_points // config.j_sub < 2 * config.halo + 1):
-        fail(
-            "halo",
-            f"{config.halo} too large: floor(np/j_sub) = "
-            f"{config.n_points // config.j_sub} but must be >= "
-            f"{2 * config.halo + 1}",
-        )
+    # each rule is the library's own, reached through its owner's check
+    n, gaussian = config.n_points, config.cov_kind == "gaussian"
+    _check_grid_size(n, fail)
+    _check_decomposition(n, config.j_sub, config.halo, fail)
     if config.cov_kind not in _COV_KINDS:
         fail("cov_kind", f"must be one of {_COV_KINDS}, got {config.cov_kind!r}")
-    if not config.length_scale > 0.0:
-        fail("length_scale", f"must be positive, got {config.length_scale}")
-    if not config.sigma_b > 0.0:
-        fail("sigma_b", f"must be positive, got {config.sigma_b}")
-    if not config.sigma_o >= 0.0:
-        fail("sigma_o", f"must be >= 0, got {config.sigma_o}")
-    floor = _sigma_o_floor(
-        config.sigma_b if config.cov_kind == "gaussian" else None
-    )
-    if 0.0 < config.sigma_o <= floor:
-        fail("sigma_o", f"{config.sigma_o} is too small: it must be 0 or "
-                        f"above sigma_b * 2^-26 = {floor}")
-    if not 0 <= config.nobs <= config.n_points:
-        fail("nobs", f"must lie in 0..np, got {config.nobs}")
+    for name in ("length_scale", "sigma_b"):
+        _check_scale(name, getattr(config, name), fail)
+    _check_synthesis(n, config.nobs, config.sigma_o, config.seed,
+                     config.sigma_b if gaussian else None, fail)
+    if config.method not in _METHODS:
+        fail("method", f"must be one of {_METHODS}, got {config.method!r}")
+    _check_options(config.tol, config.max_iters, fail)
+    # v_times_w is the only update; the key stays because the benchmark
+    # worker passes it on to assimilate and equivalence_report
+    _check_convention(config.update_convention, fail)
+
     # the arrays a run holds: the bands, at most bw + 1 rows for bw the
     # sub-diagonals of B, of B and V, of the local systems (s points each
     # for the widest span s), of their stacked factor and of the stacked
@@ -184,33 +155,20 @@ def _build_config(raw, path):
     # array of 2 bw + 1 diagonals, which holds their stacked band and is
     # the residual's DIA operator (no index arrays); and the coupled
     # scheme's interface factors, four halo x s blocks a seam
-    n, j_sub = config.n_points, config.j_sub
+    j_sub = config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
-    bw = (0 if config.cov_kind == "identity"
-          else min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale)))
+    bw = (min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale))
+          if gaussian else 0)
     seams = (j_sub - 1) if config.method in ("mps", "compare") else 0
     gib = (8 * ((bw + 1) * (2 * n + 3 * j_sub * s + 2 * config.nobs)
                 + (2 * bw + 1) * j_sub * s)
            + 32 * seams * config.halo * s) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:
-        fail("np", f"{n} needs {gib:,.1f} GiB for the bands of the "
-                   "covariance, the local systems and the observation-space "
-                   "matrix and for the interface factors, more than the "
-                   f"{ram:,.1f} GiB of RAM")
-    if config.seed < 0:
-        fail("seed", f"must be >= 0, got {config.seed}")
-    if config.method not in _METHODS:
-        fail("method", f"must be one of {_METHODS}, got {config.method!r}")
-    if not config.tol > 0.0:
-        fail("tol", f"must be positive, got {config.tol}")
-    if config.max_iters < 1:
-        fail("max_iters", f"must be >= 1, got {config.max_iters}")
-    # v_times_w is the only update; the key stays because the benchmark
-    # worker passes it on to assimilate and equivalence_report
-    if config.update_convention != V_TIMES_W:
-        fail("update_convention",
-             f"must be {V_TIMES_W!r}, got {config.update_convention!r}")
+        fail("n_points", f"{n} needs {gib:,.1f} GiB for the bands of the "
+                         "covariance, the local systems and the "
+                         "observation-space matrix and for the interface "
+                         f"factors, more than the {ram:,.1f} GiB of RAM")
     return config
 
 

@@ -41,7 +41,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionMismatch, FactorizationFailure, InvalidArgument
+from .errors import (DimensionMismatch, FactorizationFailure, InvalidArgument,
+                     _check_real)
 from .geometry import Decomposition, Grid1D
 
 
@@ -205,6 +206,19 @@ def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1)[0]
 
 
+def _check_scale(name: str, value, fail, zero: bool = False) -> None:
+    # A scale enters squared (sigma_b^2 in B, 1 / length_scale^2 in the
+    # kernel, R^{-1} = 1 / sigma_o^2): it must be positive, 0 too if zero,
+    # and its square and the square's reciprocal finite and nonzero.
+    _check_real(name, value, fail)
+    square = float(value) * float(value)
+    if not (zero and value == 0 or value > 0 and 0.0 < square < math.inf
+            and 1.0 / square < math.inf):
+        fail(name, f"must be {'0 or ' if zero else ''}positive with a "
+                   f"finite, nonzero square and reciprocal square, got "
+                   f"{value!r}")
+
+
 def build_gaussian_covariance(grid: Grid1D, length_scale: float,
                               sigma_b: float) -> CovarianceModel:
     """Squared-exponential covariance on the grid coordinates, as a band.
@@ -213,7 +227,7 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     diagonal jitter of 1e-10 * sigma_b^2; the kernel alone is numerically
     rank-deficient once length_scale spans several grid spacings.
     Both parameters enter squared, so each must be positive with a square
-    that neither overflows nor underflows.
+    and a reciprocal square that neither overflow nor underflow.
 
     Only the band is evaluated, sub-diagonal k at x[k:] - x[:-k] by the
     dense kernel's elementwise operations, so bit for bit.  It ends before
@@ -225,11 +239,7 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     full (bw = n - 1), and the cost is that of a dense factor again.
     """
     for name, value in (("length_scale", length_scale), ("sigma_b", sigma_b)):
-        if not (value > 0.0 and 0.0 < value * value < math.inf):
-            raise InvalidArgument(
-                f"{name} must be positive with a finite, nonzero square, "
-                f"got {value}"
-            )
+        _check_scale(name, value, InvalidArgument.fail)
     x, scale = grid.coords, 2.0 * length_scale**2
     diagonal = sigma_b**2 + 1e-10 * sigma_b**2  # the kernel plus the jitter
     diagonals = [np.full(x.size, diagonal)]

@@ -16,6 +16,7 @@ vectors and matrices as views; interfaces are short index arrays.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,28 @@ from .errors import (
     InvalidDecomposition,
     NoInterface,
     _check_integer,
+    _check_real,
 )
+
+
+def _check_grid_size(n_points, fail) -> None:
+    _check_integer("n_points", n_points, fail)
+    if n_points < 1:
+        fail("n_points", f"must be >= 1, got {n_points}")
+
+
+def _check_decomposition(n_points, j_sub, halo, fail) -> None:
+    _check_integer("j_sub", j_sub, fail)
+    _check_integer("halo", halo, fail)
+    if j_sub < 1:
+        fail("j_sub", f"must be >= 1, got {j_sub}")
+    if halo < 0:
+        fail("halo", f"must be >= 0, got {halo}")
+    if n_points < j_sub:
+        fail("j_sub", f"{j_sub} exceeds the grid's {n_points} points")
+    if j_sub > 1 and n_points // j_sub < 2 * halo + 1:
+        fail("halo", f"{halo} too large: floor(n_points/j_sub) = "
+                     f"{n_points // j_sub} but must be >= {2 * halo + 1}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +64,7 @@ class Grid1D:
     coords: np.ndarray
 
     def __post_init__(self):
-        _check_integer("n_points", self.n_points)
-        if self.n_points < 1:
-            raise InvalidArgument("n_points must be >= 1")
+        _check_grid_size(self.n_points, InvalidArgument.fail)
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 1 or coords.size != self.n_points:
             raise DimensionMismatch(
@@ -69,8 +89,12 @@ class Grid1D:
     @classmethod
     def uniform(cls, n_points: int, spacing: float = 1.0) -> "Grid1D":
         """Evenly spaced grid at 0, spacing, 2*spacing, ..."""
-        if spacing <= 0.0:
-            raise InvalidArgument("spacing must be positive")
+        _check_grid_size(n_points, InvalidArgument.fail)
+        _check_real("spacing", spacing, InvalidArgument.fail)
+        spacing = float(spacing)
+        if not (spacing > 0.0 and spacing * (n_points - 1) < math.inf):
+            raise InvalidArgument("spacing must be positive with a finite "
+                                  f"last coordinate, got {spacing!r}")
         return cls(n_points, spacing * np.arange(n_points, dtype=float))
 
 
@@ -91,22 +115,8 @@ class Decomposition:
     halo: int
 
     def __post_init__(self):
-        n, j_sub, halo = self.grid.n_points, self.j_sub, self.halo
-        _check_integer("j_sub", j_sub, InvalidDecomposition)
-        _check_integer("halo", halo, InvalidDecomposition)
-        if j_sub < 1:
-            raise InvalidDecomposition("j_sub must be >= 1")
-        if halo < 0:
-            raise InvalidDecomposition("halo must be >= 0")
-        if n < j_sub:
-            raise InvalidDecomposition(
-                f"{j_sub} subdomains need at least {j_sub} points, grid has {n}"
-            )
-        if j_sub > 1 and n // j_sub < 2 * halo + 1:
-            raise InvalidDecomposition(
-                f"base block size {n // j_sub} too small for halo {halo}; "
-                f"need floor(n/j_sub) >= {2 * halo + 1}"
-            )
+        _check_decomposition(self.grid.n_points, self.j_sub, self.halo,
+                             InvalidDecomposition.fail)
 
     @functools.cached_property
     def _bounds(self) -> tuple:
@@ -122,7 +132,7 @@ class Decomposition:
                      for i in range(self.j_sub))
 
     def _check_id(self, i: int) -> None:
-        _check_integer("subdomain id", i, IndexOutOfRange)
+        _check_integer("subdomain id", i, IndexOutOfRange.fail)
         if not 0 <= i < self.j_sub:
             raise IndexOutOfRange(
                 f"subdomain id {i} outside 0..{self.j_sub - 1}"

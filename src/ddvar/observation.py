@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import (CovarianceModel, ObsCovariance, _frozen,
-                         v_rows_sparse, v_times)
+from .covariance import (CovarianceModel, ObsCovariance, _check_scale,
+                         _frozen, v_rows_sparse, v_times)
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
                      _check_integer)
 from .geometry import Grid1D
@@ -136,12 +136,21 @@ class ProblemInstance:
         return _frozen(w)
 
 
-def _sigma_o_floor(sigma_b: float | None) -> float:
-    # Largest rejected nonzero sigma_o: sigma_b * 2^-26, with sigma_b read
-    # as 1 when it is None (identity covariance).  At or below it
-    # (sigma_b / sigma_o)^2 >= 2^52 and the unit term of the normal matrix
-    # falls below rounding.
-    return math.ldexp(1.0 if sigma_b is None else sigma_b, -26)
+def _check_synthesis(n_points, nobs, sigma_o, seed, sigma_b, fail) -> None:
+    _check_integer("seed", seed, fail)
+    _check_integer("nobs", nobs, fail)
+    if seed < 0:
+        fail("seed", f"must be >= 0, got {seed}")
+    if not 0 <= nobs <= n_points:
+        fail("nobs", f"must lie in 0..{n_points}, got {nobs}")
+    _check_scale("sigma_o", sigma_o, fail, zero=True)
+    # the largest rejected nonzero sigma_o, sigma_b read as 1 when it is
+    # None (identity covariance): at or below it (sigma_b / sigma_o)^2 >=
+    # 2^52 and the unit term of the normal matrix falls below rounding
+    floor = math.ldexp(1.0 if sigma_b is None else sigma_b, -26)
+    if 0.0 < sigma_o <= floor:
+        fail("sigma_o", f"{sigma_o} is too small: it must be 0 or above "
+                        f"sigma_b * 2^-26 = {floor}")
 
 
 def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
@@ -157,18 +166,7 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).
     """
     n = grid.n_points
-    _check_integer("seed", seed)
-    _check_integer("nobs", nobs)
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    if not 0 <= nobs <= n:
-        raise InvalidArgument(f"nobs must lie in 0..{n}, got {nobs}")
-    if not 0.0 <= sigma_o < math.inf:
-        raise InvalidArgument(f"sigma_o must be finite and >= 0, got {sigma_o}")
-    floor = _sigma_o_floor(cov.sigma_b)
-    if 0.0 < sigma_o <= floor:
-        raise InvalidArgument(f"sigma_o {sigma_o} is too small: it must be 0 "
-                              f"or above sigma_b * 2^-26 = {floor}")
+    _check_synthesis(n, nobs, sigma_o, seed, cov.sigma_b, InvalidArgument.fail)
     if cov.n_points != n:
         raise DimensionMismatch(
             f"covariance is {cov.n_points} points, grid is {n}"
@@ -181,7 +179,7 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
 
     u_truth = v_times(cov, z)
     u_background = u_truth + v_times(cov, z_prime)
-    obs_idx = np.array([(k * n) // nobs for k in range(nobs)], dtype=np.intp)
+    obs_idx = np.arange(nobs, dtype=np.intp) * n // nobs
     values = u_truth[obs_idx] + sigma_o * eps
     variance = sigma_o**2 if sigma_o > 0.0 else 1.0
     obs = point_observations(grid, obs_idx, values, np.full(nobs, variance))

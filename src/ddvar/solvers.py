@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,18 @@ from .assembly import (
 )
 from .covariance import (_band_cholesky, _band_solve, _dia_layout,
                          _dia_matrix)
-from .errors import DimensionMismatch, InvalidArgument, _check_integer
+from .errors import (DimensionMismatch, InvalidArgument, _check_integer,
+                     _check_real)
+
+
+def _check_options(tol, max_iters, fail, threads=1) -> None:
+    _check_real("tol", tol, fail)
+    if not 0.0 < tol < math.inf:
+        fail("tol", f"must be positive and finite, got {tol!r}")
+    for name, value in (("max_iters", max_iters), ("threads", threads)):
+        _check_integer(name, value, fail)
+        if value < 1:
+            fail(name, f"must be >= 1, got {value!r}")
 
 
 @dataclass
@@ -64,16 +74,8 @@ class SolverOptions:
     threads: int = 1
 
     def __post_init__(self):
-        # a bool is an Integral and a Real, but never a count or a tolerance
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                or not 0.0 < self.tol < math.inf):
-            raise InvalidArgument(f"tol must be positive and finite, got "
-                                  f"{self.tol!r}")
-        for name in ("max_iters", "threads"):
-            value = getattr(self, name)
-            _check_integer(name, value)
-            if value < 1:
-                raise InvalidArgument(f"{name} must be >= 1, got {value!r}")
+        _check_options(self.tol, self.max_iters, InvalidArgument.fail,
+                       self.threads)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,23 @@ record_acceptance; a terminal-summary hook prints the collected lines
 after the run so the verdict is visible even with captured output.
 """
 
+import dataclasses
+
 import numpy as np
 
 from ddvar import (
+    Decomposition,
     Grid1D,
     ProblemInstance,
+    SolverOptions,
+    assimilate,
     build_gaussian_covariance,
     decompose_uniform,
     identity_covariance,
     point_observations,
     synthesize,
 )
+from ddvar.cli import _KEYS, ExperimentConfig
 from ddvar.covariance import _band_times, _interface_factors
 
 
@@ -32,6 +38,27 @@ def make_instance(n=30, j_sub=2, halo=1, nobs=None, seed=0, kind="gaussian",
     inst = synthesize(grid, cov, nobs, sigma_o, seed)
     dec = decompose_uniform(grid, j_sub, halo)
     return inst, dec
+
+
+def run_library(pairs):
+    """The library calls a run of the config {key: value} makes.
+
+    A key left out takes its default (nobs np // 5).  length_scale and
+    sigma_b go to the Gaussian builder whatever the kind, as validation
+    checks them; the global analysis checks the convention.
+    """
+    config = ExperimentConfig(**{_KEYS[key][0]: _KEYS[key][1](value)
+                                 for key, value in pairs.items()})
+    if "nobs" not in pairs:
+        config = dataclasses.replace(config, nobs=config.n_points // 5)
+    grid = Grid1D.uniform(config.n_points)
+    cov = build_gaussian_covariance(grid, config.length_scale, config.sigma_b)
+    if config.cov_kind == "identity":
+        cov = identity_covariance(grid)
+    inst = synthesize(grid, cov, config.nobs, config.sigma_o, config.seed)
+    dec = Decomposition(grid, config.j_sub, config.halo)
+    assimilate(inst, dec, "global", SolverOptions(config.tol, config.max_iters),
+               config.update_convention)
 
 
 def lower_band(a, k):

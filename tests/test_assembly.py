@@ -6,6 +6,7 @@ from ddvar import (
     Grid1D,
     IndexOutOfRange,
     InvalidArgument,
+    LocalSystem,
     MissingNeighbor,
     ProblemInstance,
     SCHEME_DDDA,
@@ -268,6 +269,9 @@ def test_assemble_local_rejects_unknown_scheme():
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
     with pytest.raises(InvalidArgument):
         assemble_local(inst, dec, 0, "jacobi")
+    # a system is checked by the same rule when it is built directly
+    with pytest.raises(InvalidArgument, match="scheme must be one of"):
+        LocalSystem(0, "xyz", np.ones((1, 2)), np.zeros(2))
     # a negative id must not wrap around to the last subdomain
     for bad in (-1, 2):
         with pytest.raises(IndexOutOfRange):

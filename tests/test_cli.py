@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddvar import (
+    DdvarError,
     Grid1D,
     ParseError,
     ValidationError,
@@ -13,7 +16,9 @@ from ddvar import (
     synthesize,
 )
 from ddvar import cli
-from ddvar.cli import load_config, main
+from ddvar.cli import ExperimentConfig, load_config, main
+
+from conftest import run_library
 
 FLOAT_RE = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}")
 
@@ -347,6 +352,47 @@ def test_config_errors_exit_one(tmp_path, capsys):
     )
     assert main(["run", path]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value, extra", [
+    ("np", "0", {}), ("j_sub", "0", {}), ("j_sub", "21", {}),
+    ("halo", "-1", {}), ("halo", "10", {}),
+    ("length_scale", "0", {}), ("length_scale", "nan", {}),
+    ("length_scale", "1e200", {}), ("length_scale", "1e-160", {}),
+    ("sigma_b", "-1", {}), ("sigma_b", "inf", {}), ("sigma_b", "1e-160", {}),
+    ("sigma_o", "-0.1", {}), ("sigma_o", "nan", {}), ("sigma_o", "1e-9", {}),
+    ("sigma_o", "1e-156", {"sigma_b": "1e-150"}),
+    ("nobs", "-1", {}), ("nobs", "21", {}), ("seed", "-1", {}),
+    ("tol", "0", {}), ("tol", "inf", {}), ("max_iters", "0", {}),
+    ("update_convention", "binv_v_times_w", {}),
+])
+def test_config_and_library_give_one_verdict(tmp_path, key, value, extra):
+    # one bad value on np = 20, j_sub = 2, halo = 1: load_config and the
+    # library reject it with the same text after the parameter's name
+    pairs = {"np": "20", "j_sub": "2", "halo": "1", **extra, key: value}
+    path = write_config(tmp_path, "".join(f"{k} = {v}\n"
+                                          for k, v in pairs.items()))
+    with pytest.raises(DdvarError) as library:
+        run_library(pairs)
+    with pytest.raises(ValidationError) as run:
+        load_config(path)
+    name = {"np": "n_points", "update_convention": "convention"}.get(key, key)
+    message = str(library.value)
+    assert message.startswith(f"{name} ")
+    assert str(run.value) == (f"{path}:{list(pairs).index(key) + 1}: {key}"
+                              f"{message[len(name):]}")
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key ", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    defaults = {f.name: str(f.default)
+                for f in dataclasses.fields(ExperimentConfig)}
+    expected = {key: defaults[attr] for key, (attr, _) in cli._KEYS.items()}
+    expected.update(np="required", nobs="np // 5")
+    assert {row[0]: row[-1] for row in rows} == expected
 
 
 def test_memory_preflight_counts_the_local_and_observation_matrices(

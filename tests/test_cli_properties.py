@@ -1,7 +1,9 @@
-"""Property test over the config space: `ddvar run` never raises.
+"""Property tests over the config space.
 
-Whatever a config holds, the CLI exits 0 (converged), 2 (budget spent)
-or 1 with exactly one `error:` line on stderr, never with a traceback.
+Whatever a config holds, `ddvar run` exits 0 (converged), 2 (budget
+spent) or 1 with exactly one `error:` line on stderr, never with a
+traceback; and load_config accepts a config exactly when the library
+calls of its run accept its values.
 """
 
 import contextlib
@@ -15,7 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ddvar.cli import main  # noqa: E402
+from ddvar import DdvarError  # noqa: E402
+from ddvar.cli import load_config, main  # noqa: E402
+
+from conftest import run_library  # noqa: E402
 
 # None leaves a key out so its default applies; plain st.floats() brings
 # nan, inf, negatives and subnormals, and the bounded draws keep about one
@@ -43,14 +48,26 @@ _CONFIGS = st.fixed_dictionaries({
 })
 
 
+def _config(**values):
+    return {"np": 20, "j_sub": 2, "halo": 1, "nobs": None,
+            "length_scale": None, "sigma_b": None, "sigma_o": None,
+            "tol": None, "max_iters": None, "method": "mps",
+            "cov_kind": "gaussian", "update_convention": "v_times_w",
+            **values}
+
+
+def _write(tmp, values):
+    lines = [f"{key} = {value}" for key, value in values.items()
+             if value is not None]
+    lines.append(f"output_dir = {tmp}")
+    path = Path(tmp) / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 # R^{-1} = 1 / sigma_o^2 overflows although sigma_o^2 is a (subnormal)
 # positive number; a random search meets this band only rarely
-_TINY_SIGMA_O = {
-    "np": 20, "j_sub": 2, "halo": 1, "nobs": None, "length_scale": None,
-    "sigma_b": None, "sigma_o": 1e-160, "tol": None, "max_iters": None,
-    "method": "mps", "cov_kind": "gaussian",
-    "update_convention": "v_times_w",
-}
+_TINY_SIGMA_O = _config(sigma_o=1e-160)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -58,11 +75,7 @@ _TINY_SIGMA_O = {
 @example(_TINY_SIGMA_O)
 def test_run_exits_cleanly_on_any_config(values):
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [f"{key} = {value}" for key, value in values.items()
-                 if value is not None]
-        lines.append(f"output_dir = {tmp}")
-        path = Path(tmp) / "run.cfg"
-        path.write_text("\n".join(lines) + "\n")
+        path = _write(tmp, values)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main(["run", str(path)])
@@ -73,3 +86,25 @@ def test_run_exits_cleanly_on_any_config(values):
         assert err_lines[0].startswith("error:")
     else:
         assert err_lines == []
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_CONFIGS)
+@example(_TINY_SIGMA_O)
+@example(_config(sigma_b=1e-150, sigma_o=1e-156))
+@example(_config(length_scale=1e-160))
+@example(_config(sigma_b=1e-160))
+def test_load_config_accepts_what_the_library_accepts(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            load_config(_write(tmp, values))
+            accepted = True
+        except DdvarError:
+            accepted = False
+    try:
+        run_library({key: value for key, value in values.items()
+                     if value is not None})
+        library = True
+    except DdvarError:
+        library = False
+    assert accepted == library

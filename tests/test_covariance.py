@@ -83,10 +83,11 @@ def test_gaussian_rejects_bad_parameters():
     # non-finite values, and values whose square over- or underflows,
     # are named instead of failing later in the symmetry check or as a
     # bare OverflowError
-    for bad in (0.0, np.nan, np.inf, 1e-300, 1e200):
+    # or whose reciprocal square overflows, or that are no number
+    for bad in (0.0, np.nan, np.inf, 1e-300, 1e200, 1e-160, "2"):
         with pytest.raises(InvalidArgument, match="length_scale"):
             build_gaussian_covariance(grid, bad, 1.0)
-    for bad in (-1.0, np.nan, np.inf, 1e-300, 1e200):
+    for bad in (-1.0, np.nan, np.inf, 1e-300, 1e200, 1e-160, "1"):
         with pytest.raises(InvalidArgument, match="sigma_b"):
             build_gaussian_covariance(grid, 2.0, bad)
 

@@ -36,8 +36,13 @@ def test_grid_rejects_bad_inputs():
     for coords in ([np.nan], [0.0, np.inf], [-np.inf, 0.0]):
         with pytest.raises(InvalidArgument, match="coords"):
             Grid1D(len(coords), coords)
-    with pytest.raises(InvalidArgument):
-        Grid1D.uniform(4, spacing=0.0)
+    # the arguments are checked before they are used: no RuntimeWarning
+    # from the product, no bare TypeError from np.arange
+    for spacing in (0.0, np.nan, np.inf, 1e308, "1"):
+        with pytest.raises(InvalidArgument, match="spacing"):
+            Grid1D.uniform(4, spacing=spacing)
+    with pytest.raises(InvalidArgument, match="n_points"):
+        Grid1D.uniform("5")
 
 
 def test_grids_and_decompositions_compare_by_value():
@@ -104,9 +109,9 @@ def test_decomposition_rejections():
     # floor(10/3) = 3 cannot carry halo 2
     for build in (decompose_uniform, Decomposition):
         for j_sub, halo, match in ((0, 1, "j_sub must be >= 1"),
-                                   (11, 0, "need at least 11 points"),
+                                   (11, 0, "j_sub 11 exceeds the grid's"),
                                    (1, -1, "halo must be >= 0"),
-                                   (3, 2, "too small for halo 2")):
+                                   (3, 2, "halo 2 too large")):
             with pytest.raises(InvalidDecomposition, match=match):
                 build(grid, j_sub, halo)
     assert Decomposition(grid, 3, 1).subdomains == \

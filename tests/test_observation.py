@@ -162,7 +162,7 @@ def test_synthesize_rejects_bad_arguments():
         synthesize(grid, cov, -1, 0.1, seed=0)
     with pytest.raises(InvalidArgument, match="seed"):
         synthesize(grid, cov, 4, 0.1, seed=-1)
-    for sigma_o in (-0.1, np.nan, np.inf):
+    for sigma_o in (-0.1, np.nan, np.inf, "0.1"):
         with pytest.raises(InvalidArgument, match="sigma_o"):
             synthesize(grid, cov, 4, sigma_o, seed=0)
     with pytest.raises(DimensionMismatch):
@@ -183,6 +183,11 @@ def test_synthesize_rejects_tiny_sigma_o():
         for sigma_o in (0.0, np.nextafter(floor, 1.0)):
             inst = synthesize(grid, cov, 4, sigma_o, seed=0)
             assert inst.obs.nobs == 4
+    # 1e-156 lies above the floor of sigma_b = 1e-150, but the reciprocal
+    # of its square overflows
+    cov = build_gaussian_covariance(grid, 2.0, 1e-150)
+    with pytest.raises(InvalidArgument, match="sigma_o"):
+        synthesize(grid, cov, 4, 1e-156, seed=0)
 
 
 def test_observation_set_validation():
