@@ -50,7 +50,7 @@ from .covariance import (
     v_solve,
     v_times,
 )
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import InvalidArgument, _vector
 from .geometry import Decomposition
 from .observation import ProblemInstance
 from .solvers import (
@@ -78,6 +78,12 @@ class AssimilationResult:
     to the single-domain analysis u^b + V w*).  That analysis comes from
     the observation-space solve of the module docstring, which is also the
     whole result of the global scheme.
+
+    For a patched analysis (mps, ddda) global_cost is J(V^{-1}(u - u^b)):
+    V^{-1} amplifies every jump where two owned blocks meet, so it weighs
+    the seams more than the fit.  At np=2000, length_scale 8, j_sub=16,
+    halo 4, mps, seed 3 it is 2.65e10 (vs_global_linf 2.475); the global
+    scheme on the same instance gives 211.4.
     """
 
     u_analysis: np.ndarray
@@ -112,11 +118,7 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     v_solve costs O(n bw).  Only u - u^b is checked for finite entries; the
     band was checked once, when its CovarianceModel was built.
     """
-    u = np.asarray(u, dtype=float)
-    n = inst.grid.n_points
-    if u.shape != (n,):
-        raise DimensionMismatch(f"u has shape {u.shape}, expected ({n},)")
-    du = u - inst.u_background
+    du = _vector("u", u, inst.grid.n_points) - inst.u_background
     if not np.isfinite(du).all():
         raise InvalidArgument("u has non-finite entries")
     return v_solve(inst.cov, du)

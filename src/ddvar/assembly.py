@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     MissingNeighbor,
+    _vector,
 )
 from .geometry import Decomposition
 from .observation import ProblemInstance
@@ -262,10 +263,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
 
 def cost_w(inst: ProblemInstance, w: np.ndarray) -> float:
     """Evaluate J(w) = 1/2 w^T w + 1/2 (H V w - d)^T R^{-1} (H V w - d)."""
-    w = np.asarray(w, dtype=float)
-    n = inst.grid.n_points
-    if w.shape != (n,):
-        raise DimensionMismatch(f"w has shape {w.shape}, expected ({n},)")
+    w = _vector("w", w, inst.grid.n_points)
     misfit = inst.h_rows @ w - inst.innovation
     r_inv = 1.0 / inst.obs.r_cov.r_diag
     return 0.5 * float(w @ w) + 0.5 * float(misfit @ (r_inv * misfit))
@@ -283,11 +281,7 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     by the same products in the same order, so the two agree to the bit.
     """
     _require_scheme([sys], SCHEME_MPS)
-    w_i = np.asarray(w_i, dtype=float)
-    if w_i.shape != (sys.size,):
-        raise DimensionMismatch(
-            f"w has shape {w_i.shape}, expected ({sys.size},)"
-        )
+    w_i = _vector("w", w_i, sys.size)
     ws = {j: np.asarray(w, dtype=float)
           for j, w in (neighbor_ws or {}).items()}
     ws[sys.subdomain] = w_i

@@ -5,10 +5,12 @@ A config is checked by the library's own rules, each reached through the
 private check of the module that takes the value, with a fail that names
 the key at its file and line.  Only what no library call takes is checked
 here: cov_kind, method, the memory estimate, and, before the set-up,
-DDVAR_THREADS and output_dir.  Outputs are a result.json (sorted keys, every float printed as 17
-significant digits in scientific notation) and, for runs that iterate, a
-history.csv; both are byte-identical across repeat runs of the same
-config and across `DDVAR_THREADS`, not across BLAS thread counts.
+output_dir; DDVAR_THREADS is checked then too, by the count rule of
+SolverOptions.threads.  Outputs are a result.json (sorted keys, every
+float printed as 17 significant digits in scientific notation) and, for
+runs that iterate, a history.csv; both are byte-identical across repeat
+runs of the same config and across `DDVAR_THREADS`, not across BLAS
+thread counts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .covariance import (
     factor_check,
     identity_covariance,
 )
-from .errors import DdvarError, InvalidArgument, ParseError, ValidationError
+from .errors import (DdvarError, InvalidArgument, ParseError, ValidationError,
+                     _check_count)
 from .geometry import (Grid1D, _check_decomposition, _check_grid_size,
                        decompose_uniform)
 from .observation import _check_synthesis, synthesize
@@ -253,13 +256,8 @@ def _threads_from_env() -> int:
     try:
         threads = int(text)
     except ValueError:
-        raise InvalidArgument(
-            f"DDVAR_THREADS must be a positive integer, got {text!r}"
-        ) from None
-    if threads < 1:
-        raise InvalidArgument(
-            f"DDVAR_THREADS must be a positive integer, got {threads}"
-        )
+        threads = text  # left to the integer rule to report
+    _check_count("DDVAR_THREADS", threads, InvalidArgument.fail)
     return threads
 
 

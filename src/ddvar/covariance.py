@@ -206,17 +206,19 @@ def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1)[0]
 
 
-def _check_scale(name: str, value, fail, zero: bool = False) -> None:
+def _check_scale(name: str, value, fail, zero: bool = False) -> float:
     # A scale enters squared (sigma_b^2 in B, 1 / length_scale^2 in the
     # kernel, R^{-1} = 1 / sigma_o^2): it must be positive, 0 too if zero,
-    # and its square and the square's reciprocal finite and nonzero.
-    _check_real(name, value, fail)
-    square = float(value) * float(value)
-    if not (zero and value == 0 or value > 0 and 0.0 < square < math.inf
+    # and its square and the square's reciprocal finite and nonzero.  The
+    # float of it is returned.
+    x = _check_real(name, value, fail)
+    square = x * x
+    if not (zero and x == 0.0 or x > 0.0 and 0.0 < square < math.inf
             and 1.0 / square < math.inf):
         fail(name, f"must be {'0 or ' if zero else ''}positive with a "
                    f"finite, nonzero square and reciprocal square, got "
                    f"{value!r}")
+    return x
 
 
 def build_gaussian_covariance(grid: Grid1D, length_scale: float,
@@ -238,8 +240,9 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     costs O(n bw^2); when the length scale spans the grid the band is
     full (bw = n - 1), and the cost is that of a dense factor again.
     """
-    for name, value in (("length_scale", length_scale), ("sigma_b", sigma_b)):
-        _check_scale(name, value, InvalidArgument.fail)
+    length_scale = _check_scale("length_scale", length_scale,
+                                InvalidArgument.fail)
+    sigma_b = _check_scale("sigma_b", sigma_b, InvalidArgument.fail)
     x, scale = grid.coords, 2.0 * length_scale**2
     diagonal = sigma_b**2 + 1e-10 * sigma_b**2  # the kernel plus the jitter
     diagonals = [np.full(x.size, diagonal)]
@@ -253,8 +256,8 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
         b_band=b_band,
         v_band=_band_cholesky(b_band, "gaussian background covariance"),
         kind="gaussian",
-        length_scale=float(length_scale),
-        sigma_b=float(sigma_b),
+        length_scale=length_scale,
+        sigma_b=sigma_b,
     )
 
 

@@ -22,29 +22,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     InvalidArgument,
     InvalidDecomposition,
     NoInterface,
+    _check_count,
     _check_integer,
     _check_real,
+    _vector,
 )
 
 
 def _check_grid_size(n_points, fail) -> None:
-    _check_integer("n_points", n_points, fail)
-    if n_points < 1:
-        fail("n_points", f"must be >= 1, got {n_points}")
+    _check_count("n_points", n_points, fail)
 
 
 def _check_decomposition(n_points, j_sub, halo, fail) -> None:
-    _check_integer("j_sub", j_sub, fail)
-    _check_integer("halo", halo, fail)
-    if j_sub < 1:
-        fail("j_sub", f"must be >= 1, got {j_sub}")
-    if halo < 0:
-        fail("halo", f"must be >= 0, got {halo}")
+    _check_count("j_sub", j_sub, fail)
+    _check_count("halo", halo, fail, least=0)
     if n_points < j_sub:
         fail("j_sub", f"{j_sub} exceeds the grid's {n_points} points")
     if j_sub > 1 and n_points // j_sub < 2 * halo + 1:
@@ -65,11 +60,7 @@ class Grid1D:
 
     def __post_init__(self):
         _check_grid_size(self.n_points, InvalidArgument.fail)
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.size != self.n_points:
-            raise DimensionMismatch(
-                f"coords has shape {coords.shape}, expected ({self.n_points},)"
-            )
+        coords = _vector("coords", self.coords, self.n_points)
         if not np.isfinite(coords).all():
             raise InvalidArgument("coords must be finite")
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
@@ -90,8 +81,7 @@ class Grid1D:
     def uniform(cls, n_points: int, spacing: float = 1.0) -> "Grid1D":
         """Evenly spaced grid at 0, spacing, 2*spacing, ..."""
         _check_grid_size(n_points, InvalidArgument.fail)
-        _check_real("spacing", spacing, InvalidArgument.fail)
-        spacing = float(spacing)
+        spacing = _check_real("spacing", spacing, InvalidArgument.fail)
         if not (spacing > 0.0 and spacing * (n_points - 1) < math.inf):
             raise InvalidArgument("spacing must be positive with a finite "
                                   f"last coordinate, got {spacing!r}")

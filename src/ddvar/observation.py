@@ -12,7 +12,7 @@ import scipy.sparse
 from .covariance import (CovarianceModel, ObsCovariance, _check_scale,
                          _frozen, v_rows_sparse, v_times)
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
-                     _check_integer)
+                     _check_count, _check_integer)
 from .geometry import Grid1D
 
 
@@ -137,18 +137,16 @@ class ProblemInstance:
 
 
 def _check_synthesis(n_points, nobs, sigma_o, seed, sigma_b, fail) -> None:
-    _check_integer("seed", seed, fail)
+    _check_count("seed", seed, fail, least=0)
     _check_integer("nobs", nobs, fail)
-    if seed < 0:
-        fail("seed", f"must be >= 0, got {seed}")
     if not 0 <= nobs <= n_points:
         fail("nobs", f"must lie in 0..{n_points}, got {nobs}")
-    _check_scale("sigma_o", sigma_o, fail, zero=True)
+    x = _check_scale("sigma_o", sigma_o, fail, zero=True)
     # the largest rejected nonzero sigma_o, sigma_b read as 1 when it is
     # None (identity covariance): at or below it (sigma_b / sigma_o)^2 >=
     # 2^52 and the unit term of the normal matrix falls below rounding
     floor = math.ldexp(1.0 if sigma_b is None else sigma_b, -26)
-    if 0.0 < sigma_o <= floor:
+    if 0.0 < x <= floor:
         fail("sigma_o", f"{sigma_o} is too small: it must be 0 or above "
                         f"sigma_b * 2^-26 = {floor}")
 

@@ -46,18 +46,15 @@ from .assembly import (
 )
 from .covariance import (_band_cholesky, _band_solve, _dia_layout,
                          _dia_matrix)
-from .errors import (DimensionMismatch, InvalidArgument, _check_integer,
-                     _check_real)
+from .errors import (DimensionMismatch, InvalidArgument, _check_count,
+                     _check_real, _vector)
 
 
 def _check_options(tol, max_iters, fail, threads=1) -> None:
-    _check_real("tol", tol, fail)
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < _check_real("tol", tol, fail) < math.inf:
         fail("tol", f"must be positive and finite, got {tol!r}")
-    for name, value in (("max_iters", max_iters), ("threads", threads)):
-        _check_integer(name, value, fail)
-        if value < 1:
-            fail(name, f"must be >= 1, got {value!r}")
+    _check_count("max_iters", max_iters, fail)
+    _check_count("threads", threads, fail)
 
 
 @dataclass
@@ -115,16 +112,8 @@ def _vectors(ws, layout, what: str) -> list:
         raise DimensionMismatch(
             f"{len(ws)} {what}s for {len(layout)} subdomains"
         )
-    out = []
-    for (i, size), w in zip(layout, ws):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (size,):
-            raise DimensionMismatch(
-                f"{what} for subdomain {i} has shape {w.shape}, expected "
-                f"({size},)"
-            )
-        out.append(w)
-    return out
+    return [_vector(f"{what} for subdomain {i}", w, size)
+            for (i, size), w in zip(layout, ws)]
 
 
 class _Stack(tuple):
@@ -210,10 +199,7 @@ class _Stack(tuple):
     def gather(self, ws) -> np.ndarray:
         """The iterate as one vector: the listed ones stacked, or as given."""
         if isinstance(ws, np.ndarray) and ws.ndim == 1:
-            if ws.shape != self.c.shape:
-                raise DimensionMismatch(f"stacked iterate has shape "
-                                        f"{ws.shape}, expected {self.c.shape}")
-            return ws.astype(float, copy=False)
+            return _vector("stacked iterate", ws, self.c.size)
         vecs = _vectors(ws, [(sys.subdomain, sys.size) for sys in self],
                         "iterate")
         return np.concatenate([vecs[k] for k in self.order])

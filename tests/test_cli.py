@@ -10,7 +10,9 @@ import pytest
 from ddvar import (
     DdvarError,
     Grid1D,
+    InvalidArgument,
     ParseError,
+    SolverOptions,
     ValidationError,
     build_gaussian_covariance,
     synthesize,
@@ -437,14 +439,18 @@ def test_invalid_thread_count_exits_one(tmp_path, capsys, monkeypatch):
         tmp_path,
         f"np = 20\nj_sub = 2\nhalo = 1\noutput_dir = {out}\n",
     )
-    monkeypatch.setenv("DDVAR_THREADS", "zero")
-    assert main(["run", path]) == 1
-    assert "DDVAR_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("DDVAR_THREADS", "0")
-    assert main(["run", path]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: DDVAR_THREADS")
+    # the text after the name is SolverOptions.threads' own for the value
+    # int() parses, or for the raw text when it parses none
+    for text, parsed in (("zero", "zero"), ("0", 0), ("-1", -1),
+                         ("2.5", "2.5")):
+        monkeypatch.setenv("DDVAR_THREADS", text)
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        with pytest.raises(InvalidArgument) as info:
+            SolverOptions(threads=parsed)
+        assert err[0] == "error: DDVAR_THREADS " + str(info.value)[
+            len("threads "):]
 
 
 @pytest.mark.parametrize("method, blocked", [

@@ -42,3 +42,24 @@ def test_every_public_library_name_is_exported_or_called():
                                 if key != name)):
                 unused.append(f"{name[:-3]}.{node.name}")
     assert not unused, unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name imported into a library module must be read there; __init__
+    # imports to re-export, and __future__ imports bind nothing
+    unused = []
+    for path in sorted(Path(ddvar.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert not unused, unused
