@@ -3,11 +3,11 @@
 A control vector w_i lives in the preconditioned space of its subdomain.
 Its subdomain analysis is u_i = u^b[span(i)] + V[span(i), span(i)] w_i,
 and the full-domain analysis patches the u_i together, each point taken
-from its owner.  A run lifts every subdomain at once: with the blocks
-V[span(i), span(i)] laid end to end as one band (covariance.v_blocks,
-built for each patch and freed with it), the stacked u_i are one band
-product plus u^b at the spans, their patch one gather and the interface
-mismatch one max.
+from its owner.  A run lifts every subdomain at once, on the spans laid
+end to end (Decomposition._stacked): with the blocks V[span(i), span(i)]
+stacked as one band (covariance.v_blocks, built for each patch and freed
+with it), the u_i are one band product plus u^b at the stacked points,
+their patch one gather of owner entries and the interface mismatch one max.
 One scheme run (assemble, solve, patch, cost) serves both entry points:
 assimilate makes one, and equivalence_report makes one of each scheme
 and measures off the two every quantity behind the claim that the
@@ -107,9 +107,9 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
     verbatim; on generic data it is a reported diagnostic, not an error.
     A NaN iterate makes it NaN.
     """
-    ws = _vectors(ws, [(i, dec.size(i)) for i in range(dec.j_sub)],
-                  "iterate")
-    return _Lift(inst, dec).gap(np.concatenate(ws))[1]
+    sizes = np.diff(dec._stacked[1], prepend=0).tolist()
+    ws = _vectors(ws, list(enumerate(sizes)), "iterate")
+    return _gap(inst, dec, np.concatenate(ws))[1]
 
 
 def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
@@ -138,41 +138,24 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     return m.T @ z
 
 
-class _Lift:
-    """The local analyses of every subdomain at once, spans end to end.
+def _patch(inst, dec, w):
+    """The patch u of the stacked control vector w and the stacked u_i.
 
-    index is the grid point of each stacked entry and owned the stacked
-    position of each grid point's owner entry.  A stacked control vector
-    w lifts to the stacked u_i = u^b[span(i)] + V[span(i), span(i)] w_i
-    by one band product with the lower band of blockdiag(V[span(i),
-    span(i)]) in subdomain-id order (covariance.v_blocks), and those patch
-    by one gather: each point takes the value of its owner, the subdomain
-    whose base block dec.owned(i) holds it (restricted additive Schwarz),
-    so the halo values, worst at a subdomain's edge, are dropped.
+    The u_i are one band product with v_blocks, freed on return, and the
+    patch gathers each point from its owner, the subdomain whose base
+    block holds it (restricted additive Schwarz), so the halo values,
+    worst at a subdomain's edge, are dropped.
     """
+    _require_grid(inst, dec)
+    points, _, owners = dec._stacked
+    us = inst.u_background[points] + _band_times(v_blocks(inst.cov, dec), w)
+    return us[owners], us
 
-    def __init__(self, inst, dec):
-        _require_grid(inst, dec)
-        self.cov, self.dec = inst.cov, dec
-        self.index = np.concatenate([dec.indices(i)
-                                     for i in range(dec.j_sub)])
-        self.u_b = inst.u_background[self.index]
-        offsets = np.cumsum([0] + [dec.size(i) for i in range(dec.j_sub)])
-        self.owned = np.concatenate([
-            np.arange(dec.owned(i).start, dec.owned(i).stop)
-            + (offsets[i] - dec.span(i).start) for i in range(dec.j_sub)
-        ])
 
-    def patch(self, w):
-        """The patch u of the stacked w and the stacked analyses; the
-        stacked blocks of V live only inside this call."""
-        us = self.u_b + _band_times(v_blocks(self.cov, self.dec), w)
-        return us[self.owned], us
-
-    def gap(self, w):
-        """The patch u of the stacked w and max_i ||u_i - u[span(i)]||_inf."""
-        u, us = self.patch(w)
-        return u, float(np.max(np.abs(us - u[self.index])))
+def _gap(inst, dec, w):
+    """The patch u of the stacked w and max_i ||u_i - u[span(i)]||_inf."""
+    u, us = _patch(inst, dec, w)
+    return u, float(np.max(np.abs(us - u[dec._stacked[0]])))
 
 
 def _check_convention(convention, fail) -> None:
@@ -185,13 +168,13 @@ def _analysis_cost(inst, u):
     return cost_w(inst, control_equivalent(inst, u))
 
 
-def _run_scheme(inst, dec, scheme, opts, lift):
+def _run_scheme(inst, dec, scheme, opts):
     """(stack, ws, history, u, gap) of one ddda or mps run.
 
     The stacked local systems, the control vectors in subdomain order, the
-    history (empty for ddda) and the patch u through lift with its interface
-    mismatch, both from one lift.gap of the returned iterate, which also
-    takes the cost of u into history.final_cost (the sweep's cost_fn).
+    history (empty for ddda) and the patch u with its interface mismatch,
+    both from one _gap of the returned iterate, which also takes the cost
+    of u into history.final_cost (the sweep's cost_fn).
     """
     stack = _Stack([assemble_local(inst, dec, i, scheme)
                     for i in range(dec.j_sub)])
@@ -199,7 +182,7 @@ def _run_scheme(inst, dec, scheme, opts, lift):
 
     def patch_and_cost(ws):
         # both solvers return views of one stacked vector, already checked
-        patched["u"], patched["gap"] = lift.gap(np.concatenate(ws))
+        patched["u"], patched["gap"] = _gap(inst, dec, np.concatenate(ws))
         return _analysis_cost(inst, patched["u"])
 
     if scheme == SCHEME_DDDA:
@@ -238,8 +221,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         history = IterationHistory(converged=True,
                                    final_cost=_analysis_cost(inst, u))
     else:
-        _, ws, history, u, gap = _run_scheme(inst, dec, method, opts,
-                                             _Lift(inst, dec))
+        _, ws, history, u, gap = _run_scheme(inst, dec, method, opts)
     return AssimilationResult(
         u_analysis=u,
         per_subdomain_w=tuple(ws),
@@ -296,15 +278,14 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     """
     _check_convention(convention, InvalidArgument.fail)
     cost_global = cost_w(inst, _global_w(inst))
-    lift = _Lift(inst, dec)
     dd_stack, ws_dd, dd_history, _, gap_dd = _run_scheme(
-        inst, dec, SCHEME_DDDA, None, lift)
+        inst, dec, SCHEME_DDDA, None)
     # the ddda systems, c and iterate live through the mps run; their
-    # stacked band and the lift's blocks of V do not
+    # stacked band and the patch's blocks of V do not
     dd_systems, dd_c = tuple(dd_stack), dd_stack.c
     del dd_stack
     mps_stack, ws_mps, history, _, _ = _run_scheme(
-        inst, dec, SCHEME_MPS, opts, lift)
+        inst, dec, SCHEME_MPS, opts)
     return EquivalenceReport(
         # both stacks run in subdomain-id order
         c_equal=mps_stack.c.tobytes() == dd_c.tobytes(),

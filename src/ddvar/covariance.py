@@ -322,21 +322,18 @@ def v_times(model: CovarianceModel, w: np.ndarray) -> np.ndarray:
 def v_blocks(model: CovarianceModel, dec: Decomposition) -> np.ndarray:
     """Lower band of blockdiag(V[span(i), span(i)]), the spans end to end.
 
-    The blocks run in subdomain-id order, bw + 1 rows against one column
-    per point of every span, O(bw sum_i s_i).  A block's column is the
-    column of the band of V at the same grid point with the entries past
-    the block's last row zeroed, so that no block reaches into the next;
-    _band_times on this band is every V[span(i), span(i)] w_i at once, each
-    the same floats as _band_times on that block's own band,
+    The blocks run in the order of Decomposition._stacked, bw + 1 rows
+    against one column per point of every span, O(bw sum_i s_i).  A block's
+    column is the column of the band of V at the same grid point with the
+    entries past the block's last row zeroed, so that no block reaches into
+    the next; _band_times on this band is every V[span(i), span(i)] w_i at
+    once, each the same floats as _band_times on that block's own band,
     v_band[:s_i, span(i)].  dec must split the model's grid.
     """
-    starts, stops = np.array(dec.subdomains).T
-    sizes = stops - starts
-    ends = np.cumsum(sizes)
-    # each stacked column's grid point, and the rows of its block from it on
-    cols = np.arange(ends[-1])
-    band = model.v_band[:, cols + np.repeat(starts - (ends - sizes), sizes)]
-    left = np.repeat(ends, sizes) - cols
+    points, ends, _ = dec._stacked
+    band = model.v_band[:, points]
+    # the rows of its block from each stacked column on
+    left = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(ends[-1])
     band[np.arange(band.shape[0])[:, None] >= left] = 0.0
     return band
 
@@ -382,10 +379,10 @@ def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
                        neighbors) -> tuple:
     """(j, p_i, p_j) for each listed neighbor j of subdomain i, in order.
 
-    p_i is V at the rows dec.interface(i, j) and the columns dec.span(i),
-    p_j at the same rows and dec.span(j): each the part, at its span's
-    offset, of the interface's window of h + bw columns ending at its
-    last point, from one _band_rows gather of all the interface rows.
+    p_i is V at the rows dec.interface(i, j) and the columns of span i,
+    p_j at the same rows and span j: each the part, at its span's offset
+    in dec.subdomains, of the interface's window of h + bw columns ending
+    at its last point, from one _band_rows gather of all interface rows.
     The pair defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2:
     its stiffness on subdomain i is p_i^T p_i, its coupling toward j
     p_i^T (p_j w_j).
@@ -400,9 +397,10 @@ def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
     window[:, t, t + e] = vals.reshape(len(neighbors), h, e.size)
     pairs = []
     for n, j in enumerate(neighbors):
-        pair = [np.zeros((h, dec.size(k))) for k in (i, j)]
-        for p, k in zip(pair, (i, j)):
-            off = rows[n, 0] - bw - dec.span(k).start  # < 0: left of the span
+        spans = [dec.subdomains[k] for k in (i, j)]
+        pair = [np.zeros((h, stop - start)) for start, stop in spans]
+        for p, (start, _) in zip(pair, spans):
+            off = rows[n, 0] - bw - start  # < 0: left of the span
             p[:, max(off, 0):off + h + bw] = window[n, :, max(-off, 0):]
         pairs.append((j, *pair))
     return tuple(pairs)

@@ -10,7 +10,8 @@ boundary of i seen from j), and subdomain i less its interfaces is its
 owned range, the base block.
 
 Restriction to a subdomain is the slice span(i), which takes blocks of
-vectors and matrices as views; interfaces are short index arrays.
+vectors and matrices as views; interfaces are short index arrays.  Work
+on all subdomains at once reads one layout, Decomposition._stacked.
 """
 
 from __future__ import annotations
@@ -120,6 +121,23 @@ class Decomposition:
         b, h = self._bounds, self.halo
         return tuple((max(b[i] - h, 0), min(b[i + 1] + h, b[-1]))
                      for i in range(self.j_sub))
+
+    @functools.cached_property
+    def _stacked(self) -> tuple:
+        """(points, ends, owners): the spans end to end in id order.
+
+        The grid point of each stacked entry, where each span's entries
+        end, and each grid point's entry in its owner, the subdomain whose
+        base block holds it.  All three are read-only.
+        """
+        starts, stops = np.array(self.subdomains).T
+        ends = np.cumsum(stops - starts)
+        shift = ends - stops  # a span's stacked entries less their points
+        points = np.arange(ends[-1]) - np.repeat(shift, stops - starts)
+        owners = np.arange(stops[-1]) + np.repeat(shift, np.diff(self._bounds))
+        for a in (points, ends, owners):
+            a.flags.writeable = False
+        return points, ends, owners
 
     def _check_id(self, i: int) -> None:
         _check_integer("subdomain id", i, IndexOutOfRange.fail)

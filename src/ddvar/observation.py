@@ -136,7 +136,7 @@ class ProblemInstance:
         return _frozen(w)
 
 
-def _check_synthesis(n_points, nobs, sigma_o, seed, sigma_b, fail) -> None:
+def _check_synthesis(n_points, nobs, sigma_o, seed, sigma_b, fail) -> float:
     _check_count("seed", seed, fail, least=0)
     _check_integer("nobs", nobs, fail)
     if not 0 <= nobs <= n_points:
@@ -149,6 +149,7 @@ def _check_synthesis(n_points, nobs, sigma_o, seed, sigma_b, fail) -> None:
     if 0.0 < x <= floor:
         fail("sigma_o", f"{sigma_o} is too small: it must be 0 or above "
                         f"sigma_b * 2^-26 = {floor}")
+    return x
 
 
 def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
@@ -164,7 +165,8 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).
     """
     n = grid.n_points
-    _check_synthesis(n, nobs, sigma_o, seed, cov.sigma_b, InvalidArgument.fail)
+    sigma_o = _check_synthesis(n, nobs, sigma_o, seed, cov.sigma_b,
+                               InvalidArgument.fail)
     if cov.n_points != n:
         raise DimensionMismatch(
             f"covariance is {cov.n_points} points, grid is {n}"

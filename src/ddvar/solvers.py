@@ -50,11 +50,13 @@ from .errors import (DimensionMismatch, InvalidArgument, _check_count,
                      _check_real, _vector)
 
 
-def _check_options(tol, max_iters, fail, threads=1) -> None:
-    if not 0.0 < _check_real("tol", tol, fail) < math.inf:
+def _check_options(tol, max_iters, fail, threads=1) -> float:
+    x = _check_real("tol", tol, fail)
+    if not 0.0 < x < math.inf:
         fail("tol", f"must be positive and finite, got {tol!r}")
     _check_count("max_iters", max_iters, fail)
     _check_count("threads", threads, fail)
+    return x
 
 
 @dataclass
@@ -71,8 +73,8 @@ class SolverOptions:
     threads: int = 1
 
     def __post_init__(self):
-        _check_options(self.tol, self.max_iters, InvalidArgument.fail,
-                       self.threads)
+        self.tol = _check_options(self.tol, self.max_iters,
+                                  InvalidArgument.fail, self.threads)
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,9 @@ class _Stack(tuple):
     which a large allocation does not keep in memory.  The array lives as
     long as the stack.  factor() returns a fresh array that its caller
     frees; coupling is the CSR coupling C (see assembly._coupling_rows)
-    and c the concatenated right-hand sides.  A stack passed in is
-    returned unchanged.
+    and c the concatenated right-hand sides; segments, once per stack for
+    every residual, the stacked start and listed position of each
+    nonempty block.  A stack passed in is returned unchanged.
     """
 
     def __new__(cls, locals_):
@@ -147,6 +150,9 @@ class _Stack(tuple):
         stack.order = sorted(range(len(ids)), key=ids.__getitem__)
         stack.systems = [stack[k] for k in stack.order]
         stack.starts = np.cumsum([0] + [sys.size for sys in stack.systems])
+        full = np.diff(stack.starts) > 0
+        stack.segments = (stack.starts[:-1][full],
+                          np.asarray(stack.order)[full])
         layout = {sys.subdomain: (int(start), sys.size)
                   for sys, start in zip(stack.systems, stack.starts)}
         stack.coupling = _coupling_rows(stack.systems, layout)
@@ -301,9 +307,7 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     stack = _Stack(locals_)
     w = stack.gather(ws)
     r = np.abs(stack.operator @ w - stack.coupling @ w - stack.c)
-    # an empty block keeps the norm 0.0
-    starts, full = stack.starts[:-1], np.diff(stack.starts) > 0
-    norms = np.zeros(len(stack))
-    norms[np.asarray(stack.order)[full]] = np.maximum.reduceat(
-        r, starts[full])
+    starts, listed = stack.segments
+    norms = np.zeros(len(stack))  # an empty block keeps the norm 0.0
+    norms[listed] = np.maximum.reduceat(r, starts)
     return norms

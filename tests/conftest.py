@@ -77,7 +77,7 @@ def local_update(inst, dec, i, w_i):
     """Oracle of subdomain i's analysis u^b[span(i)] + V[span(i), span(i)] w_i.
 
     One subdomain at a time on the band of V: the stacked lift of all of
-    them (analysis._Lift) is checked against it.
+    them (analysis._patch) is checked against it.
     """
     span = dec.span(i)
     return inst.u_background[span] + block_times(inst.cov, w_i, span)

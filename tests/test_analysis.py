@@ -49,9 +49,9 @@ def test_local_update_zero_control_returns_background():
         u = local_update(inst, dec, i, np.zeros(idx.size))
         np.testing.assert_array_equal(u, inst.u_background[idx])
     # and so is the stacked lift of zero controls, patched or not
-    lift = analysis._Lift(inst, dec)
-    u, us = lift.patch(np.zeros(lift.index.size))
-    np.testing.assert_array_equal(us, inst.u_background[lift.index])
+    points = dec._stacked[0]
+    u, us = analysis._patch(inst, dec, np.zeros(points.size))
+    np.testing.assert_array_equal(us, inst.u_background[points])
     np.testing.assert_array_equal(u, inst.u_background)
 
 
@@ -234,7 +234,6 @@ def test_stacked_lift_matches_local_update_and_patch(n, j_sub, halo, kind,
     # short tail columns differently, so within 4 ulp of max|u|
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, kind=kind,
                               length_scale=length_scale, seed=2)
-    lift = analysis._Lift(inst, dec)
     rng = np.random.default_rng(n + j_sub + halo)
     for _ in range(5):
         ws = [rng.standard_normal(dec.size(i)) for i in range(j_sub)]
@@ -243,10 +242,10 @@ def test_stacked_lift_matches_local_update_and_patch(n, j_sub, halo, kind,
         gap_ref = max(np.max(np.abs(u_i - u_ref[dec.span(i)]))
                       for i, u_i in enumerate(us_ref))
         bound = 4 * np.spacing(np.max(np.abs(np.concatenate(us_ref))))
-        u, us = lift.patch(np.concatenate(ws))
+        u, us = analysis._patch(inst, dec, np.concatenate(ws))
         assert np.max(np.abs(us - np.concatenate(us_ref))) <= bound
         assert np.max(np.abs(u - u_ref)) <= bound
-        u_gap, gap = lift.gap(np.concatenate(ws))
+        u_gap, gap = analysis._gap(inst, dec, np.concatenate(ws))
         assert np.array_equal(u_gap, u)
         assert abs(gap - gap_ref) <= bound
         assert interface_mismatch(inst, dec, ws) == gap

@@ -263,6 +263,9 @@ def test_gradient_rejects_uncoupled_scheme_and_shapes():
         local_gradient(mps, np.zeros(mps.size + 1), {1: np.zeros(mps.size)})
     with pytest.raises(DimensionMismatch):
         local_gradient(mps, np.zeros(mps.size), {1: np.zeros(2)})
+    with pytest.raises(DimensionMismatch,
+                       match=r"neighbor 1 iterate has shape \(1, 11\)"):
+        local_gradient(mps, np.zeros(mps.size), {1: np.zeros((1, 11))})
 
 
 def test_assemble_local_rejects_unknown_scheme():

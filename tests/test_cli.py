@@ -106,6 +106,24 @@ def test_oversized_halo_is_anchored(tmp_path):
     assert "halo" in str(exc.value)
 
 
+def test_unknown_cov_kind_is_anchored(tmp_path):
+    path = write_config(tmp_path, "np = 10\ncov_kind = matern\n")
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    assert str(exc.value) == (f"{path}:2: cov_kind must be one of "
+                              "('identity', 'gaussian'), got 'matern'")
+
+
+def test_json_writer_refuses_non_finite_values(tmp_path):
+    # the payload is encoded whole before anything is written
+    path = tmp_path / "result.json"
+    for bad in (float("nan"), np.inf, -np.inf):
+        with pytest.raises(InvalidArgument) as exc:
+            cli._write_json(path, {"cost": 1.0, "gap": [0.0, bad]})
+        assert str(exc.value) == "refusing to serialize a non-finite value"
+        assert not path.exists()
+
+
 def test_malformed_line_rejected(tmp_path):
     path = write_config(tmp_path, "np 10\n")
     with pytest.raises(ParseError) as exc:

@@ -18,7 +18,8 @@ from ddvar import (
     factor_check,
     identity_covariance,
 )
-from ddvar.covariance import _band_cholesky, _band_rows, v_times
+from ddvar.covariance import (_band_cholesky, _band_rows, v_rows_sparse,
+                              v_times)
 
 from conftest import block_times, interface_pair
 
@@ -372,6 +373,14 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
                 assert p_i.tobytes() == v[np.ix_(gamma, idx)].tobytes()
                 assert (p_k.tobytes()
                         == v[np.ix_(gamma, dec.indices(k))].tobytes())
+
+
+def test_v_rows_sparse_rejects_rows_outside_the_grid():
+    model = build_gaussian_covariance(Grid1D.uniform(6), 2.0, 1.0)
+    for rows in ([6], [-1], [0, 2, 6]):
+        with pytest.raises(IndexError, match=r"rows must lie in 0\.\.5"):
+            v_rows_sparse(model, rows)
+    assert v_rows_sparse(model, [0, 5]).shape == (2, 6)
 
 
 def test_only_covariance_knows_the_band_layout():

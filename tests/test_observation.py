@@ -153,6 +153,18 @@ def test_observation_indices_and_counts_must_be_integers():
     assert a.obs.values.tobytes() == b.obs.values.tobytes()
 
 
+def test_synthesize_works_in_the_float_of_sigma_o():
+    # a float32 sigma_o is read as its float, so it is not squared in
+    # float32: the noise and the variances are those of the float
+    grid = Grid1D.uniform(50)
+    cov = identity_covariance(grid)
+    a = synthesize(grid, cov, 10, np.float32(0.1), 0)
+    b = synthesize(grid, cov, 10, float(np.float32(0.1)), 0)
+    assert a.obs.values.tobytes() == b.obs.values.tobytes()
+    assert a.obs.r_cov.r_diag.tobytes() == b.obs.r_cov.r_diag.tobytes()
+    assert a.obs.r_cov.r_diag[0] == float(np.float32(0.1))**2
+
+
 def test_synthesize_rejects_bad_arguments():
     grid = Grid1D.uniform(8)
     cov = identity_covariance(grid)

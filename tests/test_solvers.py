@@ -394,6 +394,9 @@ def test_solver_options_validation():
         for flag in (True, False):
             with pytest.raises(InvalidArgument, match=name):
                 SolverOptions(**{name: flag})
+    # tol is kept as the float of the value given
+    tol = SolverOptions(tol=np.float32(1e-3)).tol
+    assert type(tol) is float and tol == float(np.float32(1e-3))
     # a non-number tol fails with a typed error, not from the comparison
     for tol in ("1e-3", None, True, 1e-3 + 0j):
         with pytest.raises(InvalidArgument, match="tol"):
