@@ -8,13 +8,13 @@ end to end (Decomposition._stacked): with the blocks V[span(i), span(i)]
 stacked as one band (covariance.v_blocks, built for each patch and freed
 with it), the u_i are one band product plus u^b at the stacked points,
 their patch one gather of owner entries and the interface mismatch one max.
-One scheme run (assemble, solve, patch, cost) serves both entry points:
-assimilate makes one, and equivalence_report makes one of each scheme
-and measures off the two every quantity behind the claim that the
-coupled and uncoupled schemes produce the same solution: identical
-right-hand sides, the exact penalty structure of the coupled matrices,
-and the interface agreement, read off the local analyses, that turns
-uncoupled solutions into fixed points of the coupled sweep.
+One scheme run (solve, patch, cost) of a stack serves both entry points,
+which drop their local systems once stacked: assimilate makes one, and
+equivalence_report one of each scheme, measuring every quantity behind the
+claim that the two schemes produce the same solution: identical right-hand
+sides and the exact penalty structure of the coupled matrices, read off the
+systems, and the interface agreement, read off the local analyses, that
+makes uncoupled solutions fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against, solved
 before either scheme is assembled, is the minimizer w* of the
@@ -168,16 +168,18 @@ def _analysis_cost(inst, u):
     return cost_w(inst, control_equivalent(inst, u))
 
 
-def _run_scheme(inst, dec, scheme, opts):
-    """(stack, ws, history, u, gap) of one ddda or mps run.
+def _assemble(inst, dec, scheme):
+    return [assemble_local(inst, dec, i, scheme) for i in range(dec.j_sub)]
 
-    The stacked local systems, the control vectors in subdomain order, the
-    history (empty for ddda) and the patch u with its interface mismatch,
-    both from one _gap of the returned iterate, which also takes the cost
-    of u into history.final_cost (the sweep's cost_fn).
+
+def _run_scheme(inst, dec, stack, opts):
+    """(ws, history, u, gap) of one ddda or mps run of a caller's stack.
+
+    The control vectors in subdomain order, the history (empty for ddda)
+    and the patch u with its interface mismatch, both from one _gap of the
+    returned iterate, which also takes the cost of u into
+    history.final_cost (the sweep's cost_fn).
     """
-    stack = _Stack([assemble_local(inst, dec, i, scheme)
-                    for i in range(dec.j_sub)])
     patched = {}
 
     def patch_and_cost(ws):
@@ -185,13 +187,13 @@ def _run_scheme(inst, dec, scheme, opts):
         patched["u"], patched["gap"] = _gap(inst, dec, np.concatenate(ws))
         return _analysis_cost(inst, patched["u"])
 
-    if scheme == SCHEME_DDDA:
+    if stack[0].scheme == SCHEME_DDDA:
         ws = solve_ddda(stack)
         history = IterationHistory(converged=True,
                                    final_cost=patch_and_cost(ws))
     else:
         ws, history = solve_mps(stack, opts, cost_fn=patch_and_cost)
-    return stack, ws, history, patched["u"], patched["gap"]
+    return ws, history, patched["u"], patched["gap"]
 
 
 def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
@@ -221,7 +223,8 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         history = IterationHistory(converged=True,
                                    final_cost=_analysis_cost(inst, u))
     else:
-        _, ws, history, u, gap = _run_scheme(inst, dec, method, opts)
+        ws, history, u, gap = _run_scheme(
+            inst, dec, _Stack(_assemble(inst, dec, method)), opts)
     return AssimilationResult(
         u_analysis=u,
         per_subdomain_w=tuple(ws),
@@ -278,22 +281,20 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     """
     _check_convention(convention, InvalidArgument.fail)
     cost_global = cost_w(inst, _global_w(inst))
-    dd_stack, ws_dd, dd_history, _, gap_dd = _run_scheme(
-        inst, dec, SCHEME_DDDA, None)
-    # the ddda systems, c and iterate live through the mps run; their
-    # stacked band and the patch's blocks of V do not
-    dd_systems, dd_c = tuple(dd_stack), dd_stack.c
-    del dd_stack
-    mps_stack, ws_mps, history, _, _ = _run_scheme(
-        inst, dec, SCHEME_MPS, opts)
+    dd_systems = _assemble(inst, dec, SCHEME_DDDA)
+    ws_dd, dd_history, _, gap_dd = _run_scheme(
+        inst, dec, _Stack(dd_systems), None)
+    pairs = list(zip(_assemble(inst, dec, SCHEME_MPS), dd_systems))
+    c_equal = all(m.c.tobytes() == d.c.tobytes() for m, d in pairs)
+    a_structure_exact = all(
+        np.array_equal(m.a_band, d.a_band + penalty_stiffness(
+            m.penalty_pairs, d.a_band.shape)) for m, d in pairs)
+    mps_stack = _Stack([m for m, _ in pairs])
+    del dd_systems, pairs
+    ws_mps, history, _, _ = _run_scheme(inst, dec, mps_stack, opts)
     return EquivalenceReport(
-        # both stacks run in subdomain-id order
-        c_equal=mps_stack.c.tobytes() == dd_c.tobytes(),
-        a_structure_exact=all(
-            np.array_equal(m.a_band, d.a_band + penalty_stiffness(
-                m.penalty_pairs, d.a_band.shape))
-            for m, d in zip(mps_stack, dd_systems)
-        ),
+        c_equal=c_equal,
+        a_structure_exact=a_structure_exact,
         interface_mismatch=gap_dd,
         ddda_in_mps_residual=float(
             np.max(fixed_point_residual(mps_stack, ws_dd))

@@ -93,12 +93,12 @@ class Grid1D:
 class Decomposition:
     """Overlapping split of a Grid1D, derived from (grid, j_sub, halo).
 
-    The three fields are checked on construction.  Base block i, owned(i),
-    holds floor(n/j_sub) points, one more for the first n mod j_sub
-    blocks, and the blocks tile the grid in order.  Subdomain i, span(i),
-    is its base block plus `halo` points into each adjacent block, and
-    subdomains lists the spans as (start, stop) pairs.  Equality and the
-    hash compare (grid, j_sub, halo).
+    The three fields are checked on construction.  Base block i holds
+    floor(n/j_sub) points, one more for the first n mod j_sub blocks, and
+    the blocks tile the grid in order.  Subdomain i, span(i), is its base
+    block plus `halo` points into each adjacent block, and subdomains
+    lists the spans as (start, stop) pairs.  Equality and the hash
+    compare (grid, j_sub, halo).
     """
 
     grid: Grid1D
@@ -177,11 +177,6 @@ class Decomposition:
         span = self.span(i)
         start = span.stop - self.halo if j > i else span.start
         return np.arange(start, start + self.halo, dtype=np.intp)
-
-    def owned(self, i: int) -> slice:
-        """Base block of subdomain i: its span less the interface points."""
-        self._check_id(i)
-        return slice(self._bounds[i], self._bounds[i + 1])
 
 
 def decompose_uniform(grid: Grid1D, j_sub: int, halo: int) -> Decomposition:

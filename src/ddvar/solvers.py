@@ -3,12 +3,12 @@
 Every system, global or local, arrives as its lower band a_band, k
 sub-diagonals with k at most the bandwidth of V, and is solved on it: one
 banded Cholesky factor (LAPACK dpbtrf) per solve call, O(n k^2).  The
-local bands of a call are laid end to end in subdomain-id order, whatever
-their listing order, each zero-padded to the tallest, as one
-block-diagonal band; its banded factor is the block diagonal of the
-blocks' own factors, so listing order cannot change a result.  Each
-uncoupled system needs one solve, and all of them are one banded solve;
-the coupled scheme iterates
+local bands of a call are laid end to end in subdomain-id order, each
+zero-padded to the tallest, as one block-diagonal band; its banded factor
+is the block diagonal of the blocks' own factors, so listing order cannot
+change a result, and of each system the stack keeps only its id, size and
+scheme.  Each uncoupled system needs one solve, and all of them are one
+banded solve; the coupled scheme iterates
 
     a_i w_i^{n+1} = c_i + sum_j p_i^T (p_j w_j^n)
 
@@ -31,6 +31,7 @@ evaluated once, at the returned iterate.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -118,24 +119,28 @@ def _vectors(ws, layout, what: str) -> list:
             for (i, size), w in zip(layout, ws)]
 
 
+_Entry = collections.namedtuple("_Entry", "subdomain size scheme")
+
+
 class _Stack(tuple):
     """The local systems of one solve call, laid end to end by id.
 
-    The tuple holds the systems in their listed order; the stacked arrays
-    run in subdomain-id order.  Construction rejects a repeated id and a
-    missing or mis-sized neighbor, before anything is factored.  One array
-    holds blockdiag(a_i), allocated zeroed at construction as the DIA data
-    of its 2k + 1 diagonals (covariance._dia_layout), k the sub-diagonals
-    of the tallest a_band: band, the lower band with each a_band copied in
-    and zero-padded, is the reversed view of its lower k + 1 rows, and
-    operator, built on first use, writes the upper k rows from band and
-    wraps the same array; until then those rows stay zero and unwritten,
-    which a large allocation does not keep in memory.  The array lives as
-    long as the stack.  factor() returns a fresh array that its caller
-    frees; coupling is the CSR coupling C (see assembly._coupling_rows)
-    and c the concatenated right-hand sides; segments, once per stack for
-    every residual, the stacked start and listed position of each
-    nonempty block.  A stack passed in is returned unchanged.
+    The tuple holds each system's (subdomain, size, scheme), in listed
+    order, not the system; the stacked arrays run in subdomain-id order.
+    Construction rejects a repeated id and a missing or mis-sized neighbor,
+    before anything is factored.  One array holds blockdiag(a_i), allocated
+    zeroed at construction as the DIA data of its 2k + 1 diagonals
+    (covariance._dia_layout), k the sub-diagonals of the tallest a_band:
+    band, the lower band with each a_band copied in and zero-padded, is the
+    reversed view of its lower k + 1 rows, and operator, built on first use,
+    writes the upper k rows from band and wraps the same array; until then
+    those rows stay zero and unwritten, which a large allocation does not
+    keep in memory.  The array lives as long as the stack.  factor() returns
+    a fresh array that its caller frees; coupling is the CSR coupling C (see
+    assembly._coupling_rows) and c the concatenated right-hand sides;
+    segments, once per stack for every residual, the stacked start and
+    listed position of each nonempty block.  A stack passed in is returned
+    unchanged.
     """
 
     def __new__(cls, locals_):
@@ -143,26 +148,27 @@ class _Stack(tuple):
             return locals_
         if not locals_:
             raise InvalidArgument("need at least one local system")
-        stack = super().__new__(cls, locals_)
-        ids = [sys.subdomain for sys in stack]
+        stack = super().__new__(cls, (_Entry(sys.subdomain, sys.size,
+                                             sys.scheme) for sys in locals_))
+        ids = [entry.subdomain for entry in stack]
         if len(set(ids)) < len(ids):
             raise InvalidArgument(f"a subdomain appears twice in {ids}")
         stack.order = sorted(range(len(ids)), key=ids.__getitem__)
-        stack.systems = [stack[k] for k in stack.order]
-        stack.starts = np.cumsum([0] + [sys.size for sys in stack.systems])
+        systems = [locals_[k] for k in stack.order]
+        stack.starts = np.cumsum([0] + [sys.size for sys in systems])
         full = np.diff(stack.starts) > 0
         stack.segments = (stack.starts[:-1][full],
                           np.asarray(stack.order)[full])
         layout = {sys.subdomain: (int(start), sys.size)
-                  for sys, start in zip(stack.systems, stack.starts)}
-        stack.coupling = _coupling_rows(stack.systems, layout)
+                  for sys, start in zip(systems, stack.starts)}
+        stack.coupling = _coupling_rows(systems, layout)
         stack._data, stack.band = _dia_layout(
-            max(sys.a_band.shape[0] for sys in stack) - 1,
+            max(sys.a_band.shape[0] for sys in systems) - 1,
             int(stack.starts[-1]), symmetric=True)
-        for sys, start in zip(stack.systems, stack.starts):
+        for sys, start in zip(systems, stack.starts):
             stack.band[:sys.a_band.shape[0], start:start + sys.size] = (
                 sys.a_band)
-        stack.c = np.concatenate([sys.c for sys in stack.systems])
+        stack.c = np.concatenate([sys.c for sys in systems])
         return stack
 
     @functools.cached_property
@@ -198,7 +204,7 @@ class _Stack(tuple):
         subdomain."""
         def what(row):
             block = int(np.searchsorted(self.starts, row, side="right")) - 1
-            return f"subdomain {self.systems[block].subdomain} matrix"
+            return f"subdomain {self[self.order[block]].subdomain} matrix"
 
         return _band_cholesky(self.band, what)
 
@@ -206,16 +212,13 @@ class _Stack(tuple):
         """The iterate as one vector: the listed ones stacked, or as given."""
         if isinstance(ws, np.ndarray) and ws.ndim == 1:
             return _vector("stacked iterate", ws, self.c.size)
-        vecs = _vectors(ws, [(sys.subdomain, sys.size) for sys in self],
-                        "iterate")
+        vecs = _vectors(ws, [entry[:2] for entry in self], "iterate")
         return np.concatenate([vecs[k] for k in self.order])
 
     def split(self, w: np.ndarray) -> list:
         """A stacked vector as per-subdomain views, in listed order."""
-        out = [None] * len(self)
-        for n, k in enumerate(self.order):
-            out[k] = w[self.starts[n]:self.starts[n + 1]]
-        return out
+        views = np.split(w, self.starts[1:-1])
+        return [views[n] for n in np.argsort(self.order)]
 
 
 def solve_global(sys: GlobalSystem):

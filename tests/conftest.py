@@ -83,17 +83,27 @@ def local_update(inst, dec, i, w_i):
     return inst.u_background[span] + block_times(inst.cov, w_i, span)
 
 
+def base_blocks(dec):
+    """Oracle of the base blocks of dec, as slices in id order.
+
+    Block i holds floor(n/j_sub) points, one more for the first
+    n mod j_sub blocks, and the blocks tile the grid in order.
+    """
+    base, extra = divmod(dec.grid.n_points, dec.j_sub)
+    bounds = [i * base + min(i, extra) for i in range(dec.j_sub + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def patch(dec, local_us):
     """Oracle of the owner patch of the local states, one per subdomain.
 
-    Each point takes the value of the subdomain whose base block
-    dec.owned(i) holds it; the base blocks tile the grid in order, so the
-    patch is the owned pieces concatenated.
+    Each point takes the value of the subdomain whose base block holds
+    it; the base blocks tile the grid in order, so the patch is the owned
+    pieces concatenated.
     """
     pieces = []
-    for i, u_i in enumerate(local_us):
-        owned, start = dec.owned(i), dec.span(i).start
-        pieces.append(u_i[owned.start - start:owned.stop - start])
+    for owned, span, u_i in zip(base_blocks(dec), dec.subdomains, local_us):
+        pieces.append(u_i[owned.start - span[0]:owned.stop - span[0]])
     return np.concatenate(pieces)
 
 

@@ -594,6 +594,47 @@ def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
     assert rep.c_equal and rep.a_structure_exact
 
 
+def _track_mps_systems(monkeypatch):
+    # weak references to every mps system assemble_local makes, and the
+    # number of them alive each time solve_mps starts
+    systems, alive = [], []
+
+    def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
+        sys = _fn(inst, dec, i, scheme)
+        if scheme == SCHEME_MPS:
+            systems.append(weakref.ref(sys))
+        return sys
+
+    def sweep(*args, _fn=analysis.solve_mps, **kwargs):
+        alive.append(sum(ref() is not None for ref in systems))
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble_local", assemble)
+    monkeypatch.setattr(analysis, "solve_mps", sweep)
+    return systems, alive
+
+
+def test_assimilate_lets_the_local_systems_go_before_the_sweep(monkeypatch):
+    # the run keeps the stack of the mps systems, not the systems
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    systems, alive = _track_mps_systems(monkeypatch)
+    assimilate(inst, dec, SCHEME_MPS)
+    assert len(systems) == 3
+    assert alive == [0]
+
+
+def test_equivalence_report_lets_the_mps_systems_go_before_the_sweep(
+        monkeypatch):
+    # the structure checks are read off the systems before they are
+    # dropped; none of them is alive when the sweep starts
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    systems, alive = _track_mps_systems(monkeypatch)
+    rep = equivalence_report(inst, dec)
+    assert len(systems) == 3
+    assert alive == [0]
+    assert rep.c_equal and rep.a_structure_exact
+
+
 def test_equivalence_report_frees_the_blocks_of_v_before_the_mps_sweep(
         monkeypatch):
     # the ddda run's lift builds the stacked blocks of V and lets them go:

@@ -131,8 +131,7 @@ def test_counts_and_ids_must_be_integers():
     dec = Decomposition(grid, np.int64(2), np.int32(1))
     assert dec.subdomains == ((0, 6), (4, 10))
     for i in (1.0, True, np.float64(0.0)):
-        for read in (dec.span, dec.indices, dec.size, dec.neighbors,
-                     dec.owned):
+        for read in (dec.span, dec.indices, dec.size, dec.neighbors):
             with pytest.raises(IndexOutOfRange, match="subdomain id"):
                 read(i)
         with pytest.raises(IndexOutOfRange, match="subdomain id"):
@@ -154,9 +153,13 @@ def test_union_covers_grid_exactly(n, j, h):
     for i in range(j):
         covered[dec.indices(i)] = True
     assert covered.all()
-    # the owned ranges are the base blocks: they tile the grid in order,
-    # each inside its span and cut by the halo on every side with a neighbor
-    owned = [dec.owned(i) for i in range(j)]
+    # the owned ranges, the points each subdomain owns in the stacked
+    # layout, are the base blocks: they tile the grid in order, each inside
+    # its span and cut by the halo on every side with a neighbor
+    _, ends, owners = dec._stacked
+    owner = np.searchsorted(ends, owners, side="right")
+    owned = [slice(int(p[0]), int(p[-1]) + 1)
+             for p in (np.flatnonzero(owner == i) for i in range(j))]
     assert owned[0].start == 0 and owned[-1].stop == n
     np.testing.assert_array_equal(
         np.concatenate([np.arange(n)[o] for o in owned]), np.arange(n)
@@ -208,8 +211,6 @@ def test_subdomain_restriction_examples():
             dec.size(bad)
         with pytest.raises(IndexOutOfRange):
             dec.neighbors(bad)
-        with pytest.raises(IndexOutOfRange):
-            dec.owned(bad)
         with pytest.raises(IndexOutOfRange):
             dec.interface(0, bad)
         with pytest.raises(IndexOutOfRange):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ddvar import Grid1D, decompose_uniform  # noqa: E402
 
+from conftest import base_blocks  # noqa: E402
+
 
 @st.composite
 def _decompositions(draw):
@@ -46,6 +48,5 @@ def test_stacked_layout_lays_the_spans_end_to_end(case):
     grid = np.arange(n)
     np.testing.assert_array_equal(points[owners], grid)
     owner = np.searchsorted(ends, owners, side="right")
-    start, stop = np.array([(dec.owned(i).start, dec.owned(i).stop)
-                            for i in ids]).T
+    start, stop = np.array([(b.start, b.stop) for b in base_blocks(dec)]).T
     assert np.all((start[owner] <= grid) & (grid < stop[owner]))

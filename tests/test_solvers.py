@@ -240,7 +240,8 @@ def test_kappa_is_read_off_the_band(n, j_sub, halo, kind, length_scale):
     # no band-sized abs is taken
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=4, kind=kind,
                               length_scale=length_scale)
-    stack = _Stack(_locals(inst, dec, SCHEME_MPS))
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    stack = _Stack(locals_)
     tracemalloc.start()
     try:
         stack.kappa
@@ -249,11 +250,28 @@ def test_kappa_is_read_off_the_band(n, j_sub, halo, kind, length_scale):
         tracemalloc.stop()
     if stack.band.shape[0] > 8:
         assert peak < stack.band.nbytes / 2
-    dense = max(float(np.max(np.abs(sys.a).sum(axis=1))) for sys in stack)
+    dense = max(float(np.max(np.abs(sys.a).sum(axis=1))) for sys in locals_)
     assert abs((stack.kappa - 1.0) - dense) <= 2 * np.spacing(dense)
     by_product = 1.0 + float(np.max(abs(stack.operator)
                                     @ np.ones(stack.c.size)))
     assert stack.kappa == by_product
+
+
+def test_the_stack_keeps_no_local_system():
+    # a stack holds its own arrays: once the list it was built from is
+    # dropped, every system is freed, and the stack still solves to the
+    # bits of a solve of the list
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    ws_listed, history_listed = solve_mps(_locals(inst, dec, SCHEME_MPS))
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    refs = [weakref.ref(sys) for sys in locals_]
+    stack = _Stack(locals_)
+    del locals_
+    assert all(ref() is None for ref in refs)
+    ws, history = solve_mps(stack)
+    assert history.records == history_listed.records
+    for w, w_listed in zip(ws, ws_listed):
+        assert w.tobytes() == w_listed.tobytes()
 
 
 @pytest.mark.parametrize("n, j_sub, halo, kind, length_scale, scheme", [
@@ -272,14 +290,15 @@ def test_the_stacked_band_is_the_operator_storage(n, j_sub, halo, kind,
     # nothing.
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=4, kind=kind,
                               length_scale=length_scale)
-    stack = _Stack(_locals(inst, dec, scheme))
+    locals_ = _locals(inst, dec, scheme)
+    stack = _Stack(locals_)
     band = stack.band.copy()
     op = stack.operator
     assert np.shares_memory(stack.band, op.data)
     assert stack.band.tobytes() == band.tobytes()
     np.testing.assert_array_equal(
         op.toarray(),
-        scipy.linalg.block_diag(*(sys.a for sys in stack.systems)))
+        scipy.linalg.block_diag(*(sys.a for sys in locals_)))
     k, size = band.shape[0] - 1, band.shape[1]
     copied = scipy.sparse.dia_array(
         (np.vstack([band[::-1], *(np.roll(band[d], d)
