@@ -233,8 +233,8 @@ def _write_history(path: Path, history, j_sub: int) -> None:
     cols = ["iter", "max_delta"]
     cols += [f"res_sub_{i + 1}" for i in range(j_sub)]
     rows = [",".join(cols)]
-    for rec in history.records:
-        row = [str(rec.iteration), _format_float(rec.max_delta)]
+    for n, rec in enumerate(history.records, 1):
+        row = [str(n), _format_float(rec.max_delta)]
         row += [_format_float(r) for r in rec.residual_norms]
         rows.append(",".join(row))
     path.write_text("\n".join(rows) + "\n")

@@ -4,6 +4,8 @@ The background covariance B is carried together with a lower-triangular
 factor V satisfying B = V V^T, which preconditions the minimization (the
 control variable is w with increment V w).  The observation covariance R
 is restricted to a diagonal, so its inverse is an elementwise division.
+A CovarianceModel holds the bands of B and V and, for the Gaussian B,
+sigma_b, checked where it is stored: nothing else of how B was built.
 
 On strictly increasing coordinates the Gaussian B is banded to working
 precision: every entry further from the diagonal than about 8.6 length
@@ -106,19 +108,19 @@ class CovarianceModel:
     """Background covariance B with factor V, B = V V^T, held as bands.
 
     b_band and v_band are the lower bands of B and V, each of shape
-    (k + 1, n) with 1 <= k + 1 <= n.  kind is "identity" or "gaussian";
-    length_scale and sigma_b are only set for the gaussian kind.
-    Construction checks the shapes and finite entries of both bands and
-    stores them as read-only views; the dense b and v_factor, read only by
-    factor_check and the tests, are formed from them once, on first
-    access, read-only too.  factor_check measures
-    the residual, so a corrupted (but finite) v_band can be constructed.
+    (k + 1, n) with 1 <= k + 1 <= n.  sigma_b, the background standard
+    deviation that sets synthesize's floor on sigma_o, is None for a
+    model with no such scale (the identity).  Construction checks the
+    shapes and finite entries of both bands and stores them as read-only
+    views, and checks a given sigma_b by build_gaussian_covariance's rule
+    and stores its float.  The dense b and v_factor, read only by
+    factor_check and the tests, are formed from the bands once, on first
+    access, read-only too.  factor_check measures the residual, so a
+    corrupted (but finite) v_band can be constructed.
     """
 
     b_band: np.ndarray
     v_band: np.ndarray
-    kind: str
-    length_scale: float | None = None
     sigma_b: float | None = None
 
     def __post_init__(self):
@@ -134,6 +136,9 @@ class CovarianceModel:
             view = a.view()
             view.flags.writeable = False
             object.__setattr__(self, field, view)
+        if self.sigma_b is not None:
+            object.__setattr__(self, "sigma_b", _check_scale(
+                "sigma_b", self.sigma_b, InvalidArgument.fail))
 
     @property
     def n_points(self) -> int:
@@ -255,8 +260,6 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     return CovarianceModel(
         b_band=b_band,
         v_band=_band_cholesky(b_band, "gaussian background covariance"),
-        kind="gaussian",
-        length_scale=length_scale,
         sigma_b=sigma_b,
     )
 
@@ -264,7 +267,7 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
 def identity_covariance(grid: Grid1D) -> CovarianceModel:
     """B = I with factor V = I: bands of one unit diagonal."""
     ones = np.ones((1, grid.n_points))
-    return CovarianceModel(b_band=ones, v_band=ones, kind="identity")
+    return CovarianceModel(b_band=ones, v_band=ones)
 
 
 def factor_check(model: CovarianceModel) -> float:

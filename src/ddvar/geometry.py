@@ -174,8 +174,8 @@ class Decomposition:
         self._check_id(j)
         if j not in neighbors:
             raise NoInterface(f"subdomains {i} and {j} share no interface")
-        span = self.span(i)
-        start = span.stop - self.halo if j > i else span.start
+        start, stop = self.subdomains[i]
+        start = stop - self.halo if j > i else start
         return np.arange(start, start + self.halo, dtype=np.intp)
 
 

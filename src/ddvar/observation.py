@@ -86,7 +86,6 @@ class ProblemInstance:
     obs: ObservationSet
     u_background: np.ndarray
     u_truth: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -189,5 +188,4 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
         obs=obs,
         u_background=u_background,
         u_truth=u_truth,
-        seed=seed,
     )

@@ -80,7 +80,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
+    """One sweep iteration; its number is its 1-based position in
+    IterationHistory.records."""
+
     max_delta: float
     residual_norms: tuple
 
@@ -89,9 +91,10 @@ class IterationRecord:
 class IterationHistory:
     """Per-iteration trace of the fixed-point sweep.
 
-    final_cost is the cost of the returned iterate: set on every history
-    that assimilate and equivalence_report return, NaN from a solve_mps
-    given no cost_fn.
+    records holds one IterationRecord per iteration in order, so
+    records[k - 1] is iteration k.  final_cost is the cost of the
+    returned iterate: set on every history that assimilate and
+    equivalence_report return, NaN from a solve_mps given no cost_fn.
     """
 
     records: list = field(default_factory=list)
@@ -101,11 +104,6 @@ class IterationHistory:
     @property
     def iterations(self) -> int:
         return len(self.records)
-
-    def append(self, record: IterationRecord) -> None:
-        if self.records and record.iteration <= self.records[-1].iteration:
-            raise InvalidArgument("iteration records must be appended in order")
-        self.records.append(record)
 
 
 def _vectors(ws, layout, what: str) -> list:
@@ -264,17 +262,12 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
 
     w = np.zeros(stack.c.size)
     history = IterationHistory()
-    for n in range(1, opts.max_iters + 1):
+    for _ in range(opts.max_iters):
         new = _band_solve(factor, stack.c + stack.coupling @ w)
         max_delta = float(np.max(np.abs(new - w), initial=0.0))
         residuals = fixed_point_residual(stack, new)
-        history.append(
-            IterationRecord(
-                iteration=n,
-                max_delta=max_delta,
-                residual_norms=tuple(residuals.tolist()),
-            )
-        )
+        history.records.append(
+            IterationRecord(max_delta, tuple(residuals.tolist())))
         w = new
         if (max_delta <= opts.tol
                 or float(np.max(residuals)) <= opts.tol * kappa):

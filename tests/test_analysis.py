@@ -267,8 +267,8 @@ def test_report_measures_the_runs_assimilate_makes(length_scale):
         return np.array(x, dtype=float).tobytes()
 
     def rows(history):
-        return [bits(r.iteration, r.max_delta, *r.residual_norms)
-                for r in history.records]
+        return [bits(n, r.max_delta, *r.residual_norms)
+                for n, r in enumerate(history.records, 1)]
 
     assert (bits(report.interface_mismatch, report.cost_ddda)
             == bits(*(ddda.diagnostics[k]
@@ -382,8 +382,7 @@ def test_control_equivalent_rejects_singular_factor():
     grid = Grid1D.uniform(10)
     band = np.ones((2, 10))
     band[0, 3] = 0.0
-    cov = CovarianceModel(b_band=np.ones((1, 10)), v_band=band,
-                          kind="identity")
+    cov = CovarianceModel(b_band=np.ones((1, 10)), v_band=band)
     obs = point_observations(grid, [2], [1.0], [1.0])
     inst = ProblemInstance(grid, cov, obs, np.zeros(10))
     with pytest.raises(np.linalg.LinAlgError,

@@ -160,6 +160,9 @@ def test_compare_run_writes_outputs(tmp_path, capsys):
     first = history[1].split(",")
     assert first[0] == "1"
     assert FLOAT_RE.fullmatch(first[1])
+    # every row is numbered by its place: the iter column reads 1..n
+    assert ([row.split(",")[0] for row in history[1:]]
+            == [str(n) for n in range(1, len(history))])
 
 
 def test_global_run_without_observations_returns_background(tmp_path):

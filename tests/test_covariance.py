@@ -58,7 +58,6 @@ def test_identity_model():
     model = identity_covariance(Grid1D.uniform(7))
     np.testing.assert_array_equal(model.b, np.eye(7))
     np.testing.assert_array_equal(model.v_factor, np.eye(7))
-    assert model.kind == "identity"
     assert factor_check(model) == 0.0
 
 
@@ -74,8 +73,7 @@ def test_factor_check_detects_corruption():
     model = build_gaussian_covariance(grid, 2.0, 1.0)
     v_bad = model.v_band.copy()
     v_bad[3, 2] += 1e-3  # V[5, 2]
-    corrupted = CovarianceModel(b_band=model.b_band, v_band=v_bad,
-                                kind="gaussian")
+    corrupted = CovarianceModel(b_band=model.b_band, v_band=v_bad)
     assert factor_check(corrupted) > 1e-6
 
 
@@ -91,6 +89,26 @@ def test_gaussian_rejects_bad_parameters():
     for bad in (-1.0, np.nan, np.inf, 1e-300, 1e200, 1e-160, "1"):
         with pytest.raises(InvalidArgument, match="sigma_b"):
             build_gaussian_covariance(grid, 2.0, bad)
+
+
+@pytest.mark.parametrize("bad", ["x", -1.0, np.nan, 0.0, 1e-160])
+def test_model_checks_sigma_b_as_the_builder_does(bad):
+    # sigma_b sets synthesize's floor on sigma_o, so a hand-built model
+    # is held to the builder's rule and fails with its message
+    grid = Grid1D.uniform(4)
+    with pytest.raises(InvalidArgument) as built:
+        build_gaussian_covariance(grid, 2.0, bad)
+    ones = np.ones((1, 4))
+    with pytest.raises(InvalidArgument) as stored:
+        CovarianceModel(b_band=ones, v_band=ones, sigma_b=bad)
+    assert str(stored.value) == str(built.value)
+
+
+def test_model_stores_sigma_b_as_a_float():
+    ones = np.ones((1, 4))
+    model = CovarianceModel(b_band=ones, v_band=ones, sigma_b=np.float32(0.5))
+    assert type(model.sigma_b) is float and model.sigma_b == 0.5
+    assert CovarianceModel(b_band=ones, v_band=ones).sigma_b is None
 
 
 def test_sigma_b_scales_the_kernel():
@@ -194,8 +212,7 @@ def test_model_rejects_non_finite_entries(name, bad):
     arrays = {"b": model.b_band.copy(), "v_factor": model.v_band.copy()}
     arrays[name][0, 2] = bad
     with pytest.raises(InvalidArgument, match=name):
-        CovarianceModel(b_band=arrays["b"], v_band=arrays["v_factor"],
-                        kind="gaussian")
+        CovarianceModel(b_band=arrays["b"], v_band=arrays["v_factor"])
 
 
 def test_model_arrays_are_read_only():
@@ -207,7 +224,7 @@ def test_model_arrays_are_read_only():
                 a[0, 0] = 5.0
     # the caller's arrays stay writable; the model holds read-only views
     band = np.ones((1, 3))
-    model = CovarianceModel(b_band=band, v_band=band, kind="identity")
+    model = CovarianceModel(b_band=band, v_band=band)
     band[0, 1] = 2.0
     assert not model.b_band.flags.writeable and band.flags.writeable
 
@@ -318,11 +335,11 @@ def test_model_rejects_bad_band_shapes():
     for bad in (np.ones(4), np.ones((5, 4)), np.ones((0, 4)),
                 np.ones((1, 1, 4))):
         with pytest.raises(DimensionMismatch, match="b band"):
-            CovarianceModel(b_band=bad, v_band=ones, kind="identity")
+            CovarianceModel(b_band=bad, v_band=ones)
         with pytest.raises(DimensionMismatch, match="v_factor band"):
-            CovarianceModel(b_band=ones, v_band=bad, kind="identity")
+            CovarianceModel(b_band=ones, v_band=bad)
     with pytest.raises(DimensionMismatch, match="v_factor band"):
-        CovarianceModel(b_band=ones, v_band=np.ones((1, 5)), kind="identity")
+        CovarianceModel(b_band=ones, v_band=np.ones((1, 5)))
 
 
 @pytest.mark.parametrize("grid, length_scale", [

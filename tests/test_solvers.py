@@ -14,8 +14,6 @@ from ddvar import (
     GlobalSystem,
     Grid1D,
     InvalidArgument,
-    IterationHistory,
-    IterationRecord,
     LocalSystem,
     MissingNeighbor,
     ProblemInstance,
@@ -452,15 +450,6 @@ def test_mps_rejects_a_repeated_subdomain_before_factorizing():
     broken = dataclasses.replace(sys, a_band=nan_diagonal)
     with pytest.raises(InvalidArgument, match="appears twice"):
         solve_mps([sys, broken])
-
-
-def test_history_appends_in_order_only():
-    history = IterationHistory()
-    history.append(IterationRecord(1, 0.5, (0.1,)))
-    history.append(IterationRecord(2, 0.25, (0.05,)))
-    assert history.iterations == 2
-    with pytest.raises(InvalidArgument):
-        history.append(IterationRecord(2, 0.1, (0.01,)))
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_DDDA, SCHEME_MPS])
