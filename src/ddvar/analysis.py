@@ -50,7 +50,7 @@ from .covariance import (
     v_solve,
     v_times,
 )
-from .errors import InvalidArgument, _vector
+from .errors import InvalidArgument, _check_finite, _vector
 from .geometry import Decomposition
 from .observation import ProblemInstance
 from .solvers import (
@@ -119,9 +119,7 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     band was checked once, when its CovarianceModel was built.
     """
     du = _vector("u", u, inst.grid.n_points) - inst.u_background
-    if not np.isfinite(du).all():
-        raise InvalidArgument("u has non-finite entries")
-    return v_solve(inst.cov, du)
+    return v_solve(inst.cov, _check_finite("u - u^b", du))
 
 
 def _global_w(inst: ProblemInstance) -> np.ndarray:

@@ -42,8 +42,11 @@ from .covariance import (_band_matrix, _band_of, _frozen, _interface_factors,
                          v_normal)
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidArgument,
     MissingNeighbor,
+    _check_count,
+    _real_array,
     _vector,
 )
 from .geometry import Decomposition
@@ -58,8 +61,7 @@ class _Banded:
     # A system a w = c stored as the lower band a_band of a.
 
     def __post_init__(self):
-        band = np.asarray(self.a_band, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        band, c = _real_array("a_band", self.a_band), _real_array("c", self.c)
         if band.ndim != 2 or band.shape[0] < 1 or band.shape[1:] != c.shape:
             raise DimensionMismatch(
                 f"a_band has shape {band.shape}, expected (k + 1, n) for c "
@@ -96,6 +98,7 @@ class LocalSystem(_Banded):
     penalty stiffness sum_j p_i^T p_i inside a and the coupling
     sum_j p_i^T (p_j w_j) toward the neighbor iterates.  Construction
     stores them as float arrays: each p_i (rows, size), its p_j (rows, any).
+    The subdomain and every neighbor id j must be integers >= 0.
     """
 
     subdomain: int
@@ -106,10 +109,16 @@ class LocalSystem(_Banded):
 
     def __post_init__(self):
         _check_scheme(self.scheme)
+        _check_count("subdomain", self.subdomain, IndexOutOfRange.fail,
+                     least=0)
         super().__post_init__()
-        pairs = tuple((j, *(np.asarray(p, dtype=float) for p in (p_i, p_j)))
-                      for j, p_i, p_j in self.penalty_pairs)
-        for j, p_i, p_j in pairs:
+        pairs = []
+        for j, p_i, p_j in self.penalty_pairs:
+            _check_count("penalty_pairs neighbor id", j, IndexOutOfRange.fail,
+                         least=0)
+            p_i = _real_array(f"penalty_pairs p_i of neighbor {j}", p_i)
+            p_j = _real_array(f"penalty_pairs p_j of neighbor {j}", p_j)
+            pairs.append((j, p_i, p_j))
             rows = p_i.shape[:1]
             if (p_i.shape != (*rows, self.size)
                     or p_j.ndim != 2 or p_j.shape[:1] != rows):
@@ -117,7 +126,7 @@ class LocalSystem(_Banded):
                     f"subdomain {self.subdomain}, neighbor {j}: p_i, p_j of "
                     f"shapes {p_i.shape}, {p_j.shape}, expected "
                     f"(rows, {self.size}), (rows, any)")
-        object.__setattr__(self, "penalty_pairs", pairs)
+        object.__setattr__(self, "penalty_pairs", tuple(pairs))
 
     @property
     def size(self) -> int:
@@ -281,17 +290,11 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     by the same products in the same order, so the two agree to the bit.
     """
     _require_scheme([sys], SCHEME_MPS)
-    w_i = _vector("w", w_i, sys.size)
-    ws = {j: np.asarray(w, dtype=float)
-          for j, w in (neighbor_ws or {}).items()}
-    ws[sys.subdomain] = w_i
-    ids = sorted({sys.subdomain, *(j for j, _, _ in sys.penalty_pairs)}
-                 & ws.keys())
-    for j in ids:
-        if ws[j].ndim != 1:
-            raise DimensionMismatch(
-                f"neighbor {j} iterate has shape {ws[j].shape}"
-            )
+    # a neighbor absent from neighbor_ws fails in _coupling_rows
+    ws = {j: _vector(f"neighbor {j} iterate", neighbor_ws[j], p_j.shape[1])
+          for j, _, p_j in sys.penalty_pairs if j in (neighbor_ws or {})}
+    w_i = ws[sys.subdomain] = _vector("w", w_i, sys.size)
+    ids = sorted(ws)
     starts = np.cumsum([0] + [ws[j].size for j in ids])
     layout = {j: (int(starts[n]), ws[j].size) for n, j in enumerate(ids)}
     w = np.concatenate([ws[j] for j in ids])

@@ -44,7 +44,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import (DimensionMismatch, FactorizationFailure, InvalidArgument,
-                     _check_real)
+                     _check_finite, _check_real, _indices, _real_array,
+                     _vector)
 from .geometry import Decomposition, Grid1D
 
 
@@ -124,18 +125,16 @@ class CovarianceModel:
     sigma_b: float | None = None
 
     def __post_init__(self):
-        n = np.shape(self.b_band)[-1:]
-        for field, name in (("b_band", "b"), ("v_band", "v_factor")):
-            a = np.asarray(getattr(self, field), dtype=float)
+        n = ()
+        for field, name in (("b_band", "b band"), ("v_band", "v_factor band")):
+            a = _real_array(name, getattr(self, field))
+            n = n or a.shape[-1:]
             if a.ndim != 2 or a.shape[1:] != n or not 1 <= a.shape[0] <= n[0]:
                 raise DimensionMismatch(
-                    f"{name} band has shape {a.shape}, expected (k + 1, n) "
+                    f"{name} has shape {a.shape}, expected (k + 1, n) "
                     "with 1 <= k + 1 <= n, n the same for both bands")
-            if not np.isfinite(a).all():
-                raise InvalidArgument(f"{name} has non-finite entries")
-            view = a.view()
-            view.flags.writeable = False
-            object.__setattr__(self, field, view)
+            _check_finite(name, a)
+            object.__setattr__(self, field, _frozen(a.view()))
         if self.sigma_b is not None:
             object.__setattr__(self, "sigma_b", _check_scale(
                 "sigma_b", self.sigma_b, InvalidArgument.fail))
@@ -170,18 +169,10 @@ class ObsCovariance:
     r_diag: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r_diag, dtype=float).reshape(-1)
-        bad = np.flatnonzero(~np.isfinite(r))
-        if bad.size:
-            raise InvalidArgument(f"observation variance {r[bad[0]]} at "
-                                  f"position {bad[0]} is not finite")
+        r = _check_finite("r_diag", _vector("r_diag", self.r_diag), "variance")
         if r.size and not np.all(r > 0.0):
             raise InvalidArgument("observation variances must be positive")
         object.__setattr__(self, "r_diag", r)
-
-    @property
-    def nobs(self) -> int:
-        return int(self.r_diag.size)
 
 
 def _band_cholesky(band: np.ndarray, what) -> np.ndarray:
@@ -293,16 +284,13 @@ def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
     Row r keeps the nonzero entries of its band, columns ascending and no
     stored zeros: at most bw + 1 entries per row.
     """
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    n = model.n_points
-    if rows.size and not 0 <= rows.min() <= rows.max() < n:
-        raise IndexError(f"rows must lie in 0..{n - 1}")
+    rows = _indices("rows", rows, model.n_points)
     cols, vals = _band_rows(model, rows)
     keep = vals != 0.0
     return scipy.sparse.csr_array(
         (vals[keep], cols[keep],
          np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-        shape=(rows.size, n))
+        shape=(rows.size, model.n_points))
 
 
 def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -370,11 +358,11 @@ def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,
 
 
 def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
-    """V^{-1} x by LAPACK dtbtrs, O(n bw); LinAlgError on a zero diagonal."""
+    """V^{-1} x by LAPACK dtbtrs, O(n bw), unless V has a zero diagonal."""
     w, info = scipy.linalg.lapack.dtbtrs(model.v_band, x, uplo="L")
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix: resolution failed "
-                                    f"at diagonal {info - 1}")
+        raise FactorizationFailure(f"v_factor is singular: its diagonal "
+                                   f"{info - 1} is zero")
     return w
 
 

@@ -6,8 +6,10 @@ value breaks through fail(name, message), name the parameter's: a
 library entry point passes its own error's fail, the command line one
 that raises ValidationError at the config key's file and line.  Rules
 that many parameters share are stated here: _check_count (an integer >=
-least), _check_real (a real that fits in a float) and _vector (a float
-vector of a given length).
+least), _check_real (a real that fits in a float) and, for arrays,
+_real_array (a float array: text, objects, complex, bool or ragged input
+is InvalidArgument), _vector (of a given length), _check_finite (naming
+the first NaN or infinity) and _indices (integers in 0..n - 1).
 """
 
 import numbers
@@ -29,7 +31,7 @@ class InvalidDecomposition(DdvarError):
 
 
 class IndexOutOfRange(DdvarError):
-    """Subdomain id outside [0, j_sub), or an index that is no integer."""
+    """An id or a grid index that is no integer or lies out of range."""
 
 
 class NoInterface(DdvarError):
@@ -87,10 +89,53 @@ def _check_real(name: str, value, fail) -> float:
         fail(name, "must fit in a float, got a value beyond its range")
 
 
-def _vector(name: str, value, size: int) -> np.ndarray:
-    """value as a float array of shape (size,), else DimensionMismatch."""
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (size,):
-        raise DimensionMismatch(
-            f"{name} has shape {vec.shape}, expected ({size},)")
+def _array(value) -> np.ndarray:
+    # value as an array; a ragged nesting, which numpy refuses, as an object
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.array(None)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, a float64 one as given; InvalidArgument
+    unless it holds real numbers: not text, objects, complex or bool."""
+    a = _array(value)
+    if a.dtype.kind not in "iuf":
+        raise InvalidArgument(
+            f"{name} must be real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _vector(name: str, value, size: int | None = None) -> np.ndarray:
+    """_real_array of shape (size,), any length if size is None, else
+    DimensionMismatch."""
+    vec = _real_array(name, value)
+    if vec.ndim != 1 or size is not None and vec.size != size:
+        raise DimensionMismatch(f"{name} has shape {vec.shape}, expected "
+                                f"({'n' if size is None else size},)")
     return vec
+
+
+def _check_finite(name: str, a: np.ndarray, entry: str = "value"):
+    """a; InvalidArgument, naming the first entry that is not finite and its
+    position, unless all are."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        raise InvalidArgument(
+            f"{name} has a non-finite entry: {entry} {a[at]} at position "
+            f"{at[0] if len(at) == 1 else at} is not finite")
+    return a
+
+
+def _indices(name: str, value, n: int | None = None) -> np.ndarray:
+    """value as a flat intp array, else IndexOutOfRange: integers (an empty
+    list, float64 to numpy, passes), in 0..n - 1 if n is given."""
+    idx = _array(value).reshape(-1)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexOutOfRange(
+            f"{name} must be integers, got dtype {idx.dtype}")
+    if n is not None and idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise IndexOutOfRange(f"{name} must lie in 0..{n - 1}")
+    return idx.astype(np.intp, copy=False)

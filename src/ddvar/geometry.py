@@ -28,6 +28,7 @@ from .errors import (
     InvalidDecomposition,
     NoInterface,
     _check_count,
+    _check_finite,
     _check_integer,
     _check_real,
     _vector,
@@ -62,8 +63,7 @@ class Grid1D:
     def __post_init__(self):
         _check_grid_size(self.n_points, InvalidArgument.fail)
         coords = _vector("coords", self.coords, self.n_points)
-        if not np.isfinite(coords).all():
-            raise InvalidArgument("coords must be finite")
+        _check_finite("coords", coords)
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
             raise InvalidArgument("coords must be strictly increasing")
         object.__setattr__(self, "coords", coords)

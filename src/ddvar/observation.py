@@ -11,8 +11,8 @@ import scipy.sparse
 
 from .covariance import (CovarianceModel, ObsCovariance, _check_scale,
                          _frozen, v_rows_sparse, v_times)
-from .errors import (DimensionMismatch, IndexOutOfRange, InvalidArgument,
-                     _check_count, _check_integer)
+from .errors import (DimensionMismatch, InvalidArgument, _check_count,
+                     _check_finite, _check_integer, _indices, _vector)
 from .geometry import Grid1D
 
 
@@ -30,20 +30,12 @@ class ObservationSet:
     r_cov: ObsCovariance
 
     def __post_init__(self):
-        idx = _grid_indices(self.obs_indices)
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
+        idx = _indices("obs_indices", self.obs_indices)
         if idx.size > 1 and not np.all(np.diff(idx) > 0):
             raise InvalidArgument("obs_indices must be strictly increasing")
-        if vals.size != idx.size:
-            raise DimensionMismatch(
-                f"{idx.size} observation points but {vals.size} values"
-            )
-        if not np.isfinite(vals).all():
-            raise InvalidArgument("values has non-finite entries")
-        if self.r_cov.nobs != idx.size:
-            raise DimensionMismatch(
-                f"{idx.size} observation points but {self.r_cov.nobs} variances"
-            )
+        vals = _check_finite("values",
+                             _vector("values", self.values, idx.size))
+        _vector("r_diag", self.r_cov.r_diag, idx.size)
         object.__setattr__(self, "obs_indices", idx)
         object.__setattr__(self, "values", vals)
 
@@ -52,26 +44,11 @@ class ObservationSet:
         return int(self.obs_indices.size)
 
 
-def _grid_indices(obs_indices) -> np.ndarray:
-    # the indices as a flat intp array: integers only (np.integer excludes
-    # bool), but an empty list, which numpy reads as float64, passes
-    idx = np.asarray(obs_indices).reshape(-1)
-    if idx.size and not np.issubdtype(idx.dtype, np.integer):
-        raise IndexOutOfRange(f"observation indices must be integers, got "
-                              f"{idx.dtype} {idx[:3].tolist()}")
-    return idx.astype(np.intp, copy=False)
-
-
 def point_observations(grid: Grid1D, obs_indices, values,
                        r_diag) -> ObservationSet:
     """Build an ObservationSet for given points, values, and variances."""
-    idx = _grid_indices(obs_indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= grid.n_points):
-        raise IndexOutOfRange(
-            f"observation indices must lie in 0..{grid.n_points - 1}"
-        )
     return ObservationSet(
-        obs_indices=idx,
+        obs_indices=_indices("obs_indices", obs_indices, grid.n_points),
         values=values,
         r_cov=ObsCovariance(r_diag),
     )
@@ -94,21 +71,10 @@ class ProblemInstance:
                 f"covariance is {self.cov.n_points} points, grid is {n}"
             )
         for name in ("u_background", "u_truth"):
-            if name == "u_truth" and self.u_truth is None:
-                continue
-            u = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if u.size != n:
-                raise DimensionMismatch(
-                    f"{name} has {u.size} entries, grid has {n}")
-            if not np.isfinite(u).all():
-                raise InvalidArgument(f"{name} has non-finite entries")
-            object.__setattr__(self, name, u)
-        idx = self.obs.obs_indices
-        if idx.size and (idx[0] < 0 or idx[-1] >= n):
-            raise DimensionMismatch(
-                f"observation indices {idx[0]}..{idx[-1]} do not fit a grid "
-                f"of {n} points"
-            )
+            if name == "u_background" or self.u_truth is not None:
+                u = _check_finite(name, _vector(name, getattr(self, name), n))
+                object.__setattr__(self, name, u)
+        _indices("obs_indices", self.obs.obs_indices, n)
 
     @functools.cached_property
     def h_rows(self) -> scipy.sparse.csr_array:

@@ -10,6 +10,7 @@ from ddvar import (
     DimensionMismatch,
     FactorizationFailure,
     Grid1D,
+    IndexOutOfRange,
     InvalidArgument,
     NoInterface,
     ObsCovariance,
@@ -395,7 +396,8 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
 def test_v_rows_sparse_rejects_rows_outside_the_grid():
     model = build_gaussian_covariance(Grid1D.uniform(6), 2.0, 1.0)
     for rows in ([6], [-1], [0, 2, 6]):
-        with pytest.raises(IndexError, match=r"rows must lie in 0\.\.5"):
+        with pytest.raises(IndexOutOfRange,
+                           match=r"rows must lie in 0\.\.5"):
             v_rows_sparse(model, rows)
     assert v_rows_sparse(model, [0, 5]).shape == (2, 6)
 

@@ -4,15 +4,30 @@ import numpy as np
 import pytest
 
 from ddvar import (
+    SCHEME_MPS,
+    CovarianceModel,
+    DdvarError,
     Decomposition,
     Grid1D,
     InvalidArgument,
     InvalidDecomposition,
+    LocalSystem,
+    ObsCovariance,
+    ObservationSet,
+    ProblemInstance,
     SolverOptions,
+    assemble_local,
     build_gaussian_covariance,
+    control_equivalent,
+    cost_w,
+    fixed_point_residual,
     identity_covariance,
+    interface_mismatch,
+    local_gradient,
+    point_observations,
     synthesize,
 )
+from ddvar.covariance import v_rows_sparse
 
 GRID = Grid1D.uniform(20)
 BIG = 10**400  # an int that float() cannot hold
@@ -68,3 +83,127 @@ def test_reals_and_counts_fail_by_name_with_one_text(case):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+INST = synthesize(GRID, build_gaussian_covariance(GRID, 2.0, 1.0), 4, 0.1, 0)
+DEC = Decomposition(GRID, 2, 1)
+SYSTEMS = [assemble_local(INST, DEC, i, SCHEME_MPS) for i in range(2)]
+ONES, PAIR = np.ones(3), np.ones((1, 3))
+W = [np.zeros(DEC.size(i)) for i in range(2)]
+
+
+def _observed(indices):
+    return ObservationSet(indices, np.zeros(2), ObsCovariance(np.ones(2)))
+
+
+# parameter -> (the name its message gives, a valid value, the call with
+# the value in the parameter's place, the grid size if it is an index)
+ARRAYS = {
+    "Grid1D-coords": ("coords", np.arange(4.0), lambda v: Grid1D(4, v), None),
+    "point_observations-obs_indices": (
+        "obs_indices", np.array([1, 3]),
+        lambda v: point_observations(GRID, v, [0.0, 0.0], [1.0, 1.0]), 20),
+    "point_observations-values": (
+        "values", np.zeros(2),
+        lambda v: point_observations(GRID, [1, 3], v, [1.0, 1.0]), None),
+    "point_observations-r_diag": (
+        "r_diag", np.ones(2),
+        lambda v: point_observations(GRID, [1, 3], [0.0, 0.0], v), None),
+    "ObservationSet-obs_indices": (
+        "obs_indices", np.array([1, 3]),
+        lambda v: ProblemInstance(GRID, INST.cov, _observed(v), np.zeros(20)),
+        20),
+    "ObservationSet-values": (
+        "values", np.zeros(2),
+        lambda v: ObservationSet([1, 3], v, ObsCovariance(np.ones(2))), None),
+    "ObsCovariance-r_diag": (
+        "r_diag", np.ones(2), lambda v: ObsCovariance(v), None),
+    "ProblemInstance-u_background": (
+        "u_background", np.zeros(20),
+        lambda v: ProblemInstance(GRID, INST.cov, INST.obs, v), None),
+    "ProblemInstance-u_truth": (
+        "u_truth", np.zeros(20),
+        lambda v: ProblemInstance(GRID, INST.cov, INST.obs, np.zeros(20), v),
+        None),
+    "CovarianceModel-b_band": (
+        "b band", np.ones((1, 20)),
+        lambda v: CovarianceModel(v, np.ones((1, 20))), None),
+    "CovarianceModel-v_band": (
+        "v_factor band", np.ones((1, 20)),
+        lambda v: CovarianceModel(np.ones((1, 20)), v), None),
+    "LocalSystem-a_band": (
+        "a_band", PAIR, lambda v: LocalSystem(0, SCHEME_MPS, v, ONES), None),
+    "LocalSystem-c": (
+        "c", ONES, lambda v: LocalSystem(0, SCHEME_MPS, PAIR, v), None),
+    "LocalSystem-p_i": (
+        "penalty_pairs p_i", PAIR,
+        lambda v: LocalSystem(0, SCHEME_MPS, PAIR, ONES, ((1, v, PAIR),)),
+        None),
+    "LocalSystem-p_j": (
+        "penalty_pairs p_j", PAIR,
+        lambda v: LocalSystem(0, SCHEME_MPS, PAIR, ONES, ((1, PAIR, v),)),
+        None),
+    "cost_w-w": ("w", np.zeros(20), lambda v: cost_w(INST, v), None),
+    "control_equivalent-u": (
+        "u", np.zeros(20), lambda v: control_equivalent(INST, v), None),
+    "local_gradient-w_i": (
+        "w", W[0], lambda v: local_gradient(SYSTEMS[0], v, {1: W[1]}), None),
+    "local_gradient-neighbor_ws": (
+        "neighbor 1 iterate", W[1],
+        lambda v: local_gradient(SYSTEMS[0], W[0], {1: v}), None),
+    "fixed_point_residual-ws": (
+        "iterate for subdomain 0", W[0],
+        lambda v: fixed_point_residual(SYSTEMS, [v, W[1]]), None),
+    "interface_mismatch-ws": (
+        "iterate for subdomain 1", W[1],
+        lambda v: interface_mismatch(INST, DEC, [W[0], v]), None),
+    "v_rows_sparse-rows": (
+        "rows", np.array([0, 5]), lambda v: v_rows_sparse(INST.cov, v), 20),
+}
+# id parameter -> (the name its message gives, the call with the id)
+IDS = {
+    "LocalSystem-subdomain": (
+        "subdomain", lambda i: LocalSystem(i, SCHEME_MPS, PAIR, ONES)),
+    "LocalSystem-neighbor": (
+        "penalty_pairs neighbor id",
+        lambda i: LocalSystem(0, SCHEME_MPS, PAIR, ONES, ((i, PAIR, PAIR),))),
+}
+
+
+def _bad_values(valid, n):
+    """Text, a mapping, a complex and a bool array in the place of valid,
+    and for an index a float one and one off the grid of n points."""
+    bad = {"text": "x", "dict": {"a": 1}, "complex": valid + 1j,
+           "bool": np.ones(valid.shape, bool)}
+    if n is not None:
+        bad.update(float=valid + 0.7, off_grid=valid + n)
+    return bad
+
+
+TABLE = {
+    **{f"{param}-{kind}": (name, call, value)
+       for param, (name, valid, call, n) in ARRAYS.items()
+       for kind, value in _bad_values(valid, n).items()},
+    **{f"{param}-{kind}": (name, call, value)
+       for param, (name, call) in IDS.items()
+       for kind, value in {"text": "x", "dict": {"a": 1}, "complex": 1j,
+                           "bool": True, "float": 1.5,
+                           "negative": -1}.items()},
+}
+
+
+@pytest.mark.parametrize("case", TABLE)
+def test_array_and_id_inputs_fail_typed_naming_the_parameter(case):
+    # never a bare ValueError or TypeError, never the real part of a
+    # complex input or a bool read as 0 and 1
+    name, call, value = TABLE[case]
+    with pytest.raises(DdvarError) as info:
+        call(value)
+    assert name in str(info.value)
+
+
+def test_the_valid_values_of_the_table_pass():
+    for _, valid, call, _ in ARRAYS.values():
+        call(valid)
+    for _, call in IDS.values():
+        call(1)

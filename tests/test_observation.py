@@ -239,7 +239,7 @@ def test_problem_instance_validation():
     negative = ObservationSet(np.array([-1, 2]), np.zeros(2),
                               ObsCovariance(np.ones(2)))
     for outside in (wide, negative):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(IndexOutOfRange, match="obs_indices"):
             ProblemInstance(grid, cov, outside, np.zeros(5))
     for bad in (np.nan, np.inf, -np.inf):
         u = np.zeros(5)

@@ -63,3 +63,24 @@ def test_no_module_imports_a_name_it_never_uses():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert not unused, unused
+
+
+def test_only_errors_converts_an_input_to_a_float_array():
+    # the real-array rule is stated once, in errors._real_array: no other
+    # module calls np.asarray(..., dtype=float), which reads text as a
+    # bare ValueError, keeps the real part of a complex input and reads
+    # bools as 0 and 1
+    calls = []
+    for path in sorted(Path(ddvar.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "asarray"
+                    and any(isinstance(arg, ast.Name) and arg.id == "float"
+                            for arg in [*node.args[1:],
+                                        *(k.value for k in node.keywords
+                                          if k.arg == "dtype")])):
+                calls.append(f"{path.stem}:{node.lineno}")
+    assert not calls, calls
