@@ -108,7 +108,7 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
     A NaN iterate makes it NaN.
     """
     sizes = np.diff(dec._stacked[1], prepend=0).tolist()
-    ws = _vectors(ws, list(enumerate(sizes)), "iterate")
+    ws = _vectors(ws, list(enumerate(sizes)))
     return _gap(inst, dec, np.concatenate(ws))[1]
 
 

@@ -33,19 +33,21 @@ bit, not merely to rounding.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .covariance import (_band_matrix, _band_of, _frozen, _interface_factors,
-                         v_normal)
+from .covariance import (_band_matrix, _band_of, _band_sym_times, _frozen,
+                         _interface_factors, v_normal)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidArgument,
     MissingNeighbor,
     _check_count,
+    _check_type,
     _real_array,
     _vector,
 )
@@ -77,7 +79,7 @@ class _Banded:
     @functools.cached_property
     def a(self) -> np.ndarray:
         """Dense a, the matrix of a_band, formed once, read-only."""
-        return _frozen(_band_matrix(self.a_band, symmetric=True).toarray())
+        return _frozen(_band_matrix(self.a_band, symmetric=True))
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,9 @@ class LocalSystem(_Banded):
                      least=0)
         super().__post_init__()
         pairs = []
-        for j, p_i, p_j in self.penalty_pairs:
+        for n, pair in enumerate(_check_type("penalty_pairs",
+                                             self.penalty_pairs, Sequence)):
+            j, p_i, p_j = _check_type(f"penalty_pairs[{n}]", pair, Sequence, 3)
             _check_count("penalty_pairs neighbor id", j, IndexOutOfRange.fail,
                          least=0)
             p_i = _real_array(f"penalty_pairs p_i of neighbor {j}", p_i)
@@ -286,17 +290,20 @@ def local_gradient(sys: LocalSystem, w_i: np.ndarray,
     fixed-point system; it vanishes exactly at the local solve.
     neighbor_ws maps neighbor id to that subdomain's current iterate and
     may be omitted only when the subdomain has no neighbors.  It is
-    subdomain i's row block of the stacked fixed_point_residual, computed
-    by the same products in the same order, so the two agree to the bit.
+    subdomain i's row block of the stacked fixed_point_residual by the
+    same products, which dsbmv may sum in another order: equal to rounding.
     """
+    _check_type("sys", sys, LocalSystem)
     _require_scheme([sys], SCHEME_MPS)
+    neighbor_ws = _check_type(
+        "neighbor_ws", {} if neighbor_ws is None else neighbor_ws, Mapping)
     # a neighbor absent from neighbor_ws fails in _coupling_rows
     ws = {j: _vector(f"neighbor {j} iterate", neighbor_ws[j], p_j.shape[1])
-          for j, _, p_j in sys.penalty_pairs if j in (neighbor_ws or {})}
+          for j, _, p_j in sys.penalty_pairs if j in neighbor_ws}
     w_i = ws[sys.subdomain] = _vector("w", w_i, sys.size)
     ids = sorted(ws)
     starts = np.cumsum([0] + [ws[j].size for j in ids])
     layout = {j: (int(starts[n]), ws[j].size) for n, j in enumerate(ids)}
     w = np.concatenate([ws[j] for j in ids])
-    return (_band_matrix(sys.a_band, symmetric=True) @ w_i
+    return (_band_sym_times(sys.a_band, w_i)
             - _coupling_rows([sys], layout) @ w - sys.c)

@@ -151,20 +151,17 @@ def _build_config(raw, path):
 
     # the arrays a run holds: the bands, at most bw + 1 rows for bw the
     # sub-diagonals of B, of B and V, of the local systems (s points each
-    # for the widest span s), of their stacked factor and of the stacked
-    # blocks of V that lift the local analyses (both counted, though the
-    # factor is freed before the lift builds the blocks), and of the
-    # observation-space matrix and its factor; the stacked systems' one
-    # array of 2 bw + 1 diagonals, which holds their stacked band and is
-    # the residual's DIA operator (no index arrays); and the coupled
+    # for the widest span s), of their stacked band and its factor and of
+    # the stacked blocks of V that lift the local analyses (all counted,
+    # though the factor is freed before the lift builds the blocks), and
+    # of the observation-space matrix and its factor; and the coupled
     # scheme's interface factors, four halo x s blocks a seam
     j_sub = config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
     bw = (min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale))
           if gaussian else 0)
     seams = (j_sub - 1) if config.method in ("mps", "compare") else 0
-    gib = (8 * ((bw + 1) * (2 * n + 3 * j_sub * s + 2 * config.nobs)
-                + (2 * bw + 1) * j_sub * s)
+    gib = (8 * (bw + 1) * (2 * n + 4 * j_sub * s + 2 * config.nobs)
            + 32 * seams * config.halo * s) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:

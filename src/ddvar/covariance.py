@@ -18,16 +18,12 @@ interface pairs), both on _band_rows, the one gather of rows of V, and
 through v_times (V x), v_blocks (the band of the diagonal blocks of every
 subdomain, laid end to end), v_normal (the band of V^T D V and V^T x on a
 diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).
-_band_times (BLAS dtbmv) is the one triangular product with a lower band,
-v_times's and the stacked blocks'.  _dia_layout is the one place a band
-becomes a matrix: it lays the band out as the lower rows of zeroed DIA
-data, and _dia_matrix writes the upper rows from them and wraps that same
-array as a sparse DIA array, no copy made.  The stacked local systems of
-solvers hold their band in such data from the start, so the residual's
-operator is that band's own storage; _band_matrix copies any other band
-into a fresh layout, for local_gradient and for the dense b, v_factor and
-assembled a (its toarray) of factor_check and the tests.  _band_of reads
-the lower band of a sparse symmetric matrix.
+_band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are the one
+triangular product with a lower band, v_times's and the stacked blocks',
+and the one symmetric product, the fixed-point residual's and
+local_gradient's.  _band_matrix copies a band into the dense b, v_factor
+and a of factor_check and the tests; _band_of reads the lower band of a
+sparse symmetric matrix.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
 package's one path for SPD systems: B here, the global and stacked local
 systems in solvers and the observation-space matrix in analysis.
@@ -49,43 +45,13 @@ from .errors import (DimensionMismatch, FactorizationFailure, InvalidArgument,
 from .geometry import Decomposition, Grid1D
 
 
-def _dia_layout(k: int, n: int, symmetric: bool):
-    """(data, band): zeroed DIA data of an n x n matrix with k
-    sub-diagonals, and its lower band as a view.
-
-    The one layout of a band as a matrix: data holds one row per diagonal
-    in ascending offset, -k..k when symmetric (2k + 1 rows), else -k..0,
-    and band is the reversed view of its lower k + 1 rows, band[d]
-    sub-diagonal d (LAPACK band storage).  Whatever is written into band
-    is what _dia_matrix(data, k) wraps.
-    """
-    data = np.zeros((2 * k + 1 if symmetric else k + 1, n))
-    return data, data[k::-1]
-
-
-def _dia_matrix(data: np.ndarray, k: int) -> scipy.sparse.dia_array:
-    """The matrix of data laid out by _dia_layout, as a DIA array on it.
-
-    The upper rows, if any, are first written in place from the band:
-    upper diagonal d, a[r, r + d] = a[r + d, r], is sub-diagonal d
-    shifted by d, and the d leading entries of its row, which have no
-    matrix row, stay zero.  No copy is made.  A product sums each row
-    over the diagonals in ascending offset, explicit zeros included, so a
-    block gives the same floats alone or inside a wider, padded band.
-    """
-    n = data.shape[1]
-    for d in range(1, min(data.shape[0] - k, n)):
-        data[k + d, d:] = data[k - d, :n - d]
-    return scipy.sparse.dia_array(
-        (data, np.arange(-k, data.shape[0] - k)), shape=(n, n))
-
-
-def _band_matrix(band: np.ndarray, symmetric: bool) -> scipy.sparse.dia_array:
-    """The matrix with this lower band: a copy of it in a _dia_layout."""
-    k, n = band.shape[0] - 1, band.shape[1]
-    data, lower = _dia_layout(k, n, symmetric)
-    lower[...] = band
-    return _dia_matrix(data, k)
+def _band_matrix(band: np.ndarray, symmetric: bool) -> np.ndarray:
+    """The dense symmetric or lower-triangular matrix with this lower band."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for d in range(min(band.shape[0], n)):
+        a[np.arange(d, n), np.arange(n - d)] = band[d, :n - d]
+    return np.where(np.tri(n, dtype=bool), a, a.T) if symmetric else a
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -151,12 +117,12 @@ class CovarianceModel:
     @functools.cached_property
     def b(self) -> np.ndarray:
         """Dense B, the matrix of b_band, formed once."""
-        return _frozen(_band_matrix(self.b_band, symmetric=True).toarray())
+        return _frozen(_band_matrix(self.b_band, symmetric=True))
 
     @functools.cached_property
     def v_factor(self) -> np.ndarray:
         """Dense lower-triangular V, the matrix of v_band, formed once."""
-        return _frozen(_band_matrix(self.v_band, symmetric=False).toarray())
+        return _frozen(_band_matrix(self.v_band, symmetric=False))
 
 
 @dataclass(frozen=True)
@@ -296,9 +262,18 @@ def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
 def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L x for the lower-triangular L with this lower band, by BLAS dtbmv.
 
-    The package's one band product, O(n k) for k sub-diagonals.
+    The package's one triangular band product, O(n k) for k sub-diagonals.
     """
     return scipy.linalg.blas.dtbmv(band.shape[0] - 1, band, x, lower=1)
+
+
+def _band_sym_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric A with this lower band by BLAS dsbmv, O(n k),
+    reading a column-major band in place (a C-ordered one is copied); an
+    empty x, which dsbmv rejects, has an empty product."""
+    if not x.size:
+        return np.zeros(0)
+    return scipy.linalg.blas.dsbmv(band.shape[0] - 1, 1.0, band, x, lower=1)
 
 
 def v_times(model: CovarianceModel, w: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ that many parameters share are stated here: _check_count (an integer >=
 least), _check_real (a real that fits in a float) and, for arrays,
 _real_array (a float array: text, objects, complex, bool or ragged input
 is InvalidArgument), _vector (of a given length), _check_finite (naming
-the first NaN or infinity) and _indices (integers in 0..n - 1).
+the first NaN or infinity) and _indices (integers in 0..n - 1); for
+collections and model objects, _check_type.
 """
 
 import numbers
@@ -127,6 +128,18 @@ def _check_finite(name: str, a: np.ndarray, entry: str = "value"):
             f"{name} has a non-finite entry: {entry} {a[at]} at position "
             f"{at[0] if len(at) == 1 else at} is not finite")
     return a
+
+
+def _check_type(name: str, value, cls: type, size: int | None = None):
+    """value; InvalidArgument naming the parameter unless it is a cls (a
+    Sequence, a Mapping or a model class), not text, of size entries."""
+    if not isinstance(value, cls) or isinstance(value, str):
+        fail = f"be a {cls.__name__}, got {type(value).__name__}"
+    elif size is not None and len(value) != size:
+        fail = f"hold {size} entries, got {len(value)}"
+    else:
+        return value
+    raise InvalidArgument(f"{name} must {fail}")
 
 
 def _indices(name: str, value, n: int | None = None) -> np.ndarray:

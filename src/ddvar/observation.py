@@ -12,7 +12,8 @@ import scipy.sparse
 from .covariance import (CovarianceModel, ObsCovariance, _check_scale,
                          _frozen, v_rows_sparse, v_times)
 from .errors import (DimensionMismatch, InvalidArgument, _check_count,
-                     _check_finite, _check_integer, _indices, _vector)
+                     _check_finite, _check_integer, _check_type, _indices,
+                     _vector)
 from .geometry import Grid1D
 
 
@@ -35,6 +36,7 @@ class ObservationSet:
             raise InvalidArgument("obs_indices must be strictly increasing")
         vals = _check_finite("values",
                              _vector("values", self.values, idx.size))
+        _check_type("r_cov", self.r_cov, ObsCovariance)
         _vector("r_diag", self.r_cov.r_diag, idx.size)
         object.__setattr__(self, "obs_indices", idx)
         object.__setattr__(self, "values", vals)
@@ -65,6 +67,9 @@ class ProblemInstance:
     u_truth: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, cls in (("grid", Grid1D), ("cov", CovarianceModel),
+                          ("obs", ObservationSet)):
+            _check_type(name, getattr(self, name), cls)
         n = self.grid.n_points
         if self.cov.n_points != n:
             raise DimensionMismatch(

@@ -32,8 +32,8 @@ evaluated once, at the returned iterate.
 from __future__ import annotations
 
 import collections
-import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +42,13 @@ from .assembly import (
     SCHEME_DDDA,
     SCHEME_MPS,
     GlobalSystem,
+    LocalSystem,
     _coupling_rows,
     _require_scheme,
 )
-from .covariance import (_band_cholesky, _band_solve, _dia_layout,
-                         _dia_matrix)
+from .covariance import _band_cholesky, _band_solve, _band_sym_times
 from .errors import (DimensionMismatch, InvalidArgument, _check_count,
-                     _check_real, _vector)
+                     _check_real, _check_type, _vector)
 
 
 def _check_options(tol, max_iters, fail, threads=1) -> float:
@@ -106,14 +106,13 @@ class IterationHistory:
         return len(self.records)
 
 
-def _vectors(ws, layout, what: str) -> list:
+def _vectors(ws, layout) -> list:
     # ws as float vectors, one per (subdomain id, size) pair of layout: the
-    # one check of a per-subdomain vector list.
-    if len(ws) != len(layout):
+    # one check of a per-subdomain iterate list.
+    if len(_check_type("ws", ws, Sequence)) != len(layout):
         raise DimensionMismatch(
-            f"{len(ws)} {what}s for {len(layout)} subdomains"
-        )
-    return [_vector(f"{what} for subdomain {i}", w, size)
+            f"{len(ws)} iterates for {len(layout)} subdomains")
+    return [_vector(f"iterate for subdomain {i}", w, size)
             for (i, size), w in zip(layout, ws)]
 
 
@@ -125,26 +124,22 @@ class _Stack(tuple):
 
     The tuple holds each system's (subdomain, size, scheme), in listed
     order, not the system; the stacked arrays run in subdomain-id order.
-    Construction rejects a repeated id and a missing or mis-sized neighbor,
-    before anything is factored.  One array holds blockdiag(a_i), allocated
-    zeroed at construction as the DIA data of its 2k + 1 diagonals
-    (covariance._dia_layout), k the sub-diagonals of the tallest a_band:
-    band, the lower band with each a_band copied in and zero-padded, is the
-    reversed view of its lower k + 1 rows, and operator, built on first use,
-    writes the upper k rows from band and wraps the same array; until then
-    those rows stay zero and unwritten, which a large allocation does not
-    keep in memory.  The array lives as long as the stack.  factor() returns
-    a fresh array that its caller frees; coupling is the CSR coupling C (see
-    assembly._coupling_rows) and c the concatenated right-hand sides;
-    segments, once per stack for every residual, the stacked start and
-    listed position of each nonempty block.  A stack passed in is returned
-    unchanged.
+    Construction rejects anything but a sequence of LocalSystems, a
+    repeated id and a missing or mis-sized neighbor, before anything is
+    factored.  band, the lower band of blockdiag(a_i) with each a_band
+    zero-padded to the tallest, is allocated once in column-major (LAPACK)
+    order, which BLAS dsbmv reads in place.  coupling is the CSR coupling
+    C (assembly._coupling_rows), c the stacked right-hand sides, segments
+    the stacked start and listed position of each nonempty block, and
+    factor() a fresh array.  A stack passed in is returned unchanged.
     """
 
     def __new__(cls, locals_):
         if isinstance(locals_, _Stack):
             return locals_
-        if not locals_:
+        for n, sys in enumerate(_check_type("locals_", locals_, Sequence)):
+            _check_type(f"locals_[{n}]", sys, LocalSystem)
+        if not len(locals_):
             raise InvalidArgument("need at least one local system")
         stack = super().__new__(cls, (_Entry(sys.subdomain, sys.size,
                                              sys.scheme) for sys in locals_))
@@ -160,42 +155,32 @@ class _Stack(tuple):
         layout = {sys.subdomain: (int(start), sys.size)
                   for sys, start in zip(systems, stack.starts)}
         stack.coupling = _coupling_rows(systems, layout)
-        stack._data, stack.band = _dia_layout(
-            max(sys.a_band.shape[0] for sys in systems) - 1,
-            int(stack.starts[-1]), symmetric=True)
+        stack.band = np.zeros((int(stack.starts[-1]), max(
+            sys.a_band.shape[0] for sys in systems))).T
         for sys, start in zip(systems, stack.starts):
             stack.band[:sys.a_band.shape[0], start:start + sys.size] = (
                 sys.a_band)
         stack.c = np.concatenate([sys.c for sys in systems])
         return stack
 
-    @functools.cached_property
-    def operator(self):
-        """blockdiag(a_i) as a DIA array on band's own storage, on first use.
-
-        Its upper rows are written from the band then; no array is copied.
-        """
-        return _dia_matrix(self._data, self.band.shape[0] - 1)
-
     @property
     def kappa(self) -> float:
         """1 + the largest absolute row sum of blockdiag(a_i), off the band.
 
         Row r sums |a[r, r - d]| = |band[d, r - d]| over d = k..1, then
-        the diagonal, then |a[r, r + d]| = |band[d, r]| over d = 1..k: the
-        order in which the operator's product sums a row, so this is
-        1 + max(abs(operator) @ ones) to the bit, with no band-sized abs.
+        the diagonal, then |a[r, r + d]| = |band[d, r]| over d = 1..k, one
+        strided diagonal of the column-major band at a time, with no
+        band-sized abs.
         """
         band = self.band
-        # a sub-diagonal at n or beyond has no row
-        k, n = min(band.shape[0], band.shape[1]) - 1, band.shape[1]
+        k, n = min(band.shape) - 1, band.shape[1]  # no row at n or beyond
         sums = np.zeros(n)
         for d in range(k, 0, -1):
             sums[d:] += np.abs(band[d, :n - d])
         sums += np.abs(band[0])
         for d in range(1, k + 1):
             sums[:n - d] += np.abs(band[d, :n - d])
-        return 1.0 + float(np.max(sums))
+        return 1.0 + float(np.max(sums, initial=0.0))
 
     def factor(self) -> np.ndarray:
         """Banded Cholesky factor of blockdiag(a_i); a failure names its
@@ -210,7 +195,7 @@ class _Stack(tuple):
         """The iterate as one vector: the listed ones stacked, or as given."""
         if isinstance(ws, np.ndarray) and ws.ndim == 1:
             return _vector("stacked iterate", ws, self.c.size)
-        vecs = _vectors(ws, [entry[:2] for entry in self], "iterate")
+        vecs = _vectors(ws, [entry[:2] for entry in self])
         return np.concatenate([vecs[k] for k in self.order])
 
     def split(self, w: np.ndarray) -> list:
@@ -231,8 +216,8 @@ def solve_ddda(locals_: list):
     subdomain is the entire scheme; repeating it cannot change anything.
     All of them are one banded solve of the stacked right-hand side.
     """
-    _require_scheme(locals_, SCHEME_DDDA)
     stack = _Stack(locals_)
+    _require_scheme(stack, SCHEME_DDDA)
     return stack.split(_band_solve(stack.factor(), stack.c))
 
 
@@ -243,8 +228,7 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     The sweep starts from all zeros (the background) and factors the
     stacked band once; each iteration is one banded solve and one
     fixed_point_residual of the stacked iterate, split once, on return,
-    and kappa is read off the band.  The first residual builds the stack's
-    operator on the band's own storage.  The factor, as large as the band,
+    and kappa is read off the band.  The factor, as large as the band,
     is freed when the sweep ends, before cost_fn is called: cost_fn, when
     given, is called once, on the returned iterate list, and its value is
     history.final_cost; otherwise that is NaN.  Returns (iterates,
@@ -255,8 +239,8 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     before the first sweep.
     """
     opts = opts if opts is not None else SolverOptions()
-    _require_scheme(locals_, SCHEME_MPS)
     stack = _Stack(locals_)
+    _require_scheme(stack, SCHEME_MPS)
     factor = stack.factor()
     kappa = stack.kappa
 
@@ -291,18 +275,17 @@ def fixed_point_residual(locals_: list, ws) -> np.ndarray:
     iterates from either scheme, which is how the uncoupled solutions are
     measured against the coupled systems.  ws lists the iterates, or is
     one 1-D array stacking them in subdomain-id order, as solve_mps passes
-    it, to the same norms.  One product with the stacked operator, one
-    with C, and one segmented maximum over the blocks of
-    operator w - C w - c, returned in the listed order; entry i is the
-    sup-norm of local_gradient for subdomain i, to the bit.  A non-finite
-    entry of w_i makes norm i non-finite; through the operator's explicit
-    zeros it may also reach the norms of blocks within k stacked
-    positions, k the stack's sub-diagonals.  A stack passed in, as
-    solve_mps passes, is not rebuilt.
+    it, to the same norms.  One dsbmv product with the stacked band, one
+    with C, and one segmented maximum over the blocks of blockdiag(a_i) w
+    - C w - c, returned in the listed order; entry i is the sup-norm of
+    local_gradient for subdomain i, to rounding.  A non-finite entry of
+    w_i makes norm i non-finite; through the band's explicit zeros it may
+    also reach the norms of blocks within k stacked positions, k the
+    stack's sub-diagonals.  A stack passed in is not rebuilt.
     """
     stack = _Stack(locals_)
     w = stack.gather(ws)
-    r = np.abs(stack.operator @ w - stack.coupling @ w - stack.c)
+    r = np.abs(_band_sym_times(stack.band, w) - stack.coupling @ w - stack.c)
     starts, listed = stack.segments
     norms = np.zeros(len(stack))  # an empty block keeps the norm 0.0
     norms[listed] = np.maximum.reduceat(r, starts)

@@ -8,6 +8,7 @@ after the run so the verdict is visible even with captured output.
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
 from ddvar import (
     Decomposition,
@@ -23,6 +24,7 @@ from ddvar import (
 )
 from ddvar.cli import _KEYS, ExperimentConfig
 from ddvar.covariance import _band_times, _interface_factors
+from ddvar.solvers import _Stack
 
 
 def make_instance(n=30, j_sub=2, halo=1, nobs=None, seed=0, kind="gaussian",
@@ -66,6 +68,31 @@ def lower_band(a, k):
     n = a.shape[0]
     return np.array([np.concatenate([np.diagonal(a, -d), np.zeros(min(d, n))])
                      for d in range(k + 1)])
+
+
+def residual_bound(locals_, ws):
+    """Row-wise bound on how far two evaluations of blockdiag(a_i) w - C w
+    - c can differ, the systems and their iterates in subdomain-id order.
+
+    A row sums at most 2k + 1 products of a, k the sub-diagonals of the
+    tallest a_band, and at most m nonzero products of C, then subtracts
+    twice; in any summation order, FMA or not, exact zero terms add no
+    error, so it is within γ_N (|a||w| + |C||w| + |c|) of the exact row,
+    N = max(2k + 2, m) + 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1), and two evaluations within twice that.
+    N is 2k + 4 whenever m <= 2k + 2, as on every instance of
+    test_fixed_point_residual_is_the_local_gradient_norm.
+    """
+    stack = _Stack(locals_)
+    w = np.abs(np.concatenate(ws))
+    k = stack.band.shape[0] - 1
+    coupling = stack.coupling.toarray()
+    m = int(np.max(np.count_nonzero(coupling, axis=1), initial=0))
+    terms = max(2 * k + 2, m) + 2
+    gamma = terms * 2.0**-53 / (1.0 - terms * 2.0**-53)
+    a = scipy.linalg.block_diag(*(sys.a for sys in locals_))
+    return 2.0 * gamma * (np.abs(a) @ w + np.abs(coupling) @ w
+                          + np.abs(stack.c))
 
 
 def block_times(model, w, span):

@@ -3,7 +3,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from ddvar import (
     CovarianceModel,
@@ -31,7 +30,7 @@ from ddvar import (
     synthesize,
 )
 
-from ddvar import analysis, covariance, solvers
+from ddvar import analysis, assembly, covariance, solvers
 
 from conftest import (
     interface_pair,
@@ -413,12 +412,12 @@ def test_run_path_never_forms_dense_b(monkeypatch):
 
 def test_run_path_scatters_no_dense_block_of_v(monkeypatch):
     # every read of V on the run path is a gather or a product on its
-    # band; the toarray of a band's matrix, behind the dense b, v_factor
-    # and a, never runs
-    def refuse(self, *args, **kwargs):
+    # band; _band_matrix, behind the dense b, v_factor and a, never runs
+    def refuse(*args, **kwargs):
         raise AssertionError("a dense matrix was formed from a band")
 
-    monkeypatch.setattr(scipy.sparse.dia_array, "toarray", refuse)
+    for module in (covariance, assembly):
+        monkeypatch.setattr(module, "_band_matrix", refuse)
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
     for method in ("global", "mps", "ddda"):
         assimilate(inst, dec, method)

@@ -349,8 +349,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
-    # one subdomain of 10^9 points: the bands of its system and factor
-    # and of its block of V, its system's DIA operator, with those of the
+    # one subdomain of 10^9 points: the bands of its system, its stacked
+    # band and factor and of its block of V, with those of the
     # observation-space matrix and factor of 2 * 10^8 observations, are far
     # past physical memory;
     # rejected at validation with the estimate, before anything is
@@ -360,7 +360,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "np" in err[0]
-    assert "1,040.1 GiB" in err[0]
+    assert "906.0 GiB" in err[0]
     # the convention that is gone names its key
     path = write_config(tmp_path,
                         "np = 20\nupdate_convention = binv_v_times_w\n")

@@ -25,6 +25,8 @@ from ddvar import (
     interface_mismatch,
     local_gradient,
     point_observations,
+    solve_ddda,
+    solve_mps,
     synthesize,
 )
 from ddvar.covariance import v_rows_sparse
@@ -169,6 +171,47 @@ IDS = {
         lambda i: LocalSystem(0, SCHEME_MPS, PAIR, ONES, ((i, PAIR, PAIR),))),
 }
 
+# parameter that holds a collection or a model object -> (the name its
+# message gives, the call with the value, {kind: a value that is none})
+OBJECTS = {
+    "LocalSystem-penalty_pairs": (
+        "penalty_pairs",
+        lambda v: LocalSystem(0, SCHEME_MPS, PAIR, ONES, v),
+        {"text": "x", "int": 5}),
+    "LocalSystem-pair": (
+        "penalty_pairs[0]",
+        lambda v: LocalSystem(0, SCHEME_MPS, PAIR, ONES, (v,)),
+        {"text": "x", "double": (1, PAIR), "quadruple": (1, PAIR, PAIR, 0)}),
+    "interface_mismatch-ws-sequence": (
+        "ws", lambda v: interface_mismatch(INST, DEC, v), {"int": 5}),
+    "fixed_point_residual-ws-sequence": (
+        "ws", lambda v: fixed_point_residual(SYSTEMS, v),
+        {"int": 5, "scalar array": np.array(5.0)}),
+    "local_gradient-neighbor_ws-mapping": (
+        "neighbor_ws", lambda v: local_gradient(SYSTEMS[0], W[0], v),
+        {"text": "x", "list": [W[1]]}),
+    "local_gradient-sys": (
+        "sys", lambda v: local_gradient(v, W[0], {1: W[1]}), {"text": "x"}),
+    "ObservationSet-r_cov": (
+        "r_cov", lambda v: ObservationSet([1], [0.0], v),
+        {"text": "x", "array": np.ones(1)}),
+    "ProblemInstance-grid": (
+        "grid", lambda v: ProblemInstance(v, INST.cov, INST.obs, np.zeros(20)),
+        {"text": "x"}),
+    "ProblemInstance-cov": (
+        "cov", lambda v: ProblemInstance(GRID, v, INST.obs, np.zeros(20)),
+        {"text": "x"}),
+    "ProblemInstance-obs": (
+        "obs", lambda v: ProblemInstance(GRID, INST.cov, v, np.zeros(20)),
+        {"text": "x"}),
+    "solve_ddda-locals_": (
+        "locals_", solve_ddda, {"text": "x", "int": 5, "texts": ["x"]}),
+    "solve_mps-locals_": (
+        "locals_", solve_mps, {"text": "x", "int": 5, "texts": ["x"]}),
+    "fixed_point_residual-locals_": (
+        "locals_", lambda v: fixed_point_residual(v, W), {"int": 5}),
+}
+
 
 def _bad_values(valid, n):
     """Text, a mapping, a complex and a bool array in the place of valid,
@@ -189,6 +232,9 @@ TABLE = {
        for kind, value in {"text": "x", "dict": {"a": 1}, "complex": 1j,
                            "bool": True, "float": 1.5,
                            "negative": -1}.items()},
+    **{f"{param}-{kind}": (name, call, value)
+       for param, (name, call, bad) in OBJECTS.items()
+       for kind, value in bad.items()},
 }
 
 
