@@ -9,12 +9,13 @@ stacked as one band (covariance.v_blocks, built for each patch and freed
 with it), the u_i are one band product plus u^b at the stacked points,
 their patch one gather of owner entries and the interface mismatch one max.
 One scheme run (solve, patch, cost) of a stack serves both entry points,
-which drop their local systems once stacked: assimilate makes one, and
-equivalence_report one of each scheme, measuring every quantity behind the
-claim that the two schemes produce the same solution: identical right-hand
-sides and the exact penalty structure of the coupled matrices, read off the
-systems, and the interface agreement, read off the local analyses, that
-makes uncoupled solutions fixed points of the coupled sweep.
+whose stacks read _assemble, one system at a time: assimilate streams one,
+and equivalence_report checks each mps system against its listed ddda twin
+as it streams in, measuring every quantity behind the claim that the two
+schemes produce the same solution: identical right-hand sides and the exact
+penalty structure of the coupled matrices, read off the systems, and the
+interface agreement, read off the local analyses, that makes uncoupled
+solutions fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against, solved
 before either scheme is assembled, is the minimizer w* of the
@@ -46,11 +47,12 @@ from .covariance import (
     _band_of,
     _band_solve,
     _band_times,
+    _block_height,
     v_blocks,
     v_solve,
     v_times,
 )
-from .errors import InvalidArgument, _check_finite, _vector
+from .errors import InvalidArgument, _check_finite, _check_type, _vector
 from .geometry import Decomposition
 from .observation import ProblemInstance
 from .solvers import (
@@ -107,8 +109,8 @@ def interface_mismatch(inst: ProblemInstance, dec: Decomposition,
     verbatim; on generic data it is a reported diagnostic, not an error.
     A NaN iterate makes it NaN.
     """
-    sizes = np.diff(dec._stacked[1], prepend=0).tolist()
-    ws = _vectors(ws, list(enumerate(sizes)))
+    _require_grid(inst, dec)
+    ws = _vectors(ws, [(i, b - a) for i, (a, b) in enumerate(dec.subdomains)])
     return _gap(inst, dec, np.concatenate(ws))[1]
 
 
@@ -118,6 +120,7 @@ def control_equivalent(inst: ProblemInstance, u: np.ndarray) -> np.ndarray:
     v_solve costs O(n bw).  Only u - u^b is checked for finite entries; the
     band was checked once, when its CovarianceModel was built.
     """
+    _check_type("inst", inst, ProblemInstance)
     du = _vector("u", u, inst.grid.n_points) - inst.u_background
     return v_solve(inst.cov, _check_finite("u - u^b", du))
 
@@ -126,7 +129,7 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     # The single-domain minimizer w* = M^T (M M^T + R)^{-1} d, M = H V:
     # the lower band of the sparse M M^T plus R, one banded factor, two
     # products.
-    m = inst.h_rows
+    m = _check_type("inst", inst, ProblemInstance).h_rows
     if m.shape[0] == 0:
         return np.zeros(m.shape[1])
     band = _band_of(m @ m.T)
@@ -167,7 +170,16 @@ def _analysis_cost(inst, u):
 
 
 def _assemble(inst, dec, scheme):
-    return [assemble_local(inst, dec, i, scheme) for i in range(dec.j_sub)]
+    _require_grid(inst, dec)
+    return (assemble_local(inst, dec, i, scheme) for i in range(dec.j_sub))
+
+
+def _stack(inst, dec, scheme, systems=None):
+    # the stack of the stream of dec's systems, sized from dec's layout
+    systems = systems or _assemble(inst, dec, scheme)
+    sizes = [stop - start for start, stop in dec.subdomains]
+    entries = [(i, s, scheme) for i, s in enumerate(sizes)]
+    return _Stack(systems, (entries, _block_height(inst.cov, max(sizes))))
 
 
 def _run_scheme(inst, dec, stack, opts):
@@ -222,7 +234,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
                                    final_cost=_analysis_cost(inst, u))
     else:
         ws, history, u, gap = _run_scheme(
-            inst, dec, _Stack(_assemble(inst, dec, method)), opts)
+            inst, dec, _stack(inst, dec, method), opts)
     return AssimilationResult(
         u_analysis=u,
         per_subdomain_w=tuple(ws),
@@ -279,16 +291,22 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     """
     _check_convention(convention, InvalidArgument.fail)
     cost_global = cost_w(inst, _global_w(inst))
-    dd_systems = _assemble(inst, dec, SCHEME_DDDA)
+    dd_systems = list(_assemble(inst, dec, SCHEME_DDDA))
     ws_dd, dd_history, _, gap_dd = _run_scheme(
         inst, dec, _Stack(dd_systems), None)
-    pairs = list(zip(_assemble(inst, dec, SCHEME_MPS), dd_systems))
-    c_equal = all(m.c.tobytes() == d.c.tobytes() for m, d in pairs)
-    a_structure_exact = all(
-        np.array_equal(m.a_band, d.a_band + penalty_stiffness(
-            m.penalty_pairs, d.a_band.shape)) for m, d in pairs)
-    mps_stack = _Stack([m for m, _ in pairs])
-    del dd_systems, pairs
+    checks = []
+
+    def checked(m, d):
+        # an mps system against its ddda twin, before it is stacked
+        checks.append((m.c.tobytes() == d.c.tobytes(), np.array_equal(
+            m.a_band, d.a_band + penalty_stiffness(m.penalty_pairs,
+                                                   d.a_band.shape))))
+        return m
+
+    mps_stack = _stack(inst, dec, SCHEME_MPS, map(
+        checked, _assemble(inst, dec, SCHEME_MPS), dd_systems))
+    del dd_systems
+    c_equal, a_structure_exact = map(all, zip(*checks))
     ws_mps, history, _, _ = _run_scheme(inst, dec, mps_stack, opts)
     return EquivalenceReport(
         c_equal=c_equal,

@@ -176,7 +176,8 @@ def _require_scheme(locals_, scheme: str) -> None:
 
 
 def _require_grid(inst: ProblemInstance, dec: Decomposition) -> None:
-    if dec.grid.n_points != inst.grid.n_points:
+    if (_check_type("inst", inst, ProblemInstance).grid.n_points
+            != _check_type("dec", dec, Decomposition).grid.n_points):
         raise DimensionMismatch(
             f"decomposition is of a {dec.grid.n_points}-point grid, the "
             f"instance has {inst.grid.n_points} points"
@@ -276,6 +277,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
 
 def cost_w(inst: ProblemInstance, w: np.ndarray) -> float:
     """Evaluate J(w) = 1/2 w^T w + 1/2 (H V w - d)^T R^{-1} (H V w - d)."""
+    _check_type("inst", inst, ProblemInstance)
     w = _vector("w", w, inst.grid.n_points)
     misfit = inst.h_rows @ w - inst.innovation
     r_inv = 1.0 / inst.obs.r_cov.r_diag

@@ -304,6 +304,10 @@ def v_blocks(model: CovarianceModel, dec: Decomposition) -> np.ndarray:
     return band
 
 
+def _block_height(model: CovarianceModel, s: int) -> int:
+    return min(model.v_band.shape[0], s)  # rows of v_normal on s points
+
+
 def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,
              span: slice):
     """Lower band of V_s^T diag(weights) V_s, and V_s^T x, for V[span, span].
@@ -314,7 +318,7 @@ def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,
     ascending t, by products over strided windows of the band.
     """
     s = span.stop - span.start
-    k = min(model.v_band.shape[0], s) - 1
+    k = _block_height(model, s) - 1
     # the band of V_s atop a zero (2k + 1, s + k) block; zero weights past
     # the span silence the entries of V below it
     band = np.zeros((2 * k + 1, s + k))

@@ -6,9 +6,9 @@ banded Cholesky factor (LAPACK dpbtrf) per solve call, O(n k^2).  The
 local bands of a call are laid end to end in subdomain-id order, each
 zero-padded to the tallest, as one block-diagonal band; its banded factor
 is the block diagonal of the blocks' own factors, so listing order cannot
-change a result, and of each system the stack keeps only its id, size and
-scheme.  Each uncoupled system needs one solve, and all of them are one
-banded solve; the coupled scheme iterates
+change a result; of each system, listed or streamed in, the stack keeps
+only its id, size and scheme.  Each uncoupled system needs one solve, and
+all of them are one banded solve; the coupled scheme iterates
 
     a_i w_i^{n+1} = c_i + sum_j p_i^T (p_j w_j^n)
 
@@ -122,45 +122,61 @@ _Entry = collections.namedtuple("_Entry", "subdomain size scheme")
 class _Stack(tuple):
     """The local systems of one solve call, laid end to end by id.
 
-    The tuple holds each system's (subdomain, size, scheme), in listed
-    order, not the system; the stacked arrays run in subdomain-id order.
-    Construction rejects anything but a sequence of LocalSystems, a
-    repeated id and a missing or mis-sized neighbor, before anything is
-    factored.  band, the lower band of blockdiag(a_i) with each a_band
-    zero-padded to the tallest, is allocated once in column-major (LAPACK)
-    order, which BLAS dsbmv reads in place.  coupling is the CSR coupling
-    C (assembly._coupling_rows), c the stacked right-hand sides, segments
-    the stacked start and listed position of each nonempty block, and
-    factor() a fresh array.  A stack passed in is returned unchanged.
+    The tuple holds each system's (subdomain, size, scheme), in listed order;
+    the arrays, in subdomain-id order, are sized from the listed systems or a
+    stream's layout = (those triples in id order, band height), and one loop
+    copies each system in, checked against its entry, and lets it go.  Anything
+    but LocalSystems, a repeated id and a missing or mis-sized neighbor fail
+    before anything is factored.  band, the lower band of blockdiag(a_i) with
+    each a_band zero-padded to the tallest, is column-major, which BLAS dsbmv
+    reads in place.  coupling is the CSR coupling C (assembly._coupling_rows),
+    c the stacked right-hand sides, segments the stacked start and listed
+    position of each nonempty block, factor() a fresh array.  A stack passed in
+    is returned unchanged.
     """
 
-    def __new__(cls, locals_):
+    def __new__(cls, locals_, layout=None):
         if isinstance(locals_, _Stack):
             return locals_
-        for n, sys in enumerate(_check_type("locals_", locals_, Sequence)):
-            _check_type(f"locals_[{n}]", sys, LocalSystem)
-        if not len(locals_):
+        if layout is None:  # the listed systems' own, read in id order
+            for n, sys in enumerate(_check_type("locals_", locals_,
+                                                Sequence)):
+                _check_type(f"locals_[{n}]", sys, LocalSystem)
+            layout = ([(sys.subdomain, sys.size, sys.scheme)
+                       for sys in locals_],
+                      max((len(sys.a_band) for sys in locals_), default=1))
+            locals_ = sorted(locals_, key=lambda sys: sys.subdomain)
+        if not layout[0]:
             raise InvalidArgument("need at least one local system")
-        stack = super().__new__(cls, (_Entry(sys.subdomain, sys.size,
-                                             sys.scheme) for sys in locals_))
+        stack = super().__new__(cls, map(_Entry._make, layout[0]))
         ids = [entry.subdomain for entry in stack]
         if len(set(ids)) < len(ids):
             raise InvalidArgument(f"a subdomain appears twice in {ids}")
         stack.order = sorted(range(len(ids)), key=ids.__getitem__)
-        systems = [locals_[k] for k in stack.order]
-        stack.starts = np.cumsum([0] + [sys.size for sys in systems])
+        entries = [stack[k] for k in stack.order]
+        stack.starts = np.cumsum([0] + [entry.size for entry in entries])
         full = np.diff(stack.starts) > 0
         stack.segments = (stack.starts[:-1][full],
                           np.asarray(stack.order)[full])
-        layout = {sys.subdomain: (int(start), sys.size)
-                  for sys, start in zip(systems, stack.starts)}
-        stack.coupling = _coupling_rows(systems, layout)
-        stack.band = np.zeros((int(stack.starts[-1]), max(
-            sys.a_band.shape[0] for sys in systems))).T
-        for sys, start in zip(systems, stack.starts):
-            stack.band[:sys.a_band.shape[0], start:start + sys.size] = (
-                sys.a_band)
-        stack.c = np.concatenate([sys.c for sys in systems])
+        stack.band = np.zeros((int(stack.starts[-1]), layout[1])).T
+        stack.c, systems = np.empty(stack.starts[-1]), iter(locals_)
+
+        def fill():
+            for entry, start in zip(entries, stack.starts.tolist()):
+                sys = _check_type("local system", next(systems, None),
+                                  LocalSystem)
+                if ((sys.subdomain, sys.size, sys.scheme) != entry
+                        or len(sys.a_band) > layout[1]):
+                    raise InvalidArgument(f"local system {sys.subdomain} "
+                                          f"does not match its entry {entry}")
+                stop = start + entry.size
+                stack.band[:len(sys.a_band), start:stop] = sys.a_band
+                stack.c[start:stop] = sys.c
+                yield sys
+
+        stack.coupling = _coupling_rows(fill(), {
+            entry.subdomain: (int(start), entry.size)
+            for entry, start in zip(entries, stack.starts)})
         return stack
 
     @property
@@ -168,18 +184,17 @@ class _Stack(tuple):
         """1 + the largest absolute row sum of blockdiag(a_i), off the band.
 
         Row r sums |a[r, r - d]| = |band[d, r - d]| over d = k..1, then
-        the diagonal, then |a[r, r + d]| = |band[d, r]| over d = 1..k, one
-        strided diagonal of the column-major band at a time, with no
-        band-sized abs.
+        the diagonal, then |a[r, r + d]| = |band[d, r]| over d = 1..k.  The
+        band is read 8192 columns at a time, each block's diagonals from
+        cache, with no band-sized abs: in every row the same order.
         """
         band = self.band
         k, n = min(band.shape) - 1, band.shape[1]  # no row at n or beyond
         sums = np.zeros(n)
-        for d in range(k, 0, -1):
-            sums[d:] += np.abs(band[d, :n - d])
-        sums += np.abs(band[0])
-        for d in range(1, k + 1):
-            sums[:n - d] += np.abs(band[d, :n - d])
+        for lo in range(0, n, 8192):
+            for d in range(-k, k + 1):  # d < 0: left of the diagonal
+                hi, shift = min(lo + 8192, n - abs(d)), max(-d, 0)
+                sums[lo + shift:hi + shift] += np.abs(band[abs(d), lo:hi])
         return 1.0 + float(np.max(sums, initial=0.0))
 
     def factor(self) -> np.ndarray:
@@ -238,7 +253,8 @@ def solve_mps(locals_: list, opts: SolverOptions | None = None,
     point.  A coupled neighbor absent from locals_ raises MissingNeighbor
     before the first sweep.
     """
-    opts = opts if opts is not None else SolverOptions()
+    opts = SolverOptions() if opts is None else _check_type(
+        "opts", opts, SolverOptions)
     stack = _Stack(locals_)
     _require_scheme(stack, SCHEME_MPS)
     factor = stack.factor()

@@ -633,6 +633,81 @@ def test_equivalence_report_lets_the_mps_systems_go_before_the_sweep(
     assert rep.c_equal and rep.a_structure_exact
 
 
+@pytest.mark.parametrize("scheme", [SCHEME_MPS, SCHEME_DDDA])
+@pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [
+    (60, 3, 2, "identity", 2.0),
+    (120, 5, 4, "gaussian", 0.5),
+    (120, 5, 1, "gaussian", 2.0),
+    (120, 5, 4, "gaussian", 8.0),
+    (120, 6, 0, "gaussian", 2.0),
+    (120, 1, 0, "gaussian", 2.0),
+    (40, 8, 1, "gaussian", 8.0),  # spans of 6-7 points, bw + 1 = 40
+])
+def test_the_streamed_stack_is_the_stack_of_the_listed_systems(
+        n, j_sub, halo, kind, length_scale, scheme):
+    # a run streams its systems into a stack sized from the decomposition;
+    # every array is the one the listed systems stack to, bit for bit
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, kind=kind,
+                              length_scale=length_scale, seed=6)
+    listed = solvers._Stack(list(analysis._assemble(inst, dec, scheme)))
+    streamed = analysis._stack(inst, dec, scheme,
+                               analysis._assemble(inst, dec, scheme))
+    assert tuple(streamed) == tuple(listed)
+    assert streamed.order == listed.order
+    for a, b in [(streamed.starts, listed.starts),
+                 *zip(streamed.segments, listed.segments),
+                 (streamed.band, listed.band), (streamed.c, listed.c),
+                 (streamed.coupling.data, listed.coupling.data),
+                 (streamed.coupling.indices, listed.coupling.indices),
+                 (streamed.coupling.indptr, listed.coupling.indptr)]:
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert streamed.band.flags.f_contiguous
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst, dec: assimilate(inst, dec, SCHEME_MPS),
+    lambda inst, dec: equivalence_report(inst, dec),
+])
+def test_a_run_holds_one_mps_system_at_a_time(monkeypatch, run):
+    # each system is stacked and let go before the next is assembled: at
+    # most the one just stacked is alive when another is asked for
+    inst, dec = make_instance(n=120, j_sub=6, halo=2, seed=4)
+    systems, alive = [], []
+
+    def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
+        if scheme == SCHEME_MPS:
+            alive.append(sum(ref() is not None for ref in systems))
+        sys = _fn(inst, dec, i, scheme)
+        if scheme == SCHEME_MPS:
+            systems.append(weakref.ref(sys))
+        return sys
+
+    monkeypatch.setattr(analysis, "assemble_local", assemble)
+    run(inst, dec)
+    assert len(systems) == 6
+    assert max(alive) <= 1
+
+
+def test_a_streamed_system_unlike_its_layout_entry_is_rejected():
+    # the stream is checked entry by entry against the layout it was
+    # sized from: another id, size, scheme or a taller band, or a stream
+    # that ends early
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    mps = list(analysis._assemble(inst, dec, SCHEME_MPS))
+    ddda = list(analysis._assemble(inst, dec, SCHEME_DDDA))
+    other = make_instance(n=61, j_sub=3, halo=2, seed=4)
+    tall = assembly.LocalSystem(
+        0, SCHEME_MPS, np.zeros((40, mps[0].size)), mps[0].c,
+        mps[0].penalty_pairs)
+    for stream in ([mps[1], mps[0], mps[2]], [ddda[0], *mps[1:]],
+                   [assemble_local(*other, 0, SCHEME_MPS), *mps[1:]],
+                   [tall, *mps[1:]], mps[:2], ["x", *mps[1:]]):
+        with pytest.raises(InvalidArgument):
+            analysis._stack(inst, dec, SCHEME_MPS, iter(stream))
+    analysis._stack(inst, dec, SCHEME_MPS, iter(mps))
+
+
 def test_equivalence_report_frees_the_blocks_of_v_before_the_mps_sweep(
         monkeypatch):
     # the ddda run's lift builds the stacked blocks of V and lets them go:

@@ -349,10 +349,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
-    # one subdomain of 10^9 points: the bands of its system, its stacked
-    # band and factor and of its block of V, with those of the
-    # observation-space matrix and factor of 2 * 10^8 observations, are far
-    # past physical memory;
+    # one subdomain of 10^9 points, compared: the bands of B and V, of its
+    # stacked systems, their factor and the ddda system kept through the
+    # ddda run, with those of the observation-space matrix and factor of
+    # 2 * 10^8 observations, are far past physical memory;
     # rejected at validation with the estimate, before anything is
     # allocated
     path = write_config(tmp_path, "np = 1000000000\n")
@@ -360,7 +360,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "np" in err[0]
-    assert "906.0 GiB" in err[0]
+    assert "764.4 GiB" in err[0]
     # the convention that is gone names its key
     path = write_config(tmp_path,
                         "np = 20\nupdate_convention = binv_v_times_w\n")
@@ -421,15 +421,15 @@ def test_readme_config_table_lists_every_key_with_its_default():
 def test_memory_preflight_counts_the_local_and_observation_matrices(
         tmp_path):
     # validation only: 64 subdomains of 633 points and 8000 observations
-    # hold about 0.05 GiB of bands and interface factors, although a dense
+    # hold about 0.03 GiB of bands and interface factors, although a dense
     # V of 40000^2 would need 12 GiB
     path = write_config(tmp_path, "np = 40000\nj_sub = 64\nhalo = 4\n")
     assert load_config(path).n_points == 40000
     path = write_config(tmp_path, "np = 1000000000\nj_sub = 1\n")
     with pytest.raises(ValidationError, match="np 1000000000 needs"):
         load_config(path)
-    # a halo of 2 * 10^6 on 10^7 identity points: the coupled scheme's
-    # interface factors, four 2 * 10^6 x 9 * 10^6 blocks, need about
+    # a halo of 2 * 10^6 on 10^7 identity points: the interface factors of
+    # one coupled system, four 2 * 10^6 x 9 * 10^6 blocks, need about
     # 524 TiB, past any memory; the bands of ddda need about 1 GiB
     halo = ("np = 10000000\nj_sub = 2\nhalo = 2000000\n"
             "cov_kind = identity\nmethod = {}\n")

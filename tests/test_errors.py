@@ -17,9 +17,11 @@ from ddvar import (
     ProblemInstance,
     SolverOptions,
     assemble_local,
+    assimilate,
     build_gaussian_covariance,
     control_equivalent,
     cost_w,
+    equivalence_report,
     fixed_point_residual,
     identity_covariance,
     interface_mismatch,
@@ -210,6 +212,36 @@ OBJECTS = {
         "locals_", solve_mps, {"text": "x", "int": 5, "texts": ["x"]}),
     "fixed_point_residual-locals_": (
         "locals_", lambda v: fixed_point_residual(v, W), {"int": 5}),
+    "cost_w-inst": (
+        "inst", lambda v: cost_w(v, np.zeros(20)), {"text": "x", "int": 5}),
+    "control_equivalent-inst": (
+        "inst", lambda v: control_equivalent(v, np.zeros(20)),
+        {"text": "x", "int": 5}),
+    "assemble_local-inst": (
+        "inst", lambda v: assemble_local(v, DEC, 0, SCHEME_MPS),
+        {"text": "x", "decomposition": DEC}),
+    "assemble_local-dec": (
+        "dec", lambda v: assemble_local(INST, v, 0, SCHEME_MPS),
+        {"text": "x", "grid": GRID}),
+    "interface_mismatch-inst": (
+        "inst", lambda v: interface_mismatch(v, DEC, W), {"text": "x"}),
+    "interface_mismatch-dec": (
+        "dec", lambda v: interface_mismatch(INST, v, W),
+        {"text": "x", "grid": GRID}),
+    "assimilate-inst": (
+        "inst", lambda v: assimilate(v, DEC, SCHEME_MPS), {"text": "x"}),
+    "assimilate-dec": (
+        "dec", lambda v: assimilate(INST, v, SCHEME_MPS),
+        {"text": "x", "grid": GRID}),
+    "assimilate-opts": (
+        "opts", lambda v: assimilate(INST, DEC, SCHEME_MPS, v),
+        {"text": "x", "dict": {"tol": 1e-12}}),
+    "equivalence_report-dec": (
+        "dec", lambda v: equivalence_report(INST, v), {"text": "x"}),
+    "equivalence_report-opts": (
+        "opts", lambda v: equivalence_report(INST, DEC, v), {"text": "x"}),
+    "solve_mps-opts": (
+        "opts", lambda v: solve_mps(SYSTEMS, v), {"text": "x"}),
 }
 
 
