@@ -10,12 +10,12 @@ with it), the u_i are one band product plus u^b at the stacked points,
 their patch one gather of owner entries and the interface mismatch one max.
 One scheme run (solve, patch, cost) of a stack serves both entry points,
 whose stacks read _assemble, one system at a time: assimilate streams one,
-and equivalence_report checks each mps system against its listed ddda twin
-as it streams in, measuring every quantity behind the claim that the two
-schemes produce the same solution: identical right-hand sides and the exact
-penalty structure of the coupled matrices, read off the systems, and the
-interface agreement, read off the local analyses, that makes uncoupled
-solutions fixed points of the coupled sweep.
+and equivalence_report streams two, checking each mps system against the
+ddda stack as it streams in, and measures every quantity behind the claim
+that the two schemes produce the same solution: identical right-hand sides
+and the exact penalty structure of the coupled matrices, read off the two
+stacks, and the interface agreement, read off the local analyses, that
+makes uncoupled solutions fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against, solved
 before either scheme is assembled, is the minimizer w* of the
@@ -164,6 +164,11 @@ def _check_convention(convention, fail) -> None:
         fail("convention", f"must be {V_TIMES_W!r}, got {convention!r}")
 
 
+def _check_opts(opts) -> None:
+    if opts is not None:
+        _check_type("opts", opts, SolverOptions)
+
+
 def _analysis_cost(inst, u):
     """The cost of the analysis u, through its control-space equivalent."""
     return cost_w(inst, control_equivalent(inst, u))
@@ -224,6 +229,7 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
         raise InvalidArgument(
             f"method must be one of ('global', 'mps', 'ddda'), got {method!r}"
         )
+    _check_opts(opts)
 
     w_star = _global_w(inst)
     u_global = inst.u_background + v_times(inst.cov, w_star)
@@ -283,34 +289,39 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
                        convention: str = V_TIMES_W) -> EquivalenceReport:
     """Solve both schemes and measure every equivalence quantity.
 
-    Mismatch is data, not an error: the report never raises on a nonzero
-    gap, it only records it.  cost_global is the cost of the
+    Each mps system is checked against the ddda stack, solved first, as it
+    streams into the mps stack, and the ddda stack is dropped before the
+    mps sweep.  Mismatch is data, not an error: the report never raises
+    on a nonzero gap, it only records it.  cost_global is the cost of the
     observation-space reference w* of the module docstring, solved first.
     convention accepts only "v_times_w"; it remains because the benchmark
     worker passes the config's update_convention positionally.
     """
     _check_convention(convention, InvalidArgument.fail)
+    _check_opts(opts)
     cost_global = cost_w(inst, _global_w(inst))
-    dd_systems = list(_assemble(inst, dec, SCHEME_DDDA))
-    ws_dd, dd_history, _, gap_dd = _run_scheme(
-        inst, dec, _Stack(dd_systems), None)
-    checks = []
+    dd = _stack(inst, dec, SCHEME_DDDA)
+    ws_dd, dd_history, _, gap_dd = _run_scheme(inst, dec, dd, None)
+    exact = []
 
-    def checked(m, d):
-        # an mps system against its ddda twin, before it is stacked
-        checks.append((m.c.tobytes() == d.c.tobytes(), np.array_equal(
-            m.a_band, d.a_band + penalty_stiffness(m.penalty_pairs,
-                                                   d.a_band.shape))))
+    def checked(m):
+        # an mps system against its columns of the ddda stack, before it
+        # is stacked: the penalty added to them, nothing below its band
+        block = dd.band[:, dd.starts[m.subdomain]:dd.starts[m.subdomain + 1]]
+        k = len(m.a_band)
+        exact.append(not block[k:].any() and np.array_equal(
+            m.a_band, block[:k] + penalty_stiffness(m.penalty_pairs,
+                                                    m.a_band.shape)))
         return m
 
-    mps_stack = _stack(inst, dec, SCHEME_MPS, map(
-        checked, _assemble(inst, dec, SCHEME_MPS), dd_systems))
-    del dd_systems
-    c_equal, a_structure_exact = map(all, zip(*checks))
+    mps_stack = _stack(inst, dec, SCHEME_MPS,
+                       map(checked, _assemble(inst, dec, SCHEME_MPS)))
+    c_equal = mps_stack.c.tobytes() == dd.c.tobytes()
+    del dd
     ws_mps, history, _, _ = _run_scheme(inst, dec, mps_stack, opts)
     return EquivalenceReport(
         c_equal=c_equal,
-        a_structure_exact=a_structure_exact,
+        a_structure_exact=all(exact),
         interface_mismatch=gap_dd,
         ddda_in_mps_residual=float(
             np.max(fixed_point_residual(mps_stack, ws_dd))

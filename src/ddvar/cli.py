@@ -151,17 +151,16 @@ def _build_config(raw, path):
 
     # the arrays a run holds: the bands, at most bw + 1 rows for bw the
     # sub-diagonals of B, of B and V, of the observation-space matrix and
-    # its factor, and, j_sub spans of at most s points, of the stacked
-    # local systems, of the sweep's factor or (freed first) the stacked
-    # blocks of V that lift the analyses and of the ddda systems compare
-    # keeps through its ddda run; and the four halo x s interface factors
-    # of the one coupled system being streamed into the stack
-    j_sub, compare = config.j_sub, config.method == "compare"
+    # its factor, and, j_sub spans of at most s points, of at most two of
+    # a stack of local systems, its factor and the stacked blocks of V
+    # that lift the analyses; and the four halo x s interface factors of
+    # the one coupled system being streamed into the stack
+    j_sub = config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
     bw = (min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale))
           if gaussian else 0)
     coupled = j_sub > 1 and config.method in ("mps", "compare")
-    gib = 8 * ((bw + 1) * (2 * n + (2 + compare) * j_sub * s + 2 * config.nobs)
+    gib = 8 * ((bw + 1) * (2 * n + 2 * j_sub * s + 2 * config.nobs)
                + 4 * coupled * config.halo * s) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:

@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from ddvar import (
     Decomposition,
@@ -93,6 +95,59 @@ def residual_bound(locals_, ws):
     a = scipy.linalg.block_diag(*(sys.a for sys in locals_))
     return 2.0 * gamma * (np.abs(a) @ w + np.abs(coupling) @ w
                           + np.abs(stack.c))
+
+
+class FixedPoint:
+    """Oracle of the exact fixed point w_fix of the coupled sweep.
+
+    w_fix solves K w = c, K = blockdiag(a_i) - C in stacked order, for the
+    mps systems listed in subdomain-id order.  C's block (i, j) is
+    p_i^T p_j, formed here from system i's penalty pairs, apart from the
+    solvers' coupling.  K is banded and not symmetric: one LAPACK dgbtrf
+    factors it (with row pivoting) and dgbtrs solves with K or K^T, so
+    w_fix carries an error of about eps cond(K) ||w_fix||.  cond_estimate
+    is scipy's onenormest over those solves, not dgbcon, whose scipy
+    wrapper took seconds at 10^5 rows.
+    """
+
+    def __init__(self, systems):
+        blocks = [[None] * len(systems) for _ in systems]
+        for i, sys in enumerate(systems):
+            blocks[i][i] = scipy.sparse.csr_array(sys.a)
+            for j, p_i, p_j in sys.penalty_pairs:
+                blocks[i][j] = scipy.sparse.csr_array(-(p_i.T @ p_j))
+        self.k = scipy.sparse.bmat(blocks, format="csr")
+        coo = self.k.tocoo()
+        self.kl = max(0, int(np.max(coo.row - coo.col)))
+        self.ku = max(0, int(np.max(coo.col - coo.row)))
+        ab = np.zeros((2 * self.kl + self.ku + 1, self.k.shape[0]))
+        ab[self.kl + self.ku + coo.row - coo.col, coo.col] = coo.data
+        self.lu, self.piv, info = scipy.linalg.lapack.dgbtrf(
+            ab, self.kl, self.ku)
+        assert info == 0
+        self.c = np.concatenate([sys.c for sys in systems])
+        self.w_fix = self.solve(self.c)
+
+    def solve(self, b, trans=0):
+        """K^-1 b, or K^-T b for trans=1; b one vector or its columns."""
+        x, info = scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, b,
+                                             self.piv, trans=trans)
+        assert info == 0
+        return x
+
+    def cond_estimate(self):
+        """||K||_1 times onenormest's estimate of ||K^-1||_1."""
+        n = self.k.shape[0]
+        inverse = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=self.solve, rmatvec=lambda b: self.solve(b, 1),
+            dtype=float)
+        return (float(abs(self.k).sum(axis=0).max())
+                * scipy.sparse.linalg.onenormest(inverse))
+
+    def inverse_norm_inf(self):
+        """||K^-1||_inf, from every column of K^-1: for small K only."""
+        return float(np.max(np.abs(self.solve(np.eye(self.k.shape[0])))
+                            .sum(axis=1)))
 
 
 def block_times(model, w, span):

@@ -570,26 +570,51 @@ def test_assimilate_ddda_runs_and_reports():
 
 def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
         monkeypatch):
-    # the ddda systems and c outlive the ddda run, its stacked band does
-    # not: it is gone before the first coupled system is assembled
+    # the mps systems are checked against the ddda stack as they stream
+    # in, so it outlives the mps assembly; it is gone, band and right-hand
+    # sides, when the mps sweep starts
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    bands, alive = [], []
+    arrays, alive = [], []
 
     def solve(stack, _fn=analysis.solve_ddda):
-        bands.append(weakref.ref(stack.band))
+        arrays.extend(weakref.ref(a) for a in (stack.band, stack.c))
         return _fn(stack)
 
-    def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
-        if scheme == SCHEME_MPS and not alive:
-            alive.append(bands[0]() is not None)
-        return _fn(inst, dec, i, scheme)
+    def sweep(*args, _fn=analysis.solve_mps, **kwargs):
+        alive.append([ref() is not None for ref in arrays])
+        return _fn(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "solve_ddda", solve)
+    monkeypatch.setattr(analysis, "solve_mps", sweep)
+    rep = equivalence_report(inst, dec)
+    assert alive == [[False, False]]
+    assert rep.c_equal and rep.a_structure_exact
+
+
+@pytest.mark.parametrize("field, at", [
+    ("c", (0,)), ("c", (-1,)),
+    ("a_band", (0, 0)), ("a_band", (0, -1)), ("a_band", (1, 0)),
+])
+@pytest.mark.parametrize("i", [0, 2])
+def test_equivalence_report_sees_one_ulp_in_one_mps_system(
+        monkeypatch, field, at, i):
+    # one entry of the c or of the a_band of one streamed mps system moved
+    # by one ulp turns its check false and leaves the other true
+    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+
+    def assemble(inst, dec, j, scheme, _fn=analysis.assemble_local):
+        sys = _fn(inst, dec, j, scheme)
+        if scheme != SCHEME_MPS or j != i:
+            return sys
+        arrays = {"c": sys.c.copy(), "a_band": sys.a_band.copy()}
+        arrays[field][at] = np.nextafter(arrays[field][at], np.inf)
+        return assembly.LocalSystem(j, scheme, arrays["a_band"], arrays["c"],
+                                    sys.penalty_pairs)
+
     monkeypatch.setattr(analysis, "assemble_local", assemble)
     rep = equivalence_report(inst, dec)
-    assert len(bands) == 1
-    assert alive == [False]
-    assert rep.c_equal and rep.a_structure_exact
+    assert (rep.c_equal, rep.a_structure_exact) == (
+        field != "c", field != "a_band")
 
 
 def _track_mps_systems(monkeypatch):
@@ -671,22 +696,24 @@ def test_the_streamed_stack_is_the_stack_of_the_listed_systems(
 ])
 def test_a_run_holds_one_mps_system_at_a_time(monkeypatch, run):
     # each system is stacked and let go before the next is assembled: at
-    # most the one just stacked is alive when another is asked for
+    # most the one just stacked of its scheme is alive when another is
+    # asked for, the ddda systems of equivalence_report included
     inst, dec = make_instance(n=120, j_sub=6, halo=2, seed=4)
-    systems, alive = [], []
+    systems = {SCHEME_MPS: [], SCHEME_DDDA: []}
+    alive = {SCHEME_MPS: [0], SCHEME_DDDA: [0]}
 
     def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
-        if scheme == SCHEME_MPS:
-            alive.append(sum(ref() is not None for ref in systems))
+        alive[scheme].append(sum(ref() is not None for ref in systems[scheme]))
         sys = _fn(inst, dec, i, scheme)
-        if scheme == SCHEME_MPS:
-            systems.append(weakref.ref(sys))
+        systems[scheme].append(weakref.ref(sys))
         return sys
 
     monkeypatch.setattr(analysis, "assemble_local", assemble)
     run(inst, dec)
-    assert len(systems) == 6
-    assert max(alive) <= 1
+    assert len(systems[SCHEME_MPS]) == 6
+    assert len(systems[SCHEME_DDDA]) in (0, 6)
+    assert max(alive[SCHEME_MPS]) <= 1
+    assert max(alive[SCHEME_DDDA]) <= 1
 
 
 def test_a_streamed_system_unlike_its_layout_entry_is_rejected():
@@ -731,6 +758,20 @@ def test_equivalence_report_frees_the_blocks_of_v_before_the_mps_sweep(
     assert sweeps == [1]
     assert len(bands) == 2
     assert rep.c_equal and rep.a_structure_exact
+
+
+@pytest.mark.parametrize("run", [
+    *(lambda inst, dec, opts, m=m: assimilate(inst, dec, m, opts)
+      for m in ("global", SCHEME_MPS, SCHEME_DDDA)),
+    lambda inst, dec, opts: equivalence_report(inst, dec, opts),
+])
+def test_opts_is_checked_before_the_reference_solve(monkeypatch, run):
+    inst, dec = make_instance(n=20, j_sub=2, halo=1)
+    solves = []
+    monkeypatch.setattr(analysis, "_global_w", solves.append)
+    with pytest.raises(InvalidArgument, match="^opts must be a SolverOptions"):
+        run(inst, dec, "x")
+    assert solves == []
 
 
 def test_assimilate_rejects_unknown_method():

@@ -349,18 +349,19 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert key in err[0]
-    # one subdomain of 10^9 points, compared: the bands of B and V, of its
-    # stacked systems, their factor and the ddda system kept through the
-    # ddda run, with those of the observation-space matrix and factor of
-    # 2 * 10^8 observations, are far past physical memory;
-    # rejected at validation with the estimate, before anything is
-    # allocated
+    # one subdomain of 10^9 points, compared: the bands of B and V, of
+    # two stacked systems (the ddda stack alive while the mps one is
+    # built), with those of the observation-space matrix and factor of
+    # 2 * 10^8 observations, 19 rows each, are
+    # 8 * 19 * (2 + 2 + 0.4) * 10^9 bytes, 622.9 GiB, far past physical
+    # memory; rejected at validation with the estimate, before anything
+    # is allocated
     path = write_config(tmp_path, "np = 1000000000\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "np" in err[0]
-    assert "764.4 GiB" in err[0]
+    assert "622.9 GiB" in err[0]
     # the convention that is gone names its key
     path = write_config(tmp_path,
                         "np = 20\nupdate_convention = binv_v_times_w\n")

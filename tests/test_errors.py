@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddvar import (
+    SCHEME_DDDA,
     SCHEME_MPS,
     CovarianceModel,
     DdvarError,
@@ -91,6 +92,7 @@ def test_reals_and_counts_fail_by_name_with_one_text(case):
 
 INST = synthesize(GRID, build_gaussian_covariance(GRID, 2.0, 1.0), 4, 0.1, 0)
 DEC = Decomposition(GRID, 2, 1)
+OTHER_DEC = Decomposition(Grid1D.uniform(21), 2, 1)
 SYSTEMS = [assemble_local(INST, DEC, i, SCHEME_MPS) for i in range(2)]
 ONES, PAIR = np.ones(3), np.ones((1, 3))
 W = [np.zeros(DEC.size(i)) for i in range(2)]
@@ -236,10 +238,21 @@ OBJECTS = {
     "assimilate-opts": (
         "opts", lambda v: assimilate(INST, DEC, SCHEME_MPS, v),
         {"text": "x", "dict": {"tol": 1e-12}}),
+    # opts is checked first, for the methods that never read it too
+    "assimilate-opts-ddda": (
+        "opts", lambda v: assimilate(INST, DEC, SCHEME_DDDA, v),
+        {"text": "x", "dict": {"tol": 1e-12}}),
+    "assimilate-opts-global": (
+        "opts", lambda v: assimilate(INST, DEC, "global", v),
+        {"text": "x", "dict": {"tol": 1e-12}}),
     "equivalence_report-dec": (
         "dec", lambda v: equivalence_report(INST, v), {"text": "x"}),
     "equivalence_report-opts": (
         "opts", lambda v: equivalence_report(INST, DEC, v), {"text": "x"}),
+    # before the decomposition, another grid's, is read by the assembly
+    "equivalence_report-opts-first": (
+        "opts", lambda v: equivalence_report(INST, OTHER_DEC, v),
+        {"text": "x", "dict": {"tol": 1e-12}}),
     "solve_mps-opts": (
         "opts", lambda v: solve_mps(SYSTEMS, v), {"text": "x"}),
 }

@@ -34,7 +34,7 @@ from ddvar import (
 from ddvar import solvers
 from ddvar.solvers import _Stack
 
-from conftest import lower_band, make_instance, residual_bound
+from conftest import FixedPoint, lower_band, make_instance, residual_bound
 
 
 def _locals(inst, dec, scheme):
@@ -142,6 +142,38 @@ def test_mps_converges_and_is_stationary_at_the_limit():
         float(np.max(np.sum(np.abs(sys.a), axis=1))) for sys in locals_
     )
     assert float(np.max(fixed_point_residual(locals_, ws))) <= opts.tol * kappa
+
+
+# at np=4000, l=2 the residual branch of the stop test fires while the
+# sweep is still 2e-11 (sigma_o = 0.1), 1e-5 (1e-4) and 0.3 (1e-6) from
+# the fixed point: ROADMAP item 3b stops on the step instead
+FALSE_STOP = pytest.mark.xfail(strict=True, reason="the residual stop "
+                               "fires early; ROADMAP item 3b")
+
+
+@pytest.mark.parametrize("n, halo, length_scale, sigma_o", [
+    (2000, 16, 8.0, 0.1),
+    pytest.param(4000, 4, 2.0, 0.1, marks=FALSE_STOP),
+    pytest.param(4000, 4, 2.0, 1e-4, marks=FALSE_STOP),
+    pytest.param(4000, 4, 2.0, 1e-6, marks=FALSE_STOP),
+])
+def test_the_sweep_stops_at_the_exact_fixed_point(n, halo, length_scale,
+                                                  sigma_o):
+    # w_fix is itself known only to about eps cond(K) ||w_fix||, so the
+    # sweep that stopped is within ten times the larger of tol and that
+    # floor of it; cond(K) is onenormest's, a lower bound, which can only
+    # tighten the test
+    inst, dec = make_instance(n=n, j_sub=16, halo=halo, seed=3,
+                              length_scale=length_scale, sigma_o=sigma_o)
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    oracle = FixedPoint(locals_)
+    opts = SolverOptions()
+    ws, history = solve_mps(locals_, opts)
+    assert history.converged
+    floor = (np.finfo(float).eps * oracle.cond_estimate()
+             * np.max(np.abs(oracle.w_fix)))
+    assert (np.max(np.abs(np.concatenate(ws) - oracle.w_fix))
+            <= 10 * max(opts.tol, floor))
 
 
 def test_mps_result_does_not_depend_on_listing_order():
