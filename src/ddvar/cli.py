@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import typing
@@ -31,6 +30,7 @@ from .analysis import (V_TIMES_W, _check_convention, assimilate,
 from .assembly import assemble_global, assemble_local
 from .covariance import (
     _check_scale,
+    _reach_rows,
     build_gaussian_covariance,
     factor_check,
     identity_covariance,
@@ -43,10 +43,9 @@ from .observation import _check_synthesis, synthesize
 from .solvers import SolverOptions, _check_options, solve_global, solve_mps
 
 _METHODS = ("global", "mps", "ddda", "compare")
-# sub-diagonals of the Gaussian B per unit length scale on a unit grid:
-# past sqrt(106 ln 2) length scales the kernel is below 2^-53
-_GAUSSIAN_REACH = math.sqrt(106 * math.log(2))
 _COV_KINDS = ("identity", "gaussian")
+# every float written, 17 significant digits in scientific notation
+_FLOAT_FORMAT = "%.16e"
 
 
 @dataclass
@@ -149,18 +148,18 @@ def _build_config(raw, path):
     # worker passes it on to assimilate and equivalence_report
     _check_convention(config.update_convention, fail)
 
-    # the arrays a run holds: the bands, at most bw + 1 rows for bw the
-    # sub-diagonals of B, of B and V, of the observation-space matrix and
-    # its factor, and, j_sub spans of at most s points, of at most two of
-    # a stack of local systems, its factor and the stacked blocks of V
-    # that lift the analyses; and the four halo x s interface factors of
-    # the one coupled system being streamed into the stack
+    # the arrays a run holds: the bands, at most `rows` rows (the reach of
+    # the kernel of B on the unit grid), of B and V, of the
+    # observation-space matrix and its factor, and, j_sub spans of at most
+    # s points, of at most two of a stack of local systems, its factor and
+    # the stacked blocks of V that lift the analyses; and the four halo x s
+    # interface factors of the one coupled system being streamed into the
+    # stack
     j_sub = config.j_sub
     s = min(n, -(-n // j_sub) + 2 * config.halo)
-    bw = (min(n - 1, math.ceil(_GAUSSIAN_REACH * config.length_scale))
-          if gaussian else 0)
+    rows = _reach_rows(n, config.length_scale) if gaussian else 1
     coupled = j_sub > 1 and config.method in ("mps", "compare")
-    gib = 8 * ((bw + 1) * (2 * n + 2 * j_sub * s + 2 * config.nobs)
+    gib = 8 * (rows * (2 * n + 2 * j_sub * s + 2 * config.nobs)
                + 4 * coupled * config.halo * s) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:
@@ -176,11 +175,12 @@ def load_config(path) -> ExperimentConfig:
     return _build_config(_read_raw(path), path)
 
 
-def _format_float(x) -> str:
-    x = float(x)
-    if not math.isfinite(x):
+def _format_floats(values: np.ndarray, sep: str = ",") -> str:
+    """The 1-D float array values by _FLOAT_FORMAT, joined by sep, in one
+    pass; a non-finite entry fails before anything is formatted."""
+    if not np.isfinite(values).all():
         raise InvalidArgument("refusing to serialize a non-finite value")
-    return format(x, ".16e")
+    return sep.join([_FLOAT_FORMAT] * values.size) % tuple(values.tolist())
 
 
 def _json_encode(obj, indent=0) -> str:
@@ -194,17 +194,21 @@ def _json_encode(obj, indent=0) -> str:
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    vector = (isinstance(obj, np.ndarray) and obj.ndim == 1
+              and obj.dtype.kind == "f")
+    if vector or isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        parts = [f"{inner}{_json_encode(x, indent + 1)}" for x in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        sep = ",\n" + inner
+        items = (_format_floats(obj, sep) if vector else
+                 sep.join(_json_encode(x, indent + 1) for x in obj))
+        return "[\n" + inner + items + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        return _format_floats(np.array([obj]))
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -230,9 +234,8 @@ def _write_history(path: Path, history, j_sub: int) -> None:
     cols += [f"res_sub_{i + 1}" for i in range(j_sub)]
     rows = [",".join(cols)]
     for n, rec in enumerate(history.records, 1):
-        row = [str(n), _format_float(rec.max_delta)]
-        row += [_format_float(r) for r in rec.residual_norms]
-        rows.append(",".join(row))
+        norms = np.array([rec.max_delta, *rec.residual_norms])
+        rows.append(f"{n},{_format_floats(norms)}")
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -315,8 +318,8 @@ def run_experiment(config: ExperimentConfig) -> int:
             "converged": bool(converged),
             "iterations": result.history.iterations,
             "diagnostics": diag,
-            "u_analysis": result.u_analysis.tolist(),
-            "w": [w.tolist() for w in result.per_subdomain_w],
+            "u_analysis": result.u_analysis,
+            "w": result.per_subdomain_w,
         }
         history = result.history if config.method == "mps" else None
         lines = [

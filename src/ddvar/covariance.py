@@ -44,6 +44,9 @@ from .errors import (DimensionMismatch, FactorizationFailure, InvalidArgument,
                      _vector)
 from .geometry import Decomposition, Grid1D
 
+# past sqrt(106 ln 2) length scales the Gaussian kernel is below 2^-53
+_GAUSSIAN_REACH = math.sqrt(106 * math.log(2))
+
 
 def _band_matrix(band: np.ndarray, symmetric: bool) -> np.ndarray:
     """The dense symmetric or lower-triangular matrix with this lower band."""
@@ -183,6 +186,34 @@ def _check_scale(name: str, value, fail, zero: bool = False) -> float:
     return x
 
 
+def _reach_rows(n_points: int, length_scale: float,
+                spacing: float = 1.0) -> int:
+    """Rows of the Gaussian band out to the kernel's reach, at most n_points.
+
+    Past _GAUSSIAN_REACH length scales the kernel is below 2^-53 of its
+    peak: on a uniform grid of this spacing, sub-diagonal
+    ceil(reach / spacing) is the first that the build drops, and these
+    rows hold the band and that one.  They are the build's first guess
+    and, on a unit grid, the band height of the memory estimate of a
+    config (cli._build_config).
+    """
+    reach = _GAUSSIAN_REACH * length_scale / spacing
+    return math.ceil(reach) + 1 if reach < n_points - 1 else n_points
+
+
+def _gaussian_diagonal(x: np.ndarray, k: int, scale: float, variance: float,
+                       out: np.ndarray) -> float:
+    # sub-diagonal k of the kernel into out by the dense kernel's
+    # elementwise operations in its order, so bit for bit; its largest entry
+    np.subtract(x[k:], x[:-k], out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, scale, out=out)
+    np.exp(out, out=out)
+    np.multiply(variance, out, out=out)
+    return out.max()
+
+
 def build_gaussian_covariance(grid: Grid1D, length_scale: float,
                               sigma_b: float) -> CovarianceModel:
     """Squared-exponential covariance on the grid coordinates, as a band.
@@ -193,27 +224,40 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     Both parameters enter squared, so each must be positive with a square
     and a reciprocal square that neither overflow nor underflow.
 
-    Only the band is evaluated, sub-diagonal k at x[k:] - x[:-k] by the
-    dense kernel's elementwise operations, so bit for bit.  It ends before
-    the first sub-diagonal with no entry above 2^-53 * max diag(b)
-    (bw = 4 / 17 / 68 at length_scale 0.5 / 2 / 8 on a unit grid); the
-    kernel decays away from the diagonal, so no dropped entry exceeds the
-    unit roundoff times the diagonal.  V, the Cholesky factor of the band,
-    costs O(n bw^2); when the length scale spans the grid the band is
-    full (bw = n - 1), and the cost is that of a dense factor again.
+    Only the band is evaluated, in place: sub-diagonal k at x[k:] - x[:-k]
+    straight into row k of one band, by the dense kernel's elementwise
+    operations, so bit for bit.  It ends before the first sub-diagonal
+    with no entry above 2^-53 * max diag(b) (bw = 4 / 17 / 68 at
+    length_scale 0.5 / 2 / 8 on a unit grid); the kernel decays away from
+    the diagonal, so no dropped entry exceeds the unit roundoff times the
+    diagonal.  The band's first guess of its rows is the kernel's reach
+    over the mean grid spacing (_reach_rows); it doubles when the grid
+    needs more and is cut to its kept rows in place at the end, so b_band
+    owns exactly its rows.  V, the Cholesky factor of the band, costs
+    O(n bw^2); when the length scale spans the grid the band is full
+    (bw = n - 1), and the cost is that of a dense factor again.
     """
     length_scale = _check_scale("length_scale", length_scale,
                                 InvalidArgument.fail)
     sigma_b = _check_scale("sigma_b", sigma_b, InvalidArgument.fail)
-    x, scale = grid.coords, 2.0 * length_scale**2
+    x, scale, n = grid.coords, 2.0 * length_scale**2, grid.n_points
     diagonal = sigma_b**2 + 1e-10 * sigma_b**2  # the kernel plus the jitter
-    diagonals = [np.full(x.size, diagonal)]
-    for k in range(1, x.size):
-        d = sigma_b**2 * np.exp(-((x[k:] - x[:-k])**2) / scale)
-        if d.max() <= math.ldexp(diagonal, -53):
+    spacing = (x[-1] - x[0]) / (n - 1) if n > 1 else 1.0
+    b_band = np.empty((_reach_rows(n, length_scale, spacing), n))
+    b_band[0] = diagonal
+    k = 1
+    while k < n:
+        if k == b_band.shape[0]:
+            # the guess was short: resize reallocates the one buffer, the
+            # rows so far kept; no view of b_band outlives its row, so
+            # none is left on the old buffer
+            b_band.resize((min(2 * k, n), n), refcheck=False)
+        if (_gaussian_diagonal(x, k, scale, sigma_b**2, b_band[k, :n - k])
+                <= math.ldexp(diagonal, -53)):
             break
-        diagonals.append(np.concatenate([d, np.zeros(k)]))
-    b_band = np.array(diagonals)
+        b_band[k, n - k:] = 0.0
+        k += 1
+    b_band.resize((k, n), refcheck=False)
     return CovarianceModel(
         b_band=b_band,
         v_band=_band_cholesky(b_band, "gaussian background covariance"),

@@ -115,13 +115,27 @@ def test_unknown_cov_kind_is_anchored(tmp_path):
 
 
 def test_json_writer_refuses_non_finite_values(tmp_path):
-    # the payload is encoded whole before anything is written
+    # the payload is encoded whole before anything is written, whether a
+    # value sits in a list or in a float array
     path = tmp_path / "result.json"
     for bad in (float("nan"), np.inf, -np.inf):
-        with pytest.raises(InvalidArgument) as exc:
-            cli._write_json(path, {"cost": 1.0, "gap": [0.0, bad]})
-        assert str(exc.value) == "refusing to serialize a non-finite value"
-        assert not path.exists()
+        for gap in ([0.0, bad], np.array([0.0, bad]), [np.array([bad])]):
+            with pytest.raises(InvalidArgument) as exc:
+                cli._write_json(path, {"cost": 1.0, "gap": gap})
+            assert str(exc.value) == "refusing to serialize a non-finite value"
+            assert not path.exists()
+
+
+def test_json_writer_writes_a_float_array_as_its_list():
+    tiny = np.nextafter(0.0, 1.0)
+    values = [-0.0, 0.0, tiny, -tiny, 2.2e-308 / 3, 1e300, -1e-300, 1e-300,
+              -1e300, 1.0 / 3.0]
+    for floats in (values, values[:1], []):
+        payload = {"u": floats, "w": [floats, floats[::-1]]}
+        as_arrays = {"u": np.array(floats),
+                     "w": (np.array(floats), np.array(floats[::-1]))}
+        assert cli._json_encode(as_arrays) == cli._json_encode(payload)
+    assert cli._json_encode(np.array([])) == "[]"
 
 
 def test_malformed_line_rejected(tmp_path):

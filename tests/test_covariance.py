@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from ddvar import (
     factor_check,
     identity_covariance,
 )
-from ddvar.covariance import (_band_cholesky, _band_rows, v_rows_sparse,
-                              v_times)
+from ddvar.covariance import (_band_cholesky, _band_rows, _reach_rows,
+                              v_rows_sparse, v_times)
 
 from conftest import block_times, interface_pair
 
@@ -293,17 +294,39 @@ def _dense_kernel(x, length_scale, sigma_b):
     return b
 
 
+# a unit grid of 2000 points and one more 1e-9 past its middle point: a
+# band sized by the smallest spacing would hold about n^2 entries
+CLOSE_POINTS = Grid1D(2001, np.insert(np.arange(2000.0), 1001, 1000 + 1e-9))
+# 300 points 0.1 apart and one far out: the reach over the mean spacing
+# (about 33) is short of the 172 rows the band needs, so it has to grow
+CLUSTERED = Grid1D(301, np.append(0.1 * np.arange(300), 1e4))
+
+
 @pytest.mark.parametrize("grid, length_scale", [
     (Grid1D.uniform(200), 0.5),
     (Grid1D.uniform(300), 2.0),
     (Grid1D.uniform(300), 8.0),
     (Grid1D.uniform(200), 1e4),
     (_nonuniform_grid(), 2.0),
+    (CLOSE_POINTS, 2.0),
+    (CLUSTERED, 2.0),
 ])
 def test_band_is_the_dense_kernel_diagonals(grid, length_scale):
-    model = build_gaussian_covariance(grid, length_scale, 1.5)
+    tracemalloc.start()
+    try:
+        model = build_gaussian_covariance(grid, length_scale, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     kernel = _dense_kernel(grid.coords, length_scale, 1.5)
     band, n = model.b_band, grid.n_points
+    # the band holds its own rows, not a view into a larger buffer
+    assert band.base is None or band.base.nbytes == band.nbytes
+    if grid is CLOSE_POINTS:
+        assert peak < 3 * (band.nbytes + model.v_band.nbytes)
+    if grid is CLUSTERED:
+        spacing = (grid.coords[-1] - grid.coords[0]) / (n - 1)
+        assert _reach_rows(n, length_scale, spacing) < band.shape[0]
     for k in range(band.shape[0]):
         assert band[k, :n - k].tobytes() == np.diagonal(kernel, -k).tobytes()
         assert not band[k, n - k:].any()
