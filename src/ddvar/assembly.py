@@ -19,11 +19,11 @@ stored as its lower band a_band, O(s bw^2) for s points, and no s x s
 matrix is formed.  The local band is a product over windows of the band
 of V, D and D d sliced from the instance's weights; the global one is
 read off the sparse product of the observed rows of V, a separate path
-that the one-subdomain decomposition is checked against.  The dense a is
-derived on first access, for the tests and oracles.  The solvers lay the
-bands end to end; the sparse rows of the coupling are built here, and
-local_gradient computes one subdomain's rows of the fixed-point residual
-the way the solvers compute them all.
+that the one-subdomain decomposition is checked against.  The band is a
+system's only form of a; the dense a is the tests' oracle.  The solvers
+lay the bands end to end; the sparse rows of the coupling are built
+here, and local_gradient computes one subdomain's rows of the
+fixed-point residual the way the solvers compute them all.
 
 The right-hand side c_i is computed by one shared code path regardless of
 scheme, which is what makes the cross-scheme equality of c_i hold to the
@@ -32,15 +32,14 @@ bit, not merely to rounding.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .covariance import (_band_matrix, _band_of, _band_sym_times, _frozen,
-                         _interface_factors, v_normal)
+from .covariance import (_band_of, _band_sym_times, _interface_factors,
+                         _past_last_row, v_normal)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -68,18 +67,11 @@ class _Banded:
             raise DimensionMismatch(
                 f"a_band has shape {band.shape}, expected (k + 1, n) for c "
                 f"of shape {c.shape} = (n,)")
-        # band[d, j] lies past the last row when d + j >= n
-        if band[np.add.outer(np.arange(band.shape[0]), np.arange(c.size))
-                >= c.size].any():
+        if band[_past_last_row(band.shape)].any():
             raise InvalidArgument("a_band has nonzero entries past the "
                                   "last row")
         object.__setattr__(self, "a_band", band)
         object.__setattr__(self, "c", c)
-
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        """Dense a, the matrix of a_band, formed once, read-only."""
-        return _frozen(_band_matrix(self.a_band, symmetric=True))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).
 _band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are the one
 triangular product with a lower band, v_times's and the stacked blocks',
 and the one symmetric product, the fixed-point residual's and
-local_gradient's.  _band_matrix copies a band into the dense b, v_factor
-and a of factor_check and the tests; _band_of reads the lower band of a
-sparse symmetric matrix.
+local_gradient's.  _band_of reads the lower band of a sparse symmetric
+matrix, and _past_last_row marks the entries of a band that lie past the
+last row of its matrix.  The package holds every matrix as its band and
+never forms an n x n array; dense matrices are the tests' oracles.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
 package's one path for SPD systems: B here, the global and stacked local
 systems in solvers and the observation-space matrix in analysis.
@@ -31,7 +32,6 @@ systems in solvers and the observation-space matrix in analysis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,15 +46,6 @@ from .geometry import Decomposition, Grid1D
 
 # past sqrt(106 ln 2) length scales the Gaussian kernel is below 2^-53
 _GAUSSIAN_REACH = math.sqrt(106 * math.log(2))
-
-
-def _band_matrix(band: np.ndarray, symmetric: bool) -> np.ndarray:
-    """The dense symmetric or lower-triangular matrix with this lower band."""
-    n = band.shape[1]
-    a = np.zeros((n, n))
-    for d in range(min(band.shape[0], n)):
-        a[np.arange(d, n), np.arange(n - d)] = band[d, :n - d]
-    return np.where(np.tri(n, dtype=bool), a, a.T) if symmetric else a
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -73,6 +64,12 @@ def _band_of(s, height: int | None = None) -> np.ndarray:
     return band
 
 
+def _past_last_row(shape: tuple) -> np.ndarray:
+    # band[d, j] of a (k + 1, n) lower band lies past the last row when
+    # d + j >= n
+    return np.add.outer(np.arange(shape[0]), np.arange(shape[1])) >= shape[1]
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     """Background covariance B with factor V, B = V V^T, held as bands.
@@ -83,10 +80,9 @@ class CovarianceModel:
     model with no such scale (the identity).  Construction checks the
     shapes and finite entries of both bands and stores them as read-only
     views, and checks a given sigma_b by build_gaussian_covariance's rule
-    and stores its float.  The dense b and v_factor, read only by
-    factor_check and the tests, are formed from the bands once, on first
-    access, read-only too.  factor_check measures the residual, so a
-    corrupted (but finite) v_band can be constructed.
+    and stores its float.  The bands are the model's only form of B and
+    V: no n x n matrix is formed from them.  factor_check measures the
+    residual, so a corrupted (but finite) v_band can be constructed.
     """
 
     b_band: np.ndarray
@@ -116,16 +112,6 @@ class CovarianceModel:
     def bandwidth(self) -> int:
         """bw, the sub-diagonals of the band of V."""
         return self.v_band.shape[0] - 1
-
-    @functools.cached_property
-    def b(self) -> np.ndarray:
-        """Dense B, the matrix of b_band, formed once."""
-        return _frozen(_band_matrix(self.b_band, symmetric=True))
-
-    @functools.cached_property
-    def v_factor(self) -> np.ndarray:
-        """Dense lower-triangular V, the matrix of v_band, formed once."""
-        return _frozen(_band_matrix(self.v_band, symmetric=False))
 
 
 @dataclass(frozen=True)
@@ -272,8 +258,20 @@ def identity_covariance(grid: Grid1D) -> CovarianceModel:
 
 
 def factor_check(model: CovarianceModel) -> float:
-    """Max-abs residual of the factorization, max |B - V V^T|."""
-    return float(np.max(np.abs(model.b - model.v_factor @ model.v_factor.T)))
+    """Max-abs residual of the factorization, max |B - V V^T|, on the bands.
+
+    V V^T is the sparse product of the rows of V (v_rows_sparse), read
+    back as its lower band (_band_of); B - V V^T is symmetric and zero
+    below the taller of the two bands, so its lower band over that many
+    rows holds every entry.  Entries of either band past the last row
+    are ignored.  O(n bw^2) for bw sub-diagonals, and no n x n array.
+    """
+    v = v_rows_sparse(model, np.arange(model.n_points))
+    rows = max(model.b_band.shape[0], model.v_band.shape[0])
+    residual = _band_of(v @ v.T, rows)
+    residual[:model.b_band.shape[0]] -= model.b_band
+    residual[_past_last_row(residual.shape)] = 0.0
+    return float(np.max(np.abs(residual)))
 
 
 def _band_rows(model: CovarianceModel, rows: np.ndarray):

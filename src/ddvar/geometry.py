@@ -151,16 +151,6 @@ class Decomposition:
         self._check_id(i)
         return slice(*self.subdomains[i])
 
-    def indices(self, i: int) -> np.ndarray:
-        """Global grid indices of subdomain i, ascending."""
-        span = self.span(i)
-        return np.arange(span.start, span.stop, dtype=np.intp)
-
-    def size(self, i: int) -> int:
-        """Point count of subdomain i."""
-        span = self.span(i)
-        return span.stop - span.start
-
     def neighbors(self, i: int) -> tuple:
         """Ids coupled to subdomain i through an interface, ascending."""
         self._check_id(i)

@@ -41,10 +41,6 @@ class ObservationSet:
         object.__setattr__(self, "obs_indices", idx)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def nobs(self) -> int:
-        return int(self.obs_indices.size)
-
 
 def point_observations(grid: Grid1D, obs_indices, values,
                        r_diag) -> ObservationSet:

@@ -65,6 +65,17 @@ def run_library(pairs):
                config.update_convention)
 
 
+def dense(band, symmetric=True):
+    """Oracle: the dense symmetric, or else lower-triangular, matrix with
+    this lower band, band[d, j] = a[j + d, j]; entries past the last row
+    are ignored."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for d in range(min(band.shape[0], n)):
+        a[np.arange(d, n), np.arange(n - d)] = band[d, :n - d]
+    return a + np.tril(a, -1).T if symmetric else a
+
+
 def lower_band(a, k):
     """band[d, j] = a[j + d, j] for d = 0..k, zero past the last row."""
     n = a.shape[0]
@@ -92,7 +103,7 @@ def residual_bound(locals_, ws):
     m = int(np.max(np.count_nonzero(coupling, axis=1), initial=0))
     terms = max(2 * k + 2, m) + 2
     gamma = terms * 2.0**-53 / (1.0 - terms * 2.0**-53)
-    a = scipy.linalg.block_diag(*(sys.a for sys in locals_))
+    a = scipy.linalg.block_diag(*(dense(sys.a_band) for sys in locals_))
     return 2.0 * gamma * (np.abs(a) @ w + np.abs(coupling) @ w
                           + np.abs(stack.c))
 
@@ -113,7 +124,7 @@ class FixedPoint:
     def __init__(self, systems):
         blocks = [[None] * len(systems) for _ in systems]
         for i, sys in enumerate(systems):
-            blocks[i][i] = scipy.sparse.csr_array(sys.a)
+            blocks[i][i] = scipy.sparse.csr_array(dense(sys.a_band))
             for j, p_i, p_j in sys.penalty_pairs:
                 blocks[i][j] = scipy.sparse.csr_array(-(p_i.T @ p_j))
         self.k = scipy.sparse.bmat(blocks, format="csr")

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from ddvar import (
     cost_w,
     decompose_uniform,
     equivalence_report,
+    factor_check,
     identity_covariance,
     interface_mismatch,
     point_observations,
@@ -33,6 +35,7 @@ from ddvar import (
 from ddvar import analysis, assembly, covariance, solvers
 
 from conftest import (
+    dense,
     interface_pair,
     local_update,
     make_instance,
@@ -45,9 +48,9 @@ from test_acceptance import instance_matrix
 def test_local_update_zero_control_returns_background():
     inst, dec = make_instance(n=20, j_sub=2, halo=1)
     for i in range(2):
-        idx = dec.indices(i)
-        u = local_update(inst, dec, i, np.zeros(idx.size))
-        np.testing.assert_array_equal(u, inst.u_background[idx])
+        span = dec.span(i)
+        u = local_update(inst, dec, i, np.zeros(span.stop - span.start))
+        np.testing.assert_array_equal(u, inst.u_background[span])
     # and so is the stacked lift of zero controls, patched or not
     points = dec._stacked[0]
     u, us = analysis._patch(inst, dec, np.zeros(points.size))
@@ -62,7 +65,7 @@ def test_global_analysis_matches_state_space_oracle():
     res = assimilate(inst, dec, "global")
     h = np.eye(inst.grid.n_points)[inst.obs.obs_indices]
     r_inv = np.diag(1.0 / inst.obs.r_cov.r_diag)
-    lhs = np.linalg.inv(inst.cov.b) + h.T @ r_inv @ h
+    lhs = np.linalg.inv(dense(inst.cov.b_band)) + h.T @ r_inv @ h
     d = inst.obs.values - h @ inst.u_background
     du = np.linalg.solve(lhs, h.T @ r_inv @ d)
     np.testing.assert_allclose(res.u_analysis, inst.u_background + du,
@@ -80,7 +83,8 @@ def test_patch_takes_each_point_from_its_owner():
     # subdomains (0, 5), (3, 9), (7, 12) own their base blocks (0, 4),
     # (4, 8), (8, 12): no halo value reaches the patched state
     dec = decompose_uniform(Grid1D.uniform(12), 3, 1)
-    out = patch(dec, [np.full(dec.size(i), float(i)) for i in range(3)])
+    out = patch(dec, [np.full(stop - start, float(i))
+                      for i, (start, stop) in enumerate(dec.subdomains)])
     np.testing.assert_array_equal(out, np.repeat([0.0, 1.0, 2.0], 4))
 
 
@@ -101,7 +105,7 @@ def test_owner_patch_approaches_the_global_analysis_as_the_halo_grows():
 def test_patch_reassembles_consistent_states_exactly():
     inst, dec = make_instance(n=23, j_sub=3, halo=2, seed=3)
     u = np.sin(np.arange(23.0))
-    pieces = [u[dec.indices(i)] for i in range(dec.j_sub)]
+    pieces = [u[dec.span(i)] for i in range(dec.j_sub)]
     np.testing.assert_array_equal(patch(dec, pieces), u)
 
 
@@ -124,7 +128,7 @@ def test_interface_mismatch_reports_a_nan_iterate():
     ws = _ddda_ws(inst, dec)
     for bad in range(dec.j_sub):
         nan_ws = list(ws)
-        nan_ws[bad] = np.full(dec.size(bad), np.nan)
+        nan_ws[bad] = np.full(ws[bad].size, np.nan)
         assert np.isnan(interface_mismatch(inst, dec, nan_ws)), bad
 
 
@@ -168,8 +172,8 @@ def test_interface_mismatch_is_the_largest_interface_factor_gap(length_scale):
                 if j_sub > 1 and 120 // j_sub < 2 * halo + 1:
                     continue
                 dec = decompose_uniform(grid, j_sub, halo)
-                ws = [rng.standard_normal(dec.size(i))
-                      for i in range(j_sub)]
+                ws = [rng.standard_normal(stop - start)
+                      for start, stop in dec.subdomains]
                 gaps = [0.0]
                 for i in range(j_sub):
                     for j in dec.neighbors(i):
@@ -236,7 +240,8 @@ def test_stacked_lift_matches_local_update_and_patch(n, j_sub, halo, kind,
                               length_scale=length_scale, seed=2)
     rng = np.random.default_rng(n + j_sub + halo)
     for _ in range(5):
-        ws = [rng.standard_normal(dec.size(i)) for i in range(j_sub)]
+        ws = [rng.standard_normal(stop - start)
+              for start, stop in dec.subdomains]
         us_ref = [local_update(inst, dec, i, w) for i, w in enumerate(ws)]
         u_ref = patch(dec, us_ref)
         gap_ref = max(np.max(np.abs(u_i - u_ref[dec.span(i)]))
@@ -328,15 +333,15 @@ def test_a_decomposition_of_another_grid_is_rejected():
         with pytest.raises(DimensionMismatch, match="grid"):
             equivalence_report(inst, dec)
         with pytest.raises(DimensionMismatch, match="grid"):
-            interface_mismatch(inst, dec, [np.zeros(dec.size(i))
-                                           for i in range(dec.j_sub)])
+            interface_mismatch(inst, dec, [np.zeros(stop - start)
+                                           for start, stop in dec.subdomains])
 
 
 def test_control_equivalent_roundtrip():
     inst, _ = make_instance(n=25, seed=5)
     rng = np.random.default_rng(6)
     w = rng.standard_normal(25)
-    u = inst.u_background + inst.cov.v_factor @ w
+    u = inst.u_background + dense(inst.cov.v_band, symmetric=False) @ w
     np.testing.assert_allclose(control_equivalent(inst, u), w,
                                rtol=0, atol=1e-8)
     assert abs(cost_w(inst, control_equivalent(inst, u)) - cost_w(inst, w)) \
@@ -367,15 +372,15 @@ def test_control_equivalent_matches_dense_triangular_solve(n, length_scale,
     if kind == "gaussian" and length_scale == 1e4:
         assert inst.cov.v_band.shape == (n, n)
     rng = np.random.default_rng(1)
+    v = dense(inst.cov.v_band, symmetric=False)
     for u in (inst.u_truth,
               inst.u_background + rng.standard_normal(n),
-              inst.u_background + inst.cov.v_factor @ rng.standard_normal(n)):
+              inst.u_background + v @ rng.standard_normal(n)):
         w = control_equivalent(inst, u)
-        dense = scipy.linalg.solve_triangular(
-            inst.cov.v_factor, u - inst.u_background, lower=True
-        )
-        assert np.max(np.abs(w - dense)) <= 1e-10 * (
-            1.0 + np.max(np.abs(dense)))
+        oracle = scipy.linalg.solve_triangular(v, u - inst.u_background,
+                                               lower=True)
+        assert np.max(np.abs(w - oracle)) <= 1e-10 * (
+            1.0 + np.max(np.abs(oracle)))
 
 
 def test_control_equivalent_rejects_singular_factor():
@@ -389,39 +394,23 @@ def test_control_equivalent_rejects_singular_factor():
         control_equivalent(inst, np.ones(10))
 
 
-def test_run_path_never_forms_dense_b(monkeypatch):
-    # synthesis, every scheme and the report read B and V on their bands,
-    # and every local system stays a band; the dense b, v_factor and a
-    # stay the oracle of tests and checks
-    built = []
-
-    def recording(*args):
-        built.append(assemble_local(*args))
-        return built[-1]
-
-    monkeypatch.setattr(analysis, "assemble_local", recording)
-    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    for method in ("global", "mps", "ddda"):
-        assimilate(inst, dec, method)
-    equivalence_report(inst, dec)
-    assert "b" not in vars(inst.cov)
-    assert "v_factor" not in vars(inst.cov)
-    assert len(built) == 4 * dec.j_sub
-    assert not [sys for sys in built if "a" in vars(sys)]
-
-
-def test_run_path_scatters_no_dense_block_of_v(monkeypatch):
-    # every read of V on the run path is a gather or a product on its
-    # band; _band_matrix, behind the dense b, v_factor and a, never runs
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense matrix was formed from a band")
-
-    for module in (covariance, assembly):
-        monkeypatch.setattr(module, "_band_matrix", refuse)
-    inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    for method in ("global", "mps", "ddda"):
-        assimilate(inst, dec, method)
-    equivalence_report(inst, dec)
+def test_no_call_forms_a_dense_matrix():
+    # every scheme, the report and the factor check read B, V and every
+    # normal matrix on their bands: each call peaks far below one
+    # 3000 x 3000 float array, 72 MB
+    inst, dec = make_instance(n=3000, j_sub=16, halo=4, seed=4)
+    calls = {method: (assimilate, inst, dec, method)
+             for method in ("global", "mps", "ddda")}
+    calls["equivalence_report"] = (equivalence_report, inst, dec)
+    calls["factor_check"] = (factor_check, inst.cov)
+    for name, (call, *args) in calls.items():
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, (name, peak)
 
 
 def test_only_the_v_times_w_convention_is_accepted():
@@ -435,14 +424,14 @@ def test_only_the_v_times_w_convention_is_accepted():
 
 
 def test_local_update_is_the_dense_block_product():
-    # within rounding of u^b + v_factor[span, span] @ w: the band product
+    # within rounding of u^b + V[span, span] @ w: the band product
     # sums in another order
     inst, dec = make_instance(n=40, j_sub=3, halo=2, seed=2)
     rng = np.random.default_rng(1)
-    v = inst.cov.v_factor
+    v = dense(inst.cov.v_band, symmetric=False)
     for i in range(dec.j_sub):
         span = dec.span(i)
-        w = rng.standard_normal(dec.size(i))
+        w = rng.standard_normal(span.stop - span.start)
         expected = inst.u_background[span] + v[span, span] @ w
         np.testing.assert_allclose(local_update(inst, dec, i, w), expected,
                                    rtol=0, atol=1e-14)

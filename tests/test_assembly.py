@@ -23,7 +23,7 @@ from ddvar import (
 
 from ddvar.covariance import v_normal
 
-from conftest import interface_pair, lower_band, make_instance
+from conftest import dense, interface_pair, lower_band, make_instance
 
 
 def _single_point_instance():
@@ -34,7 +34,7 @@ def _single_point_instance():
 
 def test_global_single_point():
     sys = assemble_global(_single_point_instance())
-    np.testing.assert_array_equal(sys.a, [[2.0]])
+    np.testing.assert_array_equal(dense(sys.a_band), [[2.0]])
     np.testing.assert_array_equal(sys.c, [2.0])
 
 
@@ -43,7 +43,7 @@ def test_global_without_observations_is_identity():
     obs = point_observations(grid, [], [], [])
     inst = ProblemInstance(grid, identity_covariance(grid), obs, np.zeros(6))
     sys = assemble_global(inst)
-    np.testing.assert_array_equal(sys.a, np.eye(6))
+    np.testing.assert_array_equal(dense(sys.a_band), np.eye(6))
     np.testing.assert_array_equal(sys.c, np.zeros(6))
 
 
@@ -55,7 +55,7 @@ def test_global_identity_operators():
     obs = point_observations(grid, [0, 1, 2, 3], v, np.ones(4))
     inst = ProblemInstance(grid, identity_covariance(grid), obs, u_b)
     sys = assemble_global(inst)
-    np.testing.assert_array_equal(sys.a, 2.0 * np.eye(4))
+    np.testing.assert_array_equal(dense(sys.a_band), 2.0 * np.eye(4))
     np.testing.assert_array_equal(sys.c, v - u_b)
 
 
@@ -63,11 +63,12 @@ def test_global_identity_operators():
 def test_system_matrices_are_well_conditioned(seed):
     inst, dec = make_instance(n=25, j_sub=2, halo=2, seed=seed)
     sys = assemble_global(inst)
-    np.testing.assert_allclose(sys.a, sys.a.T, atol=0)
-    assert np.min(np.linalg.eigvalsh(sys.a)) >= 1.0 - 1e-10
+    a = dense(sys.a_band)
+    np.testing.assert_allclose(a, a.T, atol=0)
+    assert np.min(np.linalg.eigvalsh(a)) >= 1.0 - 1e-10
     for i in range(dec.j_sub):
         loc = assemble_local(inst, dec, i, SCHEME_MPS)
-        assert np.min(np.linalg.eigvalsh(loc.a)) >= 1.0 - 1e-10
+        assert np.min(np.linalg.eigvalsh(dense(loc.a_band))) >= 1.0 - 1e-10
 
 
 def test_cost_matches_quadratic_form():
@@ -78,7 +79,8 @@ def test_cost_matches_quadratic_form():
     rng = np.random.default_rng(2)
     for _ in range(5):
         w = rng.standard_normal(20)
-        quad = 0.5 * float(w @ (sys.a @ w)) - float(sys.c @ w) + const
+        quad = (0.5 * float(w @ (dense(sys.a_band) @ w)) - float(sys.c @ w)
+                + const)
         assert abs(cost_w(inst, w) - quad) <= 1e-10 * max(1.0, abs(quad))
 
 
@@ -101,7 +103,7 @@ def test_single_subdomain_equals_global(scheme):
     inst, dec = make_instance(n=18, j_sub=1, halo=0)
     glob = assemble_global(inst)
     loc = assemble_local(inst, dec, 0, scheme)
-    np.testing.assert_array_equal(loc.a, glob.a)
+    np.testing.assert_array_equal(dense(loc.a_band), dense(glob.a_band))
     np.testing.assert_array_equal(loc.c, glob.c)
     assert loc.penalty_pairs == ()
 
@@ -126,7 +128,8 @@ def test_matrix_split_is_exact():
             p_i, _ = interface_pair(inst.cov, dec, i, j)
             g = p_i.T @ p_i
             g_sum = g if g_sum is None else g_sum + g
-        np.testing.assert_array_equal(mps.a, ddda.a + g_sum)
+        np.testing.assert_array_equal(dense(mps.a_band),
+                                      dense(ddda.a_band) + g_sum)
 
 
 @pytest.mark.parametrize("kind, length_scale, n, j_sub, halo", [
@@ -144,11 +147,11 @@ def test_band_is_the_lower_band_of_the_dense_definition(kind, length_scale,
     # and c against m_i^T R^{-1} d_i
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, seed=11,
                               kind=kind, length_scale=length_scale)
-    v = inst.cov.v_factor
+    v = dense(inst.cov.v_band, symmetric=False)
     idx, d = inst.obs.obs_indices, inst.innovation
     bw = inst.cov.v_band.shape[0] - 1
     for i in range(dec.j_sub):
-        cols = dec.indices(i)
+        cols = np.arange(*dec.subdomains[i])
         mask = (idx >= cols[0]) & (idx <= cols[-1])
         m = v[np.ix_(idx[mask], cols)]
         r_inv = 1.0 / inst.obs.r_cov.r_diag[mask]
@@ -158,13 +161,11 @@ def test_band_is_the_lower_band_of_the_dense_definition(kind, length_scale,
         c = m.T @ (r_inv * d[mask])
         c_scale = np.max(np.abs(m.T) @ np.abs(r_inv * d[mask]), initial=0)
         k = min(bw, cols.size - 1)
-        for scheme, dense in ((SCHEME_DDDA, base),
-                              (SCHEME_MPS, base + penalty)):
+        for scheme, a in ((SCHEME_DDDA, base), (SCHEME_MPS, base + penalty)):
             sys = assemble_local(inst, dec, i, scheme)
             assert sys.a_band.shape == (k + 1, cols.size)
-            np.testing.assert_allclose(sys.a_band, lower_band(dense, k),
-                                       rtol=0,
-                                       atol=1e-14 * np.max(np.abs(dense)))
+            np.testing.assert_allclose(sys.a_band, lower_band(a, k), rtol=0,
+                                       atol=1e-14 * np.max(np.abs(a)))
             np.testing.assert_allclose(sys.c, c, rtol=0,
                                        atol=1e-14 * c_scale)
 
@@ -180,7 +181,7 @@ def test_identity_factor_coupling_structure():
     loc0 = assemble_local(inst, dec, 0, SCHEME_MPS)
     expected = np.eye(6)
     expected[5, 5] += 1.0
-    np.testing.assert_array_equal(loc0.a, expected)
+    np.testing.assert_array_equal(dense(loc0.a_band), expected)
     (j, p_0, p_1), = loc0.penalty_pairs
     assert j == 1
     np.testing.assert_array_equal(p_0, [[0.0, 0, 0, 0, 0, 1]])
@@ -189,7 +190,7 @@ def test_identity_factor_coupling_structure():
     loc1 = assemble_local(inst, dec, 1, SCHEME_MPS)
     expected = np.eye(6)
     expected[0, 0] += 1.0
-    np.testing.assert_array_equal(loc1.a, expected)
+    np.testing.assert_array_equal(dense(loc1.a_band), expected)
     (j, p_1, p_0), = loc1.penalty_pairs
     assert j == 0
     np.testing.assert_array_equal(p_1, [[1.0, 0, 0, 0, 0, 0]])
@@ -207,7 +208,7 @@ def test_gradient_vanishes_at_local_solve():
     rng = np.random.default_rng(7)
     ws = {i: rng.standard_normal(locals_[i].size) for i in range(2)}
     for i, sys in enumerate(locals_):
-        w_star = np.linalg.solve(sys.a, sys.c + _pull(sys, ws))
+        w_star = np.linalg.solve(dense(sys.a_band), sys.c + _pull(sys, ws))
         g = local_gradient(sys, w_star, ws)
         assert np.max(np.abs(g)) <= 1e-10
 
@@ -222,7 +223,7 @@ def test_gradient_matches_finite_differences():
     pull = _pull(sys, ws)
 
     def f(x):
-        return 0.5 * float(x @ (sys.a @ x)) - float(sys.c @ x) \
+        return 0.5 * float(x @ (dense(sys.a_band) @ x)) - float(sys.c @ x) \
             - float(x @ pull)
 
     g = local_gradient(sys, w, ws)
@@ -298,7 +299,7 @@ def test_assemble_local_takes_the_observations_in_its_span():
         a[local_pts, local_pts] += r_inv
         c = np.zeros(6)
         c[local_pts] = r_inv * obs.values[sel]
-        np.testing.assert_array_equal(sys.a, a)
+        np.testing.assert_array_equal(dense(sys.a_band), a)
         np.testing.assert_array_equal(sys.c, c)
 
 
@@ -311,7 +312,7 @@ def test_assemble_local_without_observations_is_identity():
     dec = decompose_uniform(grid, 3, 2)
     assert dec.span(1) == slice(3, 12)
     sys = assemble_local(inst, dec, 1, SCHEME_DDDA)
-    np.testing.assert_array_equal(sys.a, np.eye(9))
+    np.testing.assert_array_equal(dense(sys.a_band), np.eye(9))
     np.testing.assert_array_equal(sys.c, np.zeros(9))
 
 
@@ -343,9 +344,9 @@ def _searchsorted_local(inst, dec, i, scheme):
     a_band[0] += 1.0
     if scheme == SCHEME_DDDA:
         return a_band, c, []
-    v = inst.cov.v_factor
-    pairs = [(j, v[np.ix_(dec.interface(i, j), dec.indices(i))],
-              v[np.ix_(dec.interface(i, j), dec.indices(j))])
+    v = dense(inst.cov.v_band, symmetric=False)
+    pairs = [(j, v[dec.interface(i, j), span],
+              v[dec.interface(i, j), dec.span(j)])
              for j in dec.neighbors(i)]
     penalty = np.zeros(a_band.shape)
     for _, p_i, _ in pairs:

@@ -23,7 +23,7 @@ from ddvar import (
 from ddvar.covariance import (_band_cholesky, _band_rows, _reach_rows,
                               v_rows_sparse, v_times)
 
-from conftest import block_times, interface_pair
+from conftest import block_times, dense, interface_pair, lower_band
 
 JITTER = 1e-10
 
@@ -46,20 +46,21 @@ def test_gaussian_entries_match_formula():
     model = build_gaussian_covariance(Grid1D.uniform(2), 1.0, 1.0)
     expected = np.array([[1.0, np.exp(-0.5)], [np.exp(-0.5), 1.0]])
     expected += JITTER * np.eye(2)
-    np.testing.assert_allclose(model.b, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense(model.b_band), expected, rtol=0,
+                               atol=1e-15)
 
 
 def test_tiny_length_scale_decorrelates():
     model = build_gaussian_covariance(Grid1D.uniform(3), 1e-3, 1.0)
-    off = model.b[~np.eye(3, dtype=bool)]
-    assert np.max(np.abs(off)) < 1e-100
-    np.testing.assert_allclose(np.diag(model.b), 1.0 + JITTER)
+    b = dense(model.b_band)
+    assert np.max(np.abs(b[~np.eye(3, dtype=bool)])) < 1e-100
+    np.testing.assert_allclose(np.diag(b), 1.0 + JITTER)
 
 
 def test_identity_model():
     model = identity_covariance(Grid1D.uniform(7))
-    np.testing.assert_array_equal(model.b, np.eye(7))
-    np.testing.assert_array_equal(model.v_factor, np.eye(7))
+    np.testing.assert_array_equal(model.b_band, np.ones((1, 7)))
+    np.testing.assert_array_equal(model.v_band, np.ones((1, 7)))
     assert factor_check(model) == 0.0
 
 
@@ -70,13 +71,58 @@ def test_factor_residual_small(n, length_scale):
     assert factor_check(model) <= 1e-12
 
 
-def test_factor_check_detects_corruption():
-    grid = Grid1D.uniform(10)
-    model = build_gaussian_covariance(grid, 2.0, 1.0)
+def _corrupted(model):
     v_bad = model.v_band.copy()
     v_bad[3, 2] += 1e-3  # V[5, 2]
-    corrupted = CovarianceModel(b_band=model.b_band, v_band=v_bad)
-    assert factor_check(corrupted) > 1e-6
+    return CovarianceModel(b_band=model.b_band, v_band=v_bad)
+
+
+def test_factor_check_detects_corruption():
+    model = build_gaussian_covariance(Grid1D.uniform(10), 2.0, 1.0)
+    assert factor_check(_corrupted(model)) > 1e-6
+
+
+def _taller_v():
+    # B = I against a V of two sub-diagonals, entries exact in binary so
+    # that every sum is exact
+    v = np.random.default_rng(2).integers(-3, 4, (3, 8)).astype(float)
+    v[1, 7:] = v[2, 6:] = 0.0
+    return CovarianceModel(b_band=np.ones((1, 8)), v_band=v)
+
+
+def _tail_in_b():
+    # the Gaussian b_band with nonzero entries past the last row
+    model = build_gaussian_covariance(Grid1D.uniform(12), 2.0, 1.0)
+    b = model.b_band.copy()
+    for k in range(1, b.shape[0]):
+        b[k, 12 - k:] = 7.0 + k
+    return CovarianceModel(b_band=b, v_band=model.v_band)
+
+
+@pytest.mark.parametrize("build", [
+    # the grids of test_factor_residual_small and of acceptance 06
+    *(lambda n=n, s=s, b=b: build_gaussian_covariance(Grid1D.uniform(n), s, b)
+      for n, b in ((20, 0.5), (41, 0.5), (20, 1.0), (40, 1.0))
+      for s in (0.5, 2.0, 5.0)),
+    lambda: build_gaussian_covariance(Grid1D.uniform(200), 0.5, 1.0),
+    lambda: build_gaussian_covariance(Grid1D.uniform(300), 2.0, 1.0),
+    lambda: build_gaussian_covariance(Grid1D.uniform(300), 8.0, 1.0),
+    lambda: build_gaussian_covariance(Grid1D.uniform(300), 2.0, 2.0),
+    lambda: build_gaussian_covariance(_nonuniform_grid(), 2.0, 1.0),
+    lambda: build_gaussian_covariance(Grid1D.uniform(200), 1e4, 1.0),
+    lambda: identity_covariance(Grid1D.uniform(7)),
+    lambda: _corrupted(build_gaussian_covariance(Grid1D.uniform(10), 2.0,
+                                                 1.0)),
+    _taller_v,
+    _tail_in_b,
+])
+def test_factor_check_matches_the_dense_oracle(build):
+    # the banded residual against max |B - V V^T| of the dense matrices
+    model = build()
+    v = dense(model.v_band, symmetric=False)
+    oracle = float(np.max(np.abs(dense(model.b_band) - v @ v.T)))
+    assert (abs(factor_check(model) - oracle)
+            <= 2.0**-50 * np.max(model.b_band[0]))
 
 
 def test_gaussian_rejects_bad_parameters():
@@ -116,13 +162,13 @@ def test_model_stores_sigma_b_as_a_float():
 def test_sigma_b_scales_the_kernel():
     model = build_gaussian_covariance(Grid1D.uniform(3), 2.0, 0.3)
     base = build_gaussian_covariance(Grid1D.uniform(3), 2.0, 1.0)
-    np.testing.assert_allclose(model.b, 0.09 * base.b, rtol=1e-14)
+    np.testing.assert_allclose(model.b_band, 0.09 * base.b_band, rtol=1e-14)
 
 
 def test_restricted_covariance_psd():
     model = build_gaussian_covariance(Grid1D.uniform(15), 3.0, 1.0)
     idx = np.array([0, 3, 4, 9, 14])
-    block = model.b[np.ix_(idx, idx)]
+    block = dense(model.b_band)[np.ix_(idx, idx)]
     np.testing.assert_array_equal(block, block.T)
     assert np.min(np.linalg.eigvalsh(block)) >= -1e-10
 
@@ -147,20 +193,21 @@ def test_interface_coupling_gaussian_rows():
     model = build_gaussian_covariance(grid, 2.0, 1.0)
     dec = decompose_uniform(grid, 2, 1)
     p_0, p_1 = interface_pair(model, dec, 0, 1)
-    np.testing.assert_array_equal(p_0, model.v_factor[[5], 0:6])
-    np.testing.assert_array_equal(p_1, model.v_factor[[5], 4:10])
+    v = dense(model.v_band, symmetric=False)
+    np.testing.assert_array_equal(p_0, v[[5], 0:6])
+    np.testing.assert_array_equal(p_1, v[[5], 4:10])
     # three subdomains with halo 2, both directions of every interface,
     # against index-array selection
     grid = Grid1D.uniform(24)
     model = build_gaussian_covariance(grid, 2.0, 1.0)
-    v = model.v_factor
+    v = dense(model.v_band, symmetric=False)
     dec = decompose_uniform(grid, 3, 2)
     for i, j in ((0, 1), (1, 0), (1, 2), (2, 1)):
         p_i, p_j = interface_pair(model, dec, i, j)
         gamma = dec.interface(i, j)
         assert gamma.size == 2
-        assert p_i.tobytes() == v[np.ix_(gamma, dec.indices(i))].tobytes()
-        assert p_j.tobytes() == v[np.ix_(gamma, dec.indices(j))].tobytes()
+        assert p_i.tobytes() == v[gamma, dec.span(i)].tobytes()
+        assert p_j.tobytes() == v[gamma, dec.span(j)].tobytes()
 
 
 def test_interface_coupling_requires_adjacency():
@@ -221,7 +268,7 @@ def test_model_arrays_are_read_only():
     grid = Grid1D.uniform(6)
     for model in (build_gaussian_covariance(grid, 2.0, 1.0),
                   identity_covariance(grid)):
-        for a in (model.b_band, model.v_band, model.b, model.v_factor):
+        for a in (model.b_band, model.v_band):
             with pytest.raises(ValueError):
                 a[0, 0] = 5.0
     # the caller's arrays stay writable; the model holds read-only views
@@ -238,16 +285,13 @@ def test_model_arrays_are_read_only():
 def test_factor_is_exactly_banded(length_scale, bw):
     grid = Grid1D.uniform(200)
     model = build_gaussian_covariance(grid, length_scale, 1.0)
-    v = model.v_factor
     # bw is the bandwidth of the dense kernel, computed apart from the
     # build, and both stored bands hold exactly its bw + 1 diagonals
     kernel = _dense_kernel(grid.coords, length_scale, 1.0)
     assert _kernel_bandwidth(kernel) == bw
     assert model.b_band.shape[0] == model.v_band.shape[0] == bw + 1
-    assert not np.triu(v, 1).any()
-    # every entry below sub-diagonal bw is an exact zero; bw itself is not
-    assert not np.tril(v, -bw - 1).any()
-    assert np.diagonal(v, -bw).all()
+    # the last sub-diagonal of V holds no zero
+    assert model.v_band[bw, :200 - bw].all()
 
 
 @pytest.mark.parametrize("grid, length_scale, sigma_b", [
@@ -270,8 +314,9 @@ def test_band_factor_residual(grid, length_scale, sigma_b):
 ])
 def test_band_factor_matches_dense_cholesky(grid, length_scale, tol):
     model = build_gaussian_covariance(grid, length_scale, 1.0)
-    dense = np.linalg.cholesky(model.b)
-    assert np.max(np.abs(model.v_factor - dense)) <= tol
+    cholesky = np.linalg.cholesky(dense(model.b_band))
+    assert (np.max(np.abs(dense(model.v_band, symmetric=False) - cholesky))
+            <= tol)
 
 
 def test_band_factor_rejects_indefinite_matrix():
@@ -335,23 +380,21 @@ def test_band_is_the_dense_kernel_diagonals(grid, length_scale):
     assert np.max(np.abs(beyond)) <= math.ldexp(np.max(np.diag(kernel)), -53)
 
 
-def test_dense_arrays_derived_once_and_read_only():
+def test_dense_oracle_is_the_matrix_of_the_band():
+    # conftest.dense, the tests' dense form of every band, against its
+    # inverse lower_band: the band's diagonals in place, the symmetric
+    # form its mirror, the entries past the last row ignored
     grid = Grid1D.uniform(30)
     for model in (build_gaussian_covariance(grid, 2.0, 1.0),
                   identity_covariance(grid)):
-        assert "b" not in vars(model) and "v_factor" not in vars(model)
-        b, v = model.b, model.v_factor
-        assert model.b is b and model.v_factor is v
-        assert not b.flags.writeable and not v.flags.writeable
-        np.testing.assert_array_equal(b, b.T)
-        assert not np.triu(v, 1).any()
-        for k in range(model.b_band.shape[0]):
-            assert (np.diagonal(b, -k).tobytes()
-                    == model.b_band[k, :30 - k].tobytes())
-            assert (np.diagonal(v, -k).tobytes()
-                    == model.v_band[k, :30 - k].tobytes())
-        assert not np.tril(b, -model.b_band.shape[0]).any()
-        assert not np.tril(v, -model.v_band.shape[0]).any()
+        for band, symmetric in ((model.b_band, True), (model.v_band, False)):
+            a, k = dense(band, symmetric), band.shape[0] - 1
+            np.testing.assert_array_equal(a, a.T if symmetric else np.tril(a))
+            assert lower_band(a, k).tobytes() == band.tobytes()
+            assert not np.tril(a, -k - 1).any()
+    tail = np.ones((2, 3))
+    np.testing.assert_array_equal(dense(tail), [[1, 1, 0], [1, 1, 1],
+                                                [0, 1, 1]])
 
 
 def test_model_rejects_bad_band_shapes():
@@ -381,7 +424,7 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
     # products on each block and its interface pairs
     model = (identity_covariance(grid) if length_scale is None
              else build_gaussian_covariance(grid, length_scale, 1.0))
-    v = model.v_factor
+    v = dense(model.v_band, symmetric=False)
     n = grid.n_points
     rng = np.random.default_rng(5)
 
@@ -401,19 +444,18 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
     for j_sub, halo in ((1, 0), (6, 2), (24, 1)):
         dec = decompose_uniform(grid, j_sub, halo)
         for i in range(j_sub):
-            span, idx = dec.span(i), dec.indices(i)
+            span = dec.span(i)
             rows = np.sort(rng.choice(n, 7, replace=False))
             assert placed(rows).tobytes() == v[rows].tobytes()
             block = v[span, span]
-            w = rng.standard_normal(idx.size)
+            w = rng.standard_normal(span.stop - span.start)
             assert (np.linalg.norm(block_times(model, w, span) - block @ w)
                     <= 1e-15 * np.linalg.norm(block, 2) * np.linalg.norm(w))
             for k in dec.neighbors(i):
                 p_i, p_k = interface_pair(model, dec, i, k)
                 gamma = dec.interface(i, k)
-                assert p_i.tobytes() == v[np.ix_(gamma, idx)].tobytes()
-                assert (p_k.tobytes()
-                        == v[np.ix_(gamma, dec.indices(k))].tobytes())
+                assert p_i.tobytes() == v[gamma, span].tobytes()
+                assert p_k.tobytes() == v[gamma, dec.span(k)].tobytes()
 
 
 def test_v_rows_sparse_rejects_rows_outside_the_grid():

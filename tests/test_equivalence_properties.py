@@ -34,7 +34,8 @@ from ddvar import (  # noqa: E402
     solve_mps,
 )
 
-from conftest import FixedPoint, make_instance, residual_bound  # noqa: E402
+from conftest import (FixedPoint, dense, make_instance,  # noqa: E402
+                      residual_bound)
 
 EPS = np.finfo(float).eps
 
@@ -68,7 +69,8 @@ def _row_terms(systems, ws):
     """|a||w| + sum_j |p_i|^T (|p_i||w_i| + |p_j||w_j|) + |c|, stacked."""
     terms = []
     for sys in systems:
-        t = np.abs(sys.a) @ np.abs(ws[sys.subdomain]) + np.abs(sys.c)
+        t = (np.abs(dense(sys.a_band)) @ np.abs(ws[sys.subdomain])
+             + np.abs(sys.c))
         for j, p_i, p_j in sys.penalty_pairs:
             t += np.abs(p_i).T @ (np.abs(p_i) @ np.abs(ws[sys.subdomain])
                                   + np.abs(p_j) @ np.abs(ws[j]))

@@ -95,7 +95,7 @@ DEC = Decomposition(GRID, 2, 1)
 OTHER_DEC = Decomposition(Grid1D.uniform(21), 2, 1)
 SYSTEMS = [assemble_local(INST, DEC, i, SCHEME_MPS) for i in range(2)]
 ONES, PAIR = np.ones(3), np.ones((1, 3))
-W = [np.zeros(DEC.size(i)) for i in range(2)]
+W = [np.zeros(stop - start) for start, stop in DEC.subdomains]
 
 
 def _observed(indices):

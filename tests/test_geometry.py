@@ -15,7 +15,8 @@ from ddvar import (
 
 
 def _overlap(dec, i, j):
-    return np.intersect1d(dec.indices(i), dec.indices(j))
+    return np.intersect1d(np.arange(*dec.subdomains[i]),
+                          np.arange(*dec.subdomains[j]))
 
 
 def test_uniform_grid_coords():
@@ -66,7 +67,6 @@ def test_single_subdomain_covers_everything():
     assert dec.neighbors(0) == ()
     with pytest.raises(NoInterface):
         dec.interface(0, 0)
-    assert dec.size(0) == 10
     assert dec.span(0) == slice(0, 10)
 
 
@@ -76,7 +76,7 @@ def test_two_subdomain_split_with_unit_halo():
     np.testing.assert_array_equal(_overlap(dec, 0, 1), [4, 5])
     np.testing.assert_array_equal(dec.interface(0, 1), [5])
     np.testing.assert_array_equal(dec.interface(1, 0), [4])
-    assert (dec.size(0), dec.size(1)) == (6, 6)
+    assert (dec.span(0), dec.span(1)) == (slice(0, 6), slice(4, 10))
 
 
 def test_three_subdomain_split():
@@ -131,7 +131,7 @@ def test_counts_and_ids_must_be_integers():
     dec = Decomposition(grid, np.int64(2), np.int32(1))
     assert dec.subdomains == ((0, 6), (4, 10))
     for i in (1.0, True, np.float64(0.0)):
-        for read in (dec.span, dec.indices, dec.size, dec.neighbors):
+        for read in (dec.span, dec.neighbors):
             with pytest.raises(IndexOutOfRange, match="subdomain id"):
                 read(i)
         with pytest.raises(IndexOutOfRange, match="subdomain id"):
@@ -151,7 +151,7 @@ def test_union_covers_grid_exactly(n, j, h):
     dec = decompose_uniform(Grid1D.uniform(n), j, h)
     covered = np.zeros(n, dtype=bool)
     for i in range(j):
-        covered[dec.indices(i)] = True
+        covered[dec.span(i)] = True
     assert covered.all()
     # the owned ranges, the points each subdomain owns in the stacked
     # layout, are the base blocks: they tile the grid in order, each inside
@@ -184,7 +184,7 @@ def test_interface_nesting_and_disjointness(n, j, h):
         assert gamma.dtype == np.intp and gamma.size == h
         assert np.all(np.diff(gamma) == 1)
         overlap = set(_overlap(dec, i, k).tolist())
-        sub_i = set(dec.indices(i).tolist())
+        sub_i = set(range(*dec.subdomains[i]))
         g = set(gamma.tolist())
         assert g <= overlap <= sub_i
         assert not g & set(dec.interface(k, i).tolist())
@@ -193,22 +193,15 @@ def test_interface_nesting_and_disjointness(n, j, h):
 
 def test_subdomain_restriction_examples():
     dec = decompose_uniform(Grid1D.uniform(5), 1, 0)
-    np.testing.assert_array_equal(dec.indices(0), np.arange(5))
+    np.testing.assert_array_equal(np.arange(5)[dec.span(0)], np.arange(5))
     dec = decompose_uniform(Grid1D.uniform(10), 2, 1)
-    np.testing.assert_array_equal(dec.indices(0), np.arange(6))
-    np.testing.assert_array_equal(dec.indices(1), np.arange(4, 10))
-    for i in range(2):
-        np.testing.assert_array_equal(
-            np.arange(10)[dec.span(i)], dec.indices(i)
-        )
+    np.testing.assert_array_equal(np.arange(10)[dec.span(0)], np.arange(6))
+    np.testing.assert_array_equal(np.arange(10)[dec.span(1)],
+                                  np.arange(4, 10))
     # a negative id must not wrap around to the last subdomain
     for bad in (2, -1):
         with pytest.raises(IndexOutOfRange):
-            dec.indices(bad)
-        with pytest.raises(IndexOutOfRange):
             dec.span(bad)
-        with pytest.raises(IndexOutOfRange):
-            dec.size(bad)
         with pytest.raises(IndexOutOfRange):
             dec.neighbors(bad)
         with pytest.raises(IndexOutOfRange):
@@ -263,7 +256,8 @@ def test_restrict_matrix_block_indexing():
         for b in range(6):
             assert block[a, b] == m[a, b + 4]
     np.testing.assert_array_equal(
-        block, m[np.ix_(dec.indices(0), dec.indices(1))]
+        block, m[np.ix_(np.arange(*dec.subdomains[0]),
+                        np.arange(*dec.subdomains[1]))]
     )
 
 

@@ -41,8 +41,9 @@ def test_stacked_layout_lays_the_spans_end_to_end(case):
     assert not any(a.flags.writeable for a in (points, ends, owners))
     ids = range(j_sub)
     np.testing.assert_array_equal(
-        points, np.concatenate([dec.indices(i) for i in ids]))
-    np.testing.assert_array_equal(ends, np.cumsum([dec.size(i) for i in ids]))
+        points, np.concatenate([np.arange(*dec.subdomains[i]) for i in ids]))
+    np.testing.assert_array_equal(
+        ends, np.cumsum([stop - start for start, stop in dec.subdomains]))
     # each grid point's owner entry holds that point, inside the base
     # block of the span the entry belongs to
     grid = np.arange(n)

@@ -16,6 +16,8 @@ from ddvar import (
     synthesize,
 )
 
+from conftest import dense
+
 
 def test_innovation_hand_example():
     grid = Grid1D.uniform(3)
@@ -99,10 +101,10 @@ def test_synthesize_draw_order_replay():
     eps = rng.standard_normal(4)
     # V z is taken on the band, which sums in another order than the
     # dense product: equal within rounding
-    u_truth = cov.v_factor @ z
+    v = dense(cov.v_band, symmetric=False)
+    u_truth = v @ z
     np.testing.assert_allclose(inst.u_truth, u_truth, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(inst.u_background,
-                               u_truth + cov.v_factor @ z_prime,
+    np.testing.assert_allclose(inst.u_background, u_truth + v @ z_prime,
                                rtol=0, atol=1e-14)
     idx = inst.obs.obs_indices
     np.testing.assert_array_equal(inst.obs.values,
@@ -121,7 +123,7 @@ def test_synthesize_noiseless_observations():
 def test_synthesize_without_observations():
     grid = Grid1D.uniform(8)
     inst = synthesize(grid, identity_covariance(grid), 0, 0.1, seed=1)
-    assert inst.obs.nobs == 0
+    assert inst.obs.obs_indices.size == 0
     assert inst.obs.values.shape == (0,)
 
 
@@ -140,7 +142,8 @@ def test_observation_indices_and_counts_must_be_integers():
         obs = point_observations(grid, idx, [0.0, 0.0], [1.0, 1.0])
         assert obs.obs_indices.dtype == np.intp
         np.testing.assert_array_equal(obs.obs_indices, [1, 3])
-    assert point_observations(grid, [], [], []).nobs == 0
+    obs = point_observations(grid, [], [], [])
+    assert obs.obs_indices.size == 0
     # a float or bool nobs or seed fails with a typed error naming it
     cov = identity_covariance(grid)
     for nobs, seed, name in ((2.0, 0, "nobs"), (True, 0, "nobs"),
@@ -194,7 +197,7 @@ def test_synthesize_rejects_tiny_sigma_o():
                 synthesize(grid, cov, 4, sigma_o, seed=0)
         for sigma_o in (0.0, np.nextafter(floor, 1.0)):
             inst = synthesize(grid, cov, 4, sigma_o, seed=0)
-            assert inst.obs.nobs == 4
+            assert inst.obs.obs_indices.size == 4
     # 1e-156 lies above the floor of sigma_b = 1e-150, but the reciprocal
     # of its square overflows
     cov = build_gaussian_covariance(grid, 2.0, 1e-150)
@@ -266,7 +269,7 @@ def test_h_rows_are_the_observed_rows_of_v(n, kind, length_scale, rows):
     obs = point_observations(grid, rows, np.ones(len(rows)),
                              np.ones(len(rows)))
     m = ProblemInstance(grid, cov, obs, np.zeros(n)).h_rows
-    fresh = cov.v_factor[np.asarray(rows, dtype=int)]
+    fresh = dense(cov.v_band, symmetric=False)[np.asarray(rows, dtype=int)]
     assert m.shape == (len(rows), n)
     assert m.toarray().tobytes() == fresh.tobytes()
     assert np.all(m.data != 0.0)
@@ -292,7 +295,7 @@ def test_h_rows_taken_once_and_read_only():
                       0.1, seed=2)
     m = inst.h_rows
     assert inst.h_rows is m
-    fresh = inst.cov.v_factor[inst.obs.obs_indices]
+    fresh = dense(inst.cov.v_band, symmetric=False)[inst.obs.obs_indices]
     assert m.shape == (8, 40) and m.toarray().tobytes() == fresh.tobytes()
     with pytest.raises(ValueError):
         m[0, 0] = 1.0

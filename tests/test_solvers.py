@@ -34,7 +34,8 @@ from ddvar import (
 from ddvar import solvers
 from ddvar.solvers import _Stack
 
-from conftest import FixedPoint, lower_band, make_instance, residual_bound
+from conftest import (FixedPoint, dense, lower_band, make_instance,
+                      residual_bound)
 
 
 def _locals(inst, dec, scheme):
@@ -71,7 +72,8 @@ def test_global_solution_is_the_minimizer():
     inst, _ = make_instance(n=22, seed=3)
     sys = assemble_global(inst)
     w = solve_global(sys)
-    assert np.max(np.abs(sys.a @ w - sys.c)) <= 1e-12 * (1.0 + np.max(np.abs(sys.c)))
+    assert (np.max(np.abs(dense(sys.a_band) @ w - sys.c))
+            <= 1e-12 * (1.0 + np.max(np.abs(sys.c))))
     rng = np.random.default_rng(0)
     base = cost_w(inst, w)
     for _ in range(10):
@@ -95,7 +97,7 @@ def test_ddda_matches_dense_oracle_per_block():
     locals_ = _locals(inst, dec, SCHEME_DDDA)
     ws = solve_ddda(locals_)
     for sys, w in zip(locals_, ws):
-        oracle = np.linalg.solve(sys.a, sys.c)
+        oracle = np.linalg.solve(dense(sys.a_band), sys.c)
         np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-13)
     # the observation sits in subdomain 0 only; subdomain 1 sees nothing
     np.testing.assert_array_equal(ws[1], np.zeros(6))
@@ -139,7 +141,8 @@ def test_mps_converges_and_is_stationary_at_the_limit():
     ws, history = solve_mps(locals_, opts=opts)
     assert history.converged
     kappa = 1.0 + max(
-        float(np.max(np.sum(np.abs(sys.a), axis=1))) for sys in locals_
+        float(np.max(np.sum(np.abs(dense(sys.a_band)), axis=1)))
+        for sys in locals_
     )
     assert float(np.max(fixed_point_residual(locals_, ws))) <= opts.tol * kappa
 
@@ -277,8 +280,9 @@ def test_kappa_is_read_off_the_band(n, j_sub, halo, kind, length_scale):
         tracemalloc.stop()
     if stack.band.shape[0] > 8:
         assert peak < stack.band.nbytes / 2
-    dense = max(float(np.max(np.abs(sys.a).sum(axis=1))) for sys in locals_)
-    assert abs((stack.kappa - 1.0) - dense) <= 2 * np.spacing(dense)
+    row_sum = max(float(np.max(np.abs(dense(sys.a_band)).sum(axis=1)))
+                  for sys in locals_)
+    assert abs((stack.kappa - 1.0) - row_sum) <= 2 * np.spacing(row_sum)
 
 
 def test_the_stack_keeps_no_local_system():
@@ -547,7 +551,7 @@ def test_system_rejects_a_band_that_does_not_fit_c():
     # zero rows past the last one are padding, as in the stack
     sys = LocalSystem(subdomain=0, scheme=SCHEME_DDDA,
                       a_band=lower_band(a, 3), c=np.ones(3))
-    np.testing.assert_array_equal(sys.a, a)
+    np.testing.assert_array_equal(dense(sys.a_band), a)
     np.testing.assert_allclose(solve_ddda([sys])[0], np.linalg.solve(a, sys.c),
                                rtol=0, atol=1e-15)
 
@@ -612,10 +616,9 @@ def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
                     a_band=lower_band(full, 11),
                     c=rng.standard_normal(12)),
     ]
-    for sys, a in zip(systems, (tridiagonal, full)):
-        np.testing.assert_array_equal(sys.a, a)
-    for sys, w in zip(systems, solve_ddda(systems)):
-        np.testing.assert_allclose(w, np.linalg.solve(sys.a, sys.c),
+    for sys, a, w in zip(systems, (tridiagonal, full), solve_ddda(systems)):
+        np.testing.assert_array_equal(dense(sys.a_band), a)
+        np.testing.assert_allclose(w, np.linalg.solve(a, sys.c),
                                    rtol=0, atol=1e-13)
     (w,) = solve_ddda(systems[1:])
     np.testing.assert_allclose(w, np.linalg.solve(full, systems[1].c),

@@ -23,7 +23,7 @@ from ddvar import (  # noqa: E402
 )
 from ddvar.solvers import _Stack  # noqa: E402
 
-from conftest import make_instance, residual_bound  # noqa: E402
+from conftest import dense, make_instance, residual_bound  # noqa: E402
 
 
 @st.composite
@@ -54,8 +54,8 @@ def test_fixed_point_residual_is_the_dense_residual_norm(case):
     ws = [rng.standard_normal(sys.size) for sys in locals_]
     stack = _Stack(locals_)
     w = np.concatenate(ws)
-    dense = np.abs(scipy.linalg.block_diag(*(sys.a for sys in locals_)) @ w
-                   - stack.coupling.toarray() @ w - stack.c)
+    a = scipy.linalg.block_diag(*(dense(sys.a_band) for sys in locals_))
+    residual = np.abs(a @ w - stack.coupling.toarray() @ w - stack.c)
     bound = residual_bound(locals_, ws)
     # an empty block, stacked last, listed at position at
     empty = LocalSystem(j_sub, SCHEME_MPS, np.ones((1, 0)), np.zeros(0))
@@ -64,4 +64,4 @@ def test_fixed_point_residual_is_the_dense_residual_norm(case):
     assert norms[at] == 0.0
     norms = np.delete(norms, at)
     for i, (lo, hi) in enumerate(zip(stack.starts, stack.starts[1:])):
-        assert abs(norms[i] - np.max(dense[lo:hi])) <= np.max(bound[lo:hi])
+        assert abs(norms[i] - np.max(residual[lo:hi])) <= np.max(bound[lo:hi])
