@@ -107,9 +107,7 @@ class LocalSystem(_Banded):
                      least=0)
         super().__post_init__()
         pairs = []
-        for n, pair in enumerate(_check_type("penalty_pairs",
-                                             self.penalty_pairs, Sequence)):
-            j, p_i, p_j = _check_type(f"penalty_pairs[{n}]", pair, Sequence, 3)
+        for j, p_i, p_j in _check_pairs(self.penalty_pairs):
             _check_count("penalty_pairs neighbor id", j, IndexOutOfRange.fail,
                          least=0)
             p_i = _real_array(f"penalty_pairs p_i of neighbor {j}", p_i)
@@ -129,6 +127,17 @@ class LocalSystem(_Banded):
         return int(self.c.size)
 
 
+def _check_pairs(penalty_pairs):
+    """penalty_pairs; InvalidArgument unless a Sequence of triples.
+    Tuples, as the assembly builds them, skip the slower ABC checks."""
+    if type(penalty_pairs) is not tuple:
+        _check_type("penalty_pairs", penalty_pairs, Sequence)
+    for n, pair in enumerate(penalty_pairs):
+        if type(pair) is not tuple or len(pair) != 3:
+            _check_type(f"penalty_pairs[{n}]", pair, Sequence, 3)
+    return penalty_pairs
+
+
 def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
     """Lower band, of the given shape, of sum_j p_i^T p_i over the pairs.
 
@@ -138,7 +147,7 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
     is zero.
     """
     band = np.zeros(shape)
-    for _, p_i, _ in penalty_pairs:
+    for _, p_i, _ in _check_pairs(penalty_pairs):
         cols = p_i.any(axis=0).nonzero()[0]
         if not cols.size:  # p_i^T p_i is zero
             continue
@@ -225,7 +234,7 @@ def assemble_global(inst: ProblemInstance) -> GlobalSystem:
     sparse: a_band is read off the sparse M^T R^{-1} M, O(nobs bw^2), as
     the bw sub-diagonals of V.  With no observations a = I, c = 0.
     """
-    m = inst.h_rows
+    m = _check_type("inst", inst, ProblemInstance).h_rows
     r_inv = 1.0 / inst.obs.r_cov.r_diag
     a_band = _band_of(m.T @ m.multiply(r_inv[:, None]),
                       inst.cov.bandwidth + 1)

@@ -2,7 +2,7 @@
 
 Configs are flat key = value text, one pair per line, # comments allowed.
 A config is checked by the library's own rules, each reached through the
-private check of the module that takes the value, with a fail that names
+private check that the library applies to the value, with a fail that names
 the key at its file and line.  Only what no library call takes is checked
 here: cov_kind, method, the memory estimate, and, before the set-up,
 output_dir; DDVAR_THREADS is checked then too, by the count rule of
@@ -37,8 +37,7 @@ from .covariance import (
 )
 from .errors import (DdvarError, InvalidArgument, ParseError, ValidationError,
                      _check_count)
-from .geometry import (Grid1D, _check_decomposition, _check_grid_size,
-                       decompose_uniform)
+from .geometry import Decomposition, Grid1D, _check_decomposition
 from .observation import _check_synthesis, synthesize
 from .solvers import SolverOptions, _check_options, solve_global, solve_mps
 
@@ -133,7 +132,7 @@ def _build_config(raw, path):
 
     # each rule is the library's own, reached through its owner's check
     n, gaussian = config.n_points, config.cov_kind == "gaussian"
-    _check_grid_size(n, fail)
+    _check_count("n_points", n, fail)
     _check_decomposition(n, config.j_sub, config.halo, fail)
     if config.cov_kind not in _COV_KINDS:
         fail("cov_kind", f"must be one of {_COV_KINDS}, got {config.cov_kind!r}")
@@ -187,8 +186,6 @@ def _json_encode(obj, indent=0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         parts = [
             f"{inner}{json.dumps(k)}: {_json_encode(obj[k], indent + 1)}"
             for k in sorted(obj)
@@ -211,8 +208,6 @@ def _json_encode(obj, indent=0) -> str:
         return _format_floats(np.array([obj]))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     raise InvalidArgument(f"cannot serialize {type(obj).__name__}")
 
 
@@ -269,7 +264,7 @@ def _build_problem(config: ExperimentConfig):
             grid, config.length_scale, config.sigma_b
         )
     inst = synthesize(grid, cov, config.nobs, config.sigma_o, config.seed)
-    dec = decompose_uniform(grid, config.j_sub, config.halo)
+    dec = Decomposition(grid, config.j_sub, config.halo)
     return inst, dec
 
 

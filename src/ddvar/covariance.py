@@ -40,8 +40,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import (DimensionMismatch, FactorizationFailure, InvalidArgument,
-                     _check_finite, _check_real, _indices, _real_array,
-                     _vector)
+                     _check_finite, _check_real, _check_type, _indices,
+                     _real_array, _vector)
 from .geometry import Decomposition, Grid1D
 
 # past sqrt(106 ln 2) length scales the Gaussian kernel is below 2^-53
@@ -66,8 +66,12 @@ def _band_of(s, height: int | None = None) -> np.ndarray:
 
 def _past_last_row(shape: tuple) -> np.ndarray:
     # band[d, j] of a (k + 1, n) lower band lies past the last row when
-    # d + j >= n
-    return np.add.outer(np.arange(shape[0]), np.arange(shape[1])) >= shape[1]
+    # d >= n - j, so only in the last min(k, n) columns
+    rows, n = shape
+    lo = max(n - rows + 1, 0)
+    mask = np.zeros(shape, bool)
+    mask[:, lo:] = np.arange(rows)[:, None] >= np.arange(n - lo, 0, -1)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,15 @@ class CovarianceModel:
 
     def __post_init__(self):
         n = ()
-        for field, name in (("b_band", "b band"), ("v_band", "v_factor band")):
-            a = _real_array(name, getattr(self, field))
+        for name in ("b_band", "v_band"):
+            a = _real_array(name, getattr(self, name))
             n = n or a.shape[-1:]
             if a.ndim != 2 or a.shape[1:] != n or not 1 <= a.shape[0] <= n[0]:
                 raise DimensionMismatch(
                     f"{name} has shape {a.shape}, expected (k + 1, n) "
                     "with 1 <= k + 1 <= n, n the same for both bands")
             _check_finite(name, a)
-            object.__setattr__(self, field, _frozen(a.view()))
+            object.__setattr__(self, name, _frozen(a.view()))
         if self.sigma_b is not None:
             object.__setattr__(self, "sigma_b", _check_scale(
                 "sigma_b", self.sigma_b, InvalidArgument.fail))
@@ -223,6 +227,7 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     O(n bw^2); when the length scale spans the grid the band is full
     (bw = n - 1), and the cost is that of a dense factor again.
     """
+    _check_type("grid", grid, Grid1D)
     length_scale = _check_scale("length_scale", length_scale,
                                 InvalidArgument.fail)
     sigma_b = _check_scale("sigma_b", sigma_b, InvalidArgument.fail)
@@ -253,7 +258,7 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
 
 def identity_covariance(grid: Grid1D) -> CovarianceModel:
     """B = I with factor V = I: bands of one unit diagonal."""
-    ones = np.ones((1, grid.n_points))
+    ones = np.ones((1, _check_type("grid", grid, Grid1D).n_points))
     return CovarianceModel(b_band=ones, v_band=ones)
 
 
@@ -266,6 +271,7 @@ def factor_check(model: CovarianceModel) -> float:
     rows holds every entry.  Entries of either band past the last row
     are ignored.  O(n bw^2) for bw sub-diagonals, and no n x n array.
     """
+    _check_type("model", model, CovarianceModel)
     v = v_rows_sparse(model, np.arange(model.n_points))
     rows = max(model.b_band.shape[0], model.v_band.shape[0])
     residual = _band_of(v @ v.T, rows)
@@ -382,7 +388,7 @@ def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
     """V^{-1} x by LAPACK dtbtrs, O(n bw), unless V has a zero diagonal."""
     w, info = scipy.linalg.lapack.dtbtrs(model.v_band, x, uplo="L")
     if info > 0:
-        raise FactorizationFailure(f"v_factor is singular: its diagonal "
+        raise FactorizationFailure(f"v_band is singular: its diagonal "
                                    f"{info - 1} is zero")
     return w
 

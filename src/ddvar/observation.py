@@ -46,7 +46,8 @@ def point_observations(grid: Grid1D, obs_indices, values,
                        r_diag) -> ObservationSet:
     """Build an ObservationSet for given points, values, and variances."""
     return ObservationSet(
-        obs_indices=_indices("obs_indices", obs_indices, grid.n_points),
+        obs_indices=_indices("obs_indices", obs_indices,
+                             _check_type("grid", grid, Grid1D).n_points),
         values=values,
         r_cov=ObsCovariance(r_diag),
     )
@@ -130,7 +131,8 @@ def synthesize(grid: Grid1D, cov: CovarianceModel, nobs: int,
     in for the degenerate error model; a nonzero sigma_o must lie above
     sigma_b * 2^-26 (sigma_b = 1 for the identity covariance).
     """
-    n = grid.n_points
+    n = _check_type("grid", grid, Grid1D).n_points
+    _check_type("cov", cov, CovarianceModel)
     sigma_o = _check_synthesis(n, nobs, sigma_o, seed, cov.sigma_b,
                                InvalidArgument.fail)
     if cov.n_points != n:

@@ -221,6 +221,7 @@ class _Stack(tuple):
 
 def solve_global(sys: GlobalSystem):
     """Solve a w = c for the full-domain system on its band."""
+    _check_type("sys", sys, GlobalSystem)
     return _band_solve(_band_cholesky(sys.a_band, "global matrix"), sys.c)
 
 

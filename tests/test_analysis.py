@@ -390,7 +390,8 @@ def test_control_equivalent_rejects_singular_factor():
     cov = CovarianceModel(b_band=np.ones((1, 10)), v_band=band)
     obs = point_observations(grid, [2], [1.0], [1.0])
     inst = ProblemInstance(grid, cov, obs, np.zeros(10))
-    with pytest.raises(FactorizationFailure, match="diagonal 3"):
+    with pytest.raises(FactorizationFailure,
+                       match="v_band is singular: its diagonal 3 is zero"):
         control_equivalent(inst, np.ones(10))
 
 

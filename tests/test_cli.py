@@ -138,6 +138,12 @@ def test_json_writer_writes_a_float_array_as_its_list():
     assert cli._json_encode(np.array([])) == "[]"
 
 
+def test_json_writer_refuses_what_no_payload_holds():
+    for obj in (None, object(), {"gap": None}):
+        with pytest.raises(InvalidArgument, match="cannot serialize"):
+            cli._json_encode(obj)
+
+
 def test_malformed_line_rejected(tmp_path):
     path = write_config(tmp_path, "np 10\n")
     with pytest.raises(ParseError) as exc:
@@ -299,6 +305,16 @@ def test_check_subcommand_passes(capsys):
     assert "PASS" in text
     assert "FAIL" not in text
     assert "all checks passed" in text
+
+
+def test_check_subcommand_reports_a_failure(capsys, monkeypatch):
+    # a factor residual above its bound is a FAIL line and exit status 1
+    monkeypatch.setattr(cli, "factor_check", lambda cov: 1.0)
+    assert main(["check"]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL factor residual: gaussian np=10 j_sub=1 halo=1\n" in text
+    assert "PASS rhs identity: gaussian np=10 j_sub=1 halo=1\n" in text
+    assert text.endswith("8 failure(s)\n")
 
 
 def test_sweep_creates_per_value_directories(tmp_path):

@@ -20,8 +20,8 @@ from ddvar import (
     factor_check,
     identity_covariance,
 )
-from ddvar.covariance import (_band_cholesky, _band_rows, _reach_rows,
-                              v_rows_sparse, v_times)
+from ddvar.covariance import (_band_cholesky, _band_rows, _past_last_row,
+                              _reach_rows, v_rows_sparse, v_times)
 
 from conftest import block_times, dense, interface_pair, lower_band
 
@@ -30,7 +30,7 @@ JITTER = 1e-10
 
 def _nonuniform_grid(n=300, seed=4):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Grid1D(n, np.cumsum(rng.uniform(0.2, 2.0, n)))
+    return Grid1D(np.cumsum(rng.uniform(0.2, 2.0, n)))
 
 
 def _kernel_bandwidth(b):
@@ -123,6 +123,17 @@ def test_factor_check_matches_the_dense_oracle(build):
     oracle = float(np.max(np.abs(dense(model.b_band) - v @ v.T)))
     assert (abs(factor_check(model) - oracle)
             <= 2.0**-50 * np.max(model.b_band[0]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 3), (5, 2), (18, 55),
+                                   (18, 258), (18, 4000)])
+def test_past_last_row_is_the_mask_of_the_outer_sum(shape):
+    # band[d, j] lies past the last row when d + j >= n; the mask is built
+    # on the last columns only, and a band taller than n is all of them
+    rows, n = shape
+    expected = np.add.outer(np.arange(rows), np.arange(n)) >= n
+    mask = _past_last_row(shape)
+    assert mask.dtype == bool and np.array_equal(mask, expected)
 
 
 def test_gaussian_rejects_bad_parameters():
@@ -255,13 +266,14 @@ def test_obs_covariance_requires_positive_variances():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["b", "v_factor"])
+@pytest.mark.parametrize("name", ["b_band", "v_band"])
 def test_model_rejects_non_finite_entries(name, bad):
     model = build_gaussian_covariance(Grid1D.uniform(6), 2.0, 1.0)
-    arrays = {"b": model.b_band.copy(), "v_factor": model.v_band.copy()}
+    arrays = {"b_band": model.b_band.copy(), "v_band": model.v_band.copy()}
     arrays[name][0, 2] = bad
-    with pytest.raises(InvalidArgument, match=name):
-        CovarianceModel(b_band=arrays["b"], v_band=arrays["v_factor"])
+    with pytest.raises(InvalidArgument, match=f"{name} has a non-finite "
+                                              "entry"):
+        CovarianceModel(**arrays)
 
 
 def test_model_arrays_are_read_only():
@@ -341,10 +353,10 @@ def _dense_kernel(x, length_scale, sigma_b):
 
 # a unit grid of 2000 points and one more 1e-9 past its middle point: a
 # band sized by the smallest spacing would hold about n^2 entries
-CLOSE_POINTS = Grid1D(2001, np.insert(np.arange(2000.0), 1001, 1000 + 1e-9))
+CLOSE_POINTS = Grid1D(np.insert(np.arange(2000.0), 1001, 1000 + 1e-9))
 # 300 points 0.1 apart and one far out: the reach over the mean spacing
 # (about 33) is short of the 172 rows the band needs, so it has to grow
-CLUSTERED = Grid1D(301, np.append(0.1 * np.arange(300), 1e4))
+CLUSTERED = Grid1D(np.append(0.1 * np.arange(300), 1e4))
 
 
 @pytest.mark.parametrize("grid, length_scale", [
@@ -401,11 +413,11 @@ def test_model_rejects_bad_band_shapes():
     ones = np.ones((1, 4))
     for bad in (np.ones(4), np.ones((5, 4)), np.ones((0, 4)),
                 np.ones((1, 1, 4))):
-        with pytest.raises(DimensionMismatch, match="b band"):
+        with pytest.raises(DimensionMismatch, match="b_band has shape"):
             CovarianceModel(b_band=bad, v_band=ones)
-        with pytest.raises(DimensionMismatch, match="v_factor band"):
+        with pytest.raises(DimensionMismatch, match="v_band has shape"):
             CovarianceModel(b_band=ones, v_band=bad)
-    with pytest.raises(DimensionMismatch, match="v_factor band"):
+    with pytest.raises(DimensionMismatch, match="v_band has shape"):
         CovarianceModel(b_band=ones, v_band=np.ones((1, 5)))
 
 

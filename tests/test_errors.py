@@ -17,18 +17,22 @@ from ddvar import (
     ObservationSet,
     ProblemInstance,
     SolverOptions,
+    assemble_global,
     assemble_local,
     assimilate,
     build_gaussian_covariance,
     control_equivalent,
     cost_w,
     equivalence_report,
+    factor_check,
     fixed_point_residual,
     identity_covariance,
     interface_mismatch,
     local_gradient,
+    penalty_stiffness,
     point_observations,
     solve_ddda,
+    solve_global,
     solve_mps,
     synthesize,
 )
@@ -50,9 +54,6 @@ CASES = {
     "sigma_o-big": (
         lambda: synthesize(GRID, identity_covariance(GRID), 4, BIG, 0),
         InvalidArgument, f"sigma_o {TOO_LARGE}"),
-    "spacing-big": (
-        lambda: Grid1D.uniform(4, BIG),
-        InvalidArgument, f"spacing {TOO_LARGE}"),
     "tol-big": (
         lambda: SolverOptions(tol=BIG),
         InvalidArgument, f"tol {TOO_LARGE}"),
@@ -105,7 +106,7 @@ def _observed(indices):
 # parameter -> (the name its message gives, a valid value, the call with
 # the value in the parameter's place, the grid size if it is an index)
 ARRAYS = {
-    "Grid1D-coords": ("coords", np.arange(4.0), lambda v: Grid1D(4, v), None),
+    "Grid1D-coords": ("coords", np.arange(4.0), lambda v: Grid1D(v), None),
     "point_observations-obs_indices": (
         "obs_indices", np.array([1, 3]),
         lambda v: point_observations(GRID, v, [0.0, 0.0], [1.0, 1.0]), 20),
@@ -132,10 +133,10 @@ ARRAYS = {
         lambda v: ProblemInstance(GRID, INST.cov, INST.obs, np.zeros(20), v),
         None),
     "CovarianceModel-b_band": (
-        "b band", np.ones((1, 20)),
+        "b_band", np.ones((1, 20)),
         lambda v: CovarianceModel(v, np.ones((1, 20))), None),
     "CovarianceModel-v_band": (
-        "v_factor band", np.ones((1, 20)),
+        "v_band", np.ones((1, 20)),
         lambda v: CovarianceModel(np.ones((1, 20)), v), None),
     "LocalSystem-a_band": (
         "a_band", PAIR, lambda v: LocalSystem(0, SCHEME_MPS, v, ONES), None),
@@ -175,9 +176,35 @@ IDS = {
         lambda i: LocalSystem(0, SCHEME_MPS, PAIR, ONES, ((i, PAIR, PAIR),))),
 }
 
+# a model object of the wrong kind: text, a number, a list
+NOT_A_MODEL = {"text": "x", "int": 5, "list": [1, 2]}
+
 # parameter that holds a collection or a model object -> (the name its
 # message gives, the call with the value, {kind: a value that is none})
 OBJECTS = {
+    "Decomposition-grid": (
+        "grid", lambda v: Decomposition(v, 2, 1), NOT_A_MODEL),
+    "build_gaussian_covariance-grid": (
+        "grid", lambda v: build_gaussian_covariance(v, 2.0, 1.0),
+        NOT_A_MODEL),
+    "identity_covariance-grid": ("grid", identity_covariance, NOT_A_MODEL),
+    "point_observations-grid": (
+        "grid", lambda v: point_observations(v, [1], [0.0], [1.0]),
+        NOT_A_MODEL),
+    "synthesize-grid": (
+        "grid", lambda v: synthesize(v, INST.cov, 4, 0.1, 0), NOT_A_MODEL),
+    "synthesize-cov": (
+        "cov", lambda v: synthesize(GRID, v, 4, 0.1, 0), NOT_A_MODEL),
+    "factor_check-model": ("model", factor_check, NOT_A_MODEL),
+    "assemble_global-inst": ("inst", assemble_global, NOT_A_MODEL),
+    "solve_global-sys": (
+        "sys", solve_global, {**NOT_A_MODEL, "local system": SYSTEMS[0]}),
+    "penalty_stiffness-penalty_pairs": (
+        "penalty_pairs", lambda v: penalty_stiffness(v, (2, 11)),
+        {"text": "x", "int": 5}),
+    "penalty_stiffness-pair": (
+        "penalty_pairs[0]", lambda v: penalty_stiffness((v,), (2, 11)),
+        {"text": "x", "double": (1, PAIR), "quadruple": (1, PAIR, PAIR, 0)}),
     "LocalSystem-penalty_pairs": (
         "penalty_pairs",
         lambda v: LocalSystem(0, SCHEME_MPS, PAIR, ONES, v),
@@ -268,16 +295,17 @@ def _bad_values(valid, n):
     return bad
 
 
+# case -> (the name its message gives, the call, the value, the error)
 TABLE = {
-    **{f"{param}-{kind}": (name, call, value)
+    **{f"{param}-{kind}": (name, call, value, DdvarError)
        for param, (name, valid, call, n) in ARRAYS.items()
        for kind, value in _bad_values(valid, n).items()},
-    **{f"{param}-{kind}": (name, call, value)
+    **{f"{param}-{kind}": (name, call, value, DdvarError)
        for param, (name, call) in IDS.items()
        for kind, value in {"text": "x", "dict": {"a": 1}, "complex": 1j,
                            "bool": True, "float": 1.5,
                            "negative": -1}.items()},
-    **{f"{param}-{kind}": (name, call, value)
+    **{f"{param}-{kind}": (name, call, value, InvalidArgument)
        for param, (name, call, bad) in OBJECTS.items()
        for kind, value in bad.items()},
 }
@@ -287,8 +315,8 @@ TABLE = {
 def test_array_and_id_inputs_fail_typed_naming_the_parameter(case):
     # never a bare ValueError or TypeError, never the real part of a
     # complex input or a bool read as 0 and 1
-    name, call, value = TABLE[case]
-    with pytest.raises(DdvarError) as info:
+    name, call, value, error = TABLE[case]
+    with pytest.raises(error) as info:
         call(value)
     assert name in str(info.value)
 

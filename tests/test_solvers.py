@@ -499,6 +499,17 @@ def test_mps_requires_every_coupled_neighbor():
         solve_mps(locals_[:1])
 
 
+def test_mps_rejects_a_p_j_narrower_than_its_neighbor():
+    # two hand-built coupled systems of 3 points; subdomain 0's p_j is one
+    # column short of neighbor 1, so its coupling has no product with w_1
+    band, c, p = np.ones((1, 3)), np.ones(3), np.ones((1, 3))
+    locals_ = [LocalSystem(0, SCHEME_MPS, band, c, ((1, p, p[:, :2]),)),
+               LocalSystem(1, SCHEME_MPS, band, c, ((0, p, p),))]
+    with pytest.raises(DimensionMismatch, match="neighbor 1 has 3 points, "
+                                                "subdomain 0 couples to 2"):
+        solve_mps(locals_)
+
+
 def test_mps_rejects_a_repeated_subdomain_before_factorizing():
     # the second copy's diagonal is not finite, so a factorization reached
     # first would raise FactorizationFailure instead
