@@ -13,21 +13,20 @@ scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
 therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
-v_rows_sparse (rows, sparse) and _interface_factors (a subdomain's
-interface pairs), both on _band_rows, the one gather of rows of V, and
-through v_times (V x), v_blocks (the band of the diagonal blocks of every
-subdomain, laid end to end), v_normal (the band of V^T D V and V^T x on a
-diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK dtbtrs).
-_band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are the one
+_band_rows, the one gather of rows of V (ProblemInstance.h_rows,
+_interface_factors), v_times (V x), v_blocks (the band of the diagonal
+blocks of every subdomain, laid end to end), v_normal (the band of V^T D V
+and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK
+dtbtrs).  _band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are the one
 triangular product with a lower band, v_times's and the stacked blocks',
 and the one symmetric product, the fixed-point residual's and
 local_gradient's.  _band_of reads the lower band of a sparse symmetric
 matrix, and _past_last_row marks the entries of a band that lie past the
 last row of its matrix.  The package holds every matrix as its band and
 never forms an n x n array; dense matrices are the tests' oracles.
-_band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the
-package's one path for SPD systems: B here, the global and stacked local
-systems in solvers and the observation-space matrix in analysis.
+_band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the package's
+one path for SPD systems: B here, the global and stacked local systems in
+solvers and the observation-space matrix in analysis.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import (DimensionMismatch, FactorizationFailure, InvalidArgument,
-                     _check_finite, _check_real, _check_type, _indices,
-                     _real_array, _vector)
+                     _check_finite, _check_real, _check_type, _real_array,
+                     _vector)
 from .geometry import Decomposition, Grid1D
 
 # past sqrt(106 ln 2) length scales the Gaussian kernel is below 2^-53
@@ -265,19 +263,30 @@ def identity_covariance(grid: Grid1D) -> CovarianceModel:
 def factor_check(model: CovarianceModel) -> float:
     """Max-abs residual of the factorization, max |B - V V^T|, on the bands.
 
-    V V^T is the sparse product of the rows of V (v_rows_sparse), read
-    back as its lower band (_band_of); B - V V^T is symmetric and zero
-    below the taller of the two bands, so its lower band over that many
-    rows holds every entry.  Entries of either band past the last row
-    are ignored.  O(n bw^2) for bw sub-diagonals, and no n x n array.
+    Sub-diagonal d of V V^T at column j sums v_band[d + e, j - e] *
+    v_band[e, j - e] over e, one einsum over strided views of V's band
+    (v_normal's idiom).  B - V V^T is symmetric and zero below the taller
+    band; each sub-diagonal is cut at the last row, so entries past it are
+    ignored.  O(n bw^2) for bw sub-diagonals, and no array beyond a band.
     """
     _check_type("model", model, CovarianceModel)
-    v = v_rows_sparse(model, np.arange(model.n_points))
-    rows = max(model.b_band.shape[0], model.v_band.shape[0])
-    residual = _band_of(v @ v.T, rows)
-    residual[:model.b_band.shape[0]] -= model.b_band
-    residual[_past_last_row(residual.shape)] = 0.0
-    return float(np.max(np.abs(residual)))
+    b_band, n, k = model.b_band, model.n_points, model.bandwidth
+    rows = max(b_band.shape[0], k + 1)
+    # V's band atop zero rows, right of rows - 1 zero columns: j - e > -rows
+    padded = np.zeros((rows, n + rows - 1))
+    padded[:k + 1, rows - 1:] = model.v_band
+    row, col = padded.strides
+    worst = 0.0
+    for d in range(rows):
+        # a[e, j] = V[j + d, j - e] and b[e, j] = V[j, j - e], j < n - d
+        a, b = (np.ndarray((rows - d, n - d), float, padded,
+                           offset + (rows - 1) * col, (row - col, col))
+                for offset in (d * row, 0))
+        residual = np.einsum("ej,ej->j", a, b)
+        if d < b_band.shape[0]:
+            residual -= b_band[d, :n - d]
+        worst = max(worst, float(np.max(np.abs(residual))))
+    return worst
 
 
 def _band_rows(model: CovarianceModel, rows: np.ndarray):
@@ -290,21 +299,6 @@ def _band_rows(model: CovarianceModel, rows: np.ndarray):
     d = np.arange(band.shape[0] - 1, -1, -1)
     cols = rows[:, None] - d
     return cols, np.where(cols >= 0, band[d, np.maximum(cols, 0)], 0.0)
-
-
-def v_rows_sparse(model: CovarianceModel, rows) -> scipy.sparse.csr_array:
-    """V[rows, :] as a sparse CSR array of _band_rows, O(rows bw).
-
-    Row r keeps the nonzero entries of its band, columns ascending and no
-    stored zeros: at most bw + 1 entries per row.
-    """
-    rows = _indices("rows", rows, model.n_points)
-    cols, vals = _band_rows(model, rows)
-    keep = vals != 0.0
-    return scipy.sparse.csr_array(
-        (vals[keep], cols[keep],
-         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-        shape=(rows.size, model.n_points))
 
 
 def _band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:

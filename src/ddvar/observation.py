@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse
 
 from .covariance import (CovarianceModel, ObsCovariance, _check_scale,
-                         _frozen, v_rows_sparse, v_times)
+                         _band_rows, _frozen, v_times)
 from .errors import (DimensionMismatch, InvalidArgument, _check_count,
                      _check_finite, _check_integer, _check_type, _indices,
                      _vector)
@@ -82,8 +82,13 @@ class ProblemInstance:
     def h_rows(self) -> scipy.sparse.csr_array:
         """M = H V, the observed rows of V: taken once, then read-only.
 
-        Sparse, gathered from the band of V by v_rows_sparse."""
-        m = v_rows_sparse(self.cov, self.obs.obs_indices)
+        CSR of one _band_rows gather, each row its nonzero band entries."""
+        cols, vals = _band_rows(self.cov, self.obs.obs_indices)
+        keep = vals != 0.0
+        m = scipy.sparse.csr_array(
+            (vals[keep], cols[keep],
+             np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+            shape=(vals.shape[0], self.grid.n_points))
         for a in (m.data, m.indices, m.indptr):
             a.flags.writeable = False
         return m

@@ -200,6 +200,31 @@ def patch(dec, local_us):
     return np.concatenate(pieces)
 
 
+def local_functional_analysis(inst, dec, factor=None):
+    """Oracle of the paper's local problem: the owner patch of each
+    subdomain's 3D-Var functional, minimized densely.
+
+    Subdomain i minimizes 1/2 w^T w + 1/2 (H_i L_i w - d_i)^T R_i^{-1}
+    (H_i L_i w - d_i), with H_i, R_i and d_i the observations in its
+    span, and its analysis is u^b[span] + L_i w_i.  L_i = factor(span),
+    by default chol(B[span, span]) of the dense B, the factor of the local
+    background covariance B_i; V[span, span] is not a factor of B_i.
+    """
+    b = dense(inst.cov.b_band)
+    idx, r_diag = inst.obs.obs_indices, inst.obs.r_cov.r_diag
+    us = []
+    for start, stop in dec.subdomains:
+        span = slice(start, stop)
+        l_i = (np.linalg.cholesky(b[span, span]) if factor is None
+               else factor(span))
+        seen = (idx >= start) & (idx < stop)
+        m, r_inv = l_i[idx[seen] - start], 1.0 / r_diag[seen]
+        a = m.T @ (r_inv[:, None] * m) + np.eye(stop - start)
+        w = np.linalg.solve(a, m.T @ (r_inv * inst.innovation[seen]))
+        us.append(inst.u_background[span] + l_i @ w)
+    return patch(dec, us)
+
+
 def interface_pair(model, dec, i, j):
     """(p_i, p_j) of subdomain i toward j: the one-pair interface factors."""
     return _interface_factors(model, dec, i, (j,))[0][1:]

@@ -11,7 +11,6 @@ from ddvar import (
     DimensionMismatch,
     FactorizationFailure,
     Grid1D,
-    IndexOutOfRange,
     InvalidArgument,
     NoInterface,
     ObsCovariance,
@@ -21,7 +20,7 @@ from ddvar import (
     identity_covariance,
 )
 from ddvar.covariance import (_band_cholesky, _band_rows, _past_last_row,
-                              _reach_rows, v_rows_sparse, v_times)
+                              _reach_rows, v_times)
 
 from conftest import block_times, dense, interface_pair, lower_band
 
@@ -123,6 +122,36 @@ def test_factor_check_matches_the_dense_oracle(build):
     oracle = float(np.max(np.abs(dense(model.b_band) - v @ v.T)))
     assert (abs(factor_check(model) - oracle)
             <= 2.0**-50 * np.max(model.b_band[0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_factor_check_is_exact_on_bands_of_any_two_heights(n):
+    # integer bands, so every sum is exact: B taller than V, V taller
+    # than B and both of one height, against the dense residual
+    rng = np.random.default_rng(n)
+    for b_rows in range(1, n + 1):
+        for v_rows in range(1, n + 1):
+            model = CovarianceModel(
+                b_band=rng.integers(-3, 4, (b_rows, n)).astype(float),
+                v_band=rng.integers(-3, 4, (v_rows, n)).astype(float))
+            v = dense(model.v_band, symmetric=False)
+            oracle = np.max(np.abs(dense(model.b_band) - v @ v.T))
+            assert factor_check(model) == oracle, (b_rows, v_rows)
+
+
+def test_factor_check_holds_a_few_bands():
+    # at np=10^5, l=2 (bw = 17) the traced peak is at most four bands of
+    # V, 57.6 MB; a sparse product of all n rows of V holds several times
+    # that
+    model = build_gaussian_covariance(Grid1D.uniform(10**5), 2.0, 1.0)
+    tracemalloc.start()
+    try:
+        residual = factor_check(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak <= 4 * model.v_band.nbytes, peak
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 3), (5, 2), (18, 55),
@@ -468,15 +497,6 @@ def test_band_reads_match_the_dense_factor(grid, length_scale):
                 gamma = dec.interface(i, k)
                 assert p_i.tobytes() == v[gamma, span].tobytes()
                 assert p_k.tobytes() == v[gamma, dec.span(k)].tobytes()
-
-
-def test_v_rows_sparse_rejects_rows_outside_the_grid():
-    model = build_gaussian_covariance(Grid1D.uniform(6), 2.0, 1.0)
-    for rows in ([6], [-1], [0, 2, 6]):
-        with pytest.raises(IndexOutOfRange,
-                           match=r"rows must lie in 0\.\.5"):
-            v_rows_sparse(model, rows)
-    assert v_rows_sparse(model, [0, 5]).shape == (2, 6)
 
 
 def test_only_covariance_knows_the_band_layout():

@@ -36,7 +36,6 @@ from ddvar import (
     solve_mps,
     synthesize,
 )
-from ddvar.covariance import v_rows_sparse
 
 GRID = Grid1D.uniform(20)
 BIG = 10**400  # an int that float() cannot hold
@@ -164,8 +163,6 @@ ARRAYS = {
     "interface_mismatch-ws": (
         "iterate for subdomain 1", W[1],
         lambda v: interface_mismatch(INST, DEC, [W[0], v]), None),
-    "v_rows_sparse-rows": (
-        "rows", np.array([0, 5]), lambda v: v_rows_sparse(INST.cov, v), 20),
 }
 # id parameter -> (the name its message gives, the call with the id)
 IDS = {
