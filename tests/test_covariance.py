@@ -139,6 +139,19 @@ def test_factor_check_is_exact_on_bands_of_any_two_heights(n):
             assert factor_check(model) == oracle, (b_rows, v_rows)
 
 
+@pytest.mark.parametrize("n, length_scale", [(12, 2.0), (30, 1e4)])
+def test_factor_check_ignores_v_past_the_last_row(n, length_scale):
+    # the strided views of V's band stop at the last row: entries of V's
+    # band past it change no bit of the residual, on a narrow band and on
+    # a full one, where every column reaches the last row
+    model = build_gaussian_covariance(Grid1D.uniform(n), length_scale, 1.0)
+    v = model.v_band.copy()
+    v[_past_last_row(v.shape)] = 1e3
+    assert np.any(v != model.v_band)
+    tailed = CovarianceModel(b_band=model.b_band, v_band=v)
+    assert factor_check(tailed) == factor_check(model) <= 1e-12
+
+
 def test_factor_check_holds_a_few_bands():
     # at np=10^5, l=2 (bw = 17) the traced peak is at most four bands of
     # V, 57.6 MB; a sparse product of all n rows of V holds several times
