@@ -9,8 +9,9 @@ stacked as one band (covariance.v_blocks, built for each patch and freed
 with it), the u_i are one band product plus u^b at the stacked points,
 their patch one gather of owner entries and the interface mismatch one max.
 One scheme run (solve, patch, cost) of a stack serves both entry points,
-whose stacks read _assemble, one system at a time: assimilate streams one,
-and equivalence_report streams two, checking each mps system against the
+whose stacks read _assemble, one uncoupled system at a time, an mps stack
+then coupled by one interface pass: assimilate streams one stack, and
+equivalence_report two, checking each system of the second against the
 ddda stack as it streams in, and measures every quantity behind the claim
 that the two schemes produce the same solution: identical right-hand sides
 and the exact penalty structure of the coupled matrices, read off the two
@@ -37,10 +38,10 @@ import numpy as np
 from .assembly import (
     SCHEME_DDDA,
     SCHEME_MPS,
+    _interface_pass,
     _require_grid,
     assemble_local,
     cost_w,
-    penalty_stiffness,
 )
 from .covariance import (
     _band_cholesky,
@@ -174,17 +175,26 @@ def _analysis_cost(inst, u):
     return cost_w(inst, control_equivalent(inst, u))
 
 
-def _assemble(inst, dec, scheme):
+def _assemble(inst, dec):
     _require_grid(inst, dec)
-    return (assemble_local(inst, dec, i, scheme) for i in range(dec.j_sub))
+    return (assemble_local(inst, dec, i, SCHEME_DDDA)
+            for i in range(dec.j_sub))
 
 
-def _stack(inst, dec, scheme, systems=None):
-    # the stack of the stream of dec's systems, sized from dec's layout
-    systems = systems or _assemble(inst, dec, scheme)
+def _stack(inst, dec, scheme, systems=None, *bands):
+    # the stream of dec's uncoupled systems stacked, sized from dec's
+    # layout; an mps stack then takes every penalty and C from one
+    # interface pass, which adds the penalty into each of bands too
+    systems = systems or _assemble(inst, dec)
     sizes = [stop - start for start, stop in dec.subdomains]
-    entries = [(i, s, scheme) for i, s in enumerate(sizes)]
-    return _Stack(systems, (entries, _block_height(inst.cov, max(sizes))))
+    stack = _Stack(systems, (
+        [(i, s, SCHEME_DDDA) for i, s in enumerate(sizes)],
+        _block_height(inst.cov, max(sizes))))
+    if scheme == SCHEME_MPS:
+        stack = stack.coupled(_interface_pass(
+            inst.cov, dec, range(dec.j_sub), (stack.band, *bands),
+            stack.starts))
+    return stack
 
 
 def _run_scheme(inst, dec, stack, opts):
@@ -289,9 +299,10 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
                        convention: str = V_TIMES_W) -> EquivalenceReport:
     """Solve both schemes and measure every equivalence quantity.
 
-    Each mps system is checked against the ddda stack, solved first, as it
-    streams into the mps stack, and the ddda stack is dropped before the
-    mps sweep.  Mismatch is data, not an error: the report never raises
+    The mps stack is built from a second stream of uncoupled systems, each
+    checked against the ddda stack, solved first, as it streams in; the
+    interface pass adds the same penalty into both bands, which are then
+    compared, and the ddda stack is dropped before the mps sweep.  Mismatch is data, not an error: the report never raises
     on a nonzero gap, it only records it.  cost_global is the cost of the
     observation-space reference w* of the module docstring, solved first.
     convention accepts only "v_times_w"; it remains because the benchmark
@@ -305,17 +316,21 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     exact = []
 
     def checked(m):
-        # an mps system against its columns of the ddda stack, before it
-        # is stacked: the penalty added to them, nothing below its band
+        # a system of the second stream against its columns of the ddda
+        # stack, before it is stacked: equal, and nothing below its band
         block = dd.band[:, dd.starts[m.subdomain]:dd.starts[m.subdomain + 1]]
         k = len(m.a_band)
-        exact.append(not block[k:].any() and np.array_equal(
-            m.a_band, block[:k] + penalty_stiffness(m.penalty_pairs,
-                                                    m.a_band.shape)))
+        exact.append(not block[k:].any() and np.array_equal(m.a_band,
+                                                            block[:k]))
         return m
 
+    # the pass adds its penalty into the ddda band too, which must then be
+    # the mps band: compared 8192 columns at a time, with no band-sized copy
     mps_stack = _stack(inst, dec, SCHEME_MPS,
-                       map(checked, _assemble(inst, dec, SCHEME_MPS)))
+                       map(checked, _assemble(inst, dec)), dd.band)
+    exact += (np.array_equal(mps_stack.band[:, k:k + 8192],
+                             dd.band[:, k:k + 8192])
+              for k in range(0, dd.c.size, 8192))
     c_equal = mps_stack.c.tobytes() == dd.c.tobytes()
     del dd
     ws_mps, history, _, _ = _run_scheme(inst, dec, mps_stack, opts)

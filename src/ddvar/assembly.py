@@ -21,9 +21,13 @@ of V, D and D d sliced from the instance's weights; the global one is
 read off the sparse product of the observed rows of V, a separate path
 that the one-subdomain decomposition is checked against.  The band is a
 system's only form of a; the dense a is the tests' oracle.  The solvers
-lay the bands end to end; the sparse rows of the coupling are built
-here, and local_gradient computes one subdomain's rows of the
-fixed-point residual the way the solvers compute them all.
+lay the bands end to end.  A run's coupled stack is its stack of
+uncoupled systems plus one interface pass over every pair, which adds
+the stiffness into the stacked band in place and writes C as CSR;
+assemble_local(mps) runs that pass on one subdomain's pairs.
+_coupling_rows builds C from listed systems' pairs instead, and
+local_gradient computes one subdomain's rows of the fixed-point residual
+the way the solvers compute them all.
 
 The right-hand side c_i is computed by one shared code path regardless of
 scheme, which is what makes the cross-scheme equality of c_i hold to the
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import (_band_of, _band_sym_times, _interface_factors,
+from .covariance import (_band_of, _band_rows, _band_sym_times,
                          _past_last_row, v_normal)
 from .errors import (
     DimensionMismatch,
@@ -142,22 +146,15 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
     """Lower band, of the given shape, of sum_j p_i^T p_i over the pairs.
 
     Each p_i^T p_i is one BLAS product on the range of columns where p_i is
-    nonzero, added in the pairs' ascending neighbor order by one strided
-    add, so every caller lands on the same floats; with no pairs the band
-    is zero.
+    nonzero, added in the pairs' ascending neighbor order by _stiffen, so
+    every caller lands on the same floats; with no pairs the band is zero.
     """
     band = np.zeros(shape)
     for _, p_i, _ in _check_pairs(penalty_pairs):
         cols = p_i.any(axis=0).nonzero()[0]
-        if not cols.size:  # p_i^T p_i is zero
-            continue
-        lo, w = cols[0], cols[-1] + 1 - cols[0]
-        q = np.ascontiguousarray(p_i[:, lo:lo + w])
-        # g[c + d, c] at (d, c); the zero rows add zeros past the last row
-        g = np.zeros((2 * w, w))
-        g[:w] = q.T @ q
-        band[:w, lo:lo + w] += np.ndarray((min(shape[0], w), w), float, g, 0,
-                                          (8 * w, 8 * w + 8))
+        if cols.size:  # else p_i^T p_i is zero
+            _stiffen((band,), [(np.ascontiguousarray(
+                p_i[None, :, cols[0]:cols[-1] + 1]), cols[:1])])
     return band
 
 
@@ -252,21 +249,18 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     i, so an observation in an overlap enters both neighbors' systems:
     H_i^T R_i^{-1} H_i and H_i^T R_i^{-1} d_i are the span's slice of
     inst.weights, and both come from v_normal, on the band of V.  The mps
-    scheme then cuts its interface pairs from one gather of their rows of
-    V and adds the band of their penalty_stiffness, which reports
-    recompose to identical floats.  dec must split the instance's grid.
+    scheme then runs a stack's interface pass on its own pairs, which adds
+    the floats of their penalty_stiffness and cuts them at full width.
+    dec must split the instance's grid.
     """
     _require_grid(inst, dec)
     _check_scheme(scheme)
     span = dec.span(i)
     a_band, c = v_normal(inst.cov, *inst.weights[:, span], span)
     a_band[0] += 1.0
-
     pairs = ()
     if scheme == SCHEME_MPS:
-        pairs = _interface_factors(inst.cov, dec, i, dec.neighbors(i))
-        a_band = a_band + penalty_stiffness(pairs, a_band.shape)
-
+        pairs = _interface_pass(inst.cov, dec, [i], (a_band,))
     return LocalSystem(
         subdomain=i,
         scheme=scheme,
@@ -274,6 +268,91 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
         c=c,
         penalty_pairs=pairs,
     )
+
+
+def _interface_pass(model, dec, ids, bands, starts=None):
+    """The interface penalty of the listed subdomains, from one gather.
+
+    Pair (i, j), j = i - 1 then i + 1, is read off a window of V from one
+    _band_rows gather: the h interface rows of i toward j, found from
+    dec.subdomains, at the h + bw columns that end at the last of them;
+    p_i and p_j are its columns in span i and span j.  Subdomains whose
+    pairs have equal shapes share one batched matmul per side and product.
+    _stiffen adds each p_i^T p_i into bands, block i at column starts[i]
+    (or 0).  With starts, C = sum_j p_i^T p_j is returned, written straight
+    into CSR, a row's left entries first; else ids[0]'s full-width pairs.
+    """
+    h, bw = dec.halo, model.bandwidth
+    spans = np.array(dec.subdomains).reshape(-1, 2)
+    i = np.asarray(ids, np.intp)[:, None]
+    there = (h > 0) & (i - [1, -1] >= 0) & (i - [1, -1] < dec.j_sub)
+    j = np.where(there, i - [1, -1], i)
+    first = np.where(j > i, spans[i, 1] - h, spans[i, 0])  # interface rows
+    lo_i, lo_j = (np.maximum(spans[k, 0] - first + bw, 0) for k in (i, j))
+    at = first - bw + lo_i - spans[i, 0] + (0 if starts is None
+                                            else starts[i])
+    window = np.zeros((there.sum(), h, h + bw))  # [n, t, t + e] is row n h + t
+    np.ndarray((len(window), h, bw + 1), float, window, 0,
+               (window.strides[0], 8 * (h + bw + 1), 8))[...] = _band_rows(
+        model, (first[there][:, None] + np.arange(h)).reshape(-1))[1].reshape(
+            len(window), h, bw + 1)
+    pid = np.cumsum(there).reshape(there.shape) - 1
+    # the left window of i ends at column at[:, 0] + h
+    keys = np.column_stack([np.where(there, lo_i, -1), np.where(
+        there, lo_j, -1), there.all(axis=1) * np.maximum(at[:, 0] + h
+                                                         - at[:, 1], 0)])
+    order = np.lexsort(keys.T)
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order], axis=0)
+                                            .any(axis=1)) + 1)
+    for m in groups:
+        _stiffen(bands, [(window[pid[m, s], :, keys[m[0], s]:], at[m, s])
+                         for s in (0, 1) if keys[m[0], s] >= 0], keys[m[0], 4])
+    if starts is None:
+        return tuple((int(j[0, s]), *(np.pad(window[pid[0, s], :, lo:], (
+            (0, 0), (first[0, s] - bw + lo - spans[k, 0],
+                     spans[k, 1] - first[0, s] - h)))
+            for k, lo in ((i[0, 0], lo_i[0, s]), (j[0, s], lo_j[0, s]))))
+            for s in (0, 1) if there[0, s])
+    count = np.zeros(starts[-1] + 1, np.intp)
+    np.add.at(count, at[there], (bw + h - lo_j)[there])
+    np.add.at(count, (at + bw + h - lo_i)[there], (lo_j - bw - h)[there])
+    indptr = np.concatenate([[0], np.cumsum(np.cumsum(count[:-1]))])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.intp)
+    col = first - bw + lo_j - spans[j, 0] + starts[j]
+    for m in groups:
+        for s in np.flatnonzero(keys[m[0], :2] >= 0):
+            q_i, q_j = (window[pid[m, s], :, lo:] for lo in keys[m[0], s:4:2])
+            w = np.arange(q_j.shape[2])
+            r = at[m, s][:, None] + np.arange(q_i.shape[2])
+            e = (indptr[r] if s == 0 else indptr[r + 1] - w.size)[
+                ..., None] + w
+            data[e] = np.matmul(q_i.transpose(0, 2, 1), q_j)
+            indices[e] = col[m, s][:, None, None] + w
+    return scipy.sparse.csr_array((data, indices, indptr),
+                                  shape=(starts[-1],) * 2)
+
+
+def _stiffen(bands, sides, overlap=0):
+    """Add q^T q of each (q, at) in sides into bands, from column at.
+
+    A side stacks equal windows q, the left side first; where the windows
+    of a subdomain overlap by `overlap` columns, the left product is summed
+    into the right one first, so that bands get penalty_stiffness's floats.
+    """
+    gs = []
+    for q, _ in sides:  # g[c + d, c] is the band at (d, c), zero past w
+        w = q.shape[2]
+        gs.append(np.zeros((len(q), w + min(len(bands[0]), w) - 1, w)))
+        np.matmul(q.transpose(0, 2, 1), q, out=gs[-1][:, :w])
+    if overlap:
+        n = gs[0].shape[2] - overlap
+        gs[1][:, :overlap, :overlap] += gs[0][:, n:n + overlap, n:]
+        gs[0][:, n:n + overlap, n:] = 0.0
+    for g, (_, at) in zip(gs, sides):
+        w, k = g.shape[2], g.shape[1] - g.shape[2] + 1
+        for band in bands:
+            band.T[at[:, None] + np.arange(w), :k] += np.ndarray(
+                (len(g), w, k), float, g, 0, (g.strides[0], 8 * w + 8, 8 * w))
 
 
 def cost_w(inst: ProblemInstance, w: np.ndarray) -> float:

@@ -151,21 +151,23 @@ def _build_config(raw, path):
     # the kernel of B on the unit grid), of B and V, of the
     # observation-space matrix and its factor, and, j_sub spans of at most
     # s points, of at most two of a stack of local systems, its factor and
-    # the stacked blocks of V that lift the analyses; and the four halo x s
-    # interface factors of the one coupled system being streamed into the
-    # stack
-    j_sub = config.j_sub
-    s = min(n, -(-n // j_sub) + 2 * config.halo)
+    # the stacked blocks of V that lift the analyses; and what the
+    # interface pass of a coupled stack holds: 2 (j_sub - 1) windows of
+    # halo x (halo + rows) and C, whose values and indices take at most
+    # 2 halo (halo + rows) entries a pair, two words each
+    j_sub, h = config.j_sub, config.halo
+    s = min(n, -(-n // j_sub) + 2 * h)
     rows = _reach_rows(n, config.length_scale) if gaussian else 1
     coupled = j_sub > 1 and config.method in ("mps", "compare")
     gib = 8 * (rows * (2 * n + 2 * j_sub * s + 2 * config.nobs)
-               + 4 * coupled * config.halo * s) / 2**30
+               + 10 * coupled * (j_sub - 1) * h * (h + rows)) / 2**30
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if gib > ram:
         fail("n_points", f"{n} needs {gib:,.1f} GiB for the bands of the "
                          "covariance, the local systems and the "
                          "observation-space matrix and for the interface "
-                         f"factors, more than the {ram:,.1f} GiB of RAM")
+                         f"windows and C, more than the {ram:,.1f} GiB of "
+                         "RAM")
     return config
 
 

@@ -13,13 +13,13 @@ scales is below the unit roundoff 2^-53 times the diagonal.  B and V are
 therefore stored as their lower bands, band[k, j] = A[j + k, j] (LAPACK
 band storage); V is the banded Cholesky factor, O(n bw^2) for bw
 sub-diagonals.  No other module reads the bands: the run reads V through
-_band_rows, the one gather of rows of V (ProblemInstance.h_rows,
-_interface_factors), v_times (V x), v_blocks (the band of the diagonal
-blocks of every subdomain, laid end to end), v_normal (the band of V^T D V
-and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x, LAPACK
-dtbtrs).  _band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are the one
-triangular product with a lower band, v_times's and the stacked blocks',
-and the one symmetric product, the fixed-point residual's and
+_band_rows, the one gather of rows of V (ProblemInstance.h_rows and the
+interface pass of assembly), v_times (V x), v_blocks (the band of the
+diagonal blocks of every subdomain, laid end to end), v_normal (the band of
+V^T D V and V^T x on a diagonal block, D diagonal) and v_solve (V^{-1} x,
+LAPACK dtbtrs).  _band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are
+the one triangular product with a lower band, v_times's and the stacked
+blocks', and the one symmetric product, the fixed-point residual's and
 local_gradient's.  _band_of reads the lower band of a sparse symmetric
 matrix, and _past_last_row marks the entries of a band that lie past the
 last row of its matrix.  The package holds every matrix as its band and
@@ -385,34 +385,3 @@ def v_solve(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
         raise FactorizationFailure(f"v_band is singular: its diagonal "
                                    f"{info - 1} is zero")
     return w
-
-
-def _interface_factors(model: CovarianceModel, dec: Decomposition, i: int,
-                       neighbors) -> tuple:
-    """(j, p_i, p_j) for each listed neighbor j of subdomain i, in order.
-
-    p_i is V at the rows dec.interface(i, j) and the columns of span i,
-    p_j at the same rows and span j: each the part, at its span's offset
-    in dec.subdomains, of the interface's window of h + bw columns ending
-    at its last point, from one _band_rows gather of all interface rows.
-    The pair defines the interface penalty 0.5 * ||p_i w_i - p_j w_j||^2:
-    its stiffness on subdomain i is p_i^T p_i, its coupling toward j
-    p_i^T (p_j w_j).
-    """
-    h, bw = dec.halo, model.bandwidth
-    rows = np.array([dec.interface(i, j) for j in neighbors], np.intp)
-    _, vals = _band_rows(model, rows.reshape(-1))
-    # window[n, t, t + e] = vals[n * h + t, e]; window n covers the grid
-    # columns rows[n, 0] - bw..rows[n, -1]
-    t, e = np.arange(h)[:, None], np.arange(bw + 1)
-    window = np.zeros((len(neighbors), h, h + bw))
-    window[:, t, t + e] = vals.reshape(len(neighbors), h, e.size)
-    pairs = []
-    for n, j in enumerate(neighbors):
-        spans = [dec.subdomains[k] for k in (i, j)]
-        pair = [np.zeros((h, stop - start)) for start, stop in spans]
-        for p, (start, _) in zip(pair, spans):
-            off = rows[n, 0] - bw - start  # < 0: left of the span
-            p[:, max(off, 0):off + h + bw] = window[n, :, max(-off, 0):]
-        pairs.append((j, *pair))
-    return tuple(pairs)

@@ -129,8 +129,9 @@ class _Stack(tuple):
     but LocalSystems, a repeated id and a missing or mis-sized neighbor fail
     before anything is factored.  band, the lower band of blockdiag(a_i) with
     each a_band zero-padded to the tallest, is column-major, which BLAS dsbmv
-    reads in place.  coupling is the CSR coupling C (assembly._coupling_rows),
-    c the stacked right-hand sides, segments the stacked start and listed
+    reads in place.  coupling is the CSR coupling C (assembly._coupling_rows;
+    a stream of uncoupled systems gets an mps stack's C from coupled()), c
+    the stacked right-hand sides, segments the stacked start and listed
     position of each nonempty block, factor() a fresh array.  A stack passed in
     is returned unchanged.
     """
@@ -177,6 +178,13 @@ class _Stack(tuple):
         stack.coupling = _coupling_rows(fill(), {
             entry.subdomain: (int(start), entry.size)
             for entry, start in zip(entries, stack.starts)})
+        return stack
+
+    def coupled(self, coupling):
+        """This stack's arrays as an mps stack with the coupling C."""
+        stack = tuple.__new__(_Stack, (entry._replace(scheme=SCHEME_MPS)
+                                       for entry in self))
+        vars(stack).update(vars(self), coupling=coupling)
         return stack
 
     @property

@@ -25,7 +25,8 @@ from ddvar import (
     synthesize,
 )
 from ddvar.cli import _KEYS, ExperimentConfig
-from ddvar.covariance import _band_times, _interface_factors
+from ddvar.assembly import _interface_pass
+from ddvar.covariance import _band_times
 from ddvar.solvers import _Stack
 
 
@@ -226,8 +227,12 @@ def local_functional_analysis(inst, dec, factor=None):
 
 
 def interface_pair(model, dec, i, j):
-    """(p_i, p_j) of subdomain i toward j: the one-pair interface factors."""
-    return _interface_factors(model, dec, i, (j,))[0][1:]
+    """(p_i, p_j) of subdomain i toward j, as the interface pass of
+    subdomain i cuts them; NoInterface unless j is a neighbor of i."""
+    dec.interface(i, j)
+    start, stop = dec.subdomains[i]
+    pairs = _interface_pass(model, dec, [i], (np.zeros((1, stop - start)),))
+    return {k: (p_i, p_j) for k, p_i, p_j in pairs}[j]
 
 
 def mirror_symmetric_instance():

@@ -215,39 +215,63 @@ def test_interface_mismatch_is_the_largest_interface_factor_gap(length_scale):
                     seed, j_sub, halo)
 
 
-def test_each_run_gathers_interface_factors_and_couplings_once(monkeypatch):
-    # the mps assembly is the only reader of the interface factors, one
-    # _band_rows gather per subdomain for all of its neighbor pairs; the
-    # observed rows of V are one more gather, made once per instance when
-    # h_rows is first read, through observation's own name of _band_rows;
-    # and a report builds one coupling per scheme
-    calls = {"gather": 0, "coupling": 0}
+def _counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    gather = counted(covariance._band_rows, "gather")
-    monkeypatch.setattr(covariance, "_band_rows", gather)
-    monkeypatch.setattr(observation, "_band_rows", gather)
-    monkeypatch.setattr(solvers, "_coupling_rows",
-                        counted(solvers._coupling_rows, "coupling"))
+def test_each_coupled_stack_gathers_its_interfaces_once(monkeypatch):
+    # a coupled stack makes one interface pass, which reads every
+    # interface row of V by one _band_rows gather through assembly's name;
+    # the observed rows of V are one more gather, made once per instance
+    # when h_rows is first read, through observation's own name; and a
+    # report's two stacks stream uncoupled systems, of which only the mps
+    # stack gets a pass
+    calls = {"gather": 0, "pass": 0}
+    gather = _counted(calls, "gather", covariance._band_rows)
+    for module in (covariance, observation, assembly):
+        monkeypatch.setattr(module, "_band_rows", gather)
+    monkeypatch.setattr(analysis, "_interface_pass", _counted(
+        calls, "pass", analysis._interface_pass))
     j_sub = 5
     inst, dec = make_instance(n=60, j_sub=j_sub, halo=2, seed=3)
-    for method, gathers in (("mps", j_sub + 1), ("mps", j_sub),
-                            ("ddda", 0)):
-        calls.update(gather=0, coupling=0)
+    for method, gathers, passes in (("mps", 2, 1), ("mps", 1, 1),
+                                    ("ddda", 0, 0)):
+        calls.update(gather=0, **{"pass": 0})
         assimilate(inst, dec, method)
-        assert calls == {"gather": gathers, "coupling": 1}, method
-    calls.update(gather=0, coupling=0)
+        assert calls == {"gather": gathers, "pass": passes}, method
+    calls.update(gather=0, **{"pass": 0})
     equivalence_report(inst, dec)
-    assert calls == {"gather": j_sub, "coupling": 2}
-    # without interfaces each gather is of no rows
-    calls.update(gather=0, coupling=0)
+    assert calls == {"gather": 1, "pass": 1}
+    # without interfaces the one gather is of no rows
+    calls.update(gather=0, **{"pass": 0})
     assimilate(inst, decompose_uniform(inst.grid, j_sub, 0), "mps")
-    assert calls == {"gather": j_sub, "coupling": 1}
+    assert calls == {"gather": 1, "pass": 1}
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst, dec: assimilate(inst, dec, SCHEME_MPS),
+    lambda inst, dec: equivalence_report(inst, dec),
+])
+def test_a_coupled_run_finds_its_interfaces_without_per_pair_calls(
+        monkeypatch, run):
+    # the interface rows come from dec.subdomains and the halo, and the
+    # stiffness from the pass's own products: no run calls
+    # Decomposition.interface or penalty_stiffness, and its one coupled
+    # stack makes one gather of interface rows
+    inst, dec = make_instance(n=120, j_sub=6, halo=2, seed=4)
+    inst.h_rows  # the observed rows, gathered once per instance
+    calls = {"interface": 0, "penalty_stiffness": 0, "gather": 0}
+    monkeypatch.setattr(Decomposition, "interface", _counted(
+        calls, "interface", Decomposition.interface))
+    monkeypatch.setattr(assembly, "penalty_stiffness", _counted(
+        calls, "penalty_stiffness", assembly.penalty_stiffness))
+    monkeypatch.setattr(assembly, "_band_rows", _counted(
+        calls, "gather", assembly._band_rows))
+    run(inst, dec)
+    assert calls == {"interface": 0, "penalty_stiffness": 0, "gather": 1}
 
 
 @pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [
@@ -614,36 +638,39 @@ def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
     ("a_band", (0, 0)), ("a_band", (0, -1)), ("a_band", (1, 0)),
 ])
 @pytest.mark.parametrize("i", [0, 2])
-def test_equivalence_report_sees_one_ulp_in_one_mps_system(
+def test_equivalence_report_sees_one_ulp_in_the_second_stream(
         monkeypatch, field, at, i):
-    # one entry of the c or of the a_band of one streamed mps system moved
-    # by one ulp turns its check false and leaves the other true
+    # the mps stack is built from a second stream of uncoupled systems:
+    # one entry of the c or of the a_band of one of them moved by one ulp
+    # turns its check false and leaves the other true, inside an
+    # interface window or out of it
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
+    seen = []
 
     def assemble(inst, dec, j, scheme, _fn=analysis.assemble_local):
         sys = _fn(inst, dec, j, scheme)
-        if scheme != SCHEME_MPS or j != i:
+        seen.append(j)
+        if seen.count(j) < 2 or j != i:
             return sys
         arrays = {"c": sys.c.copy(), "a_band": sys.a_band.copy()}
         arrays[field][at] = np.nextafter(arrays[field][at], np.inf)
-        return assembly.LocalSystem(j, scheme, arrays["a_band"], arrays["c"],
-                                    sys.penalty_pairs)
+        return assembly.LocalSystem(j, scheme, arrays["a_band"], arrays["c"])
 
     monkeypatch.setattr(analysis, "assemble_local", assemble)
     rep = equivalence_report(inst, dec)
+    assert seen == [0, 1, 2] * 2
     assert (rep.c_equal, rep.a_structure_exact) == (
         field != "c", field != "a_band")
 
 
-def _track_mps_systems(monkeypatch):
-    # weak references to every mps system assemble_local makes, and the
+def _track_systems(monkeypatch):
+    # weak references to every system assemble_local makes, and the
     # number of them alive each time solve_mps starts
     systems, alive = [], []
 
     def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
         sys = _fn(inst, dec, i, scheme)
-        if scheme == SCHEME_MPS:
-            systems.append(weakref.ref(sys))
+        systems.append(weakref.ref(sys))
         return sys
 
     def sweep(*args, _fn=analysis.solve_mps, **kwargs):
@@ -656,22 +683,23 @@ def _track_mps_systems(monkeypatch):
 
 
 def test_assimilate_lets_the_local_systems_go_before_the_sweep(monkeypatch):
-    # the run keeps the stack of the mps systems, not the systems
+    # the run keeps the stack of the uncoupled systems its pass couples,
+    # not the systems
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    systems, alive = _track_mps_systems(monkeypatch)
+    systems, alive = _track_systems(monkeypatch)
     assimilate(inst, dec, SCHEME_MPS)
     assert len(systems) == 3
     assert alive == [0]
 
 
-def test_equivalence_report_lets_the_mps_systems_go_before_the_sweep(
+def test_equivalence_report_lets_the_local_systems_go_before_the_sweep(
         monkeypatch):
-    # the structure checks are read off the systems before they are
-    # dropped; none of them is alive when the sweep starts
+    # the checks are read off the systems of both streams before they are
+    # dropped; none of them is alive when the mps sweep starts
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    systems, alive = _track_mps_systems(monkeypatch)
+    systems, alive = _track_systems(monkeypatch)
     rep = equivalence_report(inst, dec)
-    assert len(systems) == 3
+    assert len(systems) == 6
     assert alive == [0]
     assert rep.c_equal and rep.a_structure_exact
 
@@ -685,16 +713,22 @@ def test_equivalence_report_lets_the_mps_systems_go_before_the_sweep(
     (120, 6, 0, "gaussian", 2.0),
     (120, 1, 0, "gaussian", 2.0),
     (40, 8, 1, "gaussian", 8.0),  # spans of 6-7 points, bw + 1 = 40
+    # spans of 38 < 2 (h + bw) points, as at np=10^5 with j_sub=4096
+    (240, 8, 4, "gaussian", 2.0),
+    # spans of 23 points: the two stiffness windows of a span overlap
+    (120, 8, 4, "gaussian", 2.0),
 ])
 def test_the_streamed_stack_is_the_stack_of_the_listed_systems(
         n, j_sub, halo, kind, length_scale, scheme):
-    # a run streams its systems into a stack sized from the decomposition;
-    # every array is the one the listed systems stack to, bit for bit
+    # a run streams uncoupled systems into a stack sized from the
+    # decomposition, and the mps run couples it by one interface pass;
+    # every array is the one the listed assemble_local systems of the
+    # scheme stack to, C through _coupling_rows, bit for bit
     inst, dec = make_instance(n=n, j_sub=j_sub, halo=halo, kind=kind,
                               length_scale=length_scale, seed=6)
-    listed = solvers._Stack(list(analysis._assemble(inst, dec, scheme)))
-    streamed = analysis._stack(inst, dec, scheme,
-                               analysis._assemble(inst, dec, scheme))
+    listed = solvers._Stack([assemble_local(inst, dec, i, scheme)
+                             for i in range(j_sub)])
+    streamed = analysis._stack(inst, dec, scheme)
     assert tuple(streamed) == tuple(listed)
     assert streamed.order == listed.order
     for a, b in [(streamed.starts, listed.starts),
@@ -708,49 +742,64 @@ def test_the_streamed_stack_is_the_stack_of_the_listed_systems(
     assert streamed.band.flags.f_contiguous
 
 
-@pytest.mark.parametrize("run", [
-    lambda inst, dec: assimilate(inst, dec, SCHEME_MPS),
-    lambda inst, dec: equivalence_report(inst, dec),
+def test_the_mps_stack_build_peaks_below_three_and_a_half_bands():
+    # the interface pass writes C straight into CSR, with no COO index
+    # arrays, and lets each group's products go before the next: building
+    # the mps stack of compare_3k's decomposition (np=3000, j_sub=64)
+    # peaks at 2.8 stacked bands, 3.1 when C went through COO
+    inst, dec = make_instance(n=3000, j_sub=64, halo=4, seed=4)
+    inst.h_rows, inst.weights  # made once per instance, before any stack
+    tracemalloc.start()
+    try:
+        stack = analysis._stack(inst, dec, SCHEME_MPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stack.band.nbytes, peak / stack.band.nbytes
+
+
+@pytest.mark.parametrize("run, streams", [
+    (lambda inst, dec: assimilate(inst, dec, SCHEME_MPS), 1),
+    (lambda inst, dec: equivalence_report(inst, dec), 2),
 ])
-def test_a_run_holds_one_mps_system_at_a_time(monkeypatch, run):
+def test_a_run_holds_one_local_system_at_a_time(monkeypatch, run, streams):
     # each system is stacked and let go before the next is assembled: at
-    # most the one just stacked of its scheme is alive when another is
-    # asked for, the ddda systems of equivalence_report included
+    # most the one just stacked is alive when another is asked for, over
+    # both of equivalence_report's streams; every one is uncoupled
     inst, dec = make_instance(n=120, j_sub=6, halo=2, seed=4)
-    systems = {SCHEME_MPS: [], SCHEME_DDDA: []}
-    alive = {SCHEME_MPS: [0], SCHEME_DDDA: [0]}
+    systems, alive, schemes = [], [0], set()
 
     def assemble(inst, dec, i, scheme, _fn=analysis.assemble_local):
-        alive[scheme].append(sum(ref() is not None for ref in systems[scheme]))
+        alive.append(sum(ref() is not None for ref in systems))
         sys = _fn(inst, dec, i, scheme)
-        systems[scheme].append(weakref.ref(sys))
+        systems.append(weakref.ref(sys))
+        schemes.add(scheme)
         return sys
 
     monkeypatch.setattr(analysis, "assemble_local", assemble)
     run(inst, dec)
-    assert len(systems[SCHEME_MPS]) == 6
-    assert len(systems[SCHEME_DDDA]) in (0, 6)
-    assert max(alive[SCHEME_MPS]) <= 1
-    assert max(alive[SCHEME_DDDA]) <= 1
+    assert len(systems) == 6 * streams
+    assert max(alive) <= 1
+    assert schemes == {SCHEME_DDDA}
 
 
 def test_a_streamed_system_unlike_its_layout_entry_is_rejected():
     # the stream is checked entry by entry against the layout it was
-    # sized from: another id, size, scheme or a taller band, or a stream
-    # that ends early
+    # sized from, uncoupled systems for either scheme: another id, size,
+    # scheme or a taller band, or a stream that ends early
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    mps = list(analysis._assemble(inst, dec, SCHEME_MPS))
-    ddda = list(analysis._assemble(inst, dec, SCHEME_DDDA))
+    ddda = list(analysis._assemble(inst, dec))
+    mps = assemble_local(inst, dec, 0, SCHEME_MPS)
     other = make_instance(n=61, j_sub=3, halo=2, seed=4)
     tall = assembly.LocalSystem(
-        0, SCHEME_MPS, np.zeros((40, mps[0].size)), mps[0].c,
-        mps[0].penalty_pairs)
-    for stream in ([mps[1], mps[0], mps[2]], [ddda[0], *mps[1:]],
-                   [assemble_local(*other, 0, SCHEME_MPS), *mps[1:]],
-                   [tall, *mps[1:]], mps[:2], ["x", *mps[1:]]):
-        with pytest.raises(InvalidArgument):
-            analysis._stack(inst, dec, SCHEME_MPS, iter(stream))
-    analysis._stack(inst, dec, SCHEME_MPS, iter(mps))
+        0, SCHEME_DDDA, np.zeros((40, ddda[0].size)), ddda[0].c)
+    for scheme in (SCHEME_MPS, SCHEME_DDDA):
+        for stream in ([ddda[1], ddda[0], ddda[2]], [mps, *ddda[1:]],
+                       [assemble_local(*other, 0, SCHEME_DDDA), *ddda[1:]],
+                       [tall, *ddda[1:]], ddda[:2], ["x", *ddda[1:]]):
+            with pytest.raises(InvalidArgument):
+                analysis._stack(inst, dec, scheme, iter(stream))
+        analysis._stack(inst, dec, scheme, iter(ddda))
 
 
 def test_equivalence_report_frees_the_blocks_of_v_before_the_mps_sweep(

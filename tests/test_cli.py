@@ -264,9 +264,9 @@ def test_compare_subcommand_overrides_method(tmp_path):
 def test_compare_subcommand_is_validated_as_a_compare_run(
         tmp_path, capsys, monkeypatch, method):
     # 4 subdomains of 90 points at halo 20 on 200 identity points: the
-    # bands of a global or ddda run, 15 KiB, fit in 64 KiB of RAM; the
-    # interface factors of the compare run the subcommand makes, 169 KiB,
-    # do not
+    # bands of a global or ddda run, 9 KiB, fit in 64 KiB of RAM; the
+    # interface windows and C of the compare run the subcommand makes,
+    # 98 KiB more, do not
     sysconf = os.sysconf
     monkeypatch.setattr(cli.os, "sysconf", lambda name: (
         64 * 1024 // sysconf("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
@@ -281,7 +281,7 @@ def test_compare_subcommand_is_validated_as_a_compare_run(
     err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {path}:1: np 200 needs")
-    assert "interface factors" in err[0]
+    assert "interface windows and C" in err[0]
     assert captured.out == ""
     assert not out.exists()
 
@@ -452,22 +452,23 @@ def test_readme_config_table_lists_every_key_with_its_default():
 def test_memory_preflight_counts_the_local_and_observation_matrices(
         tmp_path):
     # validation only: 64 subdomains of 633 points and 8000 observations
-    # hold about 0.03 GiB of bands and interface factors, although a dense
+    # hold about 0.03 GiB of bands and interface windows, although a dense
     # V of 40000^2 would need 12 GiB
     path = write_config(tmp_path, "np = 40000\nj_sub = 64\nhalo = 4\n")
     assert load_config(path).n_points == 40000
     path = write_config(tmp_path, "np = 1000000000\nj_sub = 1\n")
     with pytest.raises(ValidationError, match="np 1000000000 needs"):
         load_config(path)
-    # a halo of 2 * 10^6 on 10^7 identity points: the interface factors of
-    # one coupled system, four 2 * 10^6 x 9 * 10^6 blocks, need about
-    # 524 TiB, past any memory; the bands of ddda need about 1 GiB
+    # a halo of 2 * 10^6 on 10^7 identity points: the interface pass's two
+    # 2 * 10^6 x (2 * 10^6 + 1) windows and the values and indices of a C
+    # of up to 4 * 10^6 x (2 * 10^6 + 1) entries a pair need about
+    # 291 TiB, past any memory; the bands of ddda need about 0.4 GiB
     halo = ("np = 10000000\nj_sub = 2\nhalo = 2000000\n"
             "cov_kind = identity\nmethod = {}\n")
     path = write_config(tmp_path, halo.format("ddda"))
     assert load_config(path).halo == 2000000
     path = write_config(tmp_path, halo.format("mps"))
-    with pytest.raises(ValidationError, match="interface factors"):
+    with pytest.raises(ValidationError, match="interface windows and C"):
         load_config(path)
 
 
