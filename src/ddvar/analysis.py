@@ -302,8 +302,9 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     The mps stack is built from a second stream of uncoupled systems, each
     checked against the ddda stack, solved first, as it streams in; the
     interface pass adds the same penalty into both bands, which are then
-    compared, and the ddda stack is dropped before the mps sweep.  Mismatch is data, not an error: the report never raises
-    on a nonzero gap, it only records it.  cost_global is the cost of the
+    compared, and the ddda stack is dropped before the mps sweep.
+    Mismatch is data, not an error: the report never raises on a nonzero
+    gap, it only records it.  cost_global is the cost of the
     observation-space reference w* of the module docstring, solved first.
     convention accepts only "v_times_w"; it remains because the benchmark
     worker passes the config's update_convention positionally.

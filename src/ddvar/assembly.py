@@ -313,10 +313,11 @@ def _interface_pass(model, dec, ids, bands, starts=None):
                      spans[k, 1] - first[0, s] - h)))
             for k, lo in ((i[0, 0], lo_i[0, s]), (j[0, s], lo_j[0, s]))))
             for s in (0, 1) if there[0, s])
-    count = np.zeros(starts[-1] + 1, np.intp)
-    np.add.at(count, at[there], (bw + h - lo_j)[there])
-    np.add.at(count, (at + bw + h - lo_i)[there], (lo_j - bw - h)[there])
-    indptr = np.concatenate([[0], np.cumsum(np.cumsum(count[:-1]))])
+    # each row's count, differenced one row on, then summed twice in place
+    indptr = np.zeros(starts[-1] + 2, np.intp)
+    np.add.at(indptr, at[there] + 1, (bw + h - lo_j)[there])
+    np.add.at(indptr, (at + bw + h - lo_i)[there] + 1, (lo_j - bw - h)[there])
+    indptr = np.cumsum(np.cumsum(indptr, out=indptr), out=indptr)[:-1]
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.intp)
     col = first - bw + lo_j - spans[j, 0] + starts[j]
     for m in groups:
