@@ -10,13 +10,14 @@ with it), the u_i are one band product plus u^b at the stacked points,
 their patch one gather of owner entries and the interface mismatch one max.
 One scheme run (solve, patch, cost) of a stack serves both entry points,
 whose stacks read _assemble, one uncoupled system at a time, an mps stack
-then coupled by one interface pass: assimilate streams one stack, and
-equivalence_report two, checking each system of the second against the
-ddda stack as it streams in, and measures every quantity behind the claim
-that the two schemes produce the same solution: identical right-hand sides
-and the exact penalty structure of the coupled matrices, read off the two
-stacks, and the interface agreement, read off the local analyses, that
-makes uncoupled solutions fixed points of the coupled sweep.
+then coupled in place by one interface pass: assimilate streams one stack,
+and equivalence_report couples its solved ddda stack for the mps run,
+after checking each system of a second stream against it, and measures
+every quantity behind the claim that the two schemes produce the same
+solution: identical right-hand sides and the exact penalty structure of
+the coupled matrices, read off the second stream, and the interface
+agreement, read off the local analyses, that makes uncoupled solutions
+fixed points of the coupled sweep.
 
 The single-domain reference both entry points measure against, solved
 before either scheme is assembled, is the minimizer w* of the
@@ -60,6 +61,7 @@ from .solvers import (
     IterationHistory,
     SolverOptions,
     _Stack,
+    _next_system,
     _vectors,
     fixed_point_residual,
     solve_ddda,
@@ -143,14 +145,15 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
 def _patch(inst, dec, w):
     """The patch u of the stacked control vector w and the stacked u_i.
 
-    The u_i are one band product with v_blocks, freed on return, and the
-    patch gathers each point from its owner, the subdomain whose base
-    block holds it (restricted additive Schwarz), so the halo values,
-    worst at a subdomain's edge, are dropped.
+    The u_i are one band product with v_blocks, made first to fill the
+    block the sweep's factor freed (compare frees no band before it) and
+    freed on return; the patch gathers each point from its owner, the
+    subdomain whose base block holds it (restricted additive Schwarz), so
+    the halo values, worst at a subdomain's edge, are dropped.
     """
     _require_grid(inst, dec)
     points, _, owners = dec._stacked
-    us = inst.u_background[points] + _band_times(v_blocks(inst.cov, dec), w)
+    us = _band_times(v_blocks(inst.cov, dec), w) + inst.u_background[points]
     return us[owners], us
 
 
@@ -181,20 +184,25 @@ def _assemble(inst, dec):
             for i in range(dec.j_sub))
 
 
-def _stack(inst, dec, scheme, systems=None, *bands):
-    # the stream of dec's uncoupled systems stacked, sized from dec's
-    # layout; an mps stack then takes every penalty and C from one
-    # interface pass, which adds the penalty into each of bands too
-    systems = systems or _assemble(inst, dec)
-    sizes = [stop - start for start, stop in dec.subdomains]
-    stack = _Stack(systems, (
-        [(i, s, SCHEME_DDDA) for i, s in enumerate(sizes)],
-        _block_height(inst.cov, max(sizes))))
+def _stack(inst, dec, scheme, systems=None):
+    # dec's stream of uncoupled systems (or a stack, kept) stacked by dec's
+    # layout; one interface pass couples an mps stack's band in place
+    stack = _Stack(systems or _assemble(inst, dec), (
+        [(i, b - a, SCHEME_DDDA) for i, (a, b) in enumerate(dec.subdomains)],
+        _block_height(inst.cov, max(b - a for a, b in dec.subdomains))))
     if scheme == SCHEME_MPS:
         stack = stack.coupled(_interface_pass(
-            inst.cov, dec, range(dec.j_sub), (stack.band, *bands),
-            stack.starts))
+            inst.cov, dec, range(dec.j_sub), stack.band, stack.starts))
     return stack
+
+
+def _matches(stack, sys, start):
+    # (c equal, a_band equal with nothing below it) of an uncoupled system
+    # against its block of stack, from column start; c to the byte
+    stop = start + sys.size
+    block, k = stack.band[:, start:stop], len(sys.a_band)
+    return (sys.c.tobytes() == stack.c[start:stop].tobytes(),
+            np.array_equal(sys.a_band, block[:k]) and not block[k:].any())
 
 
 def _run_scheme(inst, dec, stack, opts):
@@ -299,10 +307,10 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
                        convention: str = V_TIMES_W) -> EquivalenceReport:
     """Solve both schemes and measure every equivalence quantity.
 
-    The mps stack is built from a second stream of uncoupled systems, each
-    checked against the ddda stack, solved first, as it streams in; the
-    interface pass adds the same penalty into both bands, which are then
-    compared, and the ddda stack is dropped before the mps sweep.
+    The ddda stack is streamed and solved first; c_equal and
+    a_structure_exact conjoin the checks of each system of a second stream
+    against its entry and its block of that stack, whose band one
+    interface pass then couples in place: a report holds one stacked band.
     Mismatch is data, not an error: the report never raises on a nonzero
     gap, it only records it.  cost_global is the cost of the
     observation-space reference w* of the module docstring, solved first.
@@ -314,30 +322,15 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     cost_global = cost_w(inst, _global_w(inst))
     dd = _stack(inst, dec, SCHEME_DDDA)
     ws_dd, dd_history, _, gap_dd = _run_scheme(inst, dec, dd, None)
-    exact = []
-
-    def checked(m):
-        # a system of the second stream against its columns of the ddda
-        # stack, before it is stacked: equal, and nothing below its band
-        block = dd.band[:, dd.starts[m.subdomain]:dd.starts[m.subdomain + 1]]
-        k = len(m.a_band)
-        exact.append(not block[k:].any() and np.array_equal(m.a_band,
-                                                            block[:k]))
-        return m
-
-    # the pass adds its penalty into the ddda band too, which must then be
-    # the mps band: compared 8192 columns at a time, with no band-sized copy
-    mps_stack = _stack(inst, dec, SCHEME_MPS,
-                       map(checked, _assemble(inst, dec)), dd.band)
-    exact += (np.array_equal(mps_stack.band[:, k:k + 8192],
-                             dd.band[:, k:k + 8192])
-              for k in range(0, dd.c.size, 8192))
-    c_equal = mps_stack.c.tobytes() == dd.c.tobytes()
-    del dd
+    systems = _assemble(inst, dec)
+    checks = [_matches(dd, _next_system(systems, entry, len(dd.band)), start)
+              for entry, start in zip(dd, dd.starts.tolist())]
+    mps_stack = _stack(inst, dec, SCHEME_MPS, dd)
     ws_mps, history, _, _ = _run_scheme(inst, dec, mps_stack, opts)
+    c_equal, exact = map(all, zip(*checks))
     return EquivalenceReport(
         c_equal=c_equal,
-        a_structure_exact=all(exact),
+        a_structure_exact=exact,
         interface_mismatch=gap_dd,
         ddda_in_mps_residual=float(
             np.max(fixed_point_residual(mps_stack, ws_dd))

@@ -153,7 +153,7 @@ def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
     for _, p_i, _ in _check_pairs(penalty_pairs):
         cols = p_i.any(axis=0).nonzero()[0]
         if cols.size:  # else p_i^T p_i is zero
-            _stiffen((band,), [(np.ascontiguousarray(
+            _stiffen(band, [(np.ascontiguousarray(
                 p_i[None, :, cols[0]:cols[-1] + 1]), cols[:1])])
     return band
 
@@ -260,7 +260,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     a_band[0] += 1.0
     pairs = ()
     if scheme == SCHEME_MPS:
-        pairs = _interface_pass(inst.cov, dec, [i], (a_band,))
+        pairs = _interface_pass(inst.cov, dec, [i], a_band)
     return LocalSystem(
         subdomain=i,
         scheme=scheme,
@@ -270,7 +270,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     )
 
 
-def _interface_pass(model, dec, ids, bands, starts=None):
+def _interface_pass(model, dec, ids, band, starts=None):
     """The interface penalty of the listed subdomains, from one gather.
 
     Pair (i, j), j = i - 1 then i + 1, is read off a window of V from one
@@ -278,7 +278,7 @@ def _interface_pass(model, dec, ids, bands, starts=None):
     dec.subdomains, at the h + bw columns that end at the last of them;
     p_i and p_j are its columns in span i and span j.  Subdomains whose
     pairs have equal shapes share one batched matmul per side and product.
-    _stiffen adds each p_i^T p_i into bands, block i at column starts[i]
+    _stiffen adds each p_i^T p_i into band, block i at column starts[i]
     (or 0).  With starts, C = sum_j p_i^T p_j is returned, written straight
     into CSR, a row's left entries first; else ids[0]'s full-width pairs.
     """
@@ -305,7 +305,7 @@ def _interface_pass(model, dec, ids, bands, starts=None):
     groups = np.split(order, np.flatnonzero(np.diff(keys[order], axis=0)
                                             .any(axis=1)) + 1)
     for m in groups:
-        _stiffen(bands, [(window[pid[m, s], :, keys[m[0], s]:], at[m, s])
+        _stiffen(band, [(window[pid[m, s], :, keys[m[0], s]:], at[m, s])
                          for s in (0, 1) if keys[m[0], s] >= 0], keys[m[0], 4])
     if starts is None:
         return tuple((int(j[0, s]), *(np.pad(window[pid[0, s], :, lo:], (
@@ -333,17 +333,17 @@ def _interface_pass(model, dec, ids, bands, starts=None):
                                   shape=(starts[-1],) * 2)
 
 
-def _stiffen(bands, sides, overlap=0):
-    """Add q^T q of each (q, at) in sides into bands, from column at.
+def _stiffen(band, sides, overlap=0):
+    """Add q^T q of each (q, at) in sides into band, from column at.
 
     A side stacks equal windows q, the left side first; where the windows
     of a subdomain overlap by `overlap` columns, the left product is summed
-    into the right one first, so that bands get penalty_stiffness's floats.
+    into the right one first, so that band gets penalty_stiffness's floats.
     """
     gs = []
     for q, _ in sides:  # g[c + d, c] is the band at (d, c), zero past w
         w = q.shape[2]
-        gs.append(np.zeros((len(q), w + min(len(bands[0]), w) - 1, w)))
+        gs.append(np.zeros((len(q), w + min(len(band), w) - 1, w)))
         np.matmul(q.transpose(0, 2, 1), q, out=gs[-1][:, :w])
     if overlap:
         n = gs[0].shape[2] - overlap
@@ -351,9 +351,8 @@ def _stiffen(bands, sides, overlap=0):
         gs[0][:, n:n + overlap, n:] = 0.0
     for g, (_, at) in zip(gs, sides):
         w, k = g.shape[2], g.shape[1] - g.shape[2] + 1
-        for band in bands:
-            band.T[at[:, None] + np.arange(w), :k] += np.ndarray(
-                (len(g), w, k), float, g, 0, (g.strides[0], 8 * w + 8, 8 * w))
+        band.T[at[:, None] + np.arange(w), :k] += np.ndarray(
+            (len(g), w, k), float, g, 0, (g.strides[0], 8 * w + 8, 8 * w))
 
 
 def cost_w(inst: ProblemInstance, w: np.ndarray) -> float:

@@ -37,6 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .assembly import (
     SCHEME_DDDA,
@@ -119,6 +120,17 @@ def _vectors(ws, layout) -> list:
 _Entry = collections.namedtuple("_Entry", "subdomain size scheme")
 
 
+def _next_system(systems, entry, height):
+    # the next of systems, a LocalSystem of the entry's (subdomain, size,
+    # scheme) with at most height band rows, or InvalidArgument
+    sys = _check_type("local system", next(systems, None), LocalSystem)
+    if ((sys.subdomain, sys.size, sys.scheme) != entry
+            or len(sys.a_band) > height):
+        raise InvalidArgument(f"local system {sys.subdomain} does not match "
+                              f"its entry {entry}")
+    return sys
+
+
 class _Stack(tuple):
     """The local systems of one solve call, laid end to end by id.
 
@@ -129,17 +141,17 @@ class _Stack(tuple):
     but LocalSystems, a repeated id and a missing or mis-sized neighbor fail
     before anything is factored.  band, the lower band of blockdiag(a_i) with
     each a_band zero-padded to the tallest, is column-major, which BLAS dsbmv
-    reads in place.  coupling is the CSR coupling C (assembly._coupling_rows;
-    a stream of uncoupled systems gets an mps stack's C from coupled()), c
-    the stacked right-hand sides, segments the stacked start and listed
-    position of each nonempty block, factor() a fresh array.  A stack passed in
-    is returned unchanged.
+    reads in place.  coupling is the CSR coupling C of the listed systems
+    (assembly._coupling_rows); a stream is uncoupled, its C empty, an mps
+    stack's C given to coupled().  c is the stacked right-hand sides, segments
+    the stacked start and listed position of each nonempty block, factor() a
+    fresh array.  A stack passed in is returned unchanged.
     """
 
     def __new__(cls, locals_, layout=None):
         if isinstance(locals_, _Stack):
             return locals_
-        if layout is None:  # the listed systems' own, read in id order
+        if listed := layout is None:  # the listed systems' own, in id order
             for n, sys in enumerate(_check_type("locals_", locals_,
                                                 Sequence)):
                 _check_type(f"locals_[{n}]", sys, LocalSystem)
@@ -159,25 +171,19 @@ class _Stack(tuple):
         full = np.diff(stack.starts) > 0
         stack.segments = (stack.starts[:-1][full],
                           np.asarray(stack.order)[full])
-        stack.band = np.zeros((int(stack.starts[-1]), layout[1])).T
-        stack.c, systems = np.empty(stack.starts[-1]), iter(locals_)
-
-        def fill():
-            for entry, start in zip(entries, stack.starts.tolist()):
-                sys = _check_type("local system", next(systems, None),
-                                  LocalSystem)
-                if ((sys.subdomain, sys.size, sys.scheme) != entry
-                        or len(sys.a_band) > layout[1]):
-                    raise InvalidArgument(f"local system {sys.subdomain} "
-                                          f"does not match its entry {entry}")
-                stop = start + entry.size
-                stack.band[:len(sys.a_band), start:stop] = sys.a_band
-                stack.c[start:stop] = sys.c
-                yield sys
-
-        stack.coupling = _coupling_rows(fill(), {
+        n = int(stack.starts[-1])
+        stack.band = np.zeros((n, layout[1])).T
+        stack.c, systems = np.empty(n), iter(locals_)
+        for entry, start in zip(entries, stack.starts.tolist()):
+            sys = _next_system(systems, entry, layout[1])
+            stop = start + entry.size
+            stack.band[:len(sys.a_band), start:stop] = sys.a_band
+            stack.c[start:stop] = sys.c
+        stack.coupling = _coupling_rows(locals_, {
             entry.subdomain: (int(start), entry.size)
-            for entry, start in zip(entries, stack.starts)})
+            for entry, start in zip(entries, stack.starts)}) if listed else (
+                scipy.sparse.csr_array((np.zeros(0), np.zeros(0, np.intp),
+                                        np.zeros(n + 1, np.intp)), (n, n)))
         return stack
 
     def coupled(self, coupling):

@@ -231,7 +231,7 @@ def interface_pair(model, dec, i, j):
     subdomain i cuts them; NoInterface unless j is a neighbor of i."""
     dec.interface(i, j)
     start, stop = dec.subdomains[i]
-    pairs = _interface_pass(model, dec, [i], (np.zeros((1, stop - start)),))
+    pairs = _interface_pass(model, dec, [i], np.zeros((1, stop - start)))
     return {k: (p_i, p_j) for k, p_i, p_j in pairs}[j]
 
 

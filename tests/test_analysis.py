@@ -227,8 +227,7 @@ def test_each_coupled_stack_gathers_its_interfaces_once(monkeypatch):
     # interface row of V by one _band_rows gather through assembly's name;
     # the observed rows of V are one more gather, made once per instance
     # when h_rows is first read, through observation's own name; and a
-    # report's two stacks stream uncoupled systems, of which only the mps
-    # stack gets a pass
+    # report's one stack, streamed uncoupled, gets one pass for its mps run
     calls = {"gather": 0, "passes": 0}
     gather = _counted(calls, "gather", covariance._band_rows)
     for module in (covariance, observation, assembly):
@@ -610,26 +609,34 @@ def test_assimilate_ddda_runs_and_reports():
     assert res.history.final_cost == res.diagnostics["global_cost"]
 
 
-def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
+def test_equivalence_report_sweeps_its_ddda_stack_coupled_in_place(
         monkeypatch):
-    # the mps systems are checked against the ddda stack as they stream
-    # in, so it outlives the mps assembly; it is gone, band and right-hand
-    # sides, when the mps sweep starts
+    # a report builds one stack: the ddda stack, checked against the
+    # second stream and then coupled in place, so the mps sweep receives
+    # the very band and right-hand sides that the ddda solve did
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
-    arrays, alive = [], []
+    built, arrays = [], {}
+
+    def new(cls, locals_, *args, _fn=solvers._Stack.__new__):
+        stack = _fn(cls, locals_, *args)
+        if stack is not locals_:
+            built.append(stack)
+        return stack
 
     def solve(stack, _fn=analysis.solve_ddda):
-        arrays.extend(weakref.ref(a) for a in (stack.band, stack.c))
+        arrays["ddda"] = stack.band, stack.c
         return _fn(stack)
 
-    def sweep(*args, _fn=analysis.solve_mps, **kwargs):
-        alive.append([ref() is not None for ref in arrays])
-        return _fn(*args, **kwargs)
+    def sweep(stack, *args, _fn=analysis.solve_mps, **kwargs):
+        arrays["mps"] = stack.band, stack.c
+        return _fn(stack, *args, **kwargs)
 
+    monkeypatch.setattr(solvers._Stack, "__new__", staticmethod(new))
     monkeypatch.setattr(analysis, "solve_ddda", solve)
     monkeypatch.setattr(analysis, "solve_mps", sweep)
     rep = equivalence_report(inst, dec)
-    assert alive == [[False, False]]
+    assert len(built) == 1
+    assert all(a is b for a, b in zip(arrays["ddda"], arrays["mps"]))
     assert rep.c_equal and rep.a_structure_exact
 
 
@@ -641,12 +648,13 @@ def test_equivalence_report_releases_the_ddda_stack_before_the_mps_run(
 @pytest.mark.parametrize("i", [0, 2])
 def test_equivalence_report_sees_one_ulp_in_the_second_stream(
         monkeypatch, field, at, i):
-    # the mps stack is built from a second stream of uncoupled systems:
+    # each system of a second stream of uncoupled systems is checked
+    # against its block of the ddda stack, before that stack is coupled:
     # one entry of the c or of the a_band of one of them moved by one ulp
     # turns its check false and leaves the other true, inside an
     # interface window or out of it; in system 0, a_band[1, -2] is 0.0
-    # under a stiffness of 0.03, which its ulp cannot move, so only the
-    # check of each system as it streams in sees that one
+    # under a stiffness of 0.03, which its ulp cannot move, so only a
+    # check made before the coupling sees that one
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
     seen = []
 
@@ -761,6 +769,37 @@ def test_the_mps_stack_build_peaks_below_three_and_a_half_bands():
     assert peak <= 3.5 * stack.band.nbytes, peak / stack.band.nbytes
 
 
+def test_the_report_couples_its_ddda_stack_below_two_bands(monkeypatch):
+    # from the start of the second stream to the start of the mps sweep a
+    # report holds one streamed system at a time and what the interface
+    # pass makes, C among it, and no second band: at compare_3k's
+    # decomposition (np=3000, j_sub=64) that peaks at 1.6 stacked bands of
+    # traced memory, against 2.8 when the second stream filled a second
+    # stack
+    inst, dec = make_instance(n=3000, j_sub=64, halo=4, seed=4)
+    streams, peaks = [], []
+
+    def assemble(inst, dec, _fn=analysis._assemble):
+        streams.append(dec)
+        if len(streams) == 2:
+            tracemalloc.start()
+        return _fn(inst, dec)
+
+    def sweep(stack, *args, _fn=analysis.solve_mps, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1] / stack.band.nbytes)
+        tracemalloc.stop()
+        return _fn(stack, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_assemble", assemble)
+    monkeypatch.setattr(analysis, "solve_mps", sweep)
+    try:
+        equivalence_report(inst, dec)
+    finally:
+        tracemalloc.stop()
+    assert len(streams) == 2
+    assert len(peaks) == 1 and peaks[0] <= 2.0, peaks
+
+
 @pytest.mark.parametrize("run, streams", [
     (lambda inst, dec: assimilate(inst, dec, SCHEME_MPS), 1),
     (lambda inst, dec: equivalence_report(inst, dec), 2),
@@ -786,23 +825,39 @@ def test_a_run_holds_one_local_system_at_a_time(monkeypatch, run, streams):
     assert schemes == {SCHEME_DDDA}
 
 
-def test_a_streamed_system_unlike_its_layout_entry_is_rejected():
+@pytest.mark.parametrize("run", [SCHEME_MPS, SCHEME_DDDA, "report"])
+def test_a_streamed_system_unlike_its_layout_entry_is_rejected(
+        monkeypatch, run):
     # the stream is checked entry by entry against the layout it was
     # sized from, uncoupled systems for either scheme: another id, size,
-    # scheme or a taller band, or a stream that ends early
+    # scheme or a taller band, or a stream that ends early; a report's
+    # second stream is checked by the same rule, to the same message
     inst, dec = make_instance(n=60, j_sub=3, halo=2, seed=4)
     ddda = list(analysis._assemble(inst, dec))
     mps = assemble_local(inst, dec, 0, SCHEME_MPS)
     other = make_instance(n=61, j_sub=3, halo=2, seed=4)
     tall = assembly.LocalSystem(
         0, SCHEME_DDDA, np.zeros((40, ddda[0].size)), ddda[0].c)
-    for scheme in (SCHEME_MPS, SCHEME_DDDA):
-        for stream in ([ddda[1], ddda[0], ddda[2]], [mps, *ddda[1:]],
-                       [assemble_local(*other, 0, SCHEME_DDDA), *ddda[1:]],
-                       [tall, *ddda[1:]], ddda[:2], ["x", *ddda[1:]]):
-            with pytest.raises(InvalidArgument):
-                analysis._stack(inst, dec, scheme, iter(stream))
-        analysis._stack(inst, dec, scheme, iter(ddda))
+    assemble = analysis._assemble
+
+    def stream_in(stream):
+        if run != "report":
+            return analysis._stack(inst, dec, run, stream)
+        # the report's first stream as it is, its second the one given
+        streams = iter([None, stream])
+        monkeypatch.setattr(analysis, "_assemble", lambda inst, dec: next(
+            streams) or assemble(inst, dec))
+        return equivalence_report(inst, dec)
+
+    for stream in ([ddda[1], ddda[0], ddda[2]], [mps, *ddda[1:]],
+                   [assemble_local(*other, 0, SCHEME_DDDA), *ddda[1:]],
+                   [tall, *ddda[1:]], ddda[:2], ["x", *ddda[1:]]):
+        with pytest.raises(InvalidArgument) as stacked:
+            analysis._stack(inst, dec, SCHEME_DDDA, iter(stream))
+        with pytest.raises(InvalidArgument) as streamed:
+            stream_in(iter(stream))
+        assert str(streamed.value) == str(stacked.value)
+    stream_in(iter(ddda))
 
 
 def test_equivalence_report_frees_the_blocks_of_v_before_the_mps_sweep(
