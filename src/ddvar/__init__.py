@@ -23,7 +23,6 @@ from .assembly import (
     assemble_local,
     cost_w,
     local_gradient,
-    penalty_stiffness,
 )
 from .covariance import (
     CovarianceModel,
@@ -102,7 +101,6 @@ __all__ = [
     "identity_covariance",
     "interface_mismatch",
     "local_gradient",
-    "penalty_stiffness",
     "point_observations",
     "solve_ddda",
     "solve_global",

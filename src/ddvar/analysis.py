@@ -54,7 +54,8 @@ from .covariance import (
     v_solve,
     v_times,
 )
-from .errors import InvalidArgument, _check_finite, _check_type, _vector
+from .errors import (InvalidArgument, _check_choice, _check_finite,
+                     _check_type, _vector)
 from .geometry import Decomposition
 from .observation import ProblemInstance
 from .solvers import (
@@ -164,8 +165,7 @@ def _gap(inst, dec, w):
 
 
 def _check_convention(convention, fail) -> None:
-    if convention != V_TIMES_W:
-        fail("convention", f"must be {V_TIMES_W!r}, got {convention!r}")
+    _check_choice("convention", convention, (V_TIMES_W,), fail)
 
 
 def _check_opts(opts) -> None:
@@ -243,10 +243,8 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     worker passes the config's update_convention positionally.
     """
     _check_convention(convention, InvalidArgument.fail)
-    if method not in (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA):
-        raise InvalidArgument(
-            f"method must be one of ('global', 'mps', 'ddda'), got {method!r}"
-        )
+    _check_choice("method", method, (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA),
+                  InvalidArgument.fail)
     _check_opts(opts)
 
     w_star = _global_w(inst)

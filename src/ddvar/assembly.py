@@ -21,11 +21,11 @@ of V, D and D d sliced from the instance's weights; the global one is
 read off the sparse product of the observed rows of V, a separate path
 that the one-subdomain decomposition is checked against.  The band is a
 system's only form of a; the dense a is the tests' oracle.  The solvers
-lay the bands end to end.  A run's coupled stack is its stack of
-uncoupled systems plus one interface pass over every pair, which adds
-the stiffness into the stacked band in place and writes C as CSR;
-assemble_local(mps) runs that pass on one subdomain's pairs.
-_coupling_rows builds C from listed systems' pairs instead, and
+lay the bands end to end.  The interface pass is the one path that forms
+the stiffness: a run couples its stack of uncoupled systems by one pass
+over every pair, which adds the stiffness into the stacked band in place
+and writes C as CSR, and assemble_local(mps) runs it on one subdomain's
+pairs.  _coupling_rows builds C from listed systems' pairs, and
 local_gradient computes one subdomain's rows of the fixed-point residual
 the way the solvers compute them all.
 
@@ -49,6 +49,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidArgument,
     MissingNeighbor,
+    _check_choice,
     _check_count,
     _check_type,
     _real_array,
@@ -110,8 +111,12 @@ class LocalSystem(_Banded):
         _check_count("subdomain", self.subdomain, IndexOutOfRange.fail,
                      least=0)
         super().__post_init__()
+        # every streamed system passes its empty tuple: skip the ABC check
+        if type(self.penalty_pairs) is not tuple:
+            _check_type("penalty_pairs", self.penalty_pairs, Sequence)
         pairs = []
-        for j, p_i, p_j in _check_pairs(self.penalty_pairs):
+        for n, pair in enumerate(self.penalty_pairs):
+            j, p_i, p_j = _check_type(f"penalty_pairs[{n}]", pair, Sequence, 3)
             _check_count("penalty_pairs neighbor id", j, IndexOutOfRange.fail,
                          least=0)
             p_i = _real_array(f"penalty_pairs p_i of neighbor {j}", p_i)
@@ -131,37 +136,8 @@ class LocalSystem(_Banded):
         return int(self.c.size)
 
 
-def _check_pairs(penalty_pairs):
-    """penalty_pairs; InvalidArgument unless a Sequence of triples.
-    Tuples, as the assembly builds them, skip the slower ABC checks."""
-    if type(penalty_pairs) is not tuple:
-        _check_type("penalty_pairs", penalty_pairs, Sequence)
-    for n, pair in enumerate(penalty_pairs):
-        if type(pair) is not tuple or len(pair) != 3:
-            _check_type(f"penalty_pairs[{n}]", pair, Sequence, 3)
-    return penalty_pairs
-
-
-def penalty_stiffness(penalty_pairs, shape) -> np.ndarray:
-    """Lower band, of the given shape, of sum_j p_i^T p_i over the pairs.
-
-    Each p_i^T p_i is one BLAS product on the range of columns where p_i is
-    nonzero, added in the pairs' ascending neighbor order by _stiffen, so
-    every caller lands on the same floats; with no pairs the band is zero.
-    """
-    band = np.zeros(shape)
-    for _, p_i, _ in _check_pairs(penalty_pairs):
-        cols = p_i.any(axis=0).nonzero()[0]
-        if cols.size:  # else p_i^T p_i is zero
-            _stiffen(band, [(np.ascontiguousarray(
-                p_i[None, :, cols[0]:cols[-1] + 1]), cols[:1])])
-    return band
-
-
 def _check_scheme(scheme) -> None:
-    if scheme not in _SCHEMES:
-        raise InvalidArgument(
-            f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    _check_choice("scheme", scheme, _SCHEMES, InvalidArgument.fail)
 
 
 def _require_scheme(locals_, scheme: str) -> None:
@@ -191,37 +167,27 @@ def _coupling_rows(systems, layout):
     another width DimensionMismatch.  Only the columns where p_i and p_j
     are nonzero are stored.
     """
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [[]]
+    parts = [(np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
     top = 0
     for sys in systems:
         for j, p_i, p_j in sys.penalty_pairs:
             if j not in layout:
-                raise MissingNeighbor(
-                    f"subdomain {sys.subdomain} needs the iterate of "
-                    f"neighbor {j}"
-                )
+                raise MissingNeighbor(f"subdomain {sys.subdomain} needs the "
+                                      f"iterate of neighbor {j}")
             if p_j.shape[1] != layout[j][1]:
                 raise DimensionMismatch(
                     f"neighbor {j} has {layout[j][1]} points, subdomain "
-                    f"{sys.subdomain} couples to {p_j.shape[1]}"
-                )
+                    f"{sys.subdomain} couples to {p_j.shape[1]}")
             ci, cj = (p.any(axis=0).nonzero()[0] for p in (p_i, p_j))
-            rows.append(ci + top)
-            cols.append(cj + layout[j][0])
-            vals.append(p_i[:, ci].T @ p_j[:, cj])
+            parts.append((p_i[:, ci].T @ p_j[:, cj], *np.meshgrid(
+                ci + top, cj + layout[j][0], indexing="ij")))
         top += sys.size
-    # entry e of a pair's product, row-major, is at (e // n_j, e % n_j)
-    n_i, n_j = (np.array([c.size for c in cs]) for cs in (rows, cols))
-    count = n_i * n_j
-    e = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    return scipy.sparse.csr_array(
-        (np.concatenate(vals, axis=None),
-         (np.repeat(np.concatenate(rows), np.repeat(n_j, n_i)),
-          np.concatenate(cols)[np.repeat(np.cumsum(n_j) - n_j, count)
-                               + e % np.repeat(n_j, count)])),
-        shape=(top, max((start + size for start, size in layout.values()),
-                        default=0)),
-    )
+    # the conversion sorts each row by column, which puts a left
+    # neighbor's entries before a right one's
+    data, rows, cols = (np.concatenate([a.ravel() for a in arrays])
+                        for arrays in zip(*parts))
+    return scipy.sparse.csr_array((data, (rows, cols)), shape=(top, max(
+        (start + size for start, size in layout.values()), default=0)))
 
 
 def assemble_global(inst: ProblemInstance) -> GlobalSystem:
@@ -250,7 +216,7 @@ def assemble_local(inst: ProblemInstance, dec: Decomposition, i: int,
     H_i^T R_i^{-1} H_i and H_i^T R_i^{-1} d_i are the span's slice of
     inst.weights, and both come from v_normal, on the band of V.  The mps
     scheme then runs a stack's interface pass on its own pairs, which adds
-    the floats of their penalty_stiffness and cuts them at full width.
+    sum_j p_i^T p_i into a_band and returns the pairs cut at full width.
     dec must split the instance's grid.
     """
     _require_grid(inst, dec)
@@ -333,12 +299,13 @@ def _interface_pass(model, dec, ids, band, starts=None):
                                   shape=(starts[-1],) * 2)
 
 
-def _stiffen(band, sides, overlap=0):
+def _stiffen(band, sides, overlap):
     """Add q^T q of each (q, at) in sides into band, from column at.
 
     A side stacks equal windows q, the left side first; where the windows
-    of a subdomain overlap by `overlap` columns, the left product is summed
-    into the right one first, so that band gets penalty_stiffness's floats.
+    of a subdomain overlap by `overlap` columns, the left product L is
+    summed into the right one R first, so that band gets a + (L + R), the
+    uncoupled a plus the penalty sum, as acceptance 02 adds them.
     """
     gs = []
     for q, _ in sides:  # g[c + d, c] is the band at (d, c), zero past w

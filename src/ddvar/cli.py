@@ -36,8 +36,9 @@ from .covariance import (
     identity_covariance,
 )
 from .errors import (DdvarError, InvalidArgument, ParseError, ValidationError,
-                     _check_count)
-from .geometry import Decomposition, Grid1D, _check_decomposition
+                     _check_choice, _check_count)
+from .geometry import (Decomposition, Grid1D, _check_decomposition,
+                       _check_n_points)
 from .observation import _check_synthesis, synthesize
 from .solvers import SolverOptions, _check_options, solve_global, solve_mps
 
@@ -132,16 +133,14 @@ def _build_config(raw, path):
 
     # each rule is the library's own, reached through its owner's check
     n, gaussian = config.n_points, config.cov_kind == "gaussian"
-    _check_count("n_points", n, fail)
+    _check_n_points(n, fail)
     _check_decomposition(n, config.j_sub, config.halo, fail)
-    if config.cov_kind not in _COV_KINDS:
-        fail("cov_kind", f"must be one of {_COV_KINDS}, got {config.cov_kind!r}")
+    _check_choice("cov_kind", config.cov_kind, _COV_KINDS, fail)
     for name in ("length_scale", "sigma_b"):
         _check_scale(name, getattr(config, name), fail)
     _check_synthesis(n, config.nobs, config.sigma_o, config.seed,
                      config.sigma_b if gaussian else None, fail)
-    if config.method not in _METHODS:
-        fail("method", f"must be one of {_METHODS}, got {config.method!r}")
+    _check_choice("method", config.method, _METHODS, fail)
     _check_options(config.tol, config.max_iters, fail)
     # v_times_w is the only update; the key stays because the benchmark
     # worker passes it on to assimilate and equivalence_report

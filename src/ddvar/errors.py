@@ -6,11 +6,12 @@ value breaks through fail(name, message), name the parameter's: a
 library entry point passes its own error's fail, the command line one
 that raises ValidationError at the config key's file and line.  Rules
 that many parameters share are stated here: _check_count (an integer >=
-least), _check_real (a real that fits in a float) and, for arrays,
-_real_array (a float array: text, objects, complex, bool or ragged input
-is InvalidArgument), _vector (of a given length), _check_finite (naming
-the first NaN or infinity) and _indices (integers in 0..n - 1); for
-collections and model objects, _check_type.
+least), _check_choice (a str among the choices), _check_real (a real
+that fits in a float) and, for arrays, _real_array (a float array: text,
+objects, complex, bool or ragged input is InvalidArgument), _vector (of
+a given length), _check_finite (naming the first NaN or infinity) and
+_indices (integers in 0..n - 1); for collections and model objects,
+_check_type.
 """
 
 import numbers
@@ -77,6 +78,12 @@ def _check_count(name: str, value, fail, least: int = 1) -> None:
     _check_integer(name, value, fail)
     if value < least:
         fail(name, f"must be >= {least}, got {value}")
+
+
+def _check_choice(name: str, value, choices: tuple, fail) -> None:
+    """fail(name, ...) unless value is a str among choices, not an array."""
+    if not (isinstance(value, str) and value in choices):
+        fail(name, f"must be one of {choices}, got {value!r}")
 
 
 def _check_real(name: str, value, fail) -> float:

@@ -34,6 +34,14 @@ from .errors import (
 )
 
 
+def _check_n_points(n_points, fail) -> None:
+    _check_count("n_points", n_points, fail)
+    most = np.iinfo(np.intp).max // 8  # float64 entries numpy can hold
+    if n_points > most:
+        fail("n_points", f"must be <= {most}, the length of the largest "
+                         "float64 array")
+
+
 def _check_decomposition(n_points, j_sub, halo, fail) -> None:
     _check_count("j_sub", j_sub, fail)
     _check_count("halo", halo, fail, least=0)
@@ -78,7 +86,7 @@ class Grid1D:
     def uniform(cls, n_points: int) -> "Grid1D":
         """Unit grid at 0, 1, ..., n_points - 1; a grid of spacing h is
         Grid1D(h * np.arange(n_points))."""
-        _check_count("n_points", n_points, InvalidArgument.fail)
+        _check_n_points(n_points, InvalidArgument.fail)
         return cls(np.arange(n_points, dtype=float))
 
 

@@ -256,21 +256,18 @@ def test_each_coupled_stack_gathers_its_interfaces_once(monkeypatch):
 ])
 def test_a_coupled_run_finds_its_interfaces_without_per_pair_calls(
         monkeypatch, run):
-    # the interface rows come from dec.subdomains and the halo, and the
-    # stiffness from the pass's own products: no run calls
-    # Decomposition.interface or penalty_stiffness, and its one coupled
-    # stack makes one gather of interface rows
+    # the interface rows come from dec.subdomains and the halo: no run
+    # calls Decomposition.interface, and its one coupled stack makes one
+    # gather of interface rows
     inst, dec = make_instance(n=120, j_sub=6, halo=2, seed=4)
     inst.h_rows  # the observed rows, gathered once per instance
-    calls = {"interface": 0, "penalty_stiffness": 0, "gather": 0}
+    calls = {"interface": 0, "gather": 0}
     monkeypatch.setattr(Decomposition, "interface", _counted(
         calls, "interface", Decomposition.interface))
-    monkeypatch.setattr(assembly, "penalty_stiffness", _counted(
-        calls, "penalty_stiffness", assembly.penalty_stiffness))
     monkeypatch.setattr(assembly, "_band_rows", _counted(
         calls, "gather", assembly._band_rows))
     run(inst, dec)
-    assert calls == {"interface": 0, "penalty_stiffness": 0, "gather": 1}
+    assert calls == {"interface": 0, "gather": 1}
 
 
 @pytest.mark.parametrize("n, j_sub, halo, kind, length_scale", [

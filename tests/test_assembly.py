@@ -17,11 +17,11 @@ from ddvar import (
     decompose_uniform,
     identity_covariance,
     local_gradient,
-    penalty_stiffness,
     point_observations,
 )
 
 from ddvar.covariance import v_normal
+from ddvar.solvers import _Stack
 
 from conftest import dense, interface_pair, lower_band, make_instance
 
@@ -316,17 +316,38 @@ def test_assemble_local_without_observations_is_identity():
     np.testing.assert_array_equal(sys.c, np.zeros(9))
 
 
-def test_penalty_stiffness_skips_an_all_zero_factor():
-    # a p_i with no nonzero column adds p_i^T p_i = 0 and is skipped, next
-    # to a pair that does add
-    empty = (1, np.zeros((1, 3)), np.zeros((1, 3)))
-    assert not penalty_stiffness((empty,), (1, 3)).any()
-    p_i = np.array([[0.0, 1.0, 2.0]])
-    pair = (2, p_i, np.ones((1, 4)))
-    expected = lower_band(p_i.T @ p_i, 1)
-    for pairs in ((pair,), (empty, pair)):
-        band = penalty_stiffness(pairs, (2, 3))
-        assert band.tobytes() == expected.tobytes()
+def test_the_coupling_of_listed_systems_stores_its_nonzero_columns():
+    # hand-built pairs on spans of 3, 4 and 3 points: subdomain 0's p_i is
+    # all zero, so its rows of C are empty, and subdomain 1's p_j toward 0
+    # has a zero interior column, which C does not store; C is the dense
+    # sum of p_i^T p_j, each row's columns ascending
+    pairs = {
+        0: ((1, np.zeros((1, 3)), np.ones((1, 4))),),
+        1: ((0, np.array([[1.0, 0, 2, 0], [0, 3, 0, 0]]),
+             np.array([[4.0, 0, 5], [0, 0, 6]])),
+            (2, np.array([[0.0, 0, 1, 7]]), np.array([[1.0, 2, 0]]))),
+        2: ((1, np.array([[1.0, 1, 1]]), np.array([[0.0, 0, 1, 1]])),),
+    }
+    starts = {0: 0, 1: 3, 2: 7}
+    stack = _Stack([LocalSystem(i, SCHEME_MPS, np.ones((1, size)),
+                                np.ones(size), pairs[i])
+                    for i, size in ((0, 3), (1, 4), (2, 3))])
+    expected = np.zeros((10, 10))
+    stored = np.zeros((10, 10), bool)
+    for i, listed in pairs.items():
+        for j, p_i, p_j in listed:
+            rows = starts[i] + np.arange(p_i.shape[1])
+            cols = starts[j] + np.arange(p_j.shape[1])
+            expected[np.ix_(rows, cols)] += p_i.T @ p_j
+            stored[np.ix_(rows[p_i.any(axis=0)], cols[p_j.any(axis=0)])] = True
+    c = stack.coupling
+    np.testing.assert_array_equal(c.toarray(), expected)
+    assert not c.indptr[:4].any()
+    at = np.zeros((10, 10), bool)
+    at[np.repeat(np.arange(10), np.diff(c.indptr)), c.indices] = True
+    assert c.nnz == stored.sum() and np.array_equal(at, stored)
+    for r in range(10):
+        assert np.all(np.diff(c.indices[c.indptr[r]:c.indptr[r + 1]]) > 0)
 
 
 def _searchsorted_local(inst, dec, i, scheme):

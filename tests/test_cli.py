@@ -114,6 +114,16 @@ def test_unknown_cov_kind_is_anchored(tmp_path):
                               "('identity', 'gaussian'), got 'matern'")
 
 
+def test_an_np_past_the_largest_array_fails_by_name(tmp_path, capsys):
+    # 400 digits would overflow the float of the memory estimate; the
+    # bound that Grid1D.uniform checks rejects it first, with its text
+    path = write_config(tmp_path, f"np = {'9' * 400}\n")
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: np must be <= {2**60 - 1}, the length of the "
+        "largest float64 array\n")
+
+
 def test_json_writer_refuses_non_finite_values(tmp_path):
     # the payload is encoded whole before anything is written, whether a
     # value sits in a list or in a float array

@@ -29,7 +29,6 @@ from ddvar import (
     identity_covariance,
     interface_mismatch,
     local_gradient,
-    penalty_stiffness,
     point_observations,
     solve_ddda,
     solve_global,
@@ -79,6 +78,11 @@ CASES = {
     "threads-int32": (
         lambda: SolverOptions(threads=np.int32(0)),
         InvalidArgument, "threads must be >= 1, got 0"),
+    # a grid past the largest float64 array numpy can hold
+    "n_points-too-large": (
+        lambda: Grid1D.uniform(2**62),
+        InvalidArgument, f"n_points must be <= {2**60 - 1}, the length of "
+                         "the largest float64 array"),
 }
 
 
@@ -173,6 +177,24 @@ IDS = {
         lambda i: LocalSystem(0, SCHEME_MPS, PAIR, ONES, ((i, PAIR, PAIR),))),
 }
 
+# parameter that names one of a few choices -> (the name its message
+# gives, a valid choice, the call with the value); an array, even one of
+# a valid choice, is no choice
+CHOICES = {
+    "assemble_local-scheme": (
+        "scheme", SCHEME_MPS, lambda v: assemble_local(INST, DEC, 0, v)),
+    "LocalSystem-scheme": (
+        "scheme", SCHEME_MPS, lambda v: LocalSystem(0, v, PAIR, ONES)),
+    "assimilate-method": (
+        "method", SCHEME_MPS, lambda v: assimilate(INST, DEC, v)),
+    "assimilate-convention": (
+        "convention", "v_times_w",
+        lambda v: assimilate(INST, DEC, SCHEME_DDDA, None, v)),
+    "equivalence_report-convention": (
+        "convention", "v_times_w",
+        lambda v: equivalence_report(INST, DEC, None, v)),
+}
+
 # a model object of the wrong kind: text, a number, a list
 NOT_A_MODEL = {"text": "x", "int": 5, "list": [1, 2]}
 
@@ -196,12 +218,6 @@ OBJECTS = {
     "assemble_global-inst": ("inst", assemble_global, NOT_A_MODEL),
     "solve_global-sys": (
         "sys", solve_global, {**NOT_A_MODEL, "local system": SYSTEMS[0]}),
-    "penalty_stiffness-penalty_pairs": (
-        "penalty_pairs", lambda v: penalty_stiffness(v, (2, 11)),
-        {"text": "x", "int": 5}),
-    "penalty_stiffness-pair": (
-        "penalty_pairs[0]", lambda v: penalty_stiffness((v,), (2, 11)),
-        {"text": "x", "double": (1, PAIR), "quadruple": (1, PAIR, PAIR, 0)}),
     "LocalSystem-penalty_pairs": (
         "penalty_pairs",
         lambda v: LocalSystem(0, SCHEME_MPS, PAIR, ONES, v),
@@ -305,6 +321,10 @@ TABLE = {
     **{f"{param}-{kind}": (name, call, value, InvalidArgument)
        for param, (name, call, bad) in OBJECTS.items()
        for kind, value in bad.items()},
+    **{f"{param}-{kind}": (name, call, value, InvalidArgument)
+       for param, (name, valid, call) in CHOICES.items()
+       for kind, value in {"array": np.zeros(2),
+                           "choice array": np.array([valid])}.items()},
 }
 
 
@@ -323,3 +343,5 @@ def test_the_valid_values_of_the_table_pass():
         call(valid)
     for _, call in IDS.values():
         call(1)
+    for _, valid, call in CHOICES.values():
+        call(valid)
