@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .covariance import (_band_of, _band_rows, _band_sym_times,
-                         _past_last_row, v_normal)
+from .covariance import _band_of, _band_rows, _band_sym_times, v_normal
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -64,7 +63,8 @@ _SCHEMES = (SCHEME_MPS, SCHEME_DDDA)
 
 
 class _Banded:
-    # A system a w = c stored as the lower band a_band of a.
+    # A system a w = c stored as the lower band a_band of a, zero past the
+    # last row (d >= n - j): only the last min(k, n) columns are read.
 
     def __post_init__(self):
         band, c = _real_array("a_band", self.a_band), _real_array("c", self.c)
@@ -72,7 +72,10 @@ class _Banded:
             raise DimensionMismatch(
                 f"a_band has shape {band.shape}, expected (k + 1, n) for c "
                 f"of shape {c.shape} = (n,)")
-        if band[_past_last_row(band.shape)].any():
+        rows, n = band.shape
+        lo = max(n - rows + 1, 0)
+        past = np.arange(rows)[:, None] >= np.arange(n - lo, 0, -1)
+        if band[:, lo:][past].any():
             raise InvalidArgument("a_band has nonzero entries past the "
                                   "last row")
         object.__setattr__(self, "a_band", band)

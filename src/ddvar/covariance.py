@@ -21,9 +21,10 @@ LAPACK dtbtrs).  _band_times (BLAS dtbmv) and _band_sym_times (dsbmv) are
 the one triangular product with a lower band, v_times's and the stacked
 blocks', and the one symmetric product, the fixed-point residual's and
 local_gradient's.  _band_of reads the lower band of a sparse symmetric
-matrix, and _past_last_row marks the entries of a band that lie past the
-last row of its matrix.  The package holds every matrix as its band and
-never forms an n x n array; dense matrices are the tests' oracles.
+matrix.  The entries band[d, j] of a band with d >= n - j lie past the
+last row of its matrix, in its last min(k, n) columns; a system's band is
+zero there (assembly._Banded).  The package holds every matrix as its
+band and never forms an n x n array; dense matrices are the tests' oracles.
 _band_cholesky and _band_solve (LAPACK dpbtrf / dpbtrs) are the package's
 one path for SPD systems: B here, the global and stacked local systems in
 solvers and the observation-space matrix in analysis.
@@ -60,16 +61,6 @@ def _band_of(s, height: int | None = None) -> np.ndarray:
     band = np.zeros((height or int(np.max(k, initial=0)) + 1, s.shape[1]))
     band[k, s.col[lower]] = s.data[lower]
     return band
-
-
-def _past_last_row(shape: tuple) -> np.ndarray:
-    # band[d, j] of a (k + 1, n) lower band lies past the last row when
-    # d >= n - j, so only in the last min(k, n) columns
-    rows, n = shape
-    lo = max(n - rows + 1, 0)
-    mask = np.zeros(shape, bool)
-    mask[:, lo:] = np.arange(rows)[:, None] >= np.arange(n - lo, 0, -1)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -185,10 +176,11 @@ def _reach_rows(n_points: int, length_scale: float,
     and, on a unit grid, the band height of the memory estimate of a
     config (cli._build_config).
     """
-    reach = _GAUSSIAN_REACH * length_scale / spacing
-    return math.ceil(reach) + 1 if reach < n_points - 1 else n_points
+    reach, width = _GAUSSIAN_REACH * length_scale, (n_points - 1) * spacing
+    return math.ceil(reach / spacing) + 1 if reach < width else n_points
 
 
+@np.errstate(over="ignore")  # an overflowed distance is a zero of the kernel
 def _gaussian_diagonal(x: np.ndarray, k: int, scale: float, variance: float,
                        out: np.ndarray) -> float:
     # sub-diagonal k of the kernel into out by the dense kernel's
@@ -231,7 +223,8 @@ def build_gaussian_covariance(grid: Grid1D, length_scale: float,
     sigma_b = _check_scale("sigma_b", sigma_b, InvalidArgument.fail)
     x, scale, n = grid.coords, 2.0 * length_scale**2, grid.n_points
     diagonal = sigma_b**2 + 1e-10 * sigma_b**2  # the kernel plus the jitter
-    spacing = (x[-1] - x[0]) / (n - 1) if n > 1 else 1.0
+    with np.errstate(over="ignore"):  # inf on a grid wider than any float
+        spacing = (x[-1] - x[0]) / (n - 1) if n > 1 else 1.0
     b_band = np.empty((_reach_rows(n, length_scale, spacing), n))
     b_band[0] = diagonal
     k = 1
@@ -361,16 +354,19 @@ def v_normal(model: CovarianceModel, weights: np.ndarray, x: np.ndarray,
     """
     s = span.stop - span.start
     k = _block_height(model, s) - 1
-    # the band of V_s atop a zero (2k + 1, s + k) block; zero weights past
-    # the span silence the entries of V below it
-    band = np.zeros((2 * k + 1, s + k))
-    band[:k + 1, :s] = model.v_band[:k + 1, span]
-    padded = np.zeros((2, s + 2 * k))
+    # the band of V_s and k zero columns after it; zero weights past the span
+    # silence the entries of V below it
+    band = np.zeros((k + 1, s + k))
+    band[:, :s] = model.v_band[:k + 1, span]
+    padded = np.zeros((2, s + k))
     padded[:, :s] = weights, x
     row, col = band.strides
-    # weighted[t, c] = weights[c + t] V_s[c + t, c], the same for x in xv
-    weighted, xv = np.ndarray((2, 2 * k + 1, s), float, padded, 0,
-                              (padded.strides[0], col, col)) * band[:, :s]
+    # weighted[t, c] = weights[c + t] V_s[c + t, c], the same for x in xv,
+    # for t <= k; the product array's rows k + 1..2k stay zero for a to read
+    weighted, xv = product = np.zeros((2, 2 * k + 1, s))
+    np.multiply(np.ndarray((2, k + 1, s), float, padded, 0,
+                           (padded.strides[0], col, col)), band[:, :s],
+                out=product[:, :k + 1])
     # a[d, c, u] = weighted[d + u, c], b[d, c, u] = V_s[c + d + u, c + d]
     a = np.ndarray((k + 1, s, k + 1), float, weighted, 0,
                    (weighted.strides[0], col, weighted.strides[0]))

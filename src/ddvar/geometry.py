@@ -64,7 +64,7 @@ class Grid1D:
 
     def __post_init__(self):
         coords = _check_finite("coords", _vector("coords", self.coords))
-        if not (coords.size and np.all(np.diff(coords) > 0.0)):
+        if not (coords.size and np.all(coords[1:] > coords[:-1])):
             raise InvalidArgument("coords must be one or more strictly "
                                   "increasing values")
         object.__setattr__(self, "coords", coords)

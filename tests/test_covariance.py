@@ -19,8 +19,7 @@ from ddvar import (
     factor_check,
     identity_covariance,
 )
-from ddvar.covariance import (_band_cholesky, _band_rows, _past_last_row,
-                              _reach_rows, v_times)
+from ddvar.covariance import _band_cholesky, _band_rows, _reach_rows, v_times
 
 from conftest import block_times, dense, interface_pair, lower_band
 
@@ -146,7 +145,7 @@ def test_factor_check_ignores_v_past_the_last_row(n, length_scale):
     # a full one, where every column reaches the last row
     model = build_gaussian_covariance(Grid1D.uniform(n), length_scale, 1.0)
     v = model.v_band.copy()
-    v[_past_last_row(v.shape)] = 1e3
+    v[np.add.outer(np.arange(v.shape[0]), np.arange(n)) >= n] = 1e3
     assert np.any(v != model.v_band)
     tailed = CovarianceModel(b_band=model.b_band, v_band=v)
     assert factor_check(tailed) == factor_check(model) <= 1e-12
@@ -165,17 +164,6 @@ def test_factor_check_holds_a_few_bands():
         tracemalloc.stop()
     assert residual <= 1e-12
     assert peak <= 4 * model.v_band.nbytes, peak
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 3), (5, 2), (18, 55),
-                                   (18, 258), (18, 4000)])
-def test_past_last_row_is_the_mask_of_the_outer_sum(shape):
-    # band[d, j] lies past the last row when d + j >= n; the mask is built
-    # on the last columns only, and a band taller than n is all of them
-    rows, n = shape
-    expected = np.add.outer(np.arange(rows), np.arange(n)) >= n
-    mask = _past_last_row(shape)
-    assert mask.dtype == bool and np.array_equal(mask, expected)
 
 
 def test_gaussian_rejects_bad_parameters():
@@ -432,6 +420,23 @@ def test_band_is_the_dense_kernel_diagonals(grid, length_scale):
     # the kernel beyond the band is below the unit roundoff of the diagonal
     beyond = np.tril(kernel, -band.shape[0])
     assert np.max(np.abs(beyond)) <= math.ldexp(np.max(np.diag(kernel)), -53)
+
+
+@pytest.mark.parametrize("coords, band", [
+    # the gap between neighbours overflows
+    ([-1e308, 1e308], [[1.0 + JITTER] * 2]),
+    # the mean spacing overflows, and so does the square of each gap
+    ([-1.7e308, 0.0, 1.7e308], [[1.0 + JITTER] * 3]),
+    # the reach over a subnormal spacing overflows
+    ([0.0, 5e-324], [[1.0 + JITTER] * 2, [1.0, 0.0]]),
+])
+def test_grids_at_the_ends_of_the_float_range_build(coords, band):
+    # valid grids build under the suite's error::RuntimeWarning: a gap whose
+    # square overflows is an exact zero of the kernel, and a grid narrower
+    # than the kernel's reach is all within it
+    model = build_gaussian_covariance(Grid1D(np.array(coords)), 2.0, 1.0)
+    assert model.b_band.tobytes() == np.array(band).tobytes()
+    assert factor_check(model) <= 1e-12
 
 
 def test_dense_oracle_is_the_matrix_of_the_band():

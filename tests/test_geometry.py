@@ -38,8 +38,11 @@ def test_grid_rejects_bad_inputs():
         Grid1D(np.array([]))
     with pytest.raises(DimensionMismatch, match="coords"):
         Grid1D(np.zeros((2, 2)))
-    with pytest.raises(InvalidArgument, match=one_or_more):
-        Grid1D(np.array([0.0, 2.0, 1.0]))
+    # neighbours are compared, not subtracted, so a gap past the largest
+    # float raises no overflow (test_covariance builds on such a grid)
+    for coords in ([0.0, 2.0, 1.0], [-1e308, 1e308, 1e308]):
+        with pytest.raises(InvalidArgument, match=one_or_more):
+            Grid1D(np.array(coords))
     for coords in ([np.nan], [0.0, np.inf], [-np.inf, 0.0]):
         with pytest.raises(InvalidArgument, match="coords"):
             Grid1D(coords)

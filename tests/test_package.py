@@ -65,6 +65,30 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
+def test_every_private_helper_keeps_a_caller_in_the_package():
+    # a module-level _helper that only the tests call is dead code: some
+    # Name, Attribute or import alias of the package names each one
+    # outside its own definition
+    helpers, named = set(), set()
+    for path in sorted(Path(ddvar.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                own = statement.name
+                if own.startswith("_") and not own.startswith("__"):
+                    helpers.add((path.stem, own))
+            for node in ast.walk(statement):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name is not None and name != own:
+                    named.add(name)
+    orphans = sorted(f"{module}.{name}" for module, name in helpers
+                     if name not in named)
+    assert not orphans, orphans
+
+
 def test_only_errors_converts_an_input_to_a_float_array():
     # the real-array rule is stated once, in errors._real_array: no other
     # module calls np.asarray(..., dtype=float), which reads text as a

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddvar import (
     DimensionMismatch,
@@ -177,6 +178,57 @@ def test_the_sweep_stops_at_the_exact_fixed_point(n, halo, length_scale,
              * np.max(np.abs(oracle.w_fix)))
     assert (np.max(np.abs(np.concatenate(ws) - oracle.w_fix))
             <= 10 * max(opts.tol, floor))
+
+
+def _colour_sweep(systems, colours, tol=1e-12):
+    # block sweep of the mps systems listed in id order: the systems of one
+    # colour solve, each on its own band, against the iterates as the
+    # colours before it left them, until the largest step is <= tol;
+    # the stacked iterate and the iterations it took
+    factors = [scipy.linalg.cholesky_banded(sys.a_band, lower=True)
+               for sys in systems]
+    ws = [np.zeros(sys.size) for sys in systems]
+
+    def solve(i):
+        pull = sum(p_i.T @ (p_j @ ws[j])
+                   for j, p_i, p_j in systems[i].penalty_pairs)
+        return scipy.linalg.cho_solve_banded((factors[i], True),
+                                             systems[i].c + pull)
+
+    for iteration in range(1, 501):
+        step = 0.0
+        for colour in colours:
+            new = {i: solve(i) for i in colour}
+            for i, w in new.items():
+                step = max(step, float(np.max(np.abs(w - ws[i]))))
+                ws[i] = w
+        if step <= tol:
+            return np.concatenate(ws), iteration
+    raise AssertionError("the sweep did not stop in 500 iterations")
+
+
+@pytest.mark.parametrize("n, j_sub, sigma_o", [(4000, 16, 0.1),
+                                               (3000, 64, 1.0)])
+def test_the_two_colour_sweep_reaches_the_fixed_point_sooner(n, j_sub,
+                                                             sigma_o):
+    # the paper's multiplicative sweep in its two-colour form (ROADMAP
+    # item 7): even ids solve against the odd iterates, then odd ids
+    # against the new even ones.  It reaches w_fix within the bound of
+    # test_the_sweep_stops_at_the_exact_fixed_point, in at most 60% of
+    # the iterations of the additive sweep, one colour of every id, under
+    # the same step stop; on mps_4k's and compare_3k's shapes
+    inst, dec = make_instance(n=n, j_sub=j_sub, halo=4, seed=3,
+                              sigma_o=sigma_o)
+    locals_ = _locals(inst, dec, SCHEME_MPS)
+    oracle = FixedPoint(locals_)
+    ids = range(j_sub)
+    w, iterations = _colour_sweep(locals_, [ids[0::2], ids[1::2]])
+    _, additive = _colour_sweep(locals_, [ids])
+    floor = (np.finfo(float).eps * oracle.cond_estimate()
+             * np.max(np.abs(oracle.w_fix)))
+    assert (np.max(np.abs(w - oracle.w_fix))
+            <= 10 * max(SolverOptions().tol, floor))
+    assert iterations <= 0.6 * additive, (iterations, additive)
 
 
 def test_mps_result_does_not_depend_on_listing_order():
@@ -565,6 +617,28 @@ def test_system_rejects_a_band_that_does_not_fit_c():
     np.testing.assert_array_equal(dense(sys.a_band), a)
     np.testing.assert_allclose(solve_ddda([sys])[0], np.linalg.solve(a, sys.c),
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 3), (5, 2), (18, 55),
+                                   (18, 258), (18, 4000)])
+def test_a_system_rejects_a_nonzero_exactly_past_the_last_row(shape):
+    # band[d, j] lies past the last row when d + j >= n, only in the last
+    # columns, and a band taller than n is all of them: a band nonzero
+    # everywhere before the last row is taken, and one nonzero at any entry
+    # past it is rejected, by both kinds of system
+    rows, n = shape
+    past = np.add.outer(np.arange(rows), np.arange(n)) >= n
+    c = np.ones(n)
+    systems = (lambda band: GlobalSystem(a_band=band, c=c),
+               lambda band: LocalSystem(subdomain=0, scheme=SCHEME_DDDA,
+                                        a_band=band, c=c))
+    for system in systems:
+        system(np.where(past, 0.0, 1.0))
+        for d, j in zip(*np.nonzero(past)):
+            band = np.zeros(shape)
+            band[d, j] = 1.0
+            with pytest.raises(InvalidArgument, match="past the last row"):
+                system(band)
 
 
 def test_local_system_rejects_mis_shaped_penalty_pairs():
