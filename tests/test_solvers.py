@@ -292,10 +292,10 @@ def test_the_sweep_frees_its_factor_before_the_cost(monkeypatch):
     # returned iterate can take its memory
     inst, dec = make_instance(n=60, j_sub=4, halo=2, seed=9)
     factors = []
-    cholesky = solvers._band_cholesky
+    spd_factor = solvers._spd_factor
 
     def kept(*args):
-        factor = cholesky(*args)
+        factor = spd_factor(*args)
         factors.append(weakref.ref(factor))
         return factor
 
@@ -303,7 +303,7 @@ def test_the_sweep_frees_its_factor_before_the_cost(monkeypatch):
         assert len(factors) == 1 and factors[0]() is None
         return 0.0
 
-    monkeypatch.setattr(solvers, "_band_cholesky", kept)
+    monkeypatch.setattr(solvers, "_spd_factor", kept)
     _, history = solve_mps(_locals(inst, dec, SCHEME_MPS), cost_fn=cost_fn)
     assert history.iterations > 1 and history.final_cost == 0.0
 
@@ -595,6 +595,22 @@ def test_factorization_failure_names_the_subdomain(scheme):
         solve([locals_[0], broken, locals_[2]])
 
 
+@pytest.mark.parametrize("scheme", [SCHEME_DDDA, SCHEME_MPS])
+@pytest.mark.parametrize("entry", [(0, -1), (1, -2)])
+def test_a_nan_in_the_last_block_names_its_subdomain(scheme, entry):
+    # the stack's last block, listed first: the failure names it, from a
+    # NaN on the last diagonal entry or on the last sub-diagonal's
+    inst, dec = make_instance(n=36, j_sub=3, halo=1, seed=2)
+    locals_ = _locals(inst, dec, scheme)
+    solve = solve_ddda if scheme == SCHEME_DDDA else solve_mps
+    band = locals_[2].a_band.copy()
+    band[entry] = np.nan
+    broken = dataclasses.replace(locals_[2], a_band=band)
+    with pytest.raises(FactorizationFailure,
+                       match="subdomain 2 matrix has non-finite entries"):
+        solve([broken, locals_[0], locals_[1]])
+
+
 def test_system_rejects_a_band_that_does_not_fit_c():
     # a band of another width than c, or with an entry past the last row,
     # would couple a block of the stack to its neighbor's rows while the
@@ -684,30 +700,32 @@ def test_list_valued_penalty_pairs_give_the_iterates_of_arrays():
                 == local_gradient(sys_listed, w, by_id).tobytes())
 
 
-def test_stacked_solve_matches_dense_solve_for_any_bandwidth():
-    # a full-bandwidth system stacked with a tridiagonal one: the stack's
-    # band is as tall as the tallest block's, and each block still solves
-    # its own system
+def _banded_spd(rng, n, k):
+    # a symmetric band of k sub-diagonals, strictly diagonally dominant
+    off = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1)
+    off[np.subtract.outer(np.arange(n), np.arange(n)) > k] = 0.0
+    return off + off.T + np.diag(2.0 * k + 1.0 + rng.random(n))
+
+
+@pytest.mark.parametrize("blocks", [
+    [(1, 5, 0), (0, 4, 0)],  # k = 0, as the identity B gives
+    [(1, 7, 1), (0, 12, 11)],  # the stack's band taller than block 1
+    [(0, 6, 2), (2, 1, 0), (1, 5, 2)],  # a one-column block
+    [(0, 12, 11)],  # a band as tall as n
+], ids=["k0", "taller-than-a-block", "one-column-block", "as-tall-as-n"])
+def test_stacked_solve_matches_dense_solve_for_any_bandwidth(blocks):
+    # (subdomain, size, k) per listed system: the stack's band is as tall
+    # as the tallest block's, and each block still solves its own system
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((12, 12))
-    full = x @ x.T + 12.0 * np.eye(12)
-    tridiagonal = (np.diag(np.full(7, 4.0)) + np.diag(np.ones(6), 1)
-                   + np.diag(np.ones(6), -1))
-    systems = [
-        LocalSystem(subdomain=1, scheme=SCHEME_DDDA,
-                    a_band=lower_band(tridiagonal, 1),
-                    c=rng.standard_normal(7)),
-        LocalSystem(subdomain=0, scheme=SCHEME_DDDA,
-                    a_band=lower_band(full, 11),
-                    c=rng.standard_normal(12)),
-    ]
-    for sys, a, w in zip(systems, (tridiagonal, full), solve_ddda(systems)):
+    dense_as = [_banded_spd(rng, n, k) for _, n, k in blocks]
+    systems = [LocalSystem(subdomain=i, scheme=SCHEME_DDDA,
+                           a_band=lower_band(a, k),
+                           c=rng.standard_normal(n))
+               for (i, n, k), a in zip(blocks, dense_as)]
+    for sys, a, w in zip(systems, dense_as, solve_ddda(systems)):
         np.testing.assert_array_equal(dense(sys.a_band), a)
         np.testing.assert_allclose(w, np.linalg.solve(a, sys.c),
                                    rtol=0, atol=1e-13)
-    (w,) = solve_ddda(systems[1:])
-    np.testing.assert_allclose(w, np.linalg.solve(full, systems[1].c),
-                               rtol=0, atol=1e-13)
 
 
 def test_the_sweep_keeps_its_iterate_stacked(monkeypatch):
