@@ -133,7 +133,7 @@ def _global_w(inst: ProblemInstance) -> np.ndarray:
     # The single-domain minimizer w* = M^T (M M^T + R)^{-1} d, M = H V:
     # the lower band of the sparse M M^T plus R, one banded factor, two
     # products.
-    m = _check_type("inst", inst, ProblemInstance).h_rows
+    m = inst.h_rows
     if m.shape[0] == 0:
         return np.zeros(m.shape[1])
     band = _band_of(m @ m.T)
@@ -152,7 +152,6 @@ def _patch(inst, dec, w):
     subdomain whose base block holds it (restricted additive Schwarz), so
     the halo values, worst at a subdomain's edge, are dropped.
     """
-    _require_grid(inst, dec)
     points, _, owners = dec._stacked
     us = _band_times(v_blocks(inst.cov, dec), w) + inst.u_background[points]
     return us[owners], us
@@ -179,7 +178,6 @@ def _analysis_cost(inst, u):
 
 
 def _assemble(inst, dec):
-    _require_grid(inst, dec)
     return (assemble_local(inst, dec, i, SCHEME_DDDA)
             for i in range(dec.j_sub))
 
@@ -238,14 +236,16 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
     always computed alongside as the reference for vs_global_linf, by the
     observation-space solve of the module docstring: the sparse M M^T
     costs O(nobs bw^2) and its banded factor O(nobs k_S^2), against
-    O(n bw^2) for the normal equations of assemble_global.  convention
-    accepts only "v_times_w"; it remains because the benchmark
-    worker passes the config's update_convention positionally.
+    O(n bw^2) for the normal equations of assemble_global.  dec must split
+    inst's grid for every method, global too.  convention accepts only
+    "v_times_w"; it remains because the benchmark worker passes the
+    config's update_convention positionally.
     """
     _check_convention(convention, InvalidArgument.fail)
     _check_choice("method", method, (SCHEME_GLOBAL, SCHEME_MPS, SCHEME_DDDA),
                   InvalidArgument.fail)
     _check_opts(opts)
+    _require_grid(inst, dec)
 
     w_star = _global_w(inst)
     u_global = inst.u_background + v_times(inst.cov, w_star)
@@ -274,12 +274,12 @@ def assimilate(inst: ProblemInstance, dec: Decomposition, method: str,
 class EquivalenceReport:
     """Measured equivalence of the two schemes on one instance.
 
-    c_equal and a_structure_exact are identities that hold on any data;
-    the remaining numbers quantify how far the uncoupled solutions are
-    from being a fixed point of the coupled sweep and how far the two
-    schemes' solutions and costs sit from each other and from the
-    single-domain solve.  mps_converged flags whether the sweep hit its
-    stop test inside the iteration budget.
+    c_equal and a_structure_exact hold each system of a second stream to
+    its block of the ddda stack (c to the byte, a_band with nothing below
+    it): a stream that does not reproduce itself fails, a wrong stiffness
+    or C passes.  The rest measure the fixed-point gap and how far the
+    schemes and the global solve sit apart; mps_converged: the stop test
+    fired.
     """
 
     c_equal: bool
@@ -317,6 +317,7 @@ def equivalence_report(inst: ProblemInstance, dec: Decomposition,
     """
     _check_convention(convention, InvalidArgument.fail)
     _check_opts(opts)
+    _require_grid(inst, dec)
     cost_global = cost_w(inst, _global_w(inst))
     dd = _stack(inst, dec, SCHEME_DDDA)
     ws_dd, dd_history, _, gap_dd = _run_scheme(inst, dec, dd, None)

@@ -25,18 +25,16 @@ matrix.  The entries band[d, j] of a band with d >= n - j lie past the
 last row of its matrix, in its last min(k, n) columns; a system's band is
 zero there (assembly._Banded).  The package holds every matrix as its
 band and never forms an n x n array; dense matrices are the tests' oracles.
-The package factors SPD systems by LAPACK dpbtrf on two paths.
-_band_cholesky gives B's V as a lower band, as V is an operator that is
-multiplied with and gathered, never solved with by dpbtrs.  Every solved
-system, the global and stacked local systems in solvers and the
-observation-space matrix in analysis, is factored by _spd_factor as the
-upper band of U, A = U^T U, and solved by _band_solve (dpbtrs): OpenBLAS
-(one thread) runs both triangular solves of an upper factor, U^T and then
-U, in its fast kernel, 42-46 us each on mps_4k's stack of 4,120 rows and
-17 sub-diagonals, where the L^T solve of a lower factor takes 89-99 us.
-One dpbtrs there takes 81-91 us against 130-145 us, and 2.2-2.4 ms against
-3.4-3.8 ms on 10^5 rows; the upper factor, its relayout included, takes
-0.58-0.69 ms against 0.43-0.51 ms, paid once per solve call.
+The package factors SPD systems by LAPACK dpbtrf in two forms.
+_band_cholesky gives B's V as a lower band: V is an operator, multiplied
+with and gathered, never solved with by dpbtrs.  Every solved system, the
+global and stacked local systems in solvers and the observation-space
+matrix in analysis, is factored by _spd_factor as the upper band of U,
+A = U^T U, and solved by _band_solve (dpbtrs), as OpenBLAS runs both
+triangular solves of an upper factor in its fast kernel and the L^T solve
+of a lower one in a slower one (README gives the timings).  Each input is
+checked once: CovarianceModel checks B's band, so _band_cholesky does not,
+while _spd_factor checks the systems, which no model holds.
 """
 
 from __future__ import annotations
@@ -132,50 +130,48 @@ class ObsCovariance:
         object.__setattr__(self, "r_diag", r)
 
 
-def _band_cholesky(band: np.ndarray, what) -> np.ndarray:
+def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
     """Lower band of L, A = L L^T, for the SPD A with this lower band.
 
     LAPACK dpbtrf, O(n k^2) for k sub-diagonals: the factor V of B, an
     operator (v_times, v_blocks, v_normal, v_solve).  what names the
-    matrix in a FactorizationFailure; a callable what(row) names the part
-    of it that holds the failing row, the first column with a non-finite
-    entry or the first non-positive pivot.
+    matrix in a FactorizationFailure at the first non-positive pivot.  The
+    band is not scanned: CovarianceModel checks B's band and V's.
     """
-    return _factored(band, band, 1, what)
+    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if info > 0:
+        raise FactorizationFailure(f"{what} is not numerically SPD")
+    return factor
 
 
 def _spd_factor(band: np.ndarray, what) -> np.ndarray:
     """Upper band of U, A = U^T U, for the SPD A with this lower band.
 
     The factor of every solved system, which _band_solve reads, by LAPACK
-    dpbtrf on the upper band u[k - d, j] = A[j - d, j] = band[d, j - d]
-    (the module docstring says why upper).  The band is written in one
-    copy through a strided view of an array k columns longer, whose extra
-    columns take the band's zeros past its last row; dpbtrf factors that
-    array in place, so it is the factor and no other band-sized array is
-    made.  Failures are named as by _band_cholesky.
+    dpbtrf on the upper band u[k - d, j] = A[j - d, j] = band[d, j - d].
+    The band is written in one copy through a strided view of an array k
+    columns longer, whose extra columns take the band's zeros past its
+    last row; dpbtrf factors that array in place, so it is the factor and
+    no other band-sized array is made.  what names the matrix in a
+    FactorizationFailure; a callable what(row) names the part of it that
+    holds the failing row, the first column with a non-finite entry or
+    the first non-positive pivot.
     """
+    def fail(row, reason):
+        raise FactorizationFailure(
+            f"{what(row) if callable(what) else what} {reason}")
+
+    if not np.isfinite(band).all():
+        fail(int(np.argmin(np.isfinite(band).all(axis=0))),
+             "has non-finite entries")
     k, n = band.shape[0] - 1, band.shape[1]
     # rows[j] is column j of u: band[d, e] goes to u[k - d, e + d], that is
     # rows[e + d, k - d], e + d < n + k
     rows = np.zeros((n + k, k + 1))
     row, col = rows.strides
     np.ndarray(band.shape, float, rows, k * col, (row - col, row))[...] = band
-    return _factored(rows[:n].T, band, 0, what)
-
-
-def _factored(ab: np.ndarray, band: np.ndarray, lower: int, what):
-    # dpbtrf of the band ab of the matrix with the lower band band, in place
-    # if ab is not band; a failure names the row's part by what
-    def fail(row, reason):
-        name = what(row) if callable(what) else what
-        raise FactorizationFailure(f"{name} {reason}")
-
-    if not np.isfinite(band).all():
-        fail(int(np.argmin(np.isfinite(band).all(axis=0))),
-             "has non-finite entries")
-    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=lower,
-                                              overwrite_ab=ab is not band)
+    factor, info = scipy.linalg.lapack.dpbtrf(rows[:n].T, lower=0,
+                                              overwrite_ab=1)
     if info > 0:
         fail(info - 1, "is not numerically SPD")
     return factor

@@ -2,13 +2,9 @@
 
 Every system, global or local, arrives as its lower band a_band, k
 sub-diagonals with k at most the bandwidth of V, and is solved on it: one
-banded Cholesky factor (LAPACK dpbtrf) per solve call, O(n k^2), held as
-the upper band of U, a = U^T U (covariance._spd_factor), while V stays B's
-lower factor, an operator that dpbtrs never reads.  OpenBLAS runs both
-triangular solves of dpbtrs with an upper factor in its fast kernel: one
-solve of mps_4k's 4,120-row stack takes 81-91 us, against 130-145 us
-with a lower factor, whose L^T solve alone took 89-99 us.  The
-local bands of a call are laid end to end in subdomain-id order, each
+banded Cholesky factor per solve call, O(n k^2), in the upper form of
+covariance._spd_factor (the covariance module says why).  The local
+bands of a call are laid end to end in subdomain-id order, each
 zero-padded to the tallest, as one block-diagonal band; its banded factor
 is the block diagonal of the blocks' own factors, so listing order cannot
 change a result; of each system, listed or streamed in, the stack keeps

@@ -671,6 +671,30 @@ def test_equivalence_report_sees_one_ulp_in_the_second_stream(
         field != "c", field != "a_band")
 
 
+@pytest.mark.xfail(strict=True, reason="the report's flags check the "
+                   "second stream, not the coupled matrix; ROADMAP item 18")
+@pytest.mark.parametrize("target", ["stiffness", "coupling"])
+def test_equivalence_report_sees_one_ulp_in_the_coupled_matrix(
+        monkeypatch, target):
+    # the gate of a_structure_exact on the coupled matrix: when a stack's
+    # interface pass runs, one stiffened diagonal entry of its band (the
+    # last row of block 0, an interface row toward block 1) or one entry
+    # of C moves by one ulp
+    inst, dec = make_instance(n=240, j_sub=8, halo=4)
+
+    def mutant(model, dec, ids, band, starts=None,
+               _fn=analysis._interface_pass):
+        coupling = _fn(model, dec, ids, band, starts)
+        if starts is not None:
+            a, at = ((band, (0, starts[1] - 1)) if target == "stiffness"
+                     else (coupling.data, 0))
+            a[at] = np.nextafter(a[at], np.inf)
+        return coupling
+
+    monkeypatch.setattr(analysis, "_interface_pass", mutant)
+    assert equivalence_report(inst, dec).a_structure_exact is False
+
+
 def _track_systems(monkeypatch):
     # weak references to every system assemble_local makes, and the
     # number of them alive each time solve_mps starts
@@ -893,6 +917,23 @@ def test_opts_is_checked_before_the_reference_solve(monkeypatch, run):
     monkeypatch.setattr(analysis, "_global_w", solves.append)
     with pytest.raises(InvalidArgument, match="^opts must be a SolverOptions"):
         run(inst, dec, "x")
+    assert solves == []
+
+
+@pytest.mark.parametrize("run", [
+    *(lambda inst, dec, m=m: assimilate(inst, dec, m)
+      for m in ("global", SCHEME_MPS, SCHEME_DDDA)),
+    equivalence_report,
+], ids=["global", "mps", "ddda", "report"])
+def test_another_grids_decomposition_fails_before_the_reference_solve(
+        monkeypatch, run):
+    inst, _ = make_instance(n=20, j_sub=2, halo=1)
+    solves, solve = [], analysis._global_w
+    monkeypatch.setattr(analysis, "_global_w",
+                        lambda inst: solves.append(inst) or solve(inst))
+    with pytest.raises(DimensionMismatch,
+                       match="^decomposition is of a 21-point grid"):
+        run(inst, decompose_uniform(Grid1D.uniform(21), 2, 1))
     assert solves == []
 
 

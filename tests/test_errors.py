@@ -275,6 +275,12 @@ OBJECTS = {
     "assimilate-dec": (
         "dec", lambda v: assimilate(INST, v, SCHEME_MPS),
         {"text": "x", "grid": GRID}),
+    "assimilate-dec-global": (
+        "dec", lambda v: assimilate(INST, v, "global"),
+        {"text": "x", "grid": GRID}),
+    "assimilate-dec-ddda": (
+        "dec", lambda v: assimilate(INST, v, SCHEME_DDDA),
+        {"text": "x", "grid": GRID}),
     "assimilate-opts": (
         "opts", lambda v: assimilate(INST, DEC, SCHEME_MPS, v),
         {"text": "x", "dict": {"tol": 1e-12}}),
